@@ -12,11 +12,12 @@ from __future__ import annotations
 import pathlib
 
 import numpy as np
+import scipy
 
 from repro import ChaseConfig, ChaseSolver, ConvergenceTrace, IterationRecord
 from repro.core.lanczos import SpectralBounds
 from repro.distributed import DistributedHermitian
-from repro.runtime import CommBackend, Grid2D, VirtualCluster
+from repro.runtime import CommBackend, Grid2D, VirtualCluster, blas
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -26,6 +27,19 @@ WEAK_N_PER_SQRT_NODE = 30_000
 
 #: the paper's strong-scaling workload (Fig. 3b)
 STRONG_N, STRONG_NEV, STRONG_NEX = 115_459, 1200, 400
+
+
+def host_info() -> dict:
+    """What a wall-clock number was measured on: the cores this process
+    may use and the BLAS pool layout of a numeric solve
+    (:func:`repro.runtime.blas.describe`).  Every bench that records a
+    wall time embeds this next to it."""
+    return {
+        "cores": blas.usable_cores(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_pools": blas.describe(),
+    }
 
 
 def emit(name: str, text: str) -> None:

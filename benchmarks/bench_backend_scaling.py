@@ -1,12 +1,17 @@
 """Real multi-core solve scaling across execution backends (DESIGN.md §5h).
 
 The orchestrated runtime and the ``threads`` backend share one Python
-process — one GIL, one BLAS pool — so their host wall-clock cannot beat
-single-core.  The ``mp`` backend runs every rank as a spawned OS process
-with an independent BLAS pool: on a multi-core host the rank-local GEMM
-work of a solve genuinely overlaps, and the measured speedup should
-approach the Amdahl bound
-:func:`repro.perfmodel.calibrate.predicted_backend_speedup`.
+process: one GIL and — on pip wheels — *two* OpenBLAS thread pools
+(NumPy's and SciPy's), of which :mod:`repro.runtime.blas` keeps exactly
+one multi-threaded while a solve runs.  In process, the cores are used
+only inside each BLAS call of that one pool; the Python control plane
+between the calls is serial.  The ``mp`` backend runs every rank as a
+spawned OS process whose pools are sized to ``cores // n_ranks`` threads
+at bootstrap: on a multi-core host the rank-local GEMM work of a solve
+genuinely overlaps, and the measured speedup should approach the Amdahl
+bound :func:`repro.perfmodel.calibrate.predicted_backend_speedup`.  The
+pool layout every wall time was taken under is recorded in the section's
+``host`` block (``benchmarks/_common.host_info``).
 
 Each point solves the *same* problem on ``orchestrated``, ``threads``
 and ``mp`` (the mp run with ``REPRO_KERNEL_WORKERS = n_ranks`` so the
@@ -48,7 +53,7 @@ for _p in (str(ROOT), str(ROOT / "src")):
 
 import numpy as np
 
-from benchmarks._common import emit
+from benchmarks._common import emit, host_info
 from repro import ChaseConfig, ChaseSolver
 from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
@@ -152,6 +157,7 @@ def main(argv=None) -> int:
             "wire CommStats parity verified on every point."
         ),
         "cores": cores,
+        "host": host_info(),
         "target_mp_speedup_4ranks": TARGET_MP_SPEEDUP_4RANKS,
         "target_met_mp_speedup": bool(mp_target_met),
         "target_met_conformance": bool(conformance_ok),

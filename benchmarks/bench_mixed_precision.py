@@ -62,7 +62,8 @@ for _p in (str(ROOT), str(ROOT / "src")):
 
 import numpy as np
 
-from benchmarks._common import RESULTS_DIR, emit, make_phantom_solver
+from benchmarks._common import (
+    RESULTS_DIR, emit, host_info, make_phantom_solver)
 from repro import ChaseConfig, ChaseSolver, ConvergenceTrace
 from repro.distributed import (
     DistributedHemm,
@@ -506,6 +507,7 @@ def _run(args) -> None:
     section = {
         "benchmark": "mixed_precision",
         "smoke": bool(args.smoke),
+        "host": host_info(),
         "description": (
             "Condest-gated three-precision Chebyshev cascade + mixed "
             "CholeskyQR2 + compressed collectives (DESIGN.md §5g/§5j) "

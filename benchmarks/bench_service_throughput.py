@@ -37,7 +37,7 @@ for _p in (str(ROOT), str(ROOT / "src")):
 
 import numpy as np
 
-from benchmarks._common import RESULTS_DIR, emit
+from benchmarks._common import RESULTS_DIR, emit, host_info
 from repro.service import EigenService, SolveJob, scf_sequence
 
 JSON_PATH = ROOT / "BENCH_wallclock.json"
@@ -209,6 +209,7 @@ def main(argv=None) -> None:
     section = {
         "benchmark": "service",
         "smoke": bool(args.smoke),
+        "host": host_info(),
         "description": (
             "Eigensolver-as-a-service (DESIGN.md §5i): a 4-step "
             "warm-started SCF sequence on the 2x4 NCCL grid vs the same "

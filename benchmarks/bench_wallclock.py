@@ -52,7 +52,7 @@ for _p in (str(ROOT), str(ROOT / "src")):
 
 import numpy as np
 
-from benchmarks._common import RESULTS_DIR, emit
+from benchmarks._common import RESULTS_DIR, emit, host_info
 from repro import ChaseConfig, ChaseSolver
 from repro.core.qr import QRReport, shifted_cholesky_qr2
 from repro.core.rayleigh_ritz import rayleigh_ritz
@@ -672,6 +672,7 @@ def _run(args) -> None:
     report = {
         "benchmark": "wallclock",
         "smoke": bool(args.smoke),
+        "host": host_info(),
         "description": (
             "Host wall-clock of the numeric simulation across execution "
             "tiers (seed / dedup / fused-panel HEMM / fused + kernel "

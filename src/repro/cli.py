@@ -46,7 +46,8 @@ from repro.distributed import (
 )
 from repro.matrices import TABLE1, build_problem, uniform_matrix
 from repro.reporting import render_series, render_table
-from repro.runtime import TRANSPORTS, CommBackend, Grid2D, VirtualCluster
+from repro.runtime import (
+    TRANSPORTS, CommBackend, Grid2D, VirtualCluster, blas)
 
 _BACKENDS = {
     "nccl": CommBackend.NCCL,
@@ -211,6 +212,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"converged: {res.converged} in {res.iterations} iterations, "
           f"{res.matvecs} MatVecs")
     print(f"QR variants: {res.qr_variants}")
+    print(f"host BLAS pools: {blas.describe_line()}")
     k = min(10, nev)
     print(f"lowest {k} eigenvalues: {np.round(res.eigenvalues[:k], 8)}")
     return 0 if res.converged else 1
@@ -426,6 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if svc.cache is not None:
         print(f"warm-start cache: {svc.cache.hits} hits / "
               f"{svc.cache.misses} misses, {svc.cache.nbytes} B held")
+    print(f"host BLAS pools: {blas.describe_line()}")
     if args.smoke:
         hits = sum(1 for r in results if r.warm_hit)
         ok = (len(done) == len(results) and hits >= 1

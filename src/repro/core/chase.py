@@ -71,7 +71,7 @@ from repro.runtime.faults import (
     RankDeathError,
     RecoveryExhaustedError,
 )
-from repro.runtime import executor
+from repro.runtime import blas, executor
 from repro.runtime.grid import Grid2D
 from repro.runtime.tracer import PhaseBreakdown
 from repro.runtime.transport import assert_transport_parity
@@ -756,10 +756,12 @@ class ChaseSolver:
         §5h): the transport's kernel plane (mp backend) is installed
         for the solve's duration, and on completion the backend's wire
         account is asserted against the modeled CommStats — the
-        oracle-parity invariant.
+        oracle-parity invariant.  Host BLAS threads are placed for the
+        same duration (:func:`repro.runtime.blas.one_pool_scope`).
         """
         transport = self.grid.cluster.transport
-        with executor.kernel_plane_scope(transport.kernel_plane):
+        with blas.one_pool_scope(), \
+                executor.kernel_plane_scope(transport.kernel_plane):
             result = self._solve_numeric(V0, rng, return_vectors,
                                          bounds=bounds,
                                          return_subspace=return_subspace)

@@ -25,6 +25,7 @@ from repro.core.condest import estimate_condition
 from repro.core.config import ChaseConfig
 from repro.core.degrees import optimize_degrees, sort_by_degree
 from repro.core.locking import plan_locking
+from repro.runtime import blas
 
 __all__ = ["SerialResult", "chase_serial"]
 
@@ -163,6 +164,7 @@ def _qr_serial(V: np.ndarray, cond: float) -> tuple[np.ndarray, str]:
         return Q, "HHQR"
 
 
+@blas.one_pool_scope()
 def chase_serial(
     H,
     config: ChaseConfig,

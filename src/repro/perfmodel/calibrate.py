@@ -56,6 +56,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.perfmodel.machine import DeviceSpec, LinkSpec, MachineSpec
+from repro.runtime import blas
 
 __all__ = [
     "measure_rate",
@@ -153,6 +154,7 @@ def measure_bandwidth(nbytes: int = 64 * 1024 * 1024, repeats: int = 3) -> float
     return 2 * nbytes / best  # read + write
 
 
+@blas.one_pool_scope()
 def calibrate_local_machine(n: int = 512,
                             half_rate_factor: float = 4.0) -> MachineSpec:
     """A single-node machine model with locally measured rates.

@@ -16,10 +16,9 @@ modeled makespans, per-phase breakdowns and CommStats bit-identical
 for every worker count — the clocks and tracer are never touched off
 the main thread.
 
-Oversubscription guard: while worker threads run, the process BLAS
-threadpool is limited to one thread per call (via ``threadpoolctl``
-when available, else a best-effort ctypes call into OpenBLAS, else a
-no-op) so ``workers x blas_threads`` cannot exceed the host.
+Oversubscription guard: while worker threads run, every BLAS pool
+:mod:`repro.runtime.blas` discovers in the process is limited to one
+thread per call, so ``workers x blas_threads`` cannot exceed the host.
 
 The worker count is a global switch in the style of
 ``repro.distributed.replication``: default 1 (serial — the exact seed
@@ -30,11 +29,11 @@ variable or :func:`set_kernel_workers` / :func:`kernel_worker_scope`.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import ctypes.util
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
+
+from repro.runtime import blas
 
 __all__ = [
     "KernelCall",
@@ -188,76 +187,10 @@ def _pool(n: int) -> ThreadPoolExecutor:
     return _POOL
 
 
-# -- BLAS threadpool guard ---------------------------------------------------------
-try:  # pragma: no cover - environment dependent
-    from threadpoolctl import threadpool_limits as _tp_limits
-except Exception:  # pragma: no cover
-    _tp_limits = None
-
-
-def _openblas_handles():
-    """Best-effort (set, get) thread-count handles into OpenBLAS."""
-    import numpy as np
-
-    candidates = []
-    libdir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-    if os.path.isdir(libdir):  # manylinux wheels vendor OpenBLAS here
-        for name in sorted(os.listdir(libdir)):
-            if "openblas" in name.lower():
-                candidates.append(os.path.join(libdir, name))
-    found = ctypes.util.find_library("openblas")
-    if found:
-        candidates.append(found)
-    for path in candidates:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for suffix in ("", "64_"):
-            setter = getattr(lib, f"openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"openblas_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return setter, getter
-    return None
-
-
-_OPENBLAS: tuple | None = None
-_OPENBLAS_PROBED = False
-
-
-@contextlib.contextmanager
-def blas_thread_guard():
-    """Limit the BLAS threadpool to 1 thread for the scope's duration.
-
-    No-op when neither ``threadpoolctl`` nor an OpenBLAS handle is
-    available — acceptable because the guard only prevents
-    oversubscription, never affects results.
-    """
-    global _OPENBLAS, _OPENBLAS_PROBED
-    if _tp_limits is not None:
-        with _tp_limits(limits=1):
-            yield
-        return
-    if not _OPENBLAS_PROBED:
-        _OPENBLAS_PROBED = True
-        try:
-            _OPENBLAS = _openblas_handles()
-        except Exception:  # pragma: no cover - defensive
-            _OPENBLAS = None
-    if _OPENBLAS is None:
-        yield
-        return
-    setter, getter = _OPENBLAS
-    prev = int(getter())
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(prev if prev > 0 else 1)
+#: Oversubscription guard: every BLAS pool of the process drops to one
+#: thread while worker threads call BLAS concurrently, and gets its count
+#: back afterwards (a no-op only where no pool is controllable)
+blas_thread_guard = blas.single_thread_scope
 
 
 def run_kernels(closures: Iterable[Callable[[], object]]) -> list:

@@ -1,11 +1,12 @@
 """The ``mp`` execution backend: one OS process per rank over shared memory.
 
 DESIGN.md §5h.  The orchestrated runtime and the ``threads`` backend
-both live inside one Python process — one GIL, one BLAS threadpool —
-so raw wall-clock is capped no matter how good the modeled makespans
-get.  This backend runs each backend rank as a real **spawned process**
-with its own interpreter and its own BLAS pool, the multiprocess
-analogue of the paper's one-rank-per-GPU layout:
+both live inside one Python process — one GIL, one multi-threaded BLAS
+pool (:mod:`repro.runtime.blas`) — so raw wall-clock is capped no
+matter how good the modeled makespans get.  This backend runs each
+backend rank as a real **spawned process** with its own interpreter and
+its own BLAS pool sized to ``cores // n_ranks`` threads, the
+multiprocess analogue of the paper's one-rank-per-GPU layout:
 
 * **Rendezvous** follows the NCCL wrapper idiom (UniqueId + rank/size
   construction): one random :class:`UniqueId` token names the session,
@@ -56,6 +57,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.runtime import blas
 from repro.runtime.transport import (
     Transport,
     TransportDeadRankError,
@@ -95,6 +97,10 @@ def _worker_main(token: str, rank: int, size: int, conn) -> None:
     command is answered with ``("ok", payload)`` or ``("error", text)``
     — the orchestrator never waits on a reply that cannot come.
     """
+    # the one-rank-per-GPU layout of the paper, on host cores: the team
+    # shares the host, so each rank gets its share of the cores on the
+    # primary pool and one thread on any other
+    blas.pin_process(max(1, blas.usable_cores() // size))
     segments: dict[str, shared_memory.SharedMemory] = {}
     cache: dict[int, np.ndarray] = {}
 

@@ -18,7 +18,7 @@ from repro.distributed import (
     hemm_fusion,
     numeric_dedup,
 )
-from repro.runtime import executor
+from repro.runtime import blas, executor
 from tests.conftest import make_grid
 
 
@@ -61,11 +61,31 @@ class TestExecutorPrimitives:
         finally:
             executor.set_kernel_workers(prev)
 
-    def test_blas_thread_guard_is_reentrant_noop_safe(self):
-        # whatever backend is available, the guard must nest cleanly
+    def test_blas_thread_guard_limits_every_pool(self):
+        pools = blas.pools()
+        if not pools:
+            pytest.skip("discovery found no controllable BLAS pool in this "
+                        "process (no threadpoolctl, no OpenBLAS with "
+                        "set/get_num_threads handles): nothing to read back")
+        before = [p.threads() for p in pools]
         with executor.blas_thread_guard():
+            assert [p.threads() for p in pools] == [1] * len(pools)
             with executor.blas_thread_guard():
+                assert [p.threads() for p in pools] == [1] * len(pools)
                 assert (np.ones((8, 8)) @ np.ones((8, 8)))[0, 0] == 8.0
+            assert [p.threads() for p in pools] == [1] * len(pools)
+        assert [p.threads() for p in pools] == before
+
+    def test_blas_thread_guard_wraps_worker_batches(self):
+        pools = blas.pools()
+        if not pools:
+            pytest.skip("discovery found no controllable BLAS pool")
+        before = [p.threads() for p in pools]
+        seen = lambda: [p.threads() for p in pools]  # noqa: E731
+        with executor.kernel_worker_scope(3):
+            got = executor.run_kernels([seen] * 6)
+        assert got == [[1] * len(pools)] * 6
+        assert seen() == before
 
 
 def _setup_hemm(rng, n=48, ne=7, p=2, q=2):
