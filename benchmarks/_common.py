@@ -66,11 +66,13 @@ def make_phantom_solver(
     backend: CommBackend,
     scheme: str = "new",
     dtype=np.float64,
+    config=None,
 ) -> ChaseSolver:
     """A paper-scale solver on metadata-only buffers.
 
     STD/NCCL run 4 ranks/node x 1 GPU; LMS runs 1 rank/node x 4 GPUs
-    (the paper's configurations, Sec. 4).
+    (the paper's configurations, Sec. 4).  ``config`` is the cluster's
+    ``ExecutionConfig`` (``None`` = defaults).
     """
     if scheme == "lms":
         rpn, gpr = 1, 4
@@ -78,7 +80,7 @@ def make_phantom_solver(
         rpn, gpr = 4, 1
     cluster = VirtualCluster(
         nodes * rpn, backend=backend, ranks_per_node=rpn,
-        gpus_per_rank=gpr, phantom=True,
+        gpus_per_rank=gpr, phantom=True, config=config,
     )
     grid = Grid2D(cluster)
     H = DistributedHermitian.phantom(grid, N, dtype)

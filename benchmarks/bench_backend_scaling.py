@@ -14,7 +14,7 @@ pool layout every wall time was taken under is recorded in the section's
 ``host`` block (``benchmarks/_common.host_info``).
 
 Each point solves the *same* problem on ``orchestrated``, ``threads``
-and ``mp`` (the mp run with ``REPRO_KERNEL_WORKERS = n_ranks`` so the
+and ``mp`` (the mp run with ``kernel_workers = n_ranks`` so the
 kernel plane fans the HEMM/axpby batches across the worker pool) and
 re-verifies the §5h contract on every backend:
 
@@ -58,7 +58,7 @@ from repro import ChaseConfig, ChaseSolver
 from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.perfmodel.calibrate import predicted_backend_speedup
-from repro.runtime import Grid2D, VirtualCluster, kernel_worker_scope
+from repro.runtime import ExecutionConfig, Grid2D, VirtualCluster
 
 JSON_PATH = ROOT / "BENCH_wallclock.json"
 
@@ -71,15 +71,15 @@ TARGET_MP_SPEEDUP_4RANKS = 1.5
 def solve_point(backend: str, p: int, q: int, H, nev: int, nex: int,
                 workers: int = 1):
     """One timed solve; returns (wall_s, result, stats, levels)."""
-    with VirtualCluster(p * q, backend=backend) as cluster:
+    config = ExecutionConfig(kernel_workers=workers)
+    with VirtualCluster(p * q, backend=backend, config=config) as cluster:
         grid = Grid2D(cluster, p, q)
         Hd = DistributedHermitian.from_dense(grid, H)
         solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex))
-        with kernel_worker_scope(workers):
-            t0 = time.perf_counter()
-            res = solver.solve(rng=np.random.default_rng(7),
-                               return_vectors=True)
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        res = solver.solve(rng=np.random.default_rng(7),
+                           return_vectors=True)
+        wall = time.perf_counter() - t0
         final = solver.grid
         return wall, res, final.comm_stats(), final.comm_stats_levels()
 
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
             "Real host wall-clock of identical solves on the three "
             "execution backends (DESIGN.md §5h); mp runs every rank as "
             "a spawned process with its own BLAS pool and "
-            "REPRO_KERNEL_WORKERS=n_ranks.  Bit-identity and modeled/"
+            "kernel_workers=n_ranks.  Bit-identity and modeled/"
             "wire CommStats parity verified on every point."
         ),
         "cores": cores,

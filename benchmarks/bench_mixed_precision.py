@@ -49,7 +49,6 @@ misses fp64 accuracy.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import pathlib
 import sys
@@ -69,11 +68,8 @@ from repro.distributed import (
     DistributedHemm,
     DistributedHermitian,
     DistributedMultiVector,
-    comm_compress_scope,
-    filter_dtype_scope,
-    filter_pipeline,
 )
-from repro.runtime import CommBackend, Grid2D, VirtualCluster
+from repro.runtime import CommBackend, ExecutionConfig, Grid2D, VirtualCluster
 
 JSON_PATH = ROOT / "BENCH_wallclock.json"
 RESULT_PATH = RESULTS_DIR / "BENCH_mixed_precision.json"
@@ -98,18 +94,14 @@ CONFIGS = (
 )
 
 
-@contextlib.contextmanager
-def _precision(fdt: str, comp: str, pipelined: bool, chunks: int = 4):
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(filter_dtype_scope(fdt))
-        stack.enter_context(comm_compress_scope(comp))
-        if pipelined:
-            stack.enter_context(filter_pipeline(True, chunks))
-        yield
+def _precision(fdt: str, comp: str, pipelined: bool,
+               chunks: int = 4) -> ExecutionConfig:
+    return ExecutionConfig(filter_dtype=fdt, comm_compress=comp,
+                           pipeline_chunks=chunks if pipelined else 0)
 
 
-def _grid(p: int, q: int) -> Grid2D:
-    cluster = VirtualCluster(p * q, backend=CommBackend.NCCL)
+def _grid(p: int, q: int, config: ExecutionConfig | None = None) -> Grid2D:
+    cluster = VirtualCluster(p * q, backend=CommBackend.NCCL, config=config)
     return Grid2D(cluster, p, q)
 
 
@@ -132,9 +124,10 @@ def phantom_filter_point(N, nev, nex, deg, iters):
     trace = ConvergenceTrace.fixed(iters, nev + nex, deg=deg)
 
     def run(fdt, comp, pipelined):
-        solver = make_phantom_solver(2, N, nev, nex, CommBackend.NCCL)
-        with _precision(fdt, comp, pipelined):
-            res = solver.solve_phantom(trace)
+        solver = make_phantom_solver(
+            2, N, nev, nex, CommBackend.NCCL,
+            config=_precision(fdt, comp, pipelined))
+        res = solver.solve_phantom(trace)
         bytes_total = sum(s[2] for s in solver.grid.comm_stats())
         return res, bytes_total
 
@@ -254,21 +247,21 @@ def comm_bytes_point(N, ne, p, q, chunks=4):
     V = rng.standard_normal((N, ne))
 
     def run(x_dtype, payload):
-        with comm_compress_scope(payload), filter_pipeline(True, chunks):
-            grid = _grid(p, q)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            hemm = DistributedHemm(Hd)
-            C = DistributedMultiVector.from_global(
-                grid, V.astype(x_dtype), Hd.rowmap, "C"
-            )
-            hemm.apply(C, pipeline=True)
-            comms = [grid.col_comm(j) for j in range(grid.q)] + \
-                    [grid.row_comm(i) for i in range(grid.p)]
-            for comm in comms:
-                s = comm.stats
-                assert s.intra_bytes + s.inter_bytes == s.bytes_moved, \
-                    "per-level byte split does not conserve total bytes!"
-            return sum(s[2] for s in grid.comm_stats())
+        grid = _grid(p, q, ExecutionConfig(comm_compress=payload,
+                                           pipeline_chunks=chunks))
+        Hd = DistributedHermitian.from_dense(grid, H)
+        hemm = DistributedHemm(Hd)
+        C = DistributedMultiVector.from_global(
+            grid, V.astype(x_dtype), Hd.rowmap, "C"
+        )
+        hemm.apply(C, pipeline=True)
+        comms = [grid.col_comm(j) for j in range(grid.q)] + \
+                [grid.row_comm(i) for i in range(grid.p)]
+        for comm in comms:
+            s = comm.stats
+            assert s.intra_bytes + s.inter_bytes == s.bytes_moved, \
+                "per-level byte split does not conserve total bytes!"
+        return sum(s[2] for s in grid.comm_stats())
 
     b_fp64 = run(np.float64, "none")
     b_fp32 = run(np.float32, "none")
@@ -327,14 +320,13 @@ def solve_point(N, nev, nex, p, q, deg, repeats):
     scale = max(1.0, float(np.abs(oracle).max()))
 
     def run(fdt, comp, pipelined):
-        with _precision(fdt, comp, pipelined):
-            grid = _grid(p, q)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            solver = ChaseSolver(
-                grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=deg)
-            )
-            res = solver.solve(rng=np.random.default_rng(7))
-            return res, grid.comm_stats()
+        grid = _grid(p, q, _precision(fdt, comp, pipelined))
+        Hd = DistributedHermitian.from_dense(grid, H)
+        solver = ChaseSolver(
+            grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=deg)
+        )
+        res = solver.solve(rng=np.random.default_rng(7))
+        return res, grid.comm_stats()
 
     def timed(fdt, comp, pipelined):
         best = None
@@ -346,15 +338,14 @@ def solve_point(N, nev, nex, p, q, deg, repeats):
                 best = (wall, got)
         return best
 
-    # ambient default == explicit fp64/none, bit for bit
+    # default config == explicit fp64/none, bit for bit
     wall_amb, (res_amb, stats_amb) = timed("fp64", "none", False)
-    with contextlib.ExitStack():
-        grid = _grid(p, q)
-        Hd = DistributedHermitian.from_dense(grid, H)
-        res_seed = ChaseSolver(
-            grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=deg)
-        ).solve(rng=np.random.default_rng(7))
-        stats_seed = grid.comm_stats()
+    grid = _grid(p, q)
+    Hd = DistributedHermitian.from_dense(grid, H)
+    res_seed = ChaseSolver(
+        grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=deg)
+    ).solve(rng=np.random.default_rng(7))
+    stats_seed = grid.comm_stats()
 
     point = {
         "kind": "solve",
@@ -400,12 +391,11 @@ def solve_point(N, nev, nex, p, q, deg, repeats):
     # under the half-tier gates, so the narrow lattice actually filters
     for fdt, comp, pipelined in CONFIGS[4:]:
         label = _label(fdt, comp)
-        with _precision(fdt, comp, pipelined):
-            grid = _grid(p, q)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            res = ChaseSolver(
-                grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=2)
-            ).solve(rng=np.random.default_rng(7))
+        grid = _grid(p, q, _precision(fdt, comp, pipelined))
+        Hd = DistributedHermitian.from_dense(grid, H)
+        res = ChaseSolver(
+            grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=2)
+        ).solve(rng=np.random.default_rng(7))
         err = float(np.abs(res.eigenvalues - oracle).max())
         point.update({
             f"iterations_{label}": res.iterations,

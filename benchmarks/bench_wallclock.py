@@ -39,7 +39,6 @@ shape, DESIGN.md §5e) models slower than the untuned default.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import pathlib
 import sys
@@ -62,20 +61,17 @@ from repro.distributed import (
     DistributedHemm,
     DistributedHermitian,
     DistributedMultiVector,
-    filter_pipeline,
-    set_hemm_fusion,
-    set_numeric_dedup,
 )
-from repro.runtime import CommBackend, Grid2D, VirtualCluster, set_kernel_workers
+from repro.runtime import CommBackend, ExecutionConfig, Grid2D, VirtualCluster
 
 JSON_PATH = ROOT / "BENCH_wallclock.json"
 
-#: execution modes: name -> (numeric dedup, HEMM fusion, kernel workers)
+#: execution modes: name -> the cluster's execution configuration
 MODES = {
-    "seed": (False, False, 1),
-    "dedup": (True, False, 1),
-    "fused": (True, True, 1),
-    "fused_mt": (True, True, 2),
+    "seed": ExecutionConfig(numeric_dedup=False),
+    "dedup": ExecutionConfig(),
+    "fused": ExecutionConfig(hemm_fusion=True),
+    "fused_mt": ExecutionConfig(hemm_fusion=True, kernel_workers=2),
 }
 
 #: ISSUE acceptance targets (fused tier over the PR-1 dedup tier)
@@ -88,20 +84,6 @@ TARGET_HEMM_SPEEDUP = 2.5
 TARGET_PIPELINE_FILTER_SPEEDUP = 1.0
 
 
-@contextlib.contextmanager
-def _mode(name: str):
-    dedup, fusion, workers = MODES[name]
-    p_d = set_numeric_dedup(dedup)
-    p_f = set_hemm_fusion(fusion)
-    p_w = set_kernel_workers(workers)
-    try:
-        yield
-    finally:
-        set_kernel_workers(p_w)
-        set_hemm_fusion(p_f)
-        set_numeric_dedup(p_d)
-
-
 def _hermitian(rng, N, dtype):
     A = rng.standard_normal((N, N))
     if np.dtype(dtype).kind == "c":
@@ -109,8 +91,8 @@ def _hermitian(rng, N, dtype):
     return ((A + A.conj().T) / 2).astype(dtype)
 
 
-def _grid(p: int, q: int) -> Grid2D:
-    cluster = VirtualCluster(p * q, backend=CommBackend.NCCL)
+def _grid(p: int, q: int, config: ExecutionConfig | None = None) -> Grid2D:
+    cluster = VirtualCluster(p * q, backend=CommBackend.NCCL, config=config)
     return Grid2D(cluster, p, q)
 
 
@@ -133,14 +115,13 @@ def solve_point(N, nev, nex, p, q, dtype, repeats):
     H = _hermitian(np.random.default_rng(1234), N, dtype)
 
     def run(mode):
-        with _mode(mode):
-            grid = _grid(p, q)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex))
-            res = solver.solve(
-                rng=np.random.default_rng(7), return_vectors=True
-            )
-            return res, grid.comm_stats()
+        grid = _grid(p, q, MODES[mode])
+        Hd = DistributedHermitian.from_dense(grid, H)
+        solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex))
+        res = solver.solve(
+            rng=np.random.default_rng(7), return_vectors=True
+        )
+        return res, grid.comm_stats()
 
     walls, runs = {}, {}
     for mode in MODES:
@@ -211,18 +192,20 @@ def pipeline_point(N, nev, nex, p, q, dtype, repeats, chunks=4):
     H = _hermitian(np.random.default_rng(1234), N, dtype)
 
     def run(pipeline, backend, overlap=None):
-        with _mode("dedup"), filter_pipeline(pipeline, chunks):
-            cluster = VirtualCluster(p * q, backend=backend)
-            grid = Grid2D(cluster, p, q)
-            if overlap is not None:
-                grid.set_overlap_efficiency(overlap)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            res = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex)).solve(
-                rng=np.random.default_rng(7)
-            )
-            return res, res.timings["Filter"], sum(
-                s[2] for s in grid.comm_stats()
-            )
+        cluster = VirtualCluster(
+            p * q, backend=backend,
+            config=ExecutionConfig(pipeline_chunks=chunks if pipeline else 0),
+        )
+        grid = Grid2D(cluster, p, q)
+        if overlap is not None:
+            grid.set_overlap_efficiency(overlap)
+        Hd = DistributedHermitian.from_dense(grid, H)
+        res = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex)).solve(
+            rng=np.random.default_rng(7)
+        )
+        return res, res.timings["Filter"], sum(
+            s[2] for s in grid.comm_stats()
+        )
 
     point = {
         "kind": "pipeline",
@@ -310,7 +293,7 @@ def tuned_point(N, nev, nex, n_ranks, dtype, repeats):
     H = _hermitian(np.random.default_rng(1234), N, dtype)
 
     def run(cfg):
-        with _mode("dedup"), applied(
+        with applied(
             cfg, n_ranks=n_ranks, backend=CommBackend.NCCL
         ) as grid:
             Hd = DistributedHermitian.from_dense(grid, H)
@@ -321,7 +304,7 @@ def tuned_point(N, nev, nex, n_ranks, dtype, repeats):
 
     wall_d, res_d = _timed(lambda: run(dc), repeats)
     wall_t, res_t = _timed(lambda: run(best), repeats)
-    if best.hemm_fusion:
+    if best.execution.hemm_fusion:
         # the fused tier is within rounding of the seed numerics (§5c)
         scale = max(1.0, float(np.abs(res_d.eigenvalues).max()))
         numerics_ok = bool(
@@ -378,19 +361,18 @@ def hemm_point(N, ne, p, q, dtype, repeats, roundtrips=4):
     V = rng.standard_normal((N, ne)).astype(dtype)
 
     def run(mode):
-        with _mode(mode):
-            grid = _grid(p, q)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            hemm = DistributedHemm(Hd)
-            C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
-            hemm.apply(C)  # warm the panel/conjugate caches, untimed
-            t0 = time.perf_counter()
-            for _ in range(roundtrips):
-                B = hemm.apply(C, gamma=0.8, alpha=1.1)
-                C2 = hemm.apply(B, gamma=0.8, alpha=1.1)
-            wall = time.perf_counter() - t0
-            makespan = max(r.clock.now for r in grid.ranks)
-            return wall, B.gather(), C2.gather(), makespan, grid.comm_stats()
+        grid = _grid(p, q, MODES[mode])
+        Hd = DistributedHermitian.from_dense(grid, H)
+        hemm = DistributedHemm(Hd)
+        C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
+        hemm.apply(C)  # warm the panel/conjugate caches, untimed
+        t0 = time.perf_counter()
+        for _ in range(roundtrips):
+            B = hemm.apply(C, gamma=0.8, alpha=1.1)
+            C2 = hemm.apply(B, gamma=0.8, alpha=1.1)
+        wall = time.perf_counter() - t0
+        makespan = max(r.clock.now for r in grid.ranks)
+        return wall, B.gather(), C2.gather(), makespan, grid.comm_stats()
 
     walls, outs = {}, {}
     for mode in MODES:
@@ -451,20 +433,16 @@ def qr_point(N, ne, p, q, dtype, repeats):
     def run(dedup):
         """Best-of-``repeats`` over the QR call alone (setup untimed;
         the factorization is in place, so C is rebuilt per repeat)."""
-        prev = set_numeric_dedup(dedup)
-        try:
-            best, out = float("inf"), None
-            for _ in range(repeats):
-                grid = _grid(p, q)
-                rowmap = BlockMap1D(N, grid.p)
-                C = DistributedMultiVector.from_global(grid, V, rowmap, "C")
-                t0 = time.perf_counter()
-                shifted_cholesky_qr2(grid, C, QRReport())
-                best = min(best, time.perf_counter() - t0)
-                out = C.gather(0)
-            return best, out
-        finally:
-            set_numeric_dedup(prev)
+        best, out = float("inf"), None
+        for _ in range(repeats):
+            grid = _grid(p, q, ExecutionConfig(numeric_dedup=dedup))
+            rowmap = BlockMap1D(N, grid.p)
+            C = DistributedMultiVector.from_global(grid, V, rowmap, "C")
+            t0 = time.perf_counter()
+            shifted_cholesky_qr2(grid, C, QRReport())
+            best = min(best, time.perf_counter() - t0)
+            out = C.gather(0)
+        return best, out
 
     t_on, q_on = run(True)
     t_off, q_off = run(False)
@@ -493,29 +471,25 @@ def rr_resid_point(N, ne, p, q, dtype, repeats):
         """Best-of-``repeats`` over the RR + residuals calls alone
         (distribution setup untimed; buffers rebuilt per repeat since
         the back-transform mutates C/C2 in place)."""
-        prev = set_numeric_dedup(dedup)
-        try:
-            best, out = float("inf"), None
-            for _ in range(repeats):
-                grid = _grid(p, q)
-                Hd = DistributedHermitian.from_dense(grid, H)
-                hemm = DistributedHemm(Hd)
-                C = DistributedMultiVector.from_global(grid, Q, Hd.rowmap, "C")
-                C2 = DistributedMultiVector.from_global(grid, Q, Hd.rowmap, "C")
-                B = DistributedMultiVector.zeros(
-                    grid, Hd.colmap, "B", ne, dtype, False
-                )
-                B2 = DistributedMultiVector.zeros(
-                    grid, Hd.colmap, "B", ne, dtype, False
-                )
-                t0 = time.perf_counter()
-                ritzv = rayleigh_ritz(hemm, C, C2, B, B2, 0)
-                res = residuals(hemm, C, C2, B, B2, ritzv, 0)
-                best = min(best, time.perf_counter() - t0)
-                out = (ritzv, res)
-            return best, out
-        finally:
-            set_numeric_dedup(prev)
+        best, out = float("inf"), None
+        for _ in range(repeats):
+            grid = _grid(p, q, ExecutionConfig(numeric_dedup=dedup))
+            Hd = DistributedHermitian.from_dense(grid, H)
+            hemm = DistributedHemm(Hd)
+            C = DistributedMultiVector.from_global(grid, Q, Hd.rowmap, "C")
+            C2 = DistributedMultiVector.from_global(grid, Q, Hd.rowmap, "C")
+            B = DistributedMultiVector.zeros(
+                grid, Hd.colmap, "B", ne, dtype, False
+            )
+            B2 = DistributedMultiVector.zeros(
+                grid, Hd.colmap, "B", ne, dtype, False
+            )
+            t0 = time.perf_counter()
+            ritzv = rayleigh_ritz(hemm, C, C2, B, B2, 0)
+            res = residuals(hemm, C, C2, B, B2, ritzv, 0)
+            best = min(best, time.perf_counter() - t0)
+            out = (ritzv, res)
+        return best, out
 
     t_on, out_on = run(True)
     t_off, out_off = run(False)

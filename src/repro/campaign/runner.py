@@ -21,8 +21,8 @@ Run kinds map onto the repo's execution stack:
 
 ``solve``
     a numeric distributed solve on the simulated cluster, under the
-    requested execution tier (dedup/fusion/executor workers/pipelined
-    filter), precision triple, backend/transport and fault plan;
+    :class:`~repro.runtime.config.ExecutionConfig` the row's tier and
+    precision knobs name, its backend/transport and fault plan;
 ``phantom``
     a paper-scale cost-model replay (bit-reproducible across machines —
     the committed report artifacts are built from these);
@@ -35,6 +35,7 @@ Run kinds map onto the repo's execution stack:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -42,24 +43,16 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core import ChaseConfig, ChaseSolver, ConvergenceTrace
-from repro.distributed import (
-    DistributedHermitian,
-    comm_compress_scope,
-    filter_dtype_scope,
-    filter_pipeline,
-    hemm_fusion,
-    numeric_dedup,
-    qr_dtype_scope,
-)
+from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.perfmodel.autotune import autotune
 from repro.runtime import (
     CommBackend,
+    ExecutionConfig,
     FaultPlan,
     Grid2D,
     TRANSPORTS,
     VirtualCluster,
-    kernel_worker_scope,
 )
 from repro.service.jobs import SolveJob
 from repro.service.scheduler import (
@@ -94,14 +87,15 @@ class ProbeFailure(RuntimeError):
     """A probe run configured with ``fail: true`` (harness-injected)."""
 
 
-#: execution tier -> (numeric dedup, panel fusion, kernel workers,
-#: pipelined filter) — the PR-by-PR optimization ladder of the repo
-TIERS: dict[str, tuple[bool, bool, int, bool]] = {
-    "seed": (False, False, 1, False),
-    "dedup": (True, False, 1, False),
-    "fused": (True, True, 1, False),
-    "executor": (True, True, 2, False),
-    "pipeline": (True, False, 1, True),
+#: execution tier -> its configuration — the PR-by-PR optimization
+#: ladder of the repo (a run's ``pipeline_chunks`` knob replaces the
+#: pipelined tier's chunk count)
+TIERS: dict[str, ExecutionConfig] = {
+    "seed": ExecutionConfig(numeric_dedup=False),
+    "dedup": ExecutionConfig(),
+    "fused": ExecutionConfig(hemm_fusion=True),
+    "executor": ExecutionConfig(hemm_fusion=True, kernel_workers=2),
+    "pipeline": ExecutionConfig(pipeline_chunks=4),
 }
 
 _MODEL_BACKENDS = {
@@ -232,26 +226,24 @@ def _apply_gates(
 # ---------------------------------------------------------------------------
 
 
-def _tier_scopes(stack, tier: str, chunks: int) -> None:
-    dedup, fusion, workers, pipelined = TIERS[tier]
-    stack.enter_context(numeric_dedup(dedup))
-    stack.enter_context(hemm_fusion(fusion))
-    stack.enter_context(kernel_worker_scope(workers))
-    stack.enter_context(filter_pipeline(pipelined, chunks))
+def _execution(cfg: Mapping[str, Any], base: ExecutionConfig
+               ) -> ExecutionConfig:
+    """The run's :class:`ExecutionConfig`, from its spec row alone.
 
-
-def _precision_scopes(stack, cfg: Mapping[str, Any]) -> None:
-    if cfg.get("filter_dtype"):
-        stack.enter_context(filter_dtype_scope(cfg["filter_dtype"]))
-    if cfg.get("qr_dtype"):
-        stack.enter_context(qr_dtype_scope(cfg["qr_dtype"]))
-    if cfg.get("comm_compress"):
-        stack.enter_context(comm_compress_scope(cfg["comm_compress"]))
+    ``base`` comes from the row's tier (or ``pipeline`` flag); a knob
+    the row leaves unset keeps ``base``'s value — never the process's
+    or the environment's, so equal config hashes mean equal executions.
+    """
+    knobs = {
+        k: cfg[k] for k in ("filter_dtype", "qr_dtype", "comm_compress")
+        if cfg.get(k)
+    }
+    if base.pipeline_chunks:
+        knobs["pipeline_chunks"] = cfg["pipeline_chunks"]
+    return dataclasses.replace(base, **knobs)
 
 
 def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
-    import contextlib
-
     backend, transport = _split_backend(cfg["backend"])
     rng = np.random.default_rng(cfg["seed"])
     dtype = np.complex128 if cfg["dtype"] == "complex128" else np.float64
@@ -262,12 +254,10 @@ def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
             cfg["fault_seed"], cfg["ranks"],
             horizon=cfg["fault_horizon"], n_events=cfg["fault_events"],
         )
-    with contextlib.ExitStack() as stack:
-        _tier_scopes(stack, cfg["tier"], cfg["pipeline_chunks"])
-        _precision_scopes(stack, cfg)
-        cluster = VirtualCluster(
-            cfg["ranks"], backend=backend, transport=transport,
-        )
+    with VirtualCluster(
+        cfg["ranks"], backend=backend, transport=transport,
+        config=_execution(cfg, TIERS[cfg["tier"]]),
+    ) as cluster:
         grid = Grid2D(cluster)
         dist = DistributedHermitian.from_dense(grid, H)
         config = ChaseConfig(
@@ -289,8 +279,6 @@ def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _execute_phantom(cfg: Mapping[str, Any]) -> dict[str, Any]:
-    import contextlib
-
     backend = _MODEL_BACKENDS[cfg["backend"]]
     # the paper's configurations (Sec. 4): STD/NCCL run 4 ranks/node x
     # 1 GPU, LMS 1 rank/node x 4 GPUs — same shape as make_phantom_solver
@@ -299,24 +287,20 @@ def _execute_phantom(cfg: Mapping[str, Any]) -> dict[str, Any]:
         cfg["iters"], cfg["nev"] + cfg["nex"], deg=cfg["deg"],
         qr_variant=cfg["qr_variant"],
     )
-    with contextlib.ExitStack() as stack:
-        if cfg["pipeline"]:
-            stack.enter_context(
-                filter_pipeline(True, cfg["pipeline_chunks"])
-            )
-        _precision_scopes(stack, cfg)
-        cluster = VirtualCluster(
-            cfg["nodes"] * rpn, backend=backend, ranks_per_node=rpn,
-            gpus_per_rank=gpr, phantom=True,
-        )
-        grid = Grid2D(cluster)
-        H = DistributedHermitian.phantom(grid, cfg["n"])
-        config = ChaseConfig(
-            nev=cfg["nev"], nex=cfg["nex"], deg=cfg["deg"]
-        )
-        solver = ChaseSolver(grid, H, config, scheme=cfg["scheme"])
-        res = solver.solve_phantom(trace)
-        return _solver_result(res, grid)
+    cluster = VirtualCluster(
+        cfg["nodes"] * rpn, backend=backend, ranks_per_node=rpn,
+        gpus_per_rank=gpr, phantom=True,
+        config=_execution(cfg, TIERS["pipeline" if cfg["pipeline"]
+                                     else "dedup"]),
+    )
+    grid = Grid2D(cluster)
+    H = DistributedHermitian.phantom(grid, cfg["n"])
+    config = ChaseConfig(
+        nev=cfg["nev"], nex=cfg["nex"], deg=cfg["deg"]
+    )
+    solver = ChaseSolver(grid, H, config, scheme=cfg["scheme"])
+    res = solver.solve_phantom(trace)
+    return _solver_result(res, grid)
 
 
 def _execute_tune(cfg: Mapping[str, Any]) -> dict[str, Any]:

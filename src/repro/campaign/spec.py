@@ -53,6 +53,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+from repro.runtime.config import COMPRESS_PAYLOADS, PRECISION_MODES
+
 __all__ = [
     "SCHEMA_VERSION",
     "SpecError",
@@ -210,8 +212,6 @@ _SOLVE_BACKENDS = (
     "nccl", "mpi", "mpi-host", "orchestrated", "threads", "mp"
 )
 _MODEL_BACKENDS = ("nccl", "mpi", "mpi-host")
-_DTYPE_TOKENS = ("fp16", "bf16", "fp32", "fp64", "auto")
-_COMPRESS_TOKENS = ("none", "fp32", "bf16", "fp16")
 
 
 def _validate(config: dict[str, Any], label: str) -> None:
@@ -230,12 +230,12 @@ def _validate(config: dict[str, Any], label: str) -> None:
             raise SpecError(f"{label}: unknown dtype {config['dtype']!r}")
         for knob in ("filter_dtype", "qr_dtype"):
             if config[knob] is not None and \
-                    config[knob] not in _DTYPE_TOKENS:
+                    config[knob] not in PRECISION_MODES:
                 raise SpecError(
                     f"{label}: unknown {knob} {config[knob]!r}"
                 )
         if config["comm_compress"] is not None and \
-                config["comm_compress"] not in _COMPRESS_TOKENS:
+                config["comm_compress"] not in COMPRESS_PAYLOADS:
             raise SpecError(
                 f"{label}: unknown comm_compress "
                 f"{config['comm_compress']!r}"

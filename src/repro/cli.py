@@ -20,15 +20,18 @@ Eight subcommands mirror the library's main entry points::
 ``tune`` ranks grid shape x collective algorithm x filter pipelining x
 HEMM fusion by modeled makespan (model-only dry runs, no numerics);
 ``solve --distributed --tuned`` runs the tuner first and solves under
-the winning configuration.  The collective algorithm for any simulated
-run can also be forced via ``--coll-algo`` or the ``REPRO_COLL_ALGO``
-environment variable (``ring`` / ``tree`` / ``hierarchical`` / ``auto``;
-DESIGN.md §5e).
+the winning configuration.
+
+``solve`` and ``serve`` take the defaults of their execution flags from
+``REPRO_*`` environment variables, parsed in :func:`_env_defaults` —
+the only place the package reads them; the library API never does
+(DESIGN.md, "Execution configuration").
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -36,18 +39,13 @@ import numpy as np
 
 from repro import ChaseConfig, ChaseSolver, ConvergenceTrace, chase_serial
 from repro.core.lanczos import SpectralBounds
-from repro.distributed import (
-    DistributedHermitian,
-    comm_compress_scope,
-    filter_dtype_scope,
-    filter_pipeline,
-    filter_pipeline_chunks,
-    qr_dtype_scope,
-)
+from repro.distributed import DistributedHermitian
 from repro.matrices import TABLE1, build_problem, uniform_matrix
+from repro.perfmodel.collectives import CollectiveAlgo
 from repro.reporting import render_series, render_table
 from repro.runtime import (
-    TRANSPORTS, CommBackend, Grid2D, VirtualCluster, blas)
+    TRANSPORTS, CommBackend, ExecutionConfig, Grid2D, VirtualCluster, blas)
+from repro.runtime.config import COMPRESS_PAYLOADS, PRECISION_MODES
 
 _BACKENDS = {
     "nccl": CommBackend.NCCL,
@@ -64,33 +62,93 @@ def _split_backend(token: str):
     """``(comm model, execution transport)`` for a ``--backend`` token.
 
     A communication-model name (``nccl``/``mpi``/``mpi-host``) picks the
-    cost model and leaves the transport to ``REPRO_BACKEND`` (default
-    orchestrated); a transport token (``orchestrated``/``threads``/
-    ``mp``) picks the execution backend and models NCCL communication.
+    cost model and leaves the transport to the caller's default
+    (``REPRO_BACKEND``, else orchestrated); a transport token
+    (``orchestrated``/``threads``/``mp``) picks the execution backend
+    and models NCCL communication.
     """
     if token in TRANSPORTS:
         return CommBackend.NCCL, token
     return _BACKENDS[token], None
 
 
-def _precision_stack(args):
-    """Context stack applying explicit --filter-dtype/--qr-dtype/
-    --comm-compress.
+_COLL_ALGOS = tuple(a.value for a in CollectiveAlgo)
+_ENV_TRUE = ("1", "true", "on", "yes")
+_ENV_FALSE = ("0", "false", "off", "no")
 
-    Flags default to ``None`` so an unset flag leaves the ambient
-    toggles alone — in particular ``--tuned`` winners carrying a
-    precision config are not clobbered by the flag defaults.
+
+def _env_defaults(environ=None) -> dict:
+    """Defaults of the ``solve`` / ``serve`` execution flags, from ``REPRO_*``.
+
+    The one place the package reads these variables.  Keys are the
+    argparse ``dest`` names (plus ``hemm_fusion`` / ``kernel_workers`` /
+    ``transport``, which have no flag of their own); an unset or empty
+    variable yields the built-in default.  A malformed value raises
+    ``ValueError`` naming the variable and what it accepts — it is
+    never silently replaced by the default.
     """
-    import contextlib
+    environ = os.environ if environ is None else environ
 
-    stack = contextlib.ExitStack()
-    if getattr(args, "filter_dtype", None) is not None:
-        stack.enter_context(filter_dtype_scope(args.filter_dtype))
-    if getattr(args, "qr_dtype", None) is not None:
-        stack.enter_context(qr_dtype_scope(args.qr_dtype))
-    if getattr(args, "comm_compress", None) is not None:
-        stack.enter_context(comm_compress_scope(args.comm_compress))
-    return stack
+    def choice(var, allowed, default):
+        raw = environ.get(var, "").strip().lower()
+        if not raw:
+            return default
+        if raw not in allowed:
+            raise ValueError(
+                f"{var}={environ[var]!r}: expected one of {allowed}")
+        return raw
+
+    def flag(var):
+        return choice(var, _ENV_TRUE + _ENV_FALSE, "0") in _ENV_TRUE
+
+    def integer(var, minimum, default):
+        raw = environ.get(var, "").strip()
+        if not raw:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise ValueError(
+                f"{var}={environ[var]!r}: expected an integer >= {minimum}")
+        return value
+
+    return {
+        "hemm_fusion": flag("REPRO_HEMM_FUSION"),
+        "pipeline_filter": flag("REPRO_FILTER_PIPELINE"),
+        "pipeline_chunks": integer("REPRO_FILTER_CHUNKS", 2, 4),
+        "filter_dtype": choice("REPRO_FILTER_DTYPE", PRECISION_MODES, "fp64"),
+        "qr_dtype": choice("REPRO_QR_DTYPE", PRECISION_MODES, "fp64"),
+        "comm_compress": choice(
+            "REPRO_COMM_COMPRESS", COMPRESS_PAYLOADS, "none"),
+        "kernel_workers": integer("REPRO_KERNEL_WORKERS", 1, 1),
+        "coll_algo": choice("REPRO_COLL_ALGO", _COLL_ALGOS, None),
+        "transport": choice("REPRO_BACKEND", TRANSPORTS, None),
+        "faults": integer("REPRO_FAULT_SEED", 0, None),
+        "checkpoint": integer("REPRO_CHECKPOINT_EVERY", 0, None),
+    }
+
+
+def _flag_or_env(args, env: dict, name: str):
+    """An explicit flag, else the environment default (flags default
+    to ``None``)."""
+    value = getattr(args, name, None)
+    return env[name] if value is None else value
+
+
+def _execution_config(args, env: dict) -> ExecutionConfig:
+    """``repro solve``'s :class:`ExecutionConfig`: flags over ``env``."""
+    pipelined = args.pipeline_filter or env["pipeline_filter"]
+    return ExecutionConfig(
+        hemm_fusion=env["hemm_fusion"],
+        pipeline_chunks=(
+            _flag_or_env(args, env, "pipeline_chunks") if pipelined else 0),
+        filter_dtype=_flag_or_env(args, env, "filter_dtype"),
+        qr_dtype=_flag_or_env(args, env, "qr_dtype"),
+        comm_compress=_flag_or_env(args, env, "comm_compress"),
+        kernel_workers=env["kernel_workers"],
+    )
 
 
 def _solve_or_fail(solver: ChaseSolver, rng):
@@ -118,11 +176,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"Uniform matrix: N={args.n}, nev={nev}, nex={nex}")
     cfg = ChaseConfig(nev=nev, nex=nex, tol=args.tol)
 
+    env = _env_defaults()
     # fault injection / checkpointing (DESIGN.md §5f)
-    fault_seed = args.faults
-    if fault_seed is None:
-        env = os.environ.get("REPRO_FAULT_SEED", "").strip()
-        fault_seed = int(env) if env else None
+    fault_seed = _flag_or_env(args, env, "faults")
+    checkpoint = _flag_or_env(args, env, "checkpoint")
     if (fault_seed is not None or args.checkpoint is not None) \
             and not args.distributed:
         print("--faults/--checkpoint require --distributed", file=sys.stderr)
@@ -137,10 +194,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         print(f"fault plan: seed={fault_seed}, {len(fault_plan)} events "
               f"({', '.join(e.kind.value for e in fault_plan.events)})")
-    solver_kw = dict(faults=fault_plan, checkpoint_every=args.checkpoint)
+    solver_kw = dict(faults=fault_plan, checkpoint_every=checkpoint)
 
     if args.distributed:
         comm_backend, transport = _split_backend(args.backend)
+        transport = transport or env["transport"]
+
+        def solve_on(grid):
+            if args.overlap is not None:
+                grid.set_overlap_efficiency(args.overlap)
+            Hd = DistributedHermitian.from_dense(grid, H)
+            solver = ChaseSolver(grid, Hd, cfg, **solver_kw)
+            return solver, _solve_or_fail(solver, rng)
+
         if args.tuned:
             from repro.perfmodel.autotune import applied, autotune
 
@@ -151,45 +217,34 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             best = report.best.config
             print(f"tuned config: {best.label()} "
                   f"(modeled x{report.speedup:.3f} vs default)")
-            with applied(best, n_ranks=args.ranks,
-                         backend=comm_backend, transport=transport) as grid, \
-                    _precision_stack(args):
-                if args.overlap is not None:
-                    grid.set_overlap_efficiency(args.overlap)
-                chunks = filter_pipeline_chunks()
-                Hd = DistributedHermitian.from_dense(grid, H)
-                solver = ChaseSolver(grid, Hd, cfg, **solver_kw)
-                res = _solve_or_fail(solver, rng)
-                if res is None:
-                    return 3
-            mode = (
-                f", pipelined filter ({chunks} chunks)"
-                if best.pipeline_chunks else ""
-            )
+            # explicit precision flags override the winner's; the
+            # tuner does not search the worker count
+            explicit = {
+                k: getattr(args, k)
+                for k in ("filter_dtype", "qr_dtype", "comm_compress")
+                if getattr(args, k) is not None
+            }
+            best = dataclasses.replace(best, execution=dataclasses.replace(
+                best.execution, kernel_workers=env["kernel_workers"],
+                **explicit))
+            with applied(best, n_ranks=args.ranks, backend=comm_backend,
+                         transport=transport) as grid:
+                solver, res = solve_on(grid)
         else:
-            cluster = VirtualCluster(
+            with VirtualCluster(
                 args.ranks, backend=comm_backend, transport=transport,
-                topology=args.topology, collective_algo=args.coll_algo,
-            )
-            grid = Grid2D(cluster)
-            if args.overlap is not None:
-                grid.set_overlap_efficiency(args.overlap)
-            Hd = DistributedHermitian.from_dense(grid, H)
-            with cluster, \
-                    filter_pipeline(args.pipeline_filter,
-                                    args.pipeline_chunks), \
-                    _precision_stack(args):
-                chunks = filter_pipeline_chunks()
-                solver = ChaseSolver(grid, Hd, cfg, **solver_kw)
-                res = _solve_or_fail(solver, rng)
-                if res is None:
-                    return 3
-            mode = (
-                f", pipelined filter ({chunks} chunks)"
-                if args.pipeline_filter else ""
-            )
+                topology=args.topology,
+                collective_algo=_flag_or_env(args, env, "coll_algo"),
+                config=_execution_config(args, env),
+            ) as cluster:
+                grid = Grid2D(cluster)
+                solver, res = solve_on(grid)
+        if res is None:
+            return 3
+        chunks = grid.cluster.config.pipeline_chunks
+        mode = f", pipelined filter ({chunks} chunks)" if chunks else ""
         print(f"simulated {grid.p}x{grid.q} grid, backend={args.backend}{mode}")
-        if fault_plan is not None or args.checkpoint:
+        if fault_plan is not None or checkpoint:
             final = solver.grid
             shrunk = (f", grid shrunk to {final.p}x{final.q}"
                       if final is not grid else "")
@@ -389,10 +444,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve needs --jobs FILE or --smoke", file=sys.stderr)
         return 2
 
+    env = _env_defaults()
+    comm_backend, transport = _split_backend(args.backend)
     svc = EigenService(
         total_ranks=args.ranks, n_shards=args.shards,
-        backend=_split_backend(args.backend)[0],
-        transport=_split_backend(args.backend)[1],
+        backend=comm_backend,
+        transport=transport or env["transport"],
+        checkpoint_every=env["checkpoint"],
         quota=args.quota, max_queue=args.max_queue,
         warmstart=not args.no_warmstart, tune=args.tune,
         refresh_extras=args.refresh_extras,
@@ -676,37 +734,37 @@ def build_parser() -> argparse.ArgumentParser:
                         "a model name is given here")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--pipeline-filter", action="store_true",
-                   help="chunked nonblocking Chebyshev filter (DESIGN.md §5d)")
+                   help="chunked nonblocking Chebyshev filter (DESIGN.md "
+                        "§5d; default: REPRO_FILTER_PIPELINE env var)")
     s.add_argument("--pipeline-chunks", type=int, default=None,
-                   help="column chunks per pipelined apply (default 4)")
+                   help="column chunks per pipelined apply (default: "
+                        "REPRO_FILTER_CHUNKS env var, else 4)")
     s.add_argument("--overlap", type=float, default=None,
                    help="nonblocking overlap efficiency in [0,1] "
                         "(default: backend model's value)")
-    s.add_argument("--coll-algo",
-                   choices=("ring", "tree", "hierarchical", "auto"),
-                   default=None,
+    s.add_argument("--coll-algo", choices=_COLL_ALGOS, default=None,
                    help="collective algorithm (default: REPRO_COLL_ALGO "
                         "env var, else ring — the seed behavior)")
     s.add_argument("--topology", choices=("auto",), default=None,
                    help="attach a fat-tree interconnect for hop-aware "
                         "collective costing (DESIGN.md §5e)")
-    s.add_argument("--filter-dtype",
-                   choices=("fp16", "bf16", "fp32", "fp64", "auto"),
+    s.add_argument("--filter-dtype", choices=PRECISION_MODES,
                    default=None, dest="filter_dtype",
                    help="Chebyshev filter working precision (DESIGN.md "
                         "§5j); a narrow tier starts the condest-gated "
-                        "cascade (auto = bf16 -> fp32 -> fp64)")
-    s.add_argument("--qr-dtype",
-                   choices=("fp16", "bf16", "fp32", "fp64", "auto"),
+                        "cascade (auto = bf16 -> fp32 -> fp64; default: "
+                        "REPRO_FILTER_DTYPE env var, else fp64)")
+    s.add_argument("--qr-dtype", choices=PRECISION_MODES,
                    default=None, dest="qr_dtype",
                    help="mixed CholeskyQR2 first-pass precision "
                         "(DESIGN.md §5j); admitted per call by the "
-                        "doubling bound on the condition estimate")
-    s.add_argument("--comm-compress",
-                   choices=("none", "fp32", "bf16", "fp16"),
+                        "doubling bound on the condition estimate "
+                        "(default: REPRO_QR_DTYPE env var, else fp64)")
+    s.add_argument("--comm-compress", choices=COMPRESS_PAYLOADS,
                    default=None, dest="comm_compress",
                    help="compressed allreduce payload dtype for the "
-                        "filter's pipelined reductions")
+                        "filter's pipelined reductions (default: "
+                        "REPRO_COMM_COMPRESS env var, else none)")
     s.add_argument("--tuned", action="store_true",
                    help="run the model-driven autotuner first and solve "
                         "under the winning configuration (implies a "

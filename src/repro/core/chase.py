@@ -54,7 +54,6 @@ from repro.core.rayleigh_ritz import rayleigh_ritz
 from repro.core.residuals import residuals
 from repro.core.trace import ConvergenceTrace, IterationRecord
 from repro.baselines.scalapack_qr import hhqr_1d
-from repro.distributed import replication
 from repro.distributed.hemm import DistributedHemm
 from repro.distributed.hermitian import DistributedHermitian, global_indices
 from repro.distributed.multivector import DistributedMultiVector
@@ -71,7 +70,7 @@ from repro.runtime.faults import (
     RankDeathError,
     RecoveryExhaustedError,
 )
-from repro.runtime import blas, executor
+from repro.runtime import blas
 from repro.runtime.grid import Grid2D
 from repro.runtime.tracer import PhaseBreakdown
 from repro.runtime.transport import assert_transport_parity
@@ -160,13 +159,10 @@ class ChaseSolver:
         self.qr_mode = qr_mode
         self.hemm = DistributedHemm(H)
         # fault tolerance (DESIGN.md §5f): `faults` arms a plan on the
-        # cluster; checkpoint cadence defaults to REPRO_CHECKPOINT_EVERY,
-        # then to every iteration whenever an injector is armed
+        # cluster; checkpoint cadence defaults to every iteration
+        # whenever an injector is armed
         if faults is not None:
             grid.cluster.attach_faults(faults)
-        if checkpoint_every is None:
-            env = os.environ.get("REPRO_CHECKPOINT_EVERY", "").strip()
-            checkpoint_every = int(env) if env else None
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.max_recoveries = int(max_recoveries)
@@ -187,7 +183,7 @@ class ChaseSolver:
         # genuine 2-byte words (the fp32 emulation storage is an
         # artifact, not the modeled hardware footprint); "auto" starts
         # on bf16, its widest-case narrow working set.
-        fdt = replication.filter_dtype()
+        fdt = cluster.config.filter_dtype
         if fdt == "fp64":
             wdt = None
         elif fdt == "fp32":
@@ -232,14 +228,20 @@ class ChaseSolver:
         B2 = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, phantom)
         return C, C2, B, B2
 
+    def _precision_policy(self) -> PrecisionPolicy:
+        """A fresh filter-precision policy in the config's mode."""
+        return PrecisionPolicy(self.grid.cluster.config.filter_dtype)
+
     # ------------------------------------------------------------------- QR
     def _qr_step(self, C: DistributedMultiVector, cond: float) -> QRReport:
         grid = self.grid
         # mixed-precision first pass (DESIGN.md §5j): the requested QR
         # work precision is admitted per call by the doubling gate on
-        # the same cond estimate that picks the variant.  qr_dtype()
-        # defaults to "fp64", where qwork is None and nothing changes.
-        qwork = qr_work_precision(self.H.dtype, replication.qr_dtype(), cond)
+        # the same cond estimate that picks the variant.  The config's
+        # qr_dtype defaults to "fp64", where qwork is None and nothing
+        # changes.
+        qwork = qr_work_precision(
+            self.H.dtype, grid.cluster.config.qr_dtype, cond)
         if self.qr_mode == "auto":
             return caqr_1d(grid, C, cond, work=qwork)
         report = QRReport()
@@ -753,15 +755,14 @@ class ChaseSolver:
         numerics are bit-identical to a build without fault support.
 
         The solve runs on the cluster's execution backend (DESIGN.md
-        §5h): the transport's kernel plane (mp backend) is installed
-        for the solve's duration, and on completion the backend's wire
-        account is asserted against the modeled CommStats — the
-        oracle-parity invariant.  Host BLAS threads are placed for the
-        same duration (:func:`repro.runtime.blas.one_pool_scope`).
+        §5h) under the cluster's
+        :class:`~repro.runtime.config.ExecutionConfig`; on completion
+        the backend's wire account is asserted against the modeled
+        CommStats — the oracle-parity invariant.  Host BLAS threads are
+        placed for the solve's duration
+        (:func:`repro.runtime.blas.one_pool_scope`).
         """
-        transport = self.grid.cluster.transport
-        with blas.one_pool_scope(), \
-                executor.kernel_plane_scope(transport.kernel_plane):
+        with blas.one_pool_scope():
             result = self._solve_numeric(V0, rng, return_vectors,
                                          bounds=bounds,
                                          return_subspace=return_subspace)
@@ -851,7 +852,7 @@ class ChaseSolver:
         # mixed precision (DESIGN.md §5g): per-iteration fp32/fp64 gate
         # for the filter, driven by the (cost-free) condition estimate
         # and the previous iteration's active residuals
-        policy = PrecisionPolicy()
+        policy = self._precision_policy()
         res_scale = max(abs(bounds.mu1), abs(b_sup))
         n_checkpoints = 0
         if resilient:
@@ -881,7 +882,7 @@ class ChaseSolver:
                     filter_ws = FilterWorkspace()
                     # a restore rewinds the residual history the sticky
                     # promotion was based on; restart the policy clean
-                    policy = PrecisionPolicy()
+                    policy = self._precision_policy()
                 H = self.H
                 injector.note("recovered", it, locked,
                               self.grid.p, self.grid.q)
@@ -1118,7 +1119,7 @@ class ChaseSolver:
         # so the autotuner's modeled makespans see the same precision
         # cascade the policy would produce on the real run.  Synthetic
         # traces carry no residuals and replay cond-gated only.
-        policy = PrecisionPolicy()
+        policy = self._precision_policy()
         total_mv = 0
         for rec in trace.records:
             locked = rec.locked_before

@@ -20,15 +20,6 @@ import numpy as np
 
 from repro.distributed.hemm import DistributedHemm
 from repro.distributed.multivector import DistributedMultiVector
-# re-exported here for discoverability: the pipeline toggles govern the
-# filter hot path (ISSUE/DESIGN.md §5d) even though they live with the
-# other execution-tier switches
-from repro.distributed.replication import (  # noqa: F401
-    filter_pipeline,
-    filter_pipeline_chunks,
-    filter_pipeline_enabled,
-    set_filter_pipeline,
-)
 from repro.core.precision import WorkPrecision, quantize_half_inplace
 from repro.perfmodel.kernels import elem_bytes
 from repro.runtime import executor
@@ -38,10 +29,6 @@ __all__ = [
     "chebyshev_filter",
     "mv_axpby",
     "FilterWorkspace",
-    "filter_pipeline",
-    "filter_pipeline_chunks",
-    "filter_pipeline_enabled",
-    "set_filter_pipeline",
 ]
 
 
@@ -63,8 +50,8 @@ def mv_axpby(
     blocks may alias ``X``'s (the recurrence passes ``out=X``) but must
     not alias ``Y``'s.  With ``out`` or kernel workers > 1 the charges
     are issued first on the main thread and the per-group arithmetic
-    runs as pure closures (``repro.runtime.executor``); the bits and
-    the modeled charges are unchanged.
+    runs as pure closures (``VirtualCluster.run_kernels``); the bits
+    and the modeled charges are unchanged.
     """
     if X.layout != Y.layout or X.ne != Y.ne:
         raise ValueError("mv_axpby needs same-layout, same-width multivectors")
@@ -75,7 +62,7 @@ def mv_axpby(
         or out.layout != X.layout or out.ne != X.ne
     ):
         out = None
-    if dedup and (out is not None or executor.kernel_workers() > 1):
+    if dedup and (out is not None or grid.cluster.config.kernel_workers > 1):
         # decoupled: charge every rank (seed order), then compute once
         # per replication group
         for i in range(grid.p):
@@ -88,7 +75,7 @@ def mv_axpby(
         # can ship to the mp backend's kernel plane (DESIGN.md §5h);
         # elementwise math is bit-identical for any operand layout, and
         # with out=None the batch stays on the in-process paths
-        results = executor.run_kernels(
+        results = grid.cluster.run_kernels(
             [
                 executor.KernelCall(
                     axpby_numeric,

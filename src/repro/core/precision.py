@@ -55,8 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.distributed import replication
-
 __all__ = [
     "PrecisionPolicy",
     "WorkPrecision",
@@ -232,13 +230,13 @@ class PrecisionPolicy:
 
     def __init__(
         self,
-        mode: str | None = None,
+        mode: str = "fp64",
         *,
         cond_limit: float = DEFAULT_COND_LIMIT,
         floor_factor: float = DEFAULT_FLOOR_FACTOR,
         stall_ratio: float = 0.9,
     ) -> None:
-        self.mode = replication.filter_dtype() if mode is None else str(mode)
+        self.mode = str(mode)
         if self.mode not in _LADDERS:
             raise ValueError(f"unknown precision mode {self.mode!r}")
         self.cond_limit = float(cond_limit)

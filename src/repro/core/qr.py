@@ -30,7 +30,6 @@ import numpy as np
 from repro.baselines.scalapack_qr import hhqr_1d
 from repro.core.precision import WorkPrecision, narrow_dtype, resolve_work_precision
 from repro.distributed.multivector import DistributedMultiVector
-from repro.runtime import executor
 from repro.runtime.device import syrk_numeric, trsm_numeric
 from repro.runtime.grid import Grid2D
 
@@ -140,7 +139,7 @@ def _gram_allreduced(
     """
     dedup = _dedup(C)
     grams = {}
-    if dedup and executor.kernel_workers() > 1:
+    if dedup and grid.cluster.config.kernel_workers > 1:
         # decoupled: charge every rank on the main thread (seed order),
         # then run the per-grid-row SYRKs concurrently — the unique
         # Gram blocks are independent between synchronization points
@@ -149,7 +148,7 @@ def _gram_allreduced(
                 grid.rank_at(i, j).qr_kernels.syrk(
                     C.blocks[(i, j)], compute=False, charge_dtype=charge_dtype
                 )
-        uniq = executor.run_kernels(
+        uniq = grid.cluster.run_kernels(
             [lambda b=C.blocks[(i, 0)]: syrk_numeric(b) for i in range(grid.p)]
         )
         for i in range(grid.p):
@@ -221,7 +220,7 @@ def _trsm_all(
     grid: Grid2D, C: DistributedMultiVector, factors: dict, charge_dtype=None
 ) -> None:
     dedup = _dedup(C)
-    if dedup and executor.kernel_workers() > 1:
+    if dedup and grid.cluster.config.kernel_workers > 1:
         # decoupled charge/compute, as in _gram_allreduced
         for i in range(grid.p):
             for j in range(grid.q):
@@ -229,7 +228,7 @@ def _trsm_all(
                     C.blocks[(i, j)], factors[(i, j)], compute=False,
                     charge_dtype=charge_dtype,
                 )
-        uniq = executor.run_kernels(
+        uniq = grid.cluster.run_kernels(
             [
                 lambda b=C.blocks[(i, 0)], R=factors[(i, 0)]: trsm_numeric(b, R)
                 for i in range(grid.p)

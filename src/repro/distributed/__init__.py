@@ -14,27 +14,6 @@ Implements the paper's data decomposition (Sec. 2.2 / 3.1):
 
 from repro.distributed.block import BlockMap1D, BlockCyclicMap1D, overlap_pairs
 from repro.distributed.hermitian import DistributedHermitian
-from repro.distributed.replication import (
-    comm_compress,
-    comm_compress_scope,
-    filter_dtype,
-    filter_dtype_scope,
-    filter_pipeline,
-    filter_pipeline_chunks,
-    filter_pipeline_enabled,
-    hemm_fusion,
-    hemm_fusion_enabled,
-    numeric_dedup,
-    numeric_dedup_enabled,
-    qr_dtype,
-    qr_dtype_scope,
-    set_comm_compress,
-    set_filter_dtype,
-    set_filter_pipeline,
-    set_hemm_fusion,
-    set_numeric_dedup,
-    set_qr_dtype,
-)
 from repro.distributed.multivector import DistributedMultiVector
 from repro.distributed.hemm import DistributedHemm
 from repro.distributed.redistribute import redistribute_c_to_b, redistribute_b_to_c
@@ -48,23 +27,4 @@ __all__ = [
     "DistributedHemm",
     "redistribute_c_to_b",
     "redistribute_b_to_c",
-    "numeric_dedup",
-    "numeric_dedup_enabled",
-    "set_numeric_dedup",
-    "hemm_fusion",
-    "hemm_fusion_enabled",
-    "set_hemm_fusion",
-    "filter_pipeline",
-    "filter_pipeline_chunks",
-    "filter_pipeline_enabled",
-    "set_filter_pipeline",
-    "filter_dtype",
-    "set_filter_dtype",
-    "filter_dtype_scope",
-    "qr_dtype",
-    "set_qr_dtype",
-    "qr_dtype_scope",
-    "comm_compress",
-    "set_comm_compress",
-    "comm_compress_scope",
 ]

@@ -13,34 +13,16 @@ Both directions optionally apply the spectral shift
 ``alpha (H - gamma I) X`` needed by the filter; the diagonal term is
 applied exactly once per global row via the row/column segment overlap.
 
-Execution tiers (all charge-identical; DESIGN.md §5b/§5c):
-
-* **seed** — one charged GEMM per grid block, partials allreduced
-  blockwise.  The only tier for non-aliased or phantom inputs.
-* **decoupled** — aliased inputs with an ``out`` buffer or kernel
-  workers > 1: the per-rank modeled charges are issued first on the
-  main thread (``compute=False``, exact seed order), then the same
-  per-block arithmetic runs as pure closures through
-  ``repro.runtime.executor``, writing root results into preallocated
-  storage.  Bit-identical numerics to the seed tier.
-* **fused** (``repro.distributed.replication.hemm_fusion``) — the
-  paper's fewer-larger-operations playbook applied to the simulator
-  host: per grid row ``i`` the C->B direction computes all ``q``
-  partial products with **one** GEMM against the cached horizontally
-  stacked panel ``[H_i0 | ... | H_i,q-1]`` (its elementwise conjugate
-  for complex dtypes), and the B->C direction contracts the vertically
-  stacked ``[B_0; ...; B_q-1]`` in one GEMM whose k-dimension folds the
-  q-term reduction sum — the row allreduces then only charge the model
-  (``compute=False``), their host-side summation work is gone.  The
-  ``gamma``-shift and ``alpha``-scale are applied on the fused panel.
-  C->B keeps the contraction order of the seed path (row panels only
-  widen the GEMM's m-dimension) and B->C reorders the reduction sum
-  into the k-loop; both match the seed to rounding
-  (``<= 1e-13 * ||H||``, asserted by ``tests/test_fused_hemm.py``).
-  Even C->B is not bit-exact: BLAS tiles the wider fused m-dimension
-  with different SIMD tail kernels at block-boundary rows, perturbing
-  the last ulp.  When bit-identity matters (regression oracles), use
-  the decoupled tier — it is exactly the seed arithmetic.
+Which numeric path an apply takes is decided per call from the
+multivector it is handed (aliased or not, phantom or not) and from the
+cluster's :class:`~repro.runtime.config.ExecutionConfig` (DESIGN.md,
+"Execution configuration"); every path issues the same per-rank
+modeled charges in the same order, so clocks, tracer and CommStats do
+not depend on the choice.  The fused-panel path matches the per-block
+arithmetic to rounding (``<= 1e-13 * ||H||``, asserted by
+``tests/test_fused_hemm.py``), not bit for bit: BLAS tiles the wider
+fused m-dimension with different SIMD tail kernels, and B->C folds the
+q-term reduction sum into the GEMM's k-loop.
 
 The per-rank GEMMs are *unique* work — the ``p*q`` partial products sum
 to exactly the global ``2 N^2 w`` flops — so nothing is deduplicated
@@ -62,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arrays import PhantomArray, is_phantom, nbytes_of
-from repro.distributed import replication
 from repro.distributed.block import overlap_pairs
 from repro.distributed.hermitian import DistributedHermitian
 from repro.distributed.multivector import DistributedMultiVector
@@ -255,7 +236,7 @@ class DistributedHemm:
             else self._local_work(i, j, rdtype, tier)
         if is_phantom(Hij) or np.dtype(self.H.dtype).kind != "c":
             return None  # .conj() is free (a view) for real ndarrays
-        if not replication.numeric_dedup_enabled():
+        if not self.grid.cluster.config.numeric_dedup:
             return None
         key = (i, j, np.dtype(Hij.dtype).str) if tier is None \
             else (i, j, np.dtype(Hij.dtype).str, tier)
@@ -340,9 +321,8 @@ class DistributedHemm:
         ``out`` buffers are ignored.
 
         ``pipeline=True`` marks the call as pipeline-eligible (the
-        Chebyshev filter hot path); when the global switch
-        ``repro.distributed.replication.filter_pipeline`` is also on,
-        the apply runs the chunked nonblocking tier
+        Chebyshev filter hot path); when the cluster's config also sets
+        ``pipeline_chunks``, the apply runs the chunked nonblocking tier
         (:meth:`_apply_pipelined`, DESIGN.md §5d).
 
         ``work_tier`` (``"fp16"``/``"bf16"``, DESIGN.md §5j) marks the
@@ -356,6 +336,7 @@ class DistributedHemm:
         """
         grid = self.grid
         H = self.H
+        cfg = grid.cluster.config
         self._sync_caches()
         cols = cols if cols is not None else slice(0, X.ne)
         width = (cols.stop if cols.stop is not None else X.ne) - (cols.start or 0)
@@ -372,11 +353,11 @@ class DistributedHemm:
         # narrow working dtype: quantization noise is O(eps32), so once
         # the precision policy promotes the filter back to fp64 the wire
         # must widen with it or residuals plateau above fp64 tolerance
-        payload = replication.comm_compress() if pipeline else "none"
+        payload = cfg.comm_compress if pipeline else "none"
         payload = None if payload == "none" else payload
         if work_tier is not None and pipeline:
             # a half-tier apply puts the tier's 2-byte words on the wire
-            # regardless of the compression switch (it is never wider
+            # regardless of the compression field (it is never wider
             # than any compression payload)
             payload = work_tier
         if payload is not None and (
@@ -387,14 +368,14 @@ class DistributedHemm:
 
         dedup = X.aliased and not X.is_phantom
         numeric_h = not is_phantom(H.local(0, 0))
-        fused = dedup and numeric_h and replication.hemm_fusion_enabled()
-        if pipeline and replication.filter_pipeline_enabled() and width >= 2:
+        fused = dedup and numeric_h and cfg.hemm_fusion
+        if pipeline and cfg.pipeline_chunks and width >= 2:
             return self._apply_pipelined(
                 X, cols, width, to_b, alpha, gamma, out,
                 dedup and numeric_h, fused, rdtype, payload, work_tier,
             )
         if dedup and numeric_h and (
-            fused or out is not None or executor.kernel_workers() > 1
+            fused or out is not None or cfg.kernel_workers > 1
         ):
             return self._apply_decoupled(
                 X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
@@ -476,17 +457,45 @@ class DistributedHemm:
             return None
         return out
 
+    def _charge_block(self, k: LocalKernels, i: int, j: int, to_b, width,
+                      alpha, gamma, rdtype, tier) -> None:
+        """Issue grid block ``(i, j)``'s modeled charges into ``k``.
+
+        The per-block sequence of one apply — GEMM, overlap AXPYs,
+        scale — on phantom shape proxies (``compute=False``: charges
+        depend on shapes and dtypes only).  ``k`` is the owning rank's
+        kernel set (the charge-first pass of :meth:`_apply_decoupled`)
+        or a capturing one (:meth:`_apply_times`); the H proxy carries
+        the *working* dtype, so a narrow apply is charged on its cached
+        narrow cast.
+        """
+        hshape = tuple(self.H.local(i, j).shape)
+        xrows, rows = hshape if to_b else hshape[::-1]
+        k.gemm(
+            PhantomArray(hshape, rdtype), PhantomArray((xrows, width), rdtype),
+            op_a="C" if to_b else "N", kind="hemm", compute=False,
+            charge_dtype=tier,
+        )
+        proxy = PhantomArray((rows, width), rdtype)
+        if gamma != 0.0:
+            for rsl, csl in self._pairs(i, j):
+                if to_b:
+                    k.axpy_into(proxy, csl, proxy, rsl, -gamma, compute=False)
+                else:
+                    k.axpy_into(proxy, rsl, proxy, csl, -gamma, compute=False)
+        if alpha != 1.0:
+            k.scale(proxy, alpha, compute=False)
+
     def _apply_decoupled(self, X, cols, width, to_b, alpha, gamma, out, fused,
                          rdtype, payload, tier=None):
         """Charge-first, compute-second execution of an aliased apply.
 
         Pass 1 issues, on the main thread and in the exact seed order,
-        every per-rank modeled charge (GEMM, overlap AXPYs, scale) with
-        ``compute=False`` — phantom shape proxies stand in for result
-        arrays that do not exist yet.  Pass 2 runs the pure numeric
-        closures (optionally fused, optionally on the worker pool) and
-        the reductions.  Clocks, tracer and CommStats therefore see the
-        byte-identical sequence of every other tier.
+        every per-rank modeled charge (:meth:`_charge_block`).  Pass 2
+        runs the pure numeric closures (optionally fused, optionally on
+        the worker pool) and the reductions.  Clocks, tracer and
+        CommStats therefore see the byte-identical sequence of every
+        other path.
         """
         grid, H = self.grid, self.H
         p, q = grid.p, grid.q
@@ -497,27 +506,11 @@ class DistributedHemm:
         # ---- pass 1: modeled charges (seed order) ----
         for i in range(p):
             for j in range(q):
-                rank = grid.rank_at(i, j)
-                Hij = self._local_work(i, j, rdtype, tier)
-                Xb = X.local(i, j)[:, cols]
-                rank.k.gemm(
-                    Hij, Xb, op_a="C" if to_b else "N", kind="hemm",
-                    compute=False, charge_dtype=tier,
-                )
-                rows = Hij.shape[1] if to_b else Hij.shape[0]
-                if gamma != 0.0:
-                    proxy = PhantomArray((rows, width), rdtype)
-                    for rsl, csl in self._pairs(i, j):
-                        if to_b:
-                            rank.k.axpy_into(proxy, csl, Xb, rsl, -gamma,
-                                             compute=False)
-                        else:
-                            rank.k.axpy_into(proxy, rsl, Xb, csl, -gamma,
-                                             compute=False)
-                if alpha != 1.0:
-                    rank.k.scale(
-                        PhantomArray((rows, width), rdtype), alpha, compute=False
-                    )
+                # the first narrow apply builds (and charges) the cached
+                # cast of H_ij here, ahead of the block's GEMM charge
+                self._local_work(i, j, rdtype, tier)
+                self._charge_block(grid.rank_at(i, j).k, i, j, to_b, width,
+                                   alpha, gamma, rdtype, tier)
 
         # ---- pass 2: numerics (closures) + reductions ----
         if fused:
@@ -595,7 +588,7 @@ class DistributedHemm:
                 out=tgt, cacheable=(0,),
             ))
             panels.append(tgt)
-        executor.run_kernels(calls)
+        self.grid.cluster.run_kernels(calls)
         return panels, base
 
     def _fused_cb_blocks(self, roots, base, out):
@@ -638,7 +631,7 @@ class DistributedHemm:
                 out=tgt, cacheable=(0,),
             ))
             tgts.append(tgt)
-        executor.run_kernels(calls)
+        self.grid.cluster.run_kernels(calls)
         return tgts
 
     def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
@@ -665,7 +658,7 @@ class DistributedHemm:
                     if complex_h:
                         # cached conj for complex (exact seed operand
                         # layout); falls back to the per-call conj
-                        # temporary when the dedup switch is off
+                        # temporary when the config turns dedup off
                         Hc = self._h_conj(i, j, rdtype, tier)
                         if Hc is not None:
                             Hop = Hc
@@ -698,7 +691,7 @@ class DistributedHemm:
                     out=tgt, cacheable=(0,) if stable_h else (),
                 ))
                 partials[(i, j)] = tgt
-        executor.run_kernels(calls)
+        self.grid.cluster.run_kernels(calls)
         return partials
 
     def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
@@ -739,14 +732,14 @@ class DistributedHemm:
                      tier=None) -> dict:
         """Per-rank full-width COMPUTE time of one apply, in model seconds.
 
-        Replays the seed tier's per-block charge sequence — GEMM,
-        overlap AXPYs, scale — into a capturing kernel set instead of
-        the rank clocks.  The pipelined tier then charges each chunk
-        the exact fraction ``chunk_width / width`` of this total: a
-        chunk-width GEMM would otherwise pay the launch overhead again
-        and run lower on the efficiency ramp, i.e. chunking itself
-        would inflate COMPUTE (the model assumes the chunked kernels
-        are stream-captured and amortize their launches).
+        Replays the per-block charge sequence (:meth:`_charge_block`)
+        into a capturing kernel set instead of the rank clocks.  The
+        pipelined tier then charges each chunk the exact fraction
+        ``chunk_width / width`` of this total: a chunk-width GEMM would
+        otherwise pay the launch overhead again and run lower on the
+        efficiency ramp, i.e. chunking itself would inflate COMPUTE (the
+        model assumes the chunked kernels are stream-captured and
+        amortize their launches).
 
         Times are pre-slowdown (``RankContext.charge_compute`` applies
         the straggler multiplier at charge time, as the blocking path
@@ -757,38 +750,14 @@ class DistributedHemm:
         cached = self._apply_time_cache.get(key)
         if cached is not None:
             return cached
-        grid, H = self.grid, self.H
+        grid = self.grid
         times = {}
         for i in range(grid.p):
             for j in range(grid.q):
-                rank = grid.rank_at(i, j)
                 acc: list[float] = []
-                k = LocalKernels(rank.k.model, acc.append)
-                Hij = H.local(i, j)
-                xrows = Hij.shape[0] if to_b else Hij.shape[1]
-                rows = Hij.shape[1] if to_b else Hij.shape[0]
-                # dtype proxy for H: the replayed gemm must charge at
-                # the *working* dtype (a narrow apply runs on the cached
-                # narrow cast); for a full-width apply this is exactly
-                # result_type(H.dtype, rdtype), as before
-                k.gemm(
-                    PhantomArray(tuple(Hij.shape), rdtype),
-                    PhantomArray((xrows, width), rdtype),
-                    op_a="C" if to_b else "N", kind="hemm", compute=False,
-                    charge_dtype=tier,
-                )
-                if gamma != 0.0:
-                    proxy = PhantomArray((rows, width), rdtype)
-                    for rsl, csl in self._pairs(i, j):
-                        if to_b:
-                            k.axpy_into(proxy, csl, proxy, rsl, -gamma,
-                                        compute=False)
-                        else:
-                            k.axpy_into(proxy, rsl, proxy, csl, -gamma,
-                                        compute=False)
-                if alpha != 1.0:
-                    k.scale(PhantomArray((rows, width), rdtype), alpha,
-                            compute=False)
+                k = LocalKernels(grid.rank_at(i, j).k.model, acc.append)
+                self._charge_block(k, i, j, to_b, width, alpha, gamma,
+                                   rdtype, tier)
                 times[(i, j)] = sum(acc)
         self._apply_time_cache[key] = times
         return times
@@ -797,8 +766,8 @@ class DistributedHemm:
                          dedup, fused, rdtype, payload, tier=None):
         """Chunked nonblocking execution of an apply (DESIGN.md §5d).
 
-        The width-wide block is split into
-        ``replication.filter_pipeline_chunks()`` column chunks.  Each
+        The width-wide block is split into the config's
+        ``pipeline_chunks`` column chunks.  Each
         iteration charges chunk *k*'s HEMM compute, waits chunk *k-1*'s
         allreduce — whose duration therefore hides behind chunk *k*'s
         compute up to the communicator's overlap efficiency — and then
@@ -900,7 +869,7 @@ class DistributedHemm:
             aliased = dedup
 
         # ---- chunked model loop: charge k, wait k-1, issue k ----
-        edges = _chunk_edges(width, replication.filter_pipeline_chunks())
+        edges = _chunk_edges(width, grid.cluster.config.pipeline_chunks)
         times = self._apply_times(to_b, width, alpha, gamma, rdtype, tier)
         # compressed payloads shrink the wire bytes the chunk durations
         # and stagings are derived from (1.0 exactly when inactive)

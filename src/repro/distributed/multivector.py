@@ -16,8 +16,11 @@ layout "B") hold identical data by construction, numeric mode can store
 Multivectors built this way carry ``aliased=True`` and every mutating
 operation (``write_into``, ``permute_columns``, ``copy_cols_from``)
 preserves or re-establishes the aliasing; ``view_cols`` returns one
-shared view per group.  See ``repro.distributed.replication`` for the
-global switch and ``DESIGN.md`` for the invariant.
+shared view per group.  ``ExecutionConfig.numeric_dedup`` of the grid's
+cluster decides, at construction time only, whether new multivectors are
+built aliased; every execution site then adapts to the ``aliased``
+property of the multivectors it touches (``DESIGN.md``, "Replication
+invariant").
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arrays import PhantomArray, is_phantom
-from repro.distributed import replication
 from repro.distributed.hermitian import global_indices
 from repro.runtime.grid import Grid2D
 
@@ -89,7 +91,7 @@ class DistributedMultiVector:
     def zeros(
         cls, grid: Grid2D, index_map, layout: str, ne: int, dtype, phantom: bool
     ) -> "DistributedMultiVector":
-        dedup = not phantom and replication.numeric_dedup_enabled()
+        dedup = not phantom and grid.cluster.config.numeric_dedup
         blocks = {}
         for i in range(grid.p):
             for j in range(grid.q):
@@ -143,7 +145,7 @@ class DistributedMultiVector:
         """Distribute a global ``N x ne`` matrix (numeric mode)."""
         V = np.asarray(V)
         ne = V.shape[1]
-        dedup = replication.numeric_dedup_enabled()
+        dedup = grid.cluster.config.numeric_dedup
         blocks = {}
         for i in range(grid.p):
             for j in range(grid.q):

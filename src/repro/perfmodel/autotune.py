@@ -15,7 +15,7 @@ selection with the performance model alone:
    run** — a phantom replay of a fixed convergence trace, no numerics —
    and returns the candidates ranked by modeled solve makespan;
 3. :func:`applied` builds a real cluster/grid configured per the winner
-   (used by ``repro solve --tuned`` and the benchmarks).
+   (used by ``repro solve --tuned``, the service and the benchmarks).
 
 The untuned default (:func:`default_config`: squarest grid, ``ring``
 collectives, blocking filter, fusion off) is always in the candidate
@@ -30,14 +30,16 @@ explicitly, scored from a shared dry run, and broken in favour of
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.perfmodel.collectives import CollectiveAlgo
 from repro.perfmodel.machine import MachineSpec, juwels_booster
 from repro.perfmodel.topology import FatTree
+from repro.runtime.config import ExecutionConfig
 
 __all__ = [
     "TuneConfig",
@@ -77,37 +79,36 @@ _QR_ORDER = {"fp64": 0, "auto": 1, "fp32": 2, "bf16": 3, "fp16": 4}
 
 @dataclass(frozen=True)
 class TuneConfig:
-    """One point of the configuration space."""
+    """One point of the configuration space: the cluster shape plus the
+    :class:`~repro.runtime.config.ExecutionConfig` solves run under."""
 
     p: int
     q: int
     algo: str = "ring"           # CollectiveAlgo value
-    pipeline_chunks: int = 0     # 0 = blocking filter
-    hemm_fusion: bool = False
     overlap: float | None = None # None = backend model's default
-    filter_dtype: str = "fp64"   # precision-cascade filter (DESIGN.md §5j)
-    comm_compress: str = "none"  # compressed allreduce payload dtype
-    qr_dtype: str = "fp64"       # mixed CholeskyQR2 first-pass precision
+    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def label(self) -> str:
+        ex = self.execution
         bits = [f"{self.p}x{self.q}", self.algo,
-                f"chunks={self.pipeline_chunks or 'off'}",
-                f"fusion={'on' if self.hemm_fusion else 'off'}"]
+                f"chunks={ex.pipeline_chunks or 'off'}",
+                f"fusion={'on' if ex.hemm_fusion else 'off'}"]
         if self.overlap is not None:
             bits.append(f"overlap={self.overlap:g}")
-        if self.filter_dtype != "fp64":
-            bits.append(f"filter={self.filter_dtype}")
-        if self.comm_compress != "none":
-            bits.append(f"compress={self.comm_compress}")
-        if self.qr_dtype != "fp64":
-            bits.append(f"qr={self.qr_dtype}")
+        if ex.filter_dtype != "fp64":
+            bits.append(f"filter={ex.filter_dtype}")
+        if ex.comm_compress != "none":
+            bits.append(f"compress={ex.comm_compress}")
+        if ex.qr_dtype != "fp64":
+            bits.append(f"qr={ex.qr_dtype}")
         return " ".join(bits)
 
-    def _score_key(self) -> tuple:
+    def _score_key(self) -> "TuneConfig":
         """Model-relevant projection (fusion is modeled-time neutral)."""
-        return (self.p, self.q, self.algo, self.pipeline_chunks,
-                self.overlap, self.filter_dtype, self.comm_compress,
-                self.qr_dtype)
+        return dataclasses.replace(
+            self,
+            execution=dataclasses.replace(self.execution, hemm_fusion=False),
+        )
 
 
 @dataclass(frozen=True)
@@ -185,18 +186,18 @@ def enumerate_candidates(
         for algo in algos:
             CollectiveAlgo.parse(algo)  # validate early
             for chunks in chunk_options:
-                if chunks != 0 and chunks < 2:
-                    raise ValueError(f"pipeline chunk counts must be 0 or >= 2, got {chunks}")
                 for fusion in fusion_options:
                     for overlap in overlaps:
                         for opt in precision_options:
                             fdt, comp, *rest = opt
                             qdt = rest[0] if rest else "fp64"
                             cands.append(TuneConfig(
-                                p=p, q=q, algo=algo, pipeline_chunks=chunks,
-                                hemm_fusion=fusion, overlap=overlap,
-                                filter_dtype=fdt, comm_compress=comp,
-                                qr_dtype=qdt,
+                                p=p, q=q, algo=algo, overlap=overlap,
+                                execution=ExecutionConfig(
+                                    pipeline_chunks=chunks,
+                                    hemm_fusion=fusion, filter_dtype=fdt,
+                                    comm_compress=comp, qr_dtype=qdt,
+                                ),
                             ))
     default = default_config(n_ranks)
     if default not in cands:
@@ -211,9 +212,22 @@ def _resolve_nodes(n_ranks: int, machine: MachineSpec,
     return rpn, math.ceil(n_ranks / rpn)
 
 
-def _build_cluster(cfg: TuneConfig, *, n_ranks, backend, machine,
-                   ranks_per_node, nodes_per_leaf, use_topology, phantom,
-                   transport=None):
+@contextlib.contextmanager
+def applied(cfg: TuneConfig, *, n_ranks: int, backend,
+            machine: MachineSpec | None = None,
+            ranks_per_node: int | None = None,
+            nodes_per_leaf: int = 8,
+            use_topology: bool = True,
+            phantom: bool = False,
+            transport=None):
+    """A cluster/grid configured per ``cfg`` for the ``with`` body.
+
+    Yields the :class:`~repro.runtime.grid.Grid2D`; its cluster carries
+    ``cfg.execution``, so everything solved on it runs the winner's
+    execution configuration.  ``transport`` selects the execution
+    backend for the data plane (DESIGN.md §5h); its resources (rank
+    threads/processes, shm) are released when the scope exits.
+    """
     from repro.runtime import Grid2D, VirtualCluster
 
     machine = machine if machine is not None else juwels_booster()
@@ -223,54 +237,13 @@ def _build_cluster(cfg: TuneConfig, *, n_ranks, backend, machine,
     cluster = VirtualCluster(
         n_ranks, machine=machine, backend=backend, ranks_per_node=rpn,
         phantom=phantom, topology=tree, collective_algo=cfg.algo,
-        transport=transport,
+        transport=transport, config=cfg.execution,
     )
-    grid = Grid2D(cluster, cfg.p, cfg.q)
-    if cfg.overlap is not None:
-        grid.set_overlap_efficiency(cfg.overlap)
-    return grid
-
-
-@contextlib.contextmanager
-def applied(cfg: TuneConfig, *, n_ranks: int, backend,
-            machine: MachineSpec | None = None,
-            ranks_per_node: int | None = None,
-            nodes_per_leaf: int = 8,
-            use_topology: bool = True,
-            phantom: bool = False,
-            transport=None):
-    """A cluster/grid configured per ``cfg``, with the global execution
-    toggles (filter pipeline, HEMM fusion) scoped to the ``with`` body.
-
-    Yields the :class:`~repro.runtime.grid.Grid2D`; ``repro solve
-    --tuned`` and the wallclock benchmark solve inside this scope.
-    ``transport`` selects the execution backend for the data plane
-    (DESIGN.md §5h); its resources (rank threads/processes, shm) are
-    released when the scope exits.
-    """
-    from repro.distributed import filter_pipeline
-    from repro.distributed.replication import (
-        comm_compress_scope,
-        filter_dtype_scope,
-        hemm_fusion,
-        qr_dtype_scope,
-    )
-
-    grid = _build_cluster(
-        cfg, n_ranks=n_ranks, backend=backend, machine=machine,
-        ranks_per_node=ranks_per_node, nodes_per_leaf=nodes_per_leaf,
-        use_topology=use_topology, phantom=phantom, transport=transport,
-    )
-    try:
-        with filter_pipeline(cfg.pipeline_chunks > 0,
-                             cfg.pipeline_chunks or None), \
-                hemm_fusion(cfg.hemm_fusion), \
-                filter_dtype_scope(cfg.filter_dtype), \
-                comm_compress_scope(cfg.comm_compress), \
-                qr_dtype_scope(cfg.qr_dtype):
-            yield grid
-    finally:
-        grid.cluster.close()
+    with cluster:
+        grid = Grid2D(cluster, cfg.p, cfg.q)
+        if cfg.overlap is not None:
+            grid.set_overlap_efficiency(cfg.overlap)
+        yield grid
 
 
 def _dry_run(cfg: TuneConfig, *, n_ranks, N, nev, nex, backend, machine,
@@ -282,25 +255,23 @@ def _dry_run(cfg: TuneConfig, *, n_ranks, N, nev, nex, backend, machine,
     from repro.distributed import DistributedHermitian
 
     trace = ConvergenceTrace.fixed(iterations, nev + nex, deg=deg)
-    if cfg.qr_dtype != "fp64":
+    if cfg.execution.qr_dtype != "fp64":
         # the fixed trace records cond_est = 1.0, which the doubling
         # gate admits — replay the recorded CholeskyQR2 iterations
         # through the mixed first pass so the candidate's QR-phase
         # advantage is scored by the same code path a solve charges
         from repro.core.qr import qr_work_precision
 
-        qwork = qr_work_precision(np.dtype(dtype), cfg.qr_dtype, 1.0)
+        qwork = qr_work_precision(
+            np.dtype(dtype), cfg.execution.qr_dtype, 1.0)
         if qwork is not None:
             for rec in trace.records:
                 if rec.qr_variant == "CholeskyQR2":
                     rec.qr_variant = f"mCholeskyQR2[{qwork.token}]"
 
-    # dry runs are model-only: pin the orchestrated transport so a
-    # REPRO_BACKEND=mp environment never spawns workers for phantoms
     with applied(cfg, n_ranks=n_ranks, backend=backend, machine=machine,
                  ranks_per_node=ranks_per_node, nodes_per_leaf=nodes_per_leaf,
-                 use_topology=use_topology, phantom=True,
-                 transport="orchestrated") as grid:
+                 use_topology=use_topology, phantom=True) as grid:
         Hd = DistributedHermitian.phantom(grid, N, np.dtype(dtype))
         solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex, deg=deg))
         res = solver.solve_phantom(
@@ -348,7 +319,7 @@ def autotune(
     if default not in cands:
         cands = [default, *cands]
 
-    cache: dict[tuple, tuple] = {}
+    cache: dict[TuneConfig, tuple] = {}
     results = []
     for cfg in cands:
         key = cfg._score_key()
@@ -375,13 +346,14 @@ def autotune(
     algo_order = {a: i for i, a in enumerate(DEFAULT_ALGOS)}
     results.sort(key=lambda r: (
         r.makespan,
-        not r.config.hemm_fusion,
+        not r.config.execution.hemm_fusion,
         # at equal modeled time prefer the widest precision / least
         # lossy wire: fp64 before fp32 before the half tiers
-        _DTYPE_ORDER.get(r.config.filter_dtype, len(_DTYPE_ORDER)),
-        _PAYLOAD_ORDER.get(r.config.comm_compress, len(_PAYLOAD_ORDER)),
-        _QR_ORDER.get(r.config.qr_dtype, len(_QR_ORDER)),
-        r.config.pipeline_chunks,
+        _DTYPE_ORDER.get(r.config.execution.filter_dtype, len(_DTYPE_ORDER)),
+        _PAYLOAD_ORDER.get(r.config.execution.comm_compress,
+                           len(_PAYLOAD_ORDER)),
+        _QR_ORDER.get(r.config.execution.qr_dtype, len(_QR_ORDER)),
+        r.config.execution.pipeline_chunks,
         algo_order.get(r.config.algo, len(algo_order)),
         abs(r.config.p - r.config.q),
         r.config.p,
@@ -394,11 +366,3 @@ def autotune(
             f"on {n_ranks} ranks"
         )
     return TuneReport(results=tuple(results), default=default_res, best=best)
-
-
-def tuned_variant(report: TuneReport) -> TuneConfig:
-    """The winner, normalized for application: identical modeled time
-    configs prefer fusion-on, which :func:`autotune` already ordered —
-    this simply returns ``report.best.config`` (kept as an explicit
-    seam for future policies)."""
-    return report.best.config

@@ -26,7 +26,7 @@ DESIGN.md §5e): a single-node calibration sees no switch fabric, so the
 defaults are kept and every communicator on a calibrated machine is
 intra-node — :func:`~repro.perfmodel.collectives.collective_cost`
 degenerates to the flat model and the algorithm choice (including
-``REPRO_COLL_ALGO`` and ``repro tune``'s winner) changes nothing
+``--coll-algo`` and ``repro tune``'s winner) changes nothing
 locally, exactly as on one real node.  To calibrate the derates on a
 cluster, fit ``hop_latency`` to the latency gap between same-leaf and
 cross-core ping-pongs and ``oversub_penalty`` to the busbw loss of an

@@ -20,16 +20,13 @@ from repro.runtime.tracer import Tracer, PhaseBreakdown
 from repro.runtime.backend import CommBackend
 from repro.runtime.device import LocalKernels
 from repro.runtime.rank import RankContext
+from repro.runtime.config import ExecutionConfig
 from repro.runtime.cluster import VirtualCluster
 from repro.runtime.communicator import CollectiveRequest, Communicator
 from repro.runtime.executor import (
     KernelCall,
-    kernel_plane_scope,
-    kernel_worker_scope,
-    kernel_workers,
     run_kernels,
     set_kernel_fault_hook,
-    set_kernel_workers,
 )
 from repro.runtime.transport import (
     TRANSPORTS,
@@ -67,17 +64,14 @@ __all__ = [
     "LocalKernels",
     "RankContext",
     "VirtualCluster",
+    "ExecutionConfig",
     "Communicator",
     "CollectiveRequest",
     "Grid2D",
     "squarest_grid",
-    "kernel_workers",
-    "set_kernel_workers",
-    "kernel_worker_scope",
     "set_kernel_fault_hook",
     "run_kernels",
     "KernelCall",
-    "kernel_plane_scope",
     "TRANSPORTS",
     "Transport",
     "TransportError",

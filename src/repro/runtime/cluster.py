@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import math
-import os
 
 from repro.perfmodel.collectives import CollectiveAlgo
 from repro.perfmodel.machine import MachineSpec, juwels_booster
 from repro.perfmodel.topology import FatTree
+from repro.runtime import executor
 from repro.runtime.backend import CommBackend
+from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, RecoveryExhaustedError
 from repro.runtime.rank import RankContext
 from repro.runtime.tracer import Tracer
 from repro.runtime.transport import TRANSPORTS, Transport, create_transport
 
 __all__ = ["VirtualCluster"]
-
-
-def _algo_from_env() -> CollectiveAlgo:
-    return CollectiveAlgo.parse(os.environ.get("REPRO_COLL_ALGO"))
 
 
 class VirtualCluster:
@@ -59,19 +57,22 @@ class VirtualCluster:
     collective_algo:
         Default :class:`CollectiveAlgo` for communicators built on this
         cluster (``ring`` / ``tree`` / ``hierarchical`` / ``auto``).
-        ``None`` reads the ``REPRO_COLL_ALGO`` environment variable and
-        falls back to ``ring`` — the seed behavior, bit-identical
-        charges.
+        ``None`` is ``ring`` — the seed behavior, bit-identical charges.
     transport:
         Execution backend for the data plane (DESIGN.md §5h):
         ``"orchestrated"`` (in-process, the seed), ``"threads"`` (one OS
         thread per rank) or ``"mp"`` (one spawned process per rank over
         shared memory), or an already-constructed
         :class:`~repro.runtime.transport.Transport` instance.  ``None``
-        reads ``REPRO_BACKEND`` and falls back to ``orchestrated``.
+        is ``orchestrated``.
         ``backend`` also accepts these tokens as strings (the
         ``solve --backend mp`` surface): a transport token selects the
         transport and keeps the NCCL communication model.
+    config:
+        The :class:`~repro.runtime.config.ExecutionConfig` every solve
+        on this cluster executes under (``None`` = the defaults).  The
+        HEMM, filter, QR, multivector constructors and the solver read
+        it from here; survivor clusters inherit it.
     """
 
     def __init__(
@@ -86,6 +87,7 @@ class VirtualCluster:
         topology: FatTree | str | None = None,
         collective_algo: CollectiveAlgo | str | None = None,
         transport: Transport | str | None = None,
+        config: ExecutionConfig | None = None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("need at least one rank")
@@ -121,10 +123,13 @@ class VirtualCluster:
             raise TypeError(f"topology must be a FatTree, 'auto' or None, "
                             f"got {topology!r}")
         self.topology = topology
-        self.collective_algo = (
-            _algo_from_env() if collective_algo is None
-            else CollectiveAlgo.parse(collective_algo)
-        )
+        self.collective_algo = CollectiveAlgo.parse(collective_algo)
+        if config is None:
+            config = ExecutionConfig()
+        elif not isinstance(config, ExecutionConfig):
+            raise TypeError(
+                f"config must be an ExecutionConfig, got {config!r}")
+        self.config = config
         #: execution backend for the data plane (DESIGN.md §5h)
         if isinstance(transport, Transport):
             self.transport = transport
@@ -216,23 +221,20 @@ class VirtualCluster:
         for r in self.ranks:
             if r.rank_id in dead:
                 r.alive = False
-        new = VirtualCluster.__new__(VirtualCluster)
-        new.machine = self.machine
-        new.backend = self.backend
-        new.phantom = self.phantom
-        new.ranks_per_node = self.ranks_per_node
-        new.gpus_per_rank = self.gpus_per_rank
-        new.placement = self.placement
-        new.tracer = self.tracer
-        new.topology = self.topology
-        new.collective_algo = self.collective_algo
-        # survivors keep their original lane indices (rank_id), so the
-        # shared transport's rank team carries over unchanged
-        new.transport = self.transport
-        new.faults = self.faults
+        # a shallow copy shares everything but the rank list: tracer,
+        # armed injector, execution config, and the transport — survivors
+        # keep their original lane indices (rank_id), so its rank team
+        # carries over unchanged
+        new = copy.copy(self)
         new.ranks = survivors
         new._fixed_n_nodes = len({r.node for r in survivors})
         return new
+
+    def run_kernels(self, closures) -> list:
+        """Run independent numeric closures (:func:`executor.run_kernels`)
+        on this cluster's worker count and its transport's kernel plane."""
+        return executor.run_kernels(
+            closures, self.config.kernel_workers, self.transport.kernel_plane)
 
     def close(self) -> None:
         """Release the execution backend's resources (idempotent).

@@ -1,0 +1,89 @@
+"""Execution configuration: one frozen value, owned by the cluster.
+
+How a solve *executes* — as opposed to what it solves
+(:class:`~repro.core.config.ChaseConfig`) or what machine it models
+(:class:`~repro.runtime.cluster.VirtualCluster`'s other arguments) — is
+one :class:`ExecutionConfig`, passed to the cluster's constructor and
+read from ``grid.cluster.config`` by every execution site.  Nothing in
+the library keeps a process-wide copy and nothing reads the environment:
+two clusters with different configurations coexist in one process, and a
+tuner *returns* a configuration instead of installing it.  See
+DESIGN.md, "Execution configuration".
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+__all__ = ["ExecutionConfig", "PRECISION_MODES", "COMPRESS_PAYLOADS"]
+
+#: working-precision requests of the filter and the QR first pass
+PRECISION_MODES = ("fp64", "fp32", "bf16", "fp16", "auto")
+#: allreduce payload word widths of the filter's reductions
+COMPRESS_PAYLOADS = ("none", "fp32", "bf16", "fp16")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class ExecutionConfig:
+    """The seven execution choices of a solve; defaults are the seed path.
+
+    numeric_dedup:
+        Build numeric multivectors with one shared ndarray per
+        replication group (compute once, alias everywhere).  ``False``
+        recomputes every replica, as the seed did.
+    hemm_fusion:
+        Run aliased HEMM applies on the fused-panel tier (one GEMM per
+        grid row).  Charge-identical; matches the per-block arithmetic
+        to rounding, not bit for bit — hence off by default.
+    pipeline_chunks:
+        Column chunks of the pipelined (nonblocking) Chebyshev filter;
+        ``0`` is the blocking filter, otherwise at least 2.  Chunking
+        keeps bytes and numerics but multiplies the collective count.
+    filter_dtype:
+        Precision mode the filter's :class:`~repro.core.precision.
+        PrecisionPolicy` starts from (``auto`` starts the cascade at
+        bf16).  RR and residuals always run in fp64.
+    qr_dtype:
+        Precision requested for the first CholeskyQR2 pass, admitted
+        per call by the doubling bound (``auto`` = narrowest admitted).
+    comm_compress:
+        Wire word width of the filter's HEMM reductions while the apply
+        itself runs narrow; ``none`` keeps full-width payloads.
+    kernel_workers:
+        Host threads (or mp-backend worker processes) independent
+        kernel batches fan out over; ``1`` is serial execution.
+    """
+
+    numeric_dedup: bool = True
+    hemm_fusion: bool = False
+    pipeline_chunks: int = 0
+    filter_dtype: str = "fp64"
+    qr_dtype: str = "fp64"
+    comm_compress: str = "none"
+    kernel_workers: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("numeric_dedup", "hemm_fusion"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
+        chunks = self.pipeline_chunks
+        if not _is_int(chunks) or chunks < 0 or chunks == 1:
+            raise ValueError(
+                "pipeline_chunks must be 0 (blocking) or an integer >= 2, "
+                f"got {chunks!r}")
+        for name, allowed in (("filter_dtype", PRECISION_MODES),
+                              ("qr_dtype", PRECISION_MODES),
+                              ("comm_compress", COMPRESS_PAYLOADS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {allowed}, got {value!r}")
+        if not _is_int(self.kernel_workers) or self.kernel_workers < 1:
+            raise ValueError(
+                f"kernel_workers must be an integer >= 1, "
+                f"got {self.kernel_workers!r}")

@@ -16,7 +16,7 @@ residual kernels -> custom CUDA kernel (NCCL build) or host BLAS (STD).
 Every kernel accepts ``compute=False`` to charge the modeled time
 without touching the numerics (returning ``None``).  Replication-aware
 execution uses it for replica ranks whose result is aliased from the
-group's root (see ``repro.distributed.replication``): the cost model
+group's root (see ``repro.distributed.multivector``): the cost model
 sees the identical per-rank charge sequence while the arithmetic runs
 once per unique block.
 """

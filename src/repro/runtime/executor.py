@@ -20,16 +20,14 @@ Oversubscription guard: while worker threads run, every BLAS pool
 :mod:`repro.runtime.blas` discovers in the process is limited to one
 thread per call, so ``workers x blas_threads`` cannot exceed the host.
 
-The worker count is a global switch in the style of
-``repro.distributed.replication``: default 1 (serial — the exact seed
-execution), overridable via the ``REPRO_KERNEL_WORKERS`` environment
-variable or :func:`set_kernel_workers` / :func:`kernel_worker_scope`.
+The worker count and the kernel-offload plane are arguments: callers
+hold a cluster and go through :meth:`VirtualCluster.run_kernels
+<repro.runtime.cluster.VirtualCluster.run_kernels>`, which passes its
+``config.kernel_workers`` and its transport's ``kernel_plane``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -37,12 +35,6 @@ from repro.runtime import blas
 
 __all__ = [
     "KernelCall",
-    "kernel_workers",
-    "set_kernel_workers",
-    "kernel_worker_scope",
-    "kernel_plane",
-    "set_kernel_plane",
-    "kernel_plane_scope",
     "kernel_fault_hook",
     "set_kernel_fault_hook",
     "run_kernels",
@@ -81,74 +73,8 @@ class KernelCall:
         return self.fn(*self.args)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("REPRO_KERNEL_WORKERS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-_WORKERS = _workers_from_env()
 _POOL: ThreadPoolExecutor | None = None
 _POOL_SIZE = 0
-
-
-def kernel_workers() -> int:
-    """Current worker count (1 = serial seed execution)."""
-    return _WORKERS
-
-
-def set_kernel_workers(n: int) -> int:
-    """Set the global worker count; returns the previous value."""
-    global _WORKERS
-    prev = _WORKERS
-    _WORKERS = max(1, int(n))
-    return prev
-
-
-@contextlib.contextmanager
-def kernel_worker_scope(n: int):
-    """Context manager scoping the worker count (benchmarks/tests)."""
-    prev = set_kernel_workers(n)
-    try:
-        yield
-    finally:
-        set_kernel_workers(prev)
-
-
-# -- kernel plane (DESIGN.md §5h) --------------------------------------------------
-_KERNEL_PLANE = None
-
-
-def kernel_plane():
-    """The installed kernel-offload plane (None = in-process execution)."""
-    return _KERNEL_PLANE
-
-
-def set_kernel_plane(plane):
-    """Install a kernel plane; returns the previous one.
-
-    A plane is an object with ``run_calls(calls, workers=...)`` — the mp
-    backend's :class:`~repro.runtime.mp_backend.MpKernelPlane`.  Batches
-    route to it only when the worker count is above one *and* every item
-    is a :class:`KernelCall`; the default worker count of 1 keeps every
-    kernel in process, the exact seed execution.
-    """
-    global _KERNEL_PLANE
-    prev = _KERNEL_PLANE
-    _KERNEL_PLANE = plane
-    return prev
-
-
-@contextlib.contextmanager
-def kernel_plane_scope(plane):
-    """Context manager scoping the kernel plane (``None`` = no-op scope)."""
-    prev = set_kernel_plane(plane)
-    try:
-        yield
-    finally:
-        set_kernel_plane(prev)
 
 
 # -- fault hook (DESIGN.md §5f) ----------------------------------------------------
@@ -193,24 +119,30 @@ def _pool(n: int) -> ThreadPoolExecutor:
 blas_thread_guard = blas.single_thread_scope
 
 
-def run_kernels(closures: Iterable[Callable[[], object]]) -> list:
+def run_kernels(closures: Iterable[Callable[[], object]],
+                workers: int = 1, plane=None) -> list:
     """Run independent numeric closures; return their results in order.
 
-    Serial (plain loop, no pool, no guard) when the worker count is 1
-    or there is at most one closure — the exact seed execution.  With
+    Serial (plain loop, no pool, no guard) when ``workers`` is 1 or
+    there is at most one closure — the exact seed execution.  With
     workers the results are still returned in submission order
     (``Executor.map``), and since every closure owns disjoint output
     storage the results are bitwise independent of the worker count.
     Exceptions propagate to the caller in either mode.
+
+    ``plane`` is a kernel-offload plane — an object with
+    ``run_calls(calls, workers=...)``, the mp backend's
+    :class:`~repro.runtime.mp_backend.MpKernelPlane` (DESIGN.md §5h).
+    A batch routes to it only when ``workers`` is above one *and* every
+    item is a :class:`KernelCall` with an ``out`` destination.
     """
     fns: Sequence[Callable[[], object]] = list(closures)
     if _FAULT_HOOK is not None:
         _FAULT_HOOK()
-    if (_KERNEL_PLANE is not None and _WORKERS > 1 and len(fns) > 1
-            and all(isinstance(fn, KernelCall) and fn.out is not None
-                    for fn in fns)):
-        return _KERNEL_PLANE.run_calls(fns, workers=_WORKERS)
-    if _WORKERS <= 1 or len(fns) <= 1:
+    if workers <= 1 or len(fns) <= 1:
         return [fn() for fn in fns]
+    if plane is not None and all(
+            isinstance(fn, KernelCall) and fn.out is not None for fn in fns):
+        return plane.run_calls(fns, workers=workers)
     with blas_thread_guard():
-        return list(_pool(_WORKERS).map(lambda fn: fn(), fns))
+        return list(_pool(workers).map(lambda fn: fn(), fns))

@@ -246,8 +246,8 @@ class MpKernelPlane:
     """Kernel offload onto the mp workers (independent BLAS pools).
 
     Engaged by :func:`repro.runtime.executor.run_kernels` when this
-    transport is active, the worker count
-    (``REPRO_KERNEL_WORKERS``) is above one, and the whole batch is
+    transport is active, ``ExecutionConfig.kernel_workers`` is above
+    one, and the whole batch is
     :class:`~repro.runtime.executor.KernelCall` descriptors.  Calls are
     dealt round-robin across the first ``workers`` backend ranks;
     results are copied back into each call's ``out`` storage, so

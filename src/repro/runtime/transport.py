@@ -42,7 +42,6 @@ bit-identical across backends (asserted by
 from __future__ import annotations
 
 import math
-import os
 from numbers import Number
 
 import numpy as np
@@ -89,14 +88,9 @@ class TransportParityError(TransportError):
 
 
 def parse_transport(name: str | None) -> str:
-    """Normalize a backend name; ``None`` reads ``REPRO_BACKEND``.
-
-    Unset (or empty) environment falls back to ``orchestrated`` — the
-    seed execution, bit-identical charges and numerics.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    name = str(name).strip().lower() or "orchestrated"
+    """Normalize a backend name; ``None`` (or empty) is ``orchestrated``
+    — the seed execution, bit-identical charges and numerics."""
+    name = str(name or "").strip().lower() or "orchestrated"
     if name not in TRANSPORTS:
         raise ValueError(
             f"unknown execution backend {name!r}; expected one of {TRANSPORTS}"
@@ -368,7 +362,7 @@ class OrchestratedTransport(Transport):
 
 
 def create_transport(name: str | None, n_ranks: int, **kw) -> Transport:
-    """Build a transport backend by name (``None`` → ``REPRO_BACKEND``).
+    """Build a transport backend by name (``None`` → ``orchestrated``).
 
     ``kw`` is forwarded to the backend constructor (e.g. the mp
     backend's ``timeout``/``unique_id``).

@@ -42,6 +42,7 @@ from repro.perfmodel.autotune import (
 )
 from repro.perfmodel.machine import MachineSpec
 from repro.runtime.backend import CommBackend
+from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultError, FaultPlan, RecoveryExhaustedError
 from repro.service.jobs import JobRecord, JobState, ServiceResult, SolveJob
 from repro.service.scheduler import (
@@ -174,10 +175,12 @@ class EigenService:
             if self.tune == "fast":
                 candidates = [
                     base,
-                    dataclasses.replace(base, algo="auto",
-                                        pipeline_chunks=4, hemm_fusion=True),
-                    dataclasses.replace(base, algo="auto",
-                                        hemm_fusion=True),
+                    dataclasses.replace(
+                        base, algo="auto", execution=ExecutionConfig(
+                            pipeline_chunks=4, hemm_fusion=True)),
+                    dataclasses.replace(
+                        base, algo="auto", execution=ExecutionConfig(
+                            hemm_fusion=True)),
                 ]
             else:
                 candidates = None  # full enumeration
@@ -226,8 +229,9 @@ class EigenService:
             )
 
         # each job gets a fresh cluster sized to its shard: fault plans,
-        # rank clocks and transport accounts are job-private by
-        # construction, so concurrent jobs cannot perturb each other
+        # rank clocks, transport accounts and the execution config are
+        # job-private by construction, so concurrent jobs cannot perturb
+        # each other
         with _tuned_scope(
             tcfg, n_ranks=shard.n_ranks, backend=self.backend,
             machine=self.machine, transport=self.transport,
@@ -273,7 +277,7 @@ class EigenService:
             # the filter's narrow dtype — half the cache budget, and
             # get() upcasts transparently for the next (wide) step
             store_dtype = None
-            if tcfg.filter_dtype != "fp64":
+            if tcfg.execution.filter_dtype != "fp64":
                 narrow = narrow_dtype(dtype)
                 if narrow != dtype:
                     store_dtype = narrow

@@ -14,12 +14,7 @@ import pytest
 
 from repro import ChaseConfig, ChaseSolver
 from repro.cli import main
-from repro.distributed import (
-    DistributedHermitian,
-    filter_pipeline_chunks,
-    filter_pipeline_enabled,
-    hemm_fusion_enabled,
-)
+from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.perfmodel.autotune import (
     TuneConfig,
@@ -29,7 +24,7 @@ from repro.perfmodel.autotune import (
     enumerate_candidates,
     grid_factorizations,
 )
-from repro.runtime import CommBackend
+from repro.runtime import CommBackend, ExecutionConfig
 
 # the 2x4 reference problem (matches bench_wallclock's NCCL grid point)
 REF = dict(n_ranks=8, N=800, nev=96, nex=32)
@@ -72,7 +67,7 @@ def test_reference_problem_strictly_improves(report):
     """On the 2x4 NCCL reference the pipelined filter is a real modeled
     win (DESIGN.md §5d), so the tuner must find a strict improvement."""
     assert report.best.makespan < report.default.makespan
-    assert report.best.config.pipeline_chunks > 0
+    assert report.best.config.execution.pipeline_chunks > 0
 
 
 def test_ranking_deterministic(report):
@@ -94,15 +89,17 @@ def test_fusion_is_model_neutral(report):
 
 
 def test_applied_scopes_toggles(report):
+    """The winner's execution config lives on the cluster ``applied``
+    builds — and nowhere else: a cluster built beside it is untouched."""
     best = report.best.config
-    assert not filter_pipeline_enabled() and not hemm_fusion_enabled()
+    assert best.execution != ExecutionConfig()
     with applied(best, n_ranks=8, backend=CommBackend.NCCL) as grid:
         assert (grid.p, grid.q) == (best.p, best.q)
-        assert filter_pipeline_enabled() == (best.pipeline_chunks > 0)
-        if best.pipeline_chunks:
-            assert filter_pipeline_chunks() == best.pipeline_chunks
-        assert hemm_fusion_enabled() == best.hemm_fusion
-    assert not filter_pipeline_enabled() and not hemm_fusion_enabled()
+        assert grid.cluster.config == best.execution
+        with applied(default_config(8), n_ranks=8,
+                     backend=CommBackend.NCCL) as other:
+            assert other.cluster.config == ExecutionConfig()
+        assert grid.cluster.config == best.execution
 
 
 def test_applied_winner_solves_numerically(report):

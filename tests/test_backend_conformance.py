@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro import ChaseConfig, ChaseSolver
-from repro.distributed import DistributedHermitian, comm_compress_scope
+from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.runtime import (
+    ExecutionConfig,
     FaultEvent,
     FaultKind,
     FaultPlan,
@@ -23,7 +24,6 @@ from repro.runtime import (
     TransportError,
     TransportParityError,
     VirtualCluster,
-    kernel_worker_scope,
 )
 from repro.runtime.mp_backend import MpTransport, UniqueId
 from repro.runtime.transport import (
@@ -40,19 +40,16 @@ def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, compress=None,
            plan=None, workers=1):
     rng = np.random.default_rng(12345)
     H = uniform_matrix(n, rng=rng)
-    with VirtualCluster(p * q, backend=backend) as cluster:
+    config = ExecutionConfig(comm_compress=compress or "none",
+                             kernel_workers=workers)
+    with VirtualCluster(p * q, backend=backend, config=config) as cluster:
         grid = Grid2D(cluster, p, q)
         if plan is not None:
             cluster.attach_faults(plan)
         Hd = DistributedHermitian.from_dense(grid, H)
         solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex))
-        import contextlib
-
-        ctx = (comm_compress_scope(compress) if compress
-               else contextlib.nullcontext())
-        with ctx, kernel_worker_scope(workers):
-            res = solver.solve(rng=np.random.default_rng(7),
-                               return_vectors=True)
+        res = solver.solve(rng=np.random.default_rng(7),
+                           return_vectors=True)
         final = solver.grid
         return res, final.comm_stats(), final.comm_stats_levels()
 
@@ -85,7 +82,7 @@ class TestConformanceMatrix:
         assert levels == levels0
 
     def test_mp_kernel_plane_bit_identical(self):
-        """With REPRO_KERNEL_WORKERS above one the mp backend ships the
+        """With ``kernel_workers`` above one the mp backend ships the
         hemm/axpby batches to worker BLAS pools; bits must not move."""
         base, stats0, _ = _solve("orchestrated", workers=1)
         res, stats, _ = _solve("mp", workers=2)
@@ -105,11 +102,15 @@ class TestConformanceMatrix:
 
 class TestTransportSurface:
     def test_parse_transport_env(self, monkeypatch):
+        """The library ignores ``REPRO_BACKEND``; the CLI's env parser
+        is the only reader."""
+        from repro.cli import _env_defaults
+
         assert parse_transport("MP ") == "mp"
         monkeypatch.setenv("REPRO_BACKEND", "threads")
-        assert parse_transport(None) == "threads"
-        monkeypatch.delenv("REPRO_BACKEND")
         assert parse_transport(None) == "orchestrated"
+        assert VirtualCluster(2).transport.name == "orchestrated"
+        assert _env_defaults()["transport"] == "threads"
         with pytest.raises(ValueError):
             parse_transport("smoke-signals")
 

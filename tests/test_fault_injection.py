@@ -267,11 +267,17 @@ def test_recovery_exhaustion_is_typed():
 
 
 def test_checkpoint_every_env_knob(monkeypatch):
+    """``REPRO_CHECKPOINT_EVERY`` is the default of the CLI's
+    ``--checkpoint`` only: the solver constructor never reads it."""
+    from repro.cli import _env_defaults
+
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "3")
+    assert _env_defaults()["checkpoint"] == 3
     grid = make_grid(4)
     Hd = DistributedHermitian.from_dense(grid, HMAT)
-    solver = ChaseSolver(grid, Hd, CFG)
-    assert solver.checkpoint_every == 3
+    assert ChaseSolver(grid, Hd, CFG).checkpoint_every is None
+    assert ChaseSolver(grid, Hd, CFG,
+                       checkpoint_every=3).checkpoint_every == 3
 
 
 def test_same_fault_seed_reproduces_trajectory():

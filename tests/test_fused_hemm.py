@@ -23,11 +23,8 @@ from repro.distributed import (
     DistributedHemm,
     DistributedHermitian,
     DistributedMultiVector,
-    filter_pipeline,
-    hemm_fusion,
-    numeric_dedup,
 )
-from repro.runtime import kernel_worker_scope
+from repro.runtime import ExecutionConfig
 from tests.conftest import make_grid
 
 
@@ -52,19 +49,19 @@ def _roundtrip(Hd, V, *, dedup, fused, workers=1, p=2, q=2, gamma=0.0,
 
     The applies are always marked pipeline-eligible (as the filter hot
     path does); the chunked tier only engages when ``pipeline=True``
-    flips the global switch, so blocking rows are byte-for-byte the
-    seed behaviour.
+    gives the cluster's config a chunk count, so blocking rows are
+    byte-for-byte the seed behaviour.
     """
-    with numeric_dedup(dedup), hemm_fusion(fused), \
-            kernel_worker_scope(workers), filter_pipeline(pipeline, chunks):
-        g = make_grid(p * q, p=p, q=q)
-        H = DistributedHermitian.from_dense(g, Hd, block_size=block_size)
-        hemm = DistributedHemm(H)
-        C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-        B = hemm.apply(C, cols, gamma=gamma, alpha=alpha, pipeline=True)
-        C2 = hemm.apply(B, gamma=gamma, alpha=alpha, pipeline=True)
-        makespan = max(r.clock.now for r in g.ranks)
-        return B.gather(), C2.gather(), makespan, g.comm_stats()
+    g = make_grid(p * q, p=p, q=q, config=ExecutionConfig(
+        numeric_dedup=dedup, hemm_fusion=fused, kernel_workers=workers,
+        pipeline_chunks=chunks if pipeline else 0))
+    H = DistributedHermitian.from_dense(g, Hd, block_size=block_size)
+    hemm = DistributedHemm(H)
+    C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+    B = hemm.apply(C, cols, gamma=gamma, alpha=alpha, pipeline=True)
+    C2 = hemm.apply(B, gamma=gamma, alpha=alpha, pipeline=True)
+    makespan = max(r.clock.now for r in g.ranks)
+    return B.gather(), C2.gather(), makespan, g.comm_stats()
 
 
 class TestFusedCrossCheck:
@@ -109,7 +106,7 @@ class TestFusedCrossCheck:
 
     def test_non_dedup_input_ignores_fusion(self, rng):
         """With dedup off no aliased multivector exists: the fusion
-        switch must leave the seed path untouched."""
+        field must leave the seed path untouched."""
         Hd = _dense(rng, 32, np.float64)
         V = _vectors(rng, 32, 5, np.float64)
         seed = _roundtrip(Hd, V, dedup=False, fused=False)
@@ -123,16 +120,16 @@ class TestOutBuffers:
     def test_stacked_out_receives_result(self, rng):
         Hd = _dense(rng, 40, np.float64)
         V = _vectors(rng, 40, 6, np.float64)
-        with numeric_dedup(True), hemm_fusion(True):
-            g = make_grid(4, p=2, q=2)
-            H = DistributedHermitian.from_dense(g, Hd)
-            hemm = DistributedHemm(H)
-            C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-            ref = hemm.apply(C).gather()
-            out = DistributedMultiVector.zeros_stacked(
-                g, H.colmap, "B", 6, np.float64
-            )
-            got = hemm.apply(C, out=out)
+        g = make_grid(4, p=2, q=2,
+                      config=ExecutionConfig(hemm_fusion=True))
+        H = DistributedHermitian.from_dense(g, Hd)
+        hemm = DistributedHemm(H)
+        C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+        ref = hemm.apply(C).gather()
+        out = DistributedMultiVector.zeros_stacked(
+            g, H.colmap, "B", 6, np.float64
+        )
+        got = hemm.apply(C, out=out)
         assert np.array_equal(got.gather(), ref)
         # the result landed in the preallocated storage
         assert got.blocks[(0, 0)].base is out.stacked_base
@@ -144,16 +141,15 @@ class TestOutBuffers:
         Hd = _dense(rng, 36, np.complex128)
         V = _vectors(rng, 36, 5, np.complex128)
         seed = _roundtrip(Hd, V, dedup=False, fused=False)
-        with numeric_dedup(True), hemm_fusion(False):
-            g = make_grid(4, p=2, q=2)
-            H = DistributedHermitian.from_dense(g, Hd)
-            hemm = DistributedHemm(H)
-            C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-            out = DistributedMultiVector.zeros_stacked(
-                g, H.colmap, "B", 5, np.complex128
-            )
-            B = hemm.apply(C, out=out)
-            C2 = hemm.apply(B)
+        g = make_grid(4, p=2, q=2)
+        H = DistributedHermitian.from_dense(g, Hd)
+        hemm = DistributedHemm(H)
+        C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+        out = DistributedMultiVector.zeros_stacked(
+            g, H.colmap, "B", 5, np.complex128
+        )
+        B = hemm.apply(C, out=out)
+        C2 = hemm.apply(B)
         assert np.array_equal(B.gather(), seed[0])
         assert np.array_equal(C2.gather(), seed[1])
         assert B.blocks[(1, 1)] is B.blocks[(0, 1)]  # still aliased
@@ -161,21 +157,21 @@ class TestOutBuffers:
     def test_incompatible_out_is_ignored(self, rng):
         Hd = _dense(rng, 30, np.float64)
         V = _vectors(rng, 30, 4, np.float64)
-        with numeric_dedup(True), hemm_fusion(True):
-            g = make_grid(4, p=2, q=2)
-            H = DistributedHermitian.from_dense(g, Hd)
-            hemm = DistributedHemm(H)
-            C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-            ref = hemm.apply(C).gather()
-            # wrong width and wrong layout: both silently ignored
-            bad_w = DistributedMultiVector.zeros_stacked(
-                g, H.colmap, "B", 9, np.float64
-            )
-            bad_l = DistributedMultiVector.zeros_stacked(
-                g, H.rowmap, "C", 4, np.float64
-            )
-            assert np.array_equal(hemm.apply(C, out=bad_w).gather(), ref)
-            assert np.array_equal(hemm.apply(C, out=bad_l).gather(), ref)
+        g = make_grid(4, p=2, q=2,
+                      config=ExecutionConfig(hemm_fusion=True))
+        H = DistributedHermitian.from_dense(g, Hd)
+        hemm = DistributedHemm(H)
+        C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+        ref = hemm.apply(C).gather()
+        # wrong width and wrong layout: both silently ignored
+        bad_w = DistributedMultiVector.zeros_stacked(
+            g, H.colmap, "B", 9, np.float64
+        )
+        bad_l = DistributedMultiVector.zeros_stacked(
+            g, H.rowmap, "C", 4, np.float64
+        )
+        assert np.array_equal(hemm.apply(C, out=bad_w).gather(), ref)
+        assert np.array_equal(hemm.apply(C, out=bad_l).gather(), ref)
 
 
 class TestCacheInvalidation:
@@ -187,20 +183,20 @@ class TestCacheInvalidation:
         Hd = _dense(rng, n, dtype)
         V = _vectors(rng, n, 5, dtype)
         Hd2 = _dense(np.random.default_rng(999), n, dtype)
-        with numeric_dedup(True), hemm_fusion(fused):
-            g = make_grid(4, p=2, q=2)
-            H = DistributedHermitian.from_dense(g, Hd)
-            hemm = DistributedHemm(H)
-            C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-            B = hemm.apply(C)  # populates conj/panel caches
-            C2 = hemm.apply(B)
-            version0 = H.version
-            # replace every local block with the second matrix's
-            ref = DistributedHermitian.from_dense(g, Hd2)
-            for key, blk in ref.blocks.items():
-                H.replace_local(*key, blk)
-            assert H.version > version0
-            got = hemm.apply(C).gather()
+        g = make_grid(4, p=2, q=2,
+                      config=ExecutionConfig(hemm_fusion=fused))
+        H = DistributedHermitian.from_dense(g, Hd)
+        hemm = DistributedHemm(H)
+        C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+        B = hemm.apply(C)  # populates conj/panel caches
+        C2 = hemm.apply(B)
+        version0 = H.version
+        # replace every local block with the second matrix's
+        ref = DistributedHermitian.from_dense(g, Hd2)
+        for key, blk in ref.blocks.items():
+            H.replace_local(*key, blk)
+        assert H.version > version0
+        got = hemm.apply(C).gather()
         np.testing.assert_allclose(got, Hd2 @ V, atol=1e-11)
 
     def test_replace_local_validates_shape(self, rng):
@@ -225,15 +221,14 @@ class TestFilterWorkspace:
 
         outs = []
         for ws in (None, FilterWorkspace()):
-            with numeric_dedup(True), hemm_fusion(False):
-                g = make_grid(4, p=2, q=2)
-                H = DistributedHermitian.from_dense(g, Hd)
-                hemm = DistributedHemm(H)
-                C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-                mv = chebyshev_filter(
-                    hemm, C, 0, degrees, c, e, mu1, workspace=ws
-                )
-                outs.append((C.gather(), mv, max(r.clock.now for r in g.ranks)))
+            g = make_grid(4, p=2, q=2)
+            H = DistributedHermitian.from_dense(g, Hd)
+            hemm = DistributedHemm(H)
+            C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+            mv = chebyshev_filter(
+                hemm, C, 0, degrees, c, e, mu1, workspace=ws
+            )
+            outs.append((C.gather(), mv, max(r.clock.now for r in g.ranks)))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1]
         assert outs[0][2] == outs[1][2]
@@ -249,19 +244,19 @@ class TestFilterWorkspace:
         e = (ev[-1] - ev[ne]) / 2
         mu1 = ev[0] - 0.1 * (ev[-1] - ev[0])
         ws = FilterWorkspace()
-        with numeric_dedup(True), hemm_fusion(True):
-            g = make_grid(4, p=2, q=2)
-            H = DistributedHermitian.from_dense(g, Hd)
-            hemm = DistributedHemm(H)
-            C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-            degrees = np.full(ne, 4, dtype=np.int64)
-            chebyshev_filter(hemm, C, 0, degrees, c, e, mu1, workspace=ws)
-            bases = {k: [b.stacked_base for b in pair]
-                     for k, pair in ws._buffers.items()}
-            degrees2 = np.full(ne - 2, 4, dtype=np.int64)
-            chebyshev_filter(hemm, C, 2, degrees2, c, e, mu1, workspace=ws)
-            for k, pair in ws._buffers.items():
-                assert [b.stacked_base for b in pair] == bases[k]
+        g = make_grid(4, p=2, q=2,
+                      config=ExecutionConfig(hemm_fusion=True))
+        H = DistributedHermitian.from_dense(g, Hd)
+        hemm = DistributedHemm(H)
+        C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
+        degrees = np.full(ne, 4, dtype=np.int64)
+        chebyshev_filter(hemm, C, 0, degrees, c, e, mu1, workspace=ws)
+        bases = {k: [b.stacked_base for b in pair]
+                 for k, pair in ws._buffers.items()}
+        degrees2 = np.full(ne - 2, 4, dtype=np.int64)
+        chebyshev_filter(hemm, C, 2, degrees2, c, e, mu1, workspace=ws)
+        for k, pair in ws._buffers.items():
+            assert [b.stacked_base for b in pair] == bases[k]
 
 class TestPipelinedCrossTier:
     """The chunked nonblocking tier composed with every other tier.
@@ -321,19 +316,18 @@ class TestPipelinedCrossTier:
 class TestMvAxpby:
     def test_mv_axpby_out_bitwise(self, rng):
         n, ne = 30, 5
-        with numeric_dedup(True):
-            g = make_grid(4, p=2, q=2)
-            H = DistributedHermitian.from_dense(g, _dense(rng, n, np.float64))
-            X = DistributedMultiVector.from_global(
-                g, _vectors(rng, n, ne, np.float64), H.rowmap, "C"
-            )
-            Y = DistributedMultiVector.from_global(
-                g, _vectors(rng, n, ne, np.float64), H.rowmap, "C"
-            )
-            ref = mv_axpby(1.7, X, -0.3, Y).gather()
-            out = DistributedMultiVector.zeros_stacked(
-                g, H.rowmap, "C", ne, np.float64
-            )
-            got = mv_axpby(1.7, X, -0.3, Y, out=out)
+        g = make_grid(4, p=2, q=2)
+        H = DistributedHermitian.from_dense(g, _dense(rng, n, np.float64))
+        X = DistributedMultiVector.from_global(
+            g, _vectors(rng, n, ne, np.float64), H.rowmap, "C"
+        )
+        Y = DistributedMultiVector.from_global(
+            g, _vectors(rng, n, ne, np.float64), H.rowmap, "C"
+        )
+        ref = mv_axpby(1.7, X, -0.3, Y).gather()
+        out = DistributedMultiVector.zeros_stacked(
+            g, H.rowmap, "C", ne, np.float64
+        )
+        got = mv_axpby(1.7, X, -0.3, Y, out=out)
         assert np.array_equal(got.gather(), ref)
         assert np.array_equal(out.gather(), ref)

@@ -191,9 +191,16 @@ def test_commstats_layout_and_numerics_frozen_across_algos(backend, scheme):
 
 
 def test_env_var_selects_algo(monkeypatch):
+    """``REPRO_COLL_ALGO`` is a default of the CLI's ``--coll-algo``
+    only: the library constructor never reads it."""
+    from repro.cli import _env_defaults
+
     monkeypatch.setenv("REPRO_COLL_ALGO", "hierarchical")
-    cluster = VirtualCluster(4)
-    assert cluster.collective_algo is CollectiveAlgo.HIERARCHICAL
+    assert _env_defaults()["coll_algo"] == "hierarchical"
+    assert VirtualCluster(4).collective_algo is CollectiveAlgo.RING
     monkeypatch.setenv("REPRO_COLL_ALGO", "nope")
+    with pytest.raises(ValueError, match="REPRO_COLL_ALGO.*hierarchical"):
+        _env_defaults()
+    assert VirtualCluster(4).collective_algo is CollectiveAlgo.RING
     with pytest.raises(ValueError):
-        VirtualCluster(4)
+        VirtualCluster(4, collective_algo="nope")

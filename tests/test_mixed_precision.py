@@ -29,19 +29,14 @@ from repro.core.precision import FP32_EPS, narrow_dtype, resolve_work_dtype
 from repro.distributed import (
     DistributedHermitian,
     DistributedMultiVector,
-    comm_compress_scope,
-    filter_dtype_scope,
-    filter_pipeline,
-    hemm_fusion,
-    numeric_dedup,
 )
 from repro.distributed.hemm import DistributedHemm
 from repro.runtime import (
     CommBackend,
+    ExecutionConfig,
     FaultPlan,
     Grid2D,
     VirtualCluster,
-    kernel_worker_scope,
 )
 from repro.runtime.faults import FaultError
 
@@ -57,14 +52,16 @@ def scenario_matrix(dtype=np.float64, seed=2024):
 
 
 def run_scenario(backend=CommBackend.NCCL, dtype=np.float64, tol=1e-10,
-                 p=2, q=4, solver_kw=None, seed=2718):
+                 p=2, q=4, solver_kw=None, seed=2718, **execution):
     """One fixed distributed solve; returns all modeled outputs.
 
     ``deg=10`` keeps the iteration-1 condition estimate under the fp32
     gate so mixed-precision runs actually engage the narrow path.
+    ``execution`` — :class:`ExecutionConfig` fields of the cluster.
     """
     H = scenario_matrix(dtype)
-    cluster = VirtualCluster(p * q, backend=backend)
+    cluster = VirtualCluster(p * q, backend=backend,
+                             config=ExecutionConfig(**execution))
     grid = Grid2D(cluster, p, q)
     Hd = DistributedHermitian.from_dense(grid, H)
     solver = ChaseSolver(grid, Hd,
@@ -98,19 +95,19 @@ TIER_IDS = ["seed", "dedup", "fused", "workers", "pipelined"]
 
 
 def _run_tier(dedup, fused, workers, pipelined, **kw):
-    with numeric_dedup(dedup), hemm_fusion(fused), \
-            kernel_worker_scope(workers), filter_pipeline(pipelined, 3):
-        return run_scenario(**kw)
+    return run_scenario(
+        numeric_dedup=dedup, hemm_fusion=fused, kernel_workers=workers,
+        pipeline_chunks=3 if pipelined else 0, **kw)
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
 def test_fp64_config_bit_identical_on_every_tier(tier):
-    """Explicit fp64/none toggles must equal the ambient default
+    """Explicit fp64/none fields must equal the default config
     byte-for-byte: eigenpairs, comm stats (legacy and per-level),
     per-phase breakdowns, every rank clock."""
     r0, s0, t0, c0 = _run_tier(*tier)
-    with filter_dtype_scope("fp64"), comm_compress_scope("none"):
-        r1, s1, t1, c1 = _run_tier(*tier)
+    r1, s1, t1, c1 = _run_tier(*tier, filter_dtype="fp64",
+                               comm_compress="none")
     np.testing.assert_array_equal(r1.eigenvalues, r0.eigenvalues)
     np.testing.assert_array_equal(r1.eigenvectors, r0.eigenvectors)
     assert r1.iterations == r0.iterations
@@ -123,8 +120,8 @@ def test_fp64_config_bit_identical_on_every_tier(tier):
 def test_fp32_solve_accurate_at_fp64_tolerance_on_every_tier(tier):
     """Mixed-precision solves must still converge to the dense oracle at
     the solver's own fp64 tolerance on every execution tier."""
-    with filter_dtype_scope("fp32"), comm_compress_scope("fp32"):
-        res, _s, _t, _c = _run_tier(*tier)
+    res, _s, _t, _c = _run_tier(*tier, filter_dtype="fp32",
+                                comm_compress="fp32")
     assert res.converged
     assert "fp32" in res.precision_log
     evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]
@@ -134,8 +131,7 @@ def test_fp32_solve_accurate_at_fp64_tolerance_on_every_tier(tier):
 
 def test_fp32_and_fp64_precision_logs_differ():
     r64, *_ = run_scenario()
-    with filter_dtype_scope("fp32"):
-        r32, *_ = run_scenario()
+    r32, *_ = run_scenario(filter_dtype="fp32")
     assert set(r64.precision_log) == {"fp64"}
     assert r32.precision_log[0] == "fp32"
     assert len(r32.precision_log) == r32.iterations
@@ -196,8 +192,7 @@ def test_solve_monotone_fp64_iterations_in_tol():
     """Integration form: tightening tol never removes fp64 iterations."""
     counts = {}
     for tol in (1e-6, 1e-8, 1e-10):
-        with filter_dtype_scope("fp32"):
-            res, *_ = run_scenario(tol=tol)
+        res, *_ = run_scenario(tol=tol, filter_dtype="fp32")
         counts[tol] = sum(t == "fp64" for t in res.precision_log)
     assert counts[1e-8] >= counts[1e-6]
     assert counts[1e-10] >= counts[1e-8]
@@ -224,7 +219,9 @@ def test_resolve_work_dtype():
 def _pipeline_bytes(x_dtype, payload, chunks=0):
     """Total allreduce bytes of one pipeline-eligible HEMM apply."""
     H = scenario_matrix()
-    cluster = VirtualCluster(8, backend=CommBackend.NCCL)
+    cluster = VirtualCluster(
+        8, backend=CommBackend.NCCL,
+        config=ExecutionConfig(comm_compress=payload, pipeline_chunks=chunks))
     grid = Grid2D(cluster, 2, 4)
     Hd = DistributedHermitian.from_dense(grid, H)
     hemm = DistributedHemm(Hd)
@@ -232,8 +229,7 @@ def _pipeline_bytes(x_dtype, payload, chunks=0):
     X = DistributedMultiVector.from_global(
         grid, rng.standard_normal((N, 12)).astype(x_dtype), Hd.rowmap, "C"
     )
-    with comm_compress_scope(payload), filter_pipeline(chunks > 0, chunks or None):
-        hemm.apply(X, pipeline=True)
+    hemm.apply(X, pipeline=True)
     total = 0.0
     levels_ok = True
     for comm in [grid.col_comm(j) for j in range(grid.q)] + \
@@ -270,8 +266,7 @@ def test_compressed_solve_byte_reduction():
     """End-to-end: an fp32+compressed solve moves strictly fewer
     allreduce bytes than the fp64 baseline while still converging."""
     r64, s64, *_ = run_scenario()
-    with filter_dtype_scope("fp32"), comm_compress_scope("bf16"):
-        r32, s32, *_ = run_scenario()
+    r32, s32, *_ = run_scenario(filter_dtype="fp32", comm_compress="bf16")
     assert r64.converged and r32.converged
     total64 = sum(t[2][2] for t in s64)
     total32 = sum(t[2][2] for t in s32)
@@ -325,11 +320,11 @@ def test_chaos_compression_never_silently_wrong(seed):
     either converges to the dense oracle at fp64 tolerance or raises a
     typed fault — silent corruption of the answer is impossible."""
     plan = FaultPlan.random(seed, 8, horizon=0.02, n_events=3)
-    with filter_dtype_scope("fp32"), comm_compress_scope("fp32"):
-        try:
-            res, *_ = run_scenario(solver_kw=dict(faults=plan), seed=seed)
-        except FaultError:
-            return  # an honest failure is an acceptable outcome
+    try:
+        res, *_ = run_scenario(solver_kw=dict(faults=plan), seed=seed,
+                               filter_dtype="fp32", comm_compress="fp32")
+    except FaultError:
+        return  # an honest failure is an acceptable outcome
     if not res.converged:
         return
     evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]
@@ -343,7 +338,6 @@ def test_serial_oracle_matches_fp32_distributed():
     H = scenario_matrix()
     ser = chase_serial(H, ChaseConfig(nev=NEV, nex=NEX),
                        rng=np.random.default_rng(9))
-    with filter_dtype_scope("fp32"):
-        res, *_ = run_scenario(seed=9)
+    res, *_ = run_scenario(seed=9, filter_dtype="fp32")
     assert ser.converged and res.converged
     assert np.abs(ser.eigenvalues - res.eigenvalues).max() <= 1e-9

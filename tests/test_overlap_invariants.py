@@ -22,18 +22,13 @@ from hypothesis import strategies as st
 
 from repro import ChaseConfig, ChaseSolver, ConvergenceTrace
 from repro.core.lanczos import SpectralBounds
-from repro.distributed import (
-    DistributedHermitian,
-    filter_pipeline,
-    filter_pipeline_chunks,
-    filter_pipeline_enabled,
-    set_filter_pipeline,
-)
+from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.runtime import (
     CommBackend,
     Communicator,
     CostCategory,
+    ExecutionConfig,
     Timeline,
     VirtualCluster,
 )
@@ -42,20 +37,24 @@ from tests.conftest import make_grid
 _BACKENDS = [CommBackend.NCCL, CommBackend.MPI_STAGED]
 
 
+def _config(pipeline, chunks) -> ExecutionConfig:
+    return ExecutionConfig(pipeline_chunks=chunks if pipeline else 0)
+
+
 def _solve(pipeline, *, chunks=4, overlap=None, backend=CommBackend.NCCL,
            n=120, n_ranks=4, timeline=False, **grid_kw):
     """One small distributed solve; returns (result, grid, timeline|None)."""
     rng = np.random.default_rng(7)
     H = uniform_matrix(n, rng=rng)
-    g = make_grid(n_ranks, backend=backend, **grid_kw)
+    g = make_grid(n_ranks, backend=backend, config=_config(pipeline, chunks),
+                  **grid_kw)
     if overlap is not None:
         g.set_overlap_efficiency(overlap)
     tl = Timeline.attach(g.cluster) if timeline else None
     Hd = DistributedHermitian.from_dense(g, H)
-    with filter_pipeline(pipeline, chunks):
-        res = ChaseSolver(g, Hd, ChaseConfig(nev=6, nex=4)).solve(
-            rng=np.random.default_rng(3)
-        )
+    res = ChaseSolver(g, Hd, ChaseConfig(nev=6, nex=4)).solve(
+        rng=np.random.default_rng(3)
+    )
     if tl is not None:
         tl.detach()
     return res, g, tl
@@ -64,17 +63,17 @@ def _solve(pipeline, *, chunks=4, overlap=None, backend=CommBackend.NCCL,
 def _phantom_makespan(pipeline, *, overlap=None, chunks=4,
                       backend=CommBackend.NCCL):
     """Model-only 2x4-grid run (fast: no numerics)."""
-    g = make_grid(8, backend=backend, ranks_per_node=4, phantom=True)
+    g = make_grid(8, backend=backend, ranks_per_node=4, phantom=True,
+                  config=_config(pipeline, chunks))
     assert (g.p, g.q) == (2, 4)
     if overlap is not None:
         g.set_overlap_efficiency(overlap)
     Hd = DistributedHermitian.phantom(g, 20_000, np.float64)
     solver = ChaseSolver(g, Hd, ChaseConfig(nev=200, nex=100, deg=16))
-    with filter_pipeline(pipeline, chunks):
-        res = solver.solve_phantom(
-            ConvergenceTrace.fixed(1, 300, deg=16),
-            bounds=SpectralBounds(3.0, -1.0, 1.0),
-        )
+    res = solver.solve_phantom(
+        ConvergenceTrace.fixed(1, 300, deg=16),
+        bounds=SpectralBounds(3.0, -1.0, 1.0),
+    )
     return res, g
 
 
@@ -297,35 +296,21 @@ class TestCollectiveRequest:
 
 
 class TestToggles:
-    def test_set_filter_pipeline_roundtrip(self):
-        prev = set_filter_pipeline(True, 5)
-        try:
-            assert filter_pipeline_enabled()
-            assert filter_pipeline_chunks() == 5
-        finally:
-            set_filter_pipeline(*prev)
-        assert not filter_pipeline_enabled()
-
     def test_chunks_must_be_at_least_two(self):
-        before = (filter_pipeline_enabled(), filter_pipeline_chunks())
-        with pytest.raises(ValueError):
-            set_filter_pipeline(True, 1)
-        # a rejected call must leave both switches untouched
-        assert (filter_pipeline_enabled(), filter_pipeline_chunks()) == before
+        assert ExecutionConfig(pipeline_chunks=0).pipeline_chunks == 0
+        assert ExecutionConfig(pipeline_chunks=2).pipeline_chunks == 2
+        for bad in (1, -3, 2.0, True, "4"):
+            with pytest.raises(ValueError, match="pipeline_chunks"):
+                ExecutionConfig(pipeline_chunks=bad)
 
-    def test_context_manager_restores(self):
-        before = (filter_pipeline_enabled(), filter_pipeline_chunks())
-        with filter_pipeline(True, 3):
-            assert filter_pipeline_enabled()
-            assert filter_pipeline_chunks() == 3
-        assert (filter_pipeline_enabled(), filter_pipeline_chunks()) == before
+    def test_env_toggle(self):
+        """The CLI's environment defaults; malformed values are loud."""
+        from repro.cli import _env_defaults
 
-    def test_env_toggle(self, monkeypatch):
-        from repro.distributed import replication
-
-        monkeypatch.setenv("REPRO_FILTER_PIPELINE", "1")
-        monkeypatch.setenv("REPRO_FILTER_CHUNKS", "6")
-        assert replication._pipeline_from_env()
-        assert replication._chunks_from_env() == 6
-        monkeypatch.setenv("REPRO_FILTER_CHUNKS", "bogus")
-        assert replication._chunks_from_env() == 4  # default
+        env = _env_defaults({"REPRO_FILTER_PIPELINE": "1",
+                             "REPRO_FILTER_CHUNKS": "6"})
+        assert env["pipeline_filter"] and env["pipeline_chunks"] == 6
+        env = _env_defaults({})
+        assert not env["pipeline_filter"] and env["pipeline_chunks"] == 4
+        with pytest.raises(ValueError, match="REPRO_FILTER_CHUNKS.*>= 2"):
+            _env_defaults({"REPRO_FILTER_CHUNKS": "bogus"})

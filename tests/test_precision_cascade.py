@@ -48,11 +48,6 @@ from repro.distributed import (
     BlockMap1D,
     DistributedHermitian,
     DistributedMultiVector,
-    filter_dtype_scope,
-    filter_pipeline,
-    hemm_fusion,
-    numeric_dedup,
-    qr_dtype_scope,
 )
 from repro.perfmodel.autotune import DEFAULT_PRECISION_OPTIONS, default_config
 from repro.perfmodel.kernels import dtype_rate_factor, dtype_token, elem_bytes
@@ -60,9 +55,9 @@ from repro.perfmodel.machine import DeviceSpec
 from repro.perfmodel.memory import chase_new_scheme_bytes
 from repro.runtime import (
     CommBackend,
+    ExecutionConfig,
     Grid2D,
     VirtualCluster,
-    kernel_worker_scope,
 )
 from repro.service import EigenService, JobState, SolveJob, scf_sequence
 from repro.service.warmstart import WarmStartCache, WarmStartMiss
@@ -79,8 +74,9 @@ def scenario_matrix(dtype=np.float64, seed=2024):
     return ((A + A.conj().T) / 2).astype(dtype)
 
 
-def run_scenario(deg, tol=1e-10, p=2, q=4, seed=2718):
-    """One distributed solve at filter degree ``deg``.
+def run_scenario(deg, tol=1e-10, p=2, q=4, seed=2718, **execution):
+    """One distributed solve at filter degree ``deg`` under
+    ``ExecutionConfig(**execution)``.
 
     Small initial degrees keep the iteration-1 condition estimate under
     the half-tier gates (the estimate grows with the planned degree),
@@ -88,7 +84,8 @@ def run_scenario(deg, tol=1e-10, p=2, q=4, seed=2718):
     ladder climbs.
     """
     H = scenario_matrix()
-    cluster = VirtualCluster(p * q, backend=CommBackend.NCCL)
+    cluster = VirtualCluster(p * q, backend=CommBackend.NCCL,
+                             config=ExecutionConfig(**execution))
     grid = Grid2D(cluster, p, q)
     Hd = DistributedHermitian.from_dense(grid, H)
     solver = ChaseSolver(grid, Hd,
@@ -198,10 +195,10 @@ def test_half_solve_accurate_at_fp64_tolerance_on_every_tier(
     the dense oracle at fp64 tolerance on every execution tier — and
     must actually have filtered on the half tier."""
     dedup, fused, workers, pipelined = tier
-    with numeric_dedup(dedup), hemm_fusion(fused), \
-            kernel_worker_scope(workers), filter_pipeline(pipelined, 3), \
-            filter_dtype_scope(mode):
-        res = run_scenario(deg, seed=seed)
+    res = run_scenario(
+        deg, seed=seed, numeric_dedup=dedup, hemm_fusion=fused,
+        kernel_workers=workers, pipeline_chunks=3 if pipelined else 0,
+        filter_dtype=mode)
     assert res.converged
     assert mode in res.precision_log
     evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]
@@ -218,14 +215,15 @@ def test_half_solve_accurate_on_mp_transport():
     A = rng0.standard_normal((n, n))
     H = (A + A.T) / 2
     evs = np.sort(np.linalg.eigvalsh(H))[:nev]
-    with VirtualCluster(4, backend="mp") as cluster:
+    with VirtualCluster(
+            4, backend="mp",
+            config=ExecutionConfig(filter_dtype="bf16")) as cluster:
         grid = Grid2D(cluster, 2, 2)
         Hd = DistributedHermitian.from_dense(grid, H)
-        with filter_dtype_scope("bf16"):
-            solver = ChaseSolver(
-                grid, Hd, ChaseConfig(nev=nev, nex=nex, tol=1e-10, deg=2))
-            res = solver.solve(rng=np.random.default_rng(7),
-                               return_vectors=True)
+        solver = ChaseSolver(
+            grid, Hd, ChaseConfig(nev=nev, nex=nex, tol=1e-10, deg=2))
+        res = solver.solve(rng=np.random.default_rng(7),
+                           return_vectors=True)
     assert res.converged
     assert res.precision_log[0] == "bf16"
     scale = max(abs(evs[0]), abs(evs[-1]), 1.0)
@@ -233,8 +231,7 @@ def test_half_solve_accurate_on_mp_transport():
 
 
 def test_auto_mode_starts_on_bf16():
-    with filter_dtype_scope("auto"):
-        res = run_scenario(2)
+    res = run_scenario(2, filter_dtype="auto")
     assert res.converged
     assert res.precision_log[0] == "bf16"
 
@@ -323,10 +320,9 @@ class TestMixedCholeskyQR2:
         assert rep.variant == "sCholeskyQR2"
 
     def test_solver_qr_scope_end_to_end(self):
-        """``qr_dtype_scope('auto')`` inside a real solve: the answer
-        still matches the dense oracle at fp64 tolerance."""
-        with qr_dtype_scope("auto"):
-            res = run_scenario(10)
+        """``qr_dtype='auto'`` inside a real solve: the answer still
+        matches the dense oracle at fp64 tolerance."""
+        res = run_scenario(10, qr_dtype="auto")
         assert res.converged
         evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]
         scale = max(abs(evs[0]), abs(evs[-1]), 1.0)
@@ -382,7 +378,8 @@ class TestWarmStartUpcast:
         hams = scf_sequence(160, 2, seed=3)
         svc = EigenService(total_ranks=8, n_shards=2, tune="off")
         cfg = dataclasses.replace(
-            default_config(4), filter_dtype="fp32", comm_compress="fp32")
+            default_config(4), execution=ExecutionConfig(
+                filter_dtype="fp32", comm_compress="fp32"))
         for k, H in enumerate(hams):
             key = (4, H.shape[0], 20, 10, np.dtype(H.dtype).str)
             svc._tuned[key] = ("forced-fp32", cfg)

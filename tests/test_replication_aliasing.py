@@ -5,7 +5,8 @@ The numeric-dedup layer stores one shared ndarray per replication group
 i) and every numeric kernel computes each unique block once, aliasing
 the result into the replica slots.  These tests pin down:
 
-* constructors produce aliased multivectors iff the global switch is on;
+* constructors produce aliased multivectors iff the cluster config
+  enables dedup;
 * HEMM / filter / QR outputs keep replicas memory-shared;
 * writes (``write_into`` / ``permute_columns`` / ``copy_cols_from``)
   reach every replica but never leak into other replication groups;
@@ -26,13 +27,15 @@ from repro.distributed import (
     DistributedHemm,
     DistributedHermitian,
     DistributedMultiVector,
-    numeric_dedup,
 )
-from repro.runtime import CommBackend, Grid2D, VirtualCluster
+from repro.runtime import (
+    CommBackend, ExecutionConfig, Grid2D, VirtualCluster)
 
 
-def make_grid(n: int = 4, backend: CommBackend = CommBackend.NCCL, p=None, q=None):
-    return Grid2D(VirtualCluster(n, backend=backend), p, q)
+def make_grid(n: int = 4, backend: CommBackend = CommBackend.NCCL, p=None,
+              q=None, dedup: bool = True):
+    config = ExecutionConfig(numeric_dedup=dedup)
+    return Grid2D(VirtualCluster(n, backend=backend, config=config), p, q)
 
 
 def hermitian(rng, N, dtype=np.float64):
@@ -65,8 +68,9 @@ def test_zeros_aliased_iff_enabled(layout):
     assert V.aliased and V.replicas_share_memory()
     for key in V.blocks:
         assert V.blocks[key] is V.blocks[V.rep_root(*key)]
-    with numeric_dedup(False):
-        W = DistributedMultiVector.zeros(grid, imap, layout, 5, np.float64, False)
+    seed_grid = make_grid(6, p=2, q=3, dedup=False)
+    W = DistributedMultiVector.zeros(
+        seed_grid, imap, layout, 5, np.float64, False)
     assert not W.aliased
     reps = [k for k in W.blocks if k != W.rep_root(*k)]
     assert all(W.blocks[k] is not W.blocks[W.rep_root(*k)] for k in reps)
@@ -84,8 +88,8 @@ def test_from_global_aliased_and_consistent(layout):
     mv = DistributedMultiVector.from_global(grid, V, imap, layout)
     assert mv.aliased and mv.replicas_share_memory()
     np.testing.assert_array_equal(mv.gather(0), V)
-    with numeric_dedup(False):
-        mv0 = DistributedMultiVector.from_global(grid, V, imap, layout)
+    mv0 = DistributedMultiVector.from_global(
+        make_grid(6, p=3, q=2, dedup=False), V, imap, layout)
     assert not mv0.aliased
     for key in mv.blocks:
         np.testing.assert_array_equal(mv.blocks[key], mv0.blocks[key])
@@ -103,8 +107,8 @@ def test_hemm_output_aliased_and_bit_identical(dtype):
     H = hermitian(rng, N, dtype)
     V = rng.standard_normal((N, ne)).astype(dtype)
 
-    def run():
-        grid = make_grid(4)
+    def run(dedup=True):
+        grid = make_grid(4, dedup=dedup)
         Hd = DistributedHermitian.from_dense(grid, H)
         C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
         B = DistributedHemm(Hd).apply(C, slice(0, ne))
@@ -113,8 +117,7 @@ def test_hemm_output_aliased_and_bit_identical(dtype):
     B1 = run()
     assert B1.aliased and B1.replicas_share_memory()
     assert B1.replication_error() == 0.0
-    with numeric_dedup(False):
-        B0 = run()
+    B0 = run(dedup=False)
     assert not B0.aliased
     np.testing.assert_array_equal(B1.gather(0), B0.gather(0))
     np.testing.assert_allclose(B1.gather(0), H @ V, rtol=0, atol=1e-12 * N)
@@ -130,8 +133,8 @@ def test_axpby_and_filter_keep_aliasing():
     V = rng.standard_normal((N, ne))
     degrees = np.full(ne, 4, dtype=np.int64)
 
-    def run():
-        grid = make_grid(4)
+    def run(dedup=True):
+        grid = make_grid(4, dedup=dedup)
         Hd = DistributedHermitian.from_dense(grid, H)
         hemm = DistributedHemm(Hd)
         C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
@@ -142,8 +145,7 @@ def test_axpby_and_filter_keep_aliasing():
 
     C1 = run()
     assert C1.aliased and C1.replicas_share_memory()
-    with numeric_dedup(False):
-        C0 = run()
+    C0 = run(dedup=False)
     assert C0.replication_error() == 0.0
     np.testing.assert_array_equal(C1.gather(0), C0.gather(0))
 
@@ -156,8 +158,8 @@ def test_qr_keeps_aliasing_and_matches_seed(variant):
         np.logspace(0, 3, ne)
     )
 
-    def run():
-        grid = make_grid(4)
+    def run(dedup=True):
+        grid = make_grid(4, dedup=dedup)
         Hd = DistributedHermitian.from_dense(grid, hermitian(rng, N))
         C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
         report = QRReport()
@@ -171,8 +173,7 @@ def test_qr_keeps_aliasing_and_matches_seed(variant):
     assert C1.aliased and C1.replicas_share_memory()
     Q = C1.gather(0)
     np.testing.assert_allclose(Q.T @ Q, np.eye(ne), atol=1e-10)
-    with numeric_dedup(False):
-        C0 = run()
+    C0 = run(dedup=False)
     np.testing.assert_array_equal(Q, C0.gather(0))
 
 
@@ -226,9 +227,9 @@ def test_permute_columns_realiases():
     mv.permute_columns(perm)
     assert mv.aliased and mv.replicas_share_memory()
     np.testing.assert_array_equal(mv.gather(0), V[:, perm])
-    with numeric_dedup(False):
-        mv0 = DistributedMultiVector.from_global(grid, V, imap, "C")
-        mv0.permute_columns(perm)
+    mv0 = DistributedMultiVector.from_global(
+        make_grid(4, dedup=False), V, imap, "C")
+    mv0.permute_columns(perm)
     np.testing.assert_array_equal(mv.gather(0), mv0.gather(0))
 
 
@@ -276,8 +277,8 @@ def test_solve_matches_seed_exactly(scheme, dtype):
     N, nev, nex = 120, 15, 10
     H = hermitian(rng, N, dtype)
 
-    def run():
-        grid = make_grid(4)
+    def run(dedup=True):
+        grid = make_grid(4, dedup=dedup)
         Hd = DistributedHermitian.from_dense(grid, H)
         solver = ChaseSolver(
             grid, Hd, ChaseConfig(nev=nev, nex=nex), scheme=scheme
@@ -285,8 +286,7 @@ def test_solve_matches_seed_exactly(scheme, dtype):
         return solver.solve(rng=np.random.default_rng(99), return_vectors=True)
 
     r1 = run()
-    with numeric_dedup(False):
-        r0 = run()
+    r0 = run(dedup=False)
     assert r1.converged and r0.converged
     np.testing.assert_array_equal(r1.eigenvalues, r0.eigenvalues)
     np.testing.assert_array_equal(r1.eigenvectors, r0.eigenvectors)

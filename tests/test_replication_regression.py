@@ -16,20 +16,15 @@ import pytest
 
 from repro.core.chase import ChaseSolver
 from repro.core.config import ChaseConfig
-from repro.distributed import (
-    DistributedHermitian,
-    filter_pipeline,
-    hemm_fusion,
-    numeric_dedup,
-)
+from repro.distributed import DistributedHermitian
 from repro.runtime import (
     CommBackend,
+    ExecutionConfig,
     FaultEvent,
     FaultKind,
     FaultPlan,
     Grid2D,
     VirtualCluster,
-    kernel_worker_scope,
 )
 
 N, NEV, NEX = 200, 25, 15
@@ -44,33 +39,36 @@ def scenario_matrix(dtype):
 
 
 def run_scenario(dedup: bool, scheme: str, backend: CommBackend, dtype,
-                 solver_kw: dict | None = None):
-    """One fixed solve on a fresh cluster; returns all modeled outputs."""
-    with numeric_dedup(dedup):
-        H = scenario_matrix(dtype)
-        cluster = VirtualCluster(4, backend=backend)
-        grid = Grid2D(cluster, 2, 2)
-        Hd = DistributedHermitian.from_dense(grid, H)
-        solver = ChaseSolver(
-            grid, Hd, ChaseConfig(nev=NEV, nex=NEX), scheme=scheme,
-            **(solver_kw or {})
-        )
-        res = solver.solve(rng=np.random.default_rng(2718), return_vectors=True)
-        # the solver's grid survives a mid-solve shrink; the entry grid
-        # would hold stale communicators after a rank death
-        grid = solver.grid
-        comm_stats = []
-        for j in range(grid.q):
-            s = grid.col_comm(j).stats
-            comm_stats.append(("col", j, s.collectives, s.messages, s.bytes_moved))
-        for i in range(grid.p):
-            s = grid.row_comm(i).stats
-            comm_stats.append(("row", i, s.collectives, s.messages, s.bytes_moved))
-        timings = {
-            phase: (b.compute, b.comm, b.datamove, b.recovery)
-            for phase, b in res.timings.items()
-        }
-        clocks = [r.clock.now for r in grid.cluster.ranks]
+                 solver_kw: dict | None = None, **execution):
+    """One fixed solve on a fresh cluster; returns all modeled outputs.
+
+    ``execution`` — further :class:`ExecutionConfig` fields."""
+    H = scenario_matrix(dtype)
+    cluster = VirtualCluster(
+        4, backend=backend,
+        config=ExecutionConfig(numeric_dedup=dedup, **execution))
+    grid = Grid2D(cluster, 2, 2)
+    Hd = DistributedHermitian.from_dense(grid, H)
+    solver = ChaseSolver(
+        grid, Hd, ChaseConfig(nev=NEV, nex=NEX), scheme=scheme,
+        **(solver_kw or {})
+    )
+    res = solver.solve(rng=np.random.default_rng(2718), return_vectors=True)
+    # the solver's grid survives a mid-solve shrink; the entry grid
+    # would hold stale communicators after a rank death
+    grid = solver.grid
+    comm_stats = []
+    for j in range(grid.q):
+        s = grid.col_comm(j).stats
+        comm_stats.append(("col", j, s.collectives, s.messages, s.bytes_moved))
+    for i in range(grid.p):
+        s = grid.row_comm(i).stats
+        comm_stats.append(("row", i, s.collectives, s.messages, s.bytes_moved))
+    timings = {
+        phase: (b.compute, b.comm, b.datamove, b.recovery)
+        for phase, b in res.timings.items()
+    }
+    clocks = [r.clock.now for r in grid.cluster.ranks]
     return res, comm_stats, timings, clocks
 
 
@@ -129,10 +127,10 @@ def test_pipelined_filter_regression(dedup, fused, backend):
     keep convergence, eigenvalues and per-communicator byte volumes
     bit-identical while never increasing the makespan (and strictly
     decreasing it whenever the backend grants any overlap)."""
-    with hemm_fusion(fused):
-        r0, s0, t0, c0 = run_scenario(dedup, "new", backend, np.float64)
-        with filter_pipeline(True, 3):
-            r1, s1, t1, c1 = run_scenario(dedup, "new", backend, np.float64)
+    r0, s0, t0, c0 = run_scenario(dedup, "new", backend, np.float64,
+                                  hemm_fusion=fused)
+    r1, s1, t1, c1 = run_scenario(dedup, "new", backend, np.float64,
+                                  hemm_fusion=fused, pipeline_chunks=3)
 
     assert r1.converged and r0.converged
     assert r1.iterations == r0.iterations
@@ -165,10 +163,10 @@ FAULT_TIERS = [
 
 
 def _run_tier(dedup, fused, workers, pipelined, solver_kw=None):
-    with hemm_fusion(fused), kernel_worker_scope(workers), \
-            filter_pipeline(pipelined, 3):
-        return run_scenario(dedup, "new", CommBackend.NCCL, np.float64,
-                            solver_kw=solver_kw)
+    return run_scenario(
+        dedup, "new", CommBackend.NCCL, np.float64, solver_kw=solver_kw,
+        hemm_fusion=fused, kernel_workers=workers,
+        pipeline_chunks=3 if pipelined else 0)
 
 
 @pytest.mark.parametrize("tier", FAULT_TIERS,

@@ -11,21 +11,22 @@ import numpy as np
 import pytest
 
 from repro import ChaseConfig, ChaseSolver, ConvergenceTrace
-from repro.distributed import DistributedHermitian, filter_pipeline
+from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
-from repro.runtime import CommBackend, Communicator, CostCategory, VirtualCluster
+from repro.runtime import (
+    CommBackend, Communicator, CostCategory, ExecutionConfig, VirtualCluster)
 from tests.conftest import make_grid
 
 
 def _phantom_run(slowdowns: dict[int, float] | None = None, *,
                  pipeline: bool = False):
-    g = make_grid(4, phantom=True)
+    g = make_grid(4, phantom=True, config=ExecutionConfig(
+        pipeline_chunks=4 if pipeline else 0))
     for rid, f in (slowdowns or {}).items():
         g.cluster.ranks[rid].slowdown = f
     Hd = DistributedHermitian.phantom(g, 20_000, np.float64)
     s = ChaseSolver(g, Hd, ChaseConfig(nev=800, nex=200, deg=20))
-    with filter_pipeline(pipeline):
-        res = s.solve_phantom(ConvergenceTrace.fixed(1, 1000, deg=20))
+    res = s.solve_phantom(ConvergenceTrace.fixed(1, 1000, deg=20))
     return res, g
 
 
@@ -135,11 +136,10 @@ class TestStragglerPipeline:
         r1 = ChaseSolver(
             g1, DistributedHermitian.from_dense(g1, H), cfg
         ).solve(V0=V0, rng=np.random.default_rng(1))
-        g2 = make_grid(4)
+        g2 = make_grid(4, config=ExecutionConfig(pipeline_chunks=3))
         g2.cluster.ranks[3].slowdown = 2.0
-        with filter_pipeline(True, 3):
-            r2 = ChaseSolver(
-                g2, DistributedHermitian.from_dense(g2, H), cfg
-            ).solve(V0=V0, rng=np.random.default_rng(1))
+        r2 = ChaseSolver(
+            g2, DistributedHermitian.from_dense(g2, H), cfg
+        ).solve(V0=V0, rng=np.random.default_rng(1))
         np.testing.assert_array_equal(r1.eigenvalues, r2.eigenvalues)
         assert r2.makespan < r1.makespan
