@@ -9,9 +9,7 @@ Stacked optimizations (DESIGN.md §5b/§5c), all charge-identical:
 * **fused** — the panel-fused HEMM: one GEMM per grid row against the
   cached ``[H_i0 | ... | H_i,q-1]`` panel (C->B), one k-fused GEMM per
   row over the stacked ``[B_0; ...; B_q-1]`` (B->C, host-side
-  reduction summation gone);
-* **fused_mt** — fused plus the parallel kernel executor
-  (``repro.runtime.executor``, 2 workers).
+  reduction summation gone).
 
 Every point re-verifies the invariants: eigenvalues/vectors of dedup
 are bit-identical to seed, modeled makespans and CommStats are
@@ -71,7 +69,6 @@ MODES = {
     "seed": ExecutionConfig(numeric_dedup=False),
     "dedup": ExecutionConfig(),
     "fused": ExecutionConfig(hemm_fusion=True),
-    "fused_mt": ExecutionConfig(hemm_fusion=True, kernel_workers=2),
 }
 
 #: ISSUE acceptance targets (fused tier over the PR-1 dedup tier)
@@ -143,7 +140,6 @@ def solve_point(N, nev, nex, p, q, dtype, repeats):
         **{f"wall_s_{m}": round(walls[m], 4) for m in MODES},
         "speedup_dedup": round(walls["seed"] / walls["dedup"], 3),
         "speedup_fused": round(walls["seed"] / walls["fused"], 3),
-        "speedup_fused_mt": round(walls["seed"] / walls["fused_mt"], 3),
         "speedup_fused_vs_dedup": round(walls["dedup"] / walls["fused"], 3),
         "iterations": seed_res.iterations,
         "eigenvalues_identical": bool(
@@ -354,7 +350,7 @@ def hemm_point(N, ne, p, q, dtype, repeats, roundtrips=4):
     """``roundtrips`` C->B->C apply pairs per timing, every mode.
 
     This is the filter's inner loop stripped of everything else — the
-    workload the panel fusion and the executor exist for.
+    workload the panel fusion exists for.
     """
     rng = np.random.default_rng(42)
     H = _hermitian(rng, N, dtype)
@@ -396,7 +392,6 @@ def hemm_point(N, ne, p, q, dtype, repeats, roundtrips=4):
         **{f"wall_s_{m}": round(walls[m], 4) for m in MODES},
         "speedup_dedup": round(walls["seed"] / walls["dedup"], 3),
         "speedup_fused": round(walls["seed"] / walls["fused"], 3),
-        "speedup_fused_mt": round(walls["seed"] / walls["fused_mt"], 3),
         "speedup_fused_vs_dedup": round(walls["dedup"] / walls["fused"], 3),
         "dedup_identical": bool(
             np.array_equal(seed[0], outs["dedup"][0])
@@ -589,8 +584,7 @@ def _run(args) -> None:
         print(
             f"solve  N={N:5d} ne={nev + nex:4d} grid={p}x{q} "
             f"{np.dtype(dt).name:10s}  seed {pt['wall_s_seed']:7.3f}s  "
-            f"dedup x{pt['speedup_dedup']:.2f}  fused x{pt['speedup_fused']:.2f}  "
-            f"fused_mt x{pt['speedup_fused_mt']:.2f}"
+            f"dedup x{pt['speedup_dedup']:.2f}  fused x{pt['speedup_fused']:.2f}"
         )
     for N, ne, p, q, dt in hemms:
         pt = hemm_point(N, ne, p, q, dt, repeats)
@@ -598,8 +592,7 @@ def _run(args) -> None:
         print(
             f"phase  {pt['phase']:24s} N={N:5d} ne={ne:4d} grid={p}x{q} "
             f"{np.dtype(dt).name:10s}  seed {pt['wall_s_seed']:7.3f}s  "
-            f"dedup x{pt['speedup_dedup']:.2f}  fused x{pt['speedup_fused']:.2f}  "
-            f"fused_mt x{pt['speedup_fused_mt']:.2f}"
+            f"dedup x{pt['speedup_dedup']:.2f}  fused x{pt['speedup_fused']:.2f}"
         )
     for kind, N, ne, p, q, dt in phases:
         fn = qr_point if kind == "qr" else rr_resid_point
@@ -649,8 +642,8 @@ def _run(args) -> None:
         "host": host_info(),
         "description": (
             "Host wall-clock of the numeric simulation across execution "
-            "tiers (seed / dedup / fused-panel HEMM / fused + kernel "
-            "executor).  Modeled makespans and CommStats verified "
+            "tiers (seed / dedup / fused-panel HEMM).  Modeled "
+            "makespans and CommStats verified "
             "bit-identical on every point in every mode; dedup numerics "
             "bit-identical to seed; fused numerics within 1e-13*||H|| "
             "and checked against a serial eigvalsh oracle."
@@ -694,8 +687,7 @@ def _run(args) -> None:
         f"wallclock tier benchmark -> {JSON_PATH}\n"
         f"headline solve  N={headline['N']} grid={headline['grid']}: "
         f"dedup x{headline['speedup_dedup']:.2f}  "
-        f"fused x{headline['speedup_fused']:.2f}  "
-        f"fused_mt x{headline['speedup_fused_mt']:.2f}\n"
+        f"fused x{headline['speedup_fused']:.2f}\n"
         f"best HEMM phase grid={best_hemm['grid']}: "
         f"fused-vs-dedup x{best_hemm['speedup_fused_vs_dedup']:.2f}",
     )

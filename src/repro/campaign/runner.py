@@ -94,7 +94,6 @@ TIERS: dict[str, ExecutionConfig] = {
     "seed": ExecutionConfig(numeric_dedup=False),
     "dedup": ExecutionConfig(),
     "fused": ExecutionConfig(hemm_fusion=True),
-    "executor": ExecutionConfig(hemm_fusion=True, kernel_workers=2),
     "pipeline": ExecutionConfig(pipeline_chunks=4),
 }
 

@@ -160,7 +160,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "matrix": "uniform",
         "ranks": 4,
         "backend": "nccl",        # comm model or execution transport
-        "tier": "dedup",          # seed|dedup|fused|executor|pipeline
+        "tier": "dedup",          # seed|dedup|fused|pipeline
         "pipeline_chunks": 4,
         "filter_dtype": None,     # fp16|bf16|fp32|fp64|auto
         "qr_dtype": None,
@@ -207,7 +207,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
     },
 }
 
-_TIERS = ("seed", "dedup", "fused", "executor", "pipeline")
+_TIERS = ("seed", "dedup", "fused", "pipeline")
 _SOLVE_BACKENDS = (
     "nccl", "mpi", "mpi-host", "orchestrated", "threads", "mp"
 )

@@ -81,8 +81,8 @@ def _env_defaults(environ=None) -> dict:
     """Defaults of the ``solve`` / ``serve`` execution flags, from ``REPRO_*``.
 
     The one place the package reads these variables.  Keys are the
-    argparse ``dest`` names (plus ``hemm_fusion`` / ``kernel_workers`` /
-    ``transport``, which have no flag of their own); an unset or empty
+    argparse ``dest`` names (plus ``hemm_fusion`` / ``transport``,
+    which have no flag of their own); an unset or empty
     variable yields the built-in default.  A malformed value raises
     ``ValueError`` naming the variable and what it accepts — it is
     never silently replaced by the default.
@@ -122,7 +122,6 @@ def _env_defaults(environ=None) -> dict:
         "qr_dtype": choice("REPRO_QR_DTYPE", PRECISION_MODES, "fp64"),
         "comm_compress": choice(
             "REPRO_COMM_COMPRESS", COMPRESS_PAYLOADS, "none"),
-        "kernel_workers": integer("REPRO_KERNEL_WORKERS", 1, 1),
         "coll_algo": choice("REPRO_COLL_ALGO", _COLL_ALGOS, None),
         "transport": choice("REPRO_BACKEND", TRANSPORTS, None),
         "faults": integer("REPRO_FAULT_SEED", 0, None),
@@ -147,7 +146,6 @@ def _execution_config(args, env: dict) -> ExecutionConfig:
         filter_dtype=_flag_or_env(args, env, "filter_dtype"),
         qr_dtype=_flag_or_env(args, env, "qr_dtype"),
         comm_compress=_flag_or_env(args, env, "comm_compress"),
-        kernel_workers=env["kernel_workers"],
     )
 
 
@@ -217,16 +215,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             best = report.best.config
             print(f"tuned config: {best.label()} "
                   f"(modeled x{report.speedup:.3f} vs default)")
-            # explicit precision flags override the winner's; the
-            # tuner does not search the worker count
+            # explicit precision flags override the winner's
             explicit = {
                 k: getattr(args, k)
                 for k in ("filter_dtype", "qr_dtype", "comm_compress")
                 if getattr(args, k) is not None
             }
             best = dataclasses.replace(best, execution=dataclasses.replace(
-                best.execution, kernel_workers=env["kernel_workers"],
-                **explicit))
+                best.execution, **explicit))
             with applied(best, n_ranks=args.ranks, backend=comm_backend,
                          transport=transport) as grid:
                 solver, res = solve_on(grid)

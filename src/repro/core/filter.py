@@ -22,7 +22,6 @@ from repro.distributed.hemm import DistributedHemm
 from repro.distributed.multivector import DistributedMultiVector
 from repro.core.precision import WorkPrecision, quantize_half_inplace
 from repro.perfmodel.kernels import elem_bytes
-from repro.runtime import executor
 from repro.runtime.device import axpby_numeric
 
 __all__ = [
@@ -48,10 +47,9 @@ def mv_axpby(
 
     ``out`` (dedup mode only) receives the result in place — its root
     blocks may alias ``X``'s (the recurrence passes ``out=X``) but must
-    not alias ``Y``'s.  With ``out`` or kernel workers > 1 the charges
-    are issued first on the main thread and the per-group arithmetic
-    runs as pure closures (``VirtualCluster.run_kernels``); the bits
-    and the modeled charges are unchanged.
+    not alias ``Y``'s.  With ``out`` every rank is charged first (seed
+    order) and the arithmetic then runs once per replication group; the
+    bits and the modeled charges are unchanged.
     """
     if X.layout != Y.layout or X.ne != Y.ne:
         raise ValueError("mv_axpby needs same-layout, same-width multivectors")
@@ -62,30 +60,19 @@ def mv_axpby(
         or out.layout != X.layout or out.ne != X.ne
     ):
         out = None
-    if dedup and (out is not None or grid.cluster.config.kernel_workers > 1):
+    if dedup and out is not None:
         # decoupled: charge every rank (seed order), then compute once
-        # per replication group
+        # per replication group, in place
         for i in range(grid.p):
             for j in range(grid.q):
                 grid.rank_at(i, j).k.axpby(
                     alpha, X.blocks[(i, j)], beta, Y.blocks[(i, j)], compute=False
                 )
-        roots = X.unique_keys()
-        # KernelCall descriptors (not closures) so the recurrence's axpbys
-        # can ship to the mp backend's kernel plane (DESIGN.md §5h);
-        # elementwise math is bit-identical for any operand layout, and
-        # with out=None the batch stays on the in-process paths
-        results = grid.cluster.run_kernels(
-            [
-                executor.KernelCall(
-                    axpby_numeric,
-                    (alpha, X.blocks[key], beta, Y.blocks[key]),
-                    out=out.blocks[key] if out is not None else None,
-                )
-                for key in roots
-            ]
-        )
-        by_root = dict(zip(roots, results))
+        by_root = {
+            key: axpby_numeric(alpha, X.blocks[key], beta, Y.blocks[key],
+                               out=out.blocks[key])
+            for key in X.unique_keys()
+        }
         blocks = {
             key: by_root[X.rep_root(*key)] for key in X.blocks
         }

@@ -30,7 +30,6 @@ import numpy as np
 from repro.baselines.scalapack_qr import hhqr_1d
 from repro.core.precision import WorkPrecision, narrow_dtype, resolve_work_precision
 from repro.distributed.multivector import DistributedMultiVector
-from repro.runtime.device import syrk_numeric, trsm_numeric
 from repro.runtime.grid import Grid2D
 
 __all__ = [
@@ -139,35 +138,19 @@ def _gram_allreduced(
     """
     dedup = _dedup(C)
     grams = {}
-    if dedup and grid.cluster.config.kernel_workers > 1:
-        # decoupled: charge every rank on the main thread (seed order),
-        # then run the per-grid-row SYRKs concurrently — the unique
-        # Gram blocks are independent between synchronization points
-        for i in range(grid.p):
-            for j in range(grid.q):
-                grid.rank_at(i, j).qr_kernels.syrk(
-                    C.blocks[(i, j)], compute=False, charge_dtype=charge_dtype
+    for i in range(grid.p):
+        for j in range(grid.q):
+            rank = grid.rank_at(i, j)
+            if dedup and j > 0:
+                rank.qr_kernels.syrk(
+                    C.blocks[(i, j)], compute=False,
+                    charge_dtype=charge_dtype,
                 )
-        uniq = grid.cluster.run_kernels(
-            [lambda b=C.blocks[(i, 0)]: syrk_numeric(b) for i in range(grid.p)]
-        )
-        for i in range(grid.p):
-            for j in range(grid.q):
-                grams[(i, j)] = uniq[i]
-    else:
-        for i in range(grid.p):
-            for j in range(grid.q):
-                rank = grid.rank_at(i, j)
-                if dedup and j > 0:
-                    rank.qr_kernels.syrk(
-                        C.blocks[(i, j)], compute=False,
-                        charge_dtype=charge_dtype,
-                    )
-                    grams[(i, j)] = grams[(i, 0)]
-                else:
-                    grams[(i, j)] = rank.qr_kernels.syrk(
-                        C.blocks[(i, j)], charge_dtype=charge_dtype
-                    )
+                grams[(i, j)] = grams[(i, 0)]
+            else:
+                grams[(i, j)] = rank.qr_kernels.syrk(
+                    C.blocks[(i, j)], charge_dtype=charge_dtype
+                )
     if dedup:
         res = grid.col_comm(0).allreduce(
             [grams[(i, 0)] for i in range(grid.p)], shared=True,
@@ -220,24 +203,6 @@ def _trsm_all(
     grid: Grid2D, C: DistributedMultiVector, factors: dict, charge_dtype=None
 ) -> None:
     dedup = _dedup(C)
-    if dedup and grid.cluster.config.kernel_workers > 1:
-        # decoupled charge/compute, as in _gram_allreduced
-        for i in range(grid.p):
-            for j in range(grid.q):
-                grid.rank_at(i, j).qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)], compute=False,
-                    charge_dtype=charge_dtype,
-                )
-        uniq = grid.cluster.run_kernels(
-            [
-                lambda b=C.blocks[(i, 0)], R=factors[(i, 0)]: trsm_numeric(b, R)
-                for i in range(grid.p)
-            ]
-        )
-        for i in range(grid.p):
-            for j in range(grid.q):
-                C.blocks[(i, j)] = uniq[i]
-        return
     for i in range(grid.p):
         for j in range(grid.q):
             rank = grid.rank_at(i, j)

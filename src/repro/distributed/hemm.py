@@ -49,7 +49,6 @@ from repro.distributed.hermitian import DistributedHermitian
 from repro.distributed.multivector import DistributedMultiVector
 from repro.perfmodel.collectives import payload_ratio
 from repro.perfmodel.kernels import bytes_per_scalar, elem_bytes
-from repro.runtime import executor
 from repro.runtime.device import LocalKernels, axpy_into_numeric
 
 __all__ = ["DistributedHemm"]
@@ -90,13 +89,7 @@ def _chunk_view(buf, sl: slice):
     return buf[:, sl]
 
 
-# -- module-level numeric kernels (DESIGN.md §5h) -----------------------------------
-# The executor tiers dispatch these as picklable KernelCall descriptors
-# so the mp backend can run them in worker processes.  Operands are
-# passed in their *stored* layout (full blocks plus slice objects,
-# transposition applied inside) — a pickled view would arrive
-# contiguous, and a different memory layout could perturb the BLAS
-# result in the last ulp, breaking cross-backend bit-identity.
+# -- numeric kernels of the decoupled (charge first, then compute) paths ------------
 
 def panel_cb_numeric(P, Xfull, cols, pairs_i, gamma, alpha, offs, *, out):
     """C->B fused row panel: ``out = alpha (P^T X - gamma overlaps)``."""
@@ -156,10 +149,10 @@ class DistributedHemm:
         #: maps, so this cache needs no version key
         self._overlaps: dict[tuple[int, int], list] = {}
         self._offsets: list[int] | None = None
-        #: per-key reusable workspace of the decoupled tiers (partial
+        #: per-key reusable workspace of the decoupled paths (partial
         #: products and the stacked-B operand; never escapes an apply)
         self._scratch: dict[tuple, np.ndarray] = {}
-        #: full-width per-rank apply times for the pipelined tier
+        #: full-width per-rank apply times for the pipelined path
         self._apply_time_cache: dict[tuple, dict] = {}
         self._cache_version = H.version
 
@@ -322,7 +315,7 @@ class DistributedHemm:
 
         ``pipeline=True`` marks the call as pipeline-eligible (the
         Chebyshev filter hot path); when the cluster's config also sets
-        ``pipeline_chunks``, the apply runs the chunked nonblocking tier
+        ``pipeline_chunks``, the apply runs the chunked nonblocking path
         (:meth:`_apply_pipelined`, DESIGN.md §5d).
 
         ``work_tier`` (``"fp16"``/``"bf16"``, DESIGN.md §5j) marks the
@@ -374,9 +367,7 @@ class DistributedHemm:
                 X, cols, width, to_b, alpha, gamma, out,
                 dedup and numeric_h, fused, rdtype, payload, work_tier,
             )
-        if dedup and numeric_h and (
-            fused or out is not None or cfg.kernel_workers > 1
-        ):
+        if dedup and numeric_h and (fused or out is not None):
             return self._apply_decoupled(
                 X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
                 payload, work_tier,
@@ -490,12 +481,11 @@ class DistributedHemm:
                          rdtype, payload, tier=None):
         """Charge-first, compute-second execution of an aliased apply.
 
-        Pass 1 issues, on the main thread and in the exact seed order,
-        every per-rank modeled charge (:meth:`_charge_block`).  Pass 2
-        runs the pure numeric closures (optionally fused, optionally on
-        the worker pool) and the reductions.  Clocks, tracer and
-        CommStats therefore see the byte-identical sequence of every
-        other path.
+        Pass 1 issues, in the exact seed order, every per-rank modeled
+        charge (:meth:`_charge_block`).  Pass 2 runs the pure numeric
+        kernels (per block, or fused per grid row) and the reductions.
+        Clocks, tracer and CommStats therefore see the byte-identical
+        sequence of every other path.
         """
         grid, H = self.grid, self.H
         p, q = grid.p, grid.q
@@ -512,7 +502,7 @@ class DistributedHemm:
                 self._charge_block(grid.rank_at(i, j).k, i, j, to_b, width,
                                    alpha, gamma, rdtype, tier)
 
-        # ---- pass 2: numerics (closures) + reductions ----
+        # ---- pass 2: numerics + reductions ----
         if fused:
             blocks, base = self._numeric_fused(
                 X, cols, width, to_b, alpha, gamma, out, rdtype, payload, tier
@@ -569,7 +559,6 @@ class DistributedHemm:
                 and out.stacked_base.shape == (offs[-1], width) \
                 and out.stacked_base.dtype == rdtype:
             base = out.stacked_base
-        calls = []
         panels = []
         for i in range(p):
             P = self._row_panel_conj(i, rdtype, tier)
@@ -582,13 +571,8 @@ class DistributedHemm:
                 [(j, self._pairs(i, j)) for j in range(q)]
                 if gamma != 0.0 else None
             )
-            calls.append(executor.KernelCall(
-                panel_cb_numeric,
-                (P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs),
-                out=tgt, cacheable=(0,),
-            ))
-            panels.append(tgt)
-        self.grid.cluster.run_kernels(calls)
+            panels.append(panel_cb_numeric(
+                P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs, out=tgt))
         return panels, base
 
     def _fused_cb_blocks(self, roots, base, out):
@@ -613,7 +597,6 @@ class DistributedHemm:
         Bstack = self._scratch_arr(("bstack",), (offs[-1], width), rdtype)
         for j in range(q):
             Bstack[offs[j]:offs[j + 1], :] = X.local(0, j)[:, cols]
-        calls = []
         tgts = []
         for i in range(p):
             P = self._row_panel(i, rdtype, tier)
@@ -625,21 +608,16 @@ class DistributedHemm:
                 [(j, self._pairs(i, j)) for j in range(q)]
                 if gamma != 0.0 else None
             )
-            calls.append(executor.KernelCall(
-                panel_bc_numeric,
-                (P, Bstack, pairs_i, gamma, alpha, offs),
-                out=tgt, cacheable=(0,),
-            ))
-            tgts.append(tgt)
-        self.grid.cluster.run_kernels(calls)
+            tgts.append(panel_bc_numeric(
+                P, Bstack, pairs_i, gamma, alpha, offs, out=tgt))
         return tgts
 
     def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
                         tier=None, *, persistent: bool = False):
-        """Seed-granularity partial products as executor closures.
+        """Seed-granularity partial products, one per grid block.
 
-        One closure per grid block, arithmetic identical to the seed
-        tier (same operands, same operation order), root targets landing
+        Arithmetic identical to the seed path (same operands, same
+        operation order, row-major block order), root targets landing
         in ``out``'s storage when provided.  ``persistent=True``
         allocates every partial fresh (instead of recycling the scratch
         workspace for non-roots) — required when the partials themselves
@@ -648,23 +626,17 @@ class DistributedHemm:
         grid, H = self.grid, self.H
         p, q = grid.p, grid.q
         complex_h = np.dtype(H.dtype).kind == "c"
-        calls = []
         partials = {}
         for i in range(p):
             for j in range(q):
                 Hij = self._local_work(i, j, rdtype, tier)
-                stable_h = True  # cached operand, content-stable per H.version
                 if to_b:
                     if complex_h:
                         # cached conj for complex (exact seed operand
                         # layout); falls back to the per-call conj
                         # temporary when the config turns dedup off
                         Hc = self._h_conj(i, j, rdtype, tier)
-                        if Hc is not None:
-                            Hop = Hc
-                        else:
-                            Hop = Hij.conj()
-                            stable_h = False  # per-call temporary
+                        Hop = Hc if Hc is not None else Hij.conj()
                     else:
                         Hop = Hij  # .T inside the kernel, free for real blocks
                     trans = True
@@ -684,22 +656,16 @@ class DistributedHemm:
                 else:
                     tgt = self._scratch_arr(("pb", i, j), (rows, width), rdtype)
                 pairs = self._pairs(i, j) if gamma != 0.0 else None
-                calls.append(executor.KernelCall(
-                    block_numeric,
-                    (Hop, trans, X.local(i, j), cols, pairs, gamma, alpha,
-                     to_b),
-                    out=tgt, cacheable=(0,) if stable_h else (),
-                ))
-                partials[(i, j)] = tgt
-        self.grid.cluster.run_kernels(calls)
+                partials[(i, j)] = block_numeric(
+                    Hop, trans, X.local(i, j), cols, pairs, gamma, alpha,
+                    to_b, out=tgt)
         return partials
 
     def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
                            payload=None, tier=None):
         """Seed-granularity numerics (partials + shared reductions).
 
-        Used when fusion is off but an ``out`` buffer or a worker pool
-        is in play.
+        Used when fusion is off but an ``out`` buffer is in play.
         """
         grid = self.grid
         p, q = grid.p, grid.q

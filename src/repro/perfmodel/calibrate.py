@@ -49,7 +49,6 @@ than the conditioning gate predicts and the limit should come down.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -61,7 +60,6 @@ from repro.runtime import blas
 __all__ = [
     "measure_rate",
     "calibrate_local_machine",
-    "predicted_backend_speedup",
 ]
 
 
@@ -107,39 +105,6 @@ def measure_rate(kind: str, n: int = 512, repeats: int = 3,
         op()
         best = min(best, time.perf_counter() - t0)
     return flops / best
-
-
-def predicted_backend_speedup(
-    n_ranks: int,
-    *,
-    cores: int | None = None,
-    parallel_fraction: float = 0.9,
-) -> float:
-    """Amdahl bound for the real (host wall-clock) speedup of running the
-    data plane on ``n_ranks`` OS processes (the ``mp`` transport,
-    DESIGN.md §5h) instead of in-process.
-
-    Only the rank-local arithmetic parallelizes — ``parallel_fraction``
-    of the serial wall time, executed ``min(n_ranks, cores)``-way wide
-    (one BLAS pool per worker process; extra ranks beyond the physical
-    core count time-slice and add nothing).  The remaining serial
-    fraction is the orchestrated control plane: model charges, staging,
-    collectives' accumulation order, Python bookkeeping.
-
-    ``cores`` defaults to the local ``os.cpu_count()``; pass the target
-    machine's count to predict for other hosts.
-    ``benchmarks/bench_backend_scaling.py`` compares this prediction
-    against measured multi-core solve scaling — on a single-core box the
-    bound degenerates to 1.0 and no real speedup is achievable.
-    """
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    if not 0.0 <= parallel_fraction <= 1.0:
-        raise ValueError("parallel_fraction must be in [0, 1]")
-    cores = cores if cores is not None else (os.cpu_count() or 1)
-    ways = max(1, min(int(n_ranks), int(cores)))
-    serial = 1.0 - parallel_fraction
-    return 1.0 / (serial + parallel_fraction / ways)
 
 
 def measure_bandwidth(nbytes: int = 64 * 1024 * 1024, repeats: int = 3) -> float:

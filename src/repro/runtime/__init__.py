@@ -23,11 +23,6 @@ from repro.runtime.rank import RankContext
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.cluster import VirtualCluster
 from repro.runtime.communicator import CollectiveRequest, Communicator
-from repro.runtime.executor import (
-    KernelCall,
-    run_kernels,
-    set_kernel_fault_hook,
-)
 from repro.runtime.transport import (
     TRANSPORTS,
     Transport,
@@ -69,9 +64,6 @@ __all__ = [
     "CollectiveRequest",
     "Grid2D",
     "squarest_grid",
-    "set_kernel_fault_hook",
-    "run_kernels",
-    "KernelCall",
     "TRANSPORTS",
     "Transport",
     "TransportError",

@@ -10,7 +10,8 @@ mixes the two (every ``scipy.linalg.solve_triangular`` sits between
 NumPy GEMM / SYRK / POTRF / HEEVD calls), so the idle spinners of one
 pool take cores away from the other's next call.
 
-This module owns the rule every process the runtime starts obeys:
+This module owns the rule the solving process obeys (the mp backend's
+workers move payloads and never call BLAS):
 **at most one multi-threaded pool, never more BLAS threads than cores.**
 
 * :func:`pools` discovers every controllable pool loaded in the process
@@ -19,12 +20,10 @@ This module owns the rule every process the runtime starts obeys:
   as the *primary*.
 * :func:`one_pool_scope` — entered at the numeric solve boundaries —
   pins every other pool to one thread and caps the primary at the usable
-  cores; :func:`single_thread_scope` (the executor's oversubscription
-  guard) drops *all* pools to one thread while worker threads call BLAS
-  concurrently.  Both restore the previous counts on exit, nest, and are
-  exception-safe.
-* :func:`pin_process` sizes the pools of a process for good (the mp
-  backend's workers, ``cores // n_ranks`` threads each).
+  cores.  It restores the previous counts on exit, nests, and is
+  exception-safe.  :func:`single_thread_scope` drops *all* pools to one
+  thread the same way; no library code enters it — it is the reference
+  layout ``tests/test_blas_pools.py`` compares the placed solve against.
 * :func:`describe` reports the layout, so a wall-clock number can be
   recorded next to the pools it was measured under.
 
@@ -50,7 +49,6 @@ __all__ = [
     "usable_cores",
     "one_pool_scope",
     "single_thread_scope",
-    "pin_process",
     "describe",
     "describe_line",
 ]
@@ -260,15 +258,10 @@ class _Layout:
 #: cores — the scope of a numeric solve (a no-op with fewer than two pools)
 one_pool_scope = _Layout(_one_pool_counts)
 
-#: limit *every* pool to 1 thread — for the time several Python threads
-#: call BLAS at once (``executor.run_kernels`` with workers)
+#: limit *every* pool to 1 thread — the fully serial reference layout the
+#: tests solve under to show placement changes wall-clock only (bit-equal
+#: makespan / CommStats, eigenpairs to tolerance); not used by the library
 single_thread_scope = _Layout(_single_thread_counts)
-
-
-def pin_process(threads: int) -> None:
-    """Size this process's pools for good: primary ``threads``, the rest 1."""
-    for pool in pools():
-        pool.set_threads(threads if pool.primary else 1)
 
 
 def describe() -> list[dict]:

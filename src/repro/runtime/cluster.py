@@ -8,7 +8,6 @@ import math
 from repro.perfmodel.collectives import CollectiveAlgo
 from repro.perfmodel.machine import MachineSpec, juwels_booster
 from repro.perfmodel.topology import FatTree
-from repro.runtime import executor
 from repro.runtime.backend import CommBackend
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, RecoveryExhaustedError
@@ -229,12 +228,6 @@ class VirtualCluster:
         new.ranks = survivors
         new._fixed_n_nodes = len({r.node for r in survivors})
         return new
-
-    def run_kernels(self, closures) -> list:
-        """Run independent numeric closures (:func:`executor.run_kernels`)
-        on this cluster's worker count and its transport's kernel plane."""
-        return executor.run_kernels(
-            closures, self.config.kernel_workers, self.transport.kernel_plane)
 
     def close(self) -> None:
         """Release the execution backend's resources (idempotent).

@@ -29,7 +29,7 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The seven execution choices of a solve; defaults are the seed path.
+    """The six execution choices of a solve; defaults are the seed path.
 
     numeric_dedup:
         Build numeric multivectors with one shared ndarray per
@@ -53,9 +53,6 @@ class ExecutionConfig:
     comm_compress:
         Wire word width of the filter's HEMM reductions while the apply
         itself runs narrow; ``none`` keeps full-width payloads.
-    kernel_workers:
-        Host threads (or mp-backend worker processes) independent
-        kernel batches fan out over; ``1`` is serial execution.
     """
 
     numeric_dedup: bool = True
@@ -64,7 +61,6 @@ class ExecutionConfig:
     filter_dtype: str = "fp64"
     qr_dtype: str = "fp64"
     comm_compress: str = "none"
-    kernel_workers: int = 1
 
     def __post_init__(self) -> None:
         for name in ("numeric_dedup", "hemm_fusion"):
@@ -83,7 +79,3 @@ class ExecutionConfig:
             if value not in allowed:
                 raise ValueError(
                     f"{name} must be one of {allowed}, got {value!r}")
-        if not _is_int(self.kernel_workers) or self.kernel_workers < 1:
-            raise ValueError(
-                f"kernel_workers must be an integer >= 1, "
-                f"got {self.kernel_workers!r}")

@@ -55,9 +55,9 @@ def _any_phantom(*xs) -> bool:
 
 # -- pure numeric kernels ----------------------------------------------------------
 # The arithmetic of the charged kernels, factored out so the decoupled
-# charge/compute paths (``repro.distributed.hemm``, ``repro.core.qr``)
-# can hand the *exact same* operations to ``repro.runtime.executor`` as
-# closures.  No charging, no phantom handling — ndarrays only.  The
+# charge/compute paths (``repro.distributed.hemm``, ``repro.core.filter``)
+# run the *exact same* operations after charging every rank first.  No
+# charging, no phantom handling — ndarrays only.  The
 # optional ``out`` writes into preallocated storage; ``np.matmul`` with
 # ``out=`` produces the same bits as ``@`` (same BLAS call, caller
 # supplies the result buffer).

@@ -6,8 +6,8 @@ memory corruption are routine.  This module gives the simulator a
 *fault model*: a :class:`FaultPlan` schedules seeded, reproducible
 events, and a :class:`FaultInjector` (attached to a
 :class:`~repro.runtime.cluster.VirtualCluster`) arms them against the
-hooks in :class:`~repro.runtime.communicator.Communicator`, the solver
-loop and the kernel executor.
+hooks in :class:`~repro.runtime.communicator.Communicator` and the
+solver loop.
 
 Event kinds and their trigger domains:
 
@@ -28,16 +28,16 @@ Event kinds and their trigger domains:
 
 * **solver-level** (triggered by *iteration index*, polled at the top
   of each outer iteration — iteration boundaries are the only points
-  that are bit-identical across every execution tier, including the
-  pipelined filter whose model times legitimately differ):
+  that are bit-identical across every execution configuration,
+  including the pipelined filter whose model times legitimately differ):
 
   - ``BIT_CORRUPTION`` — flips an exponent bit of one element of the
-    target rank's local C panel (all replicas, so every execution tier
-    sees the identical corrupted state); detected by the solver's
-    locked-residual sweep;
-  - ``KERNEL_CRASH`` — a device kernel batch aborts
-    (:class:`ExecutorFaultError`); the executor exposes the same
-    injection point via ``repro.runtime.executor.set_kernel_fault_hook``.
+    target rank's local C panel (all replicas, so every execution
+    configuration sees the identical corrupted state); detected by the
+    solver's locked-residual sweep;
+  - ``KERNEL_CRASH`` — a device kernel batch aborts: the solver's
+    poll raises :class:`ExecutorFaultError` and recovery restarts the
+    iteration from the last checkpoint.
 
 With no injector attached every hook is a no-op returning the exact
 seed control flow — modeled times, CommStats and numerics stay
@@ -140,7 +140,7 @@ class FaultKind(enum.Enum):
 _TIME_KINDS = frozenset(
     {FaultKind.RANK_DEATH, FaultKind.COLLECTIVE_TRANSIENT, FaultKind.LINK_SLOWDOWN}
 )
-#: kinds triggered by outer-iteration index (tier-invariant points)
+#: kinds triggered by outer-iteration index (configuration-invariant points)
 _ITERATION_KINDS = frozenset(
     {FaultKind.BIT_CORRUPTION, FaultKind.KERNEL_CRASH}
 )
@@ -293,19 +293,18 @@ class FaultPlan:
 class FaultInjector:
     """Runtime state of one fault plan, shared by a cluster's ranks.
 
-    The injector is consulted from three hooks:
+    The injector is consulted from two hooks:
 
     * ``Communicator._fault_entry`` at every collective entry (model
       time = the barrier entry instant): activates due time-triggered
       events, detects dead participants, drives transient retries and
       returns the link-slowdown multiplier;
     * the solver's per-iteration poll (:meth:`crash_for` /
-      :meth:`corruptions_for` / :meth:`dead_among`);
-    * the executor's module hook (:meth:`kernel_hook`).
+      :meth:`corruptions_for` / :meth:`dead_among`).
 
     Every consumption appends to :attr:`log`, giving a deterministic
     fault/recovery *trajectory* that tests compare across execution
-    tiers bit-for-bit.
+    configurations bit-for-bit.
     """
 
     def __init__(self, plan: FaultPlan, n_ranks: int, *,
@@ -335,11 +334,10 @@ class FaultInjector:
         #: bookkeeping surfaced on ChaseResult
         self.recoveries = 0
         self.checkpoints = 0
-        self._armed_crash: FaultEvent | None = None
 
     # -- shared ---------------------------------------------------------------
     def note(self, *entry) -> None:
-        """Append one trajectory record (deterministic across tiers)."""
+        """Append one trajectory record (deterministic across configs)."""
         self.log.append(tuple(entry))
 
     def poll(self, now: float) -> None:
@@ -405,27 +403,6 @@ class FaultInjector:
             self.note("kernel_crash", ev.rank, ev.iteration)
             return ev
         return None
-
-    # -- executor hook ---------------------------------------------------------------
-    def arm_kernel_crash(self, event: FaultEvent | None = None) -> None:
-        """Arm :meth:`kernel_hook` to abort the next kernel batch."""
-        self._armed_crash = event or FaultEvent(
-            FaultKind.KERNEL_CRASH, iteration=1
-        )
-
-    def kernel_hook(self) -> None:
-        """Module hook for ``executor.set_kernel_fault_hook``.
-
-        Raises :class:`ExecutorFaultError` once per armed crash; a
-        no-op otherwise (the executor calls it at every batch entry).
-        """
-        ev = self._armed_crash
-        if ev is not None:
-            self._armed_crash = None
-            self.note("kernel_crash_batch", ev.rank)
-            raise ExecutorFaultError(
-                f"kernel batch aborted (simulated crash at rank {ev.rank})"
-            )
 
     # -- reporting -------------------------------------------------------------------
     @property

@@ -1,12 +1,13 @@
 """The ``mp`` execution backend: one OS process per rank over shared memory.
 
 DESIGN.md §5h.  The orchestrated runtime and the ``threads`` backend
-both live inside one Python process — one GIL, one multi-threaded BLAS
-pool (:mod:`repro.runtime.blas`) — so raw wall-clock is capped no
-matter how good the modeled makespans get.  This backend runs each
-backend rank as a real **spawned process** with its own interpreter and
-its own BLAS pool sized to ``cores // n_ranks`` threads, the
-multiprocess analogue of the paper's one-rank-per-GPU layout:
+both move every payload inside one Python process.  This backend gives
+each backend rank a real **spawned process** and moves the collectives'
+payloads across process boundaries.  It is a *collectives-only* data
+plane: the solver loop and every BLAS kernel stay on the orchestrating
+process (under its one multi-threaded pool, :mod:`repro.runtime.blas`);
+a worker's whole vocabulary is ``ping`` / ``drop`` / ``reduce`` /
+``fetch`` / ``exit`` and it never calls BLAS:
 
 * **Rendezvous** follows the NCCL wrapper idiom (UniqueId + rank/size
   construction): one random :class:`UniqueId` token names the session,
@@ -23,12 +24,6 @@ multiprocess analogue of the paper's one-rank-per-GPU layout:
   total back into the original buffers.  A broadcast is the mirror
   image: root segment in, every non-root worker pulls it across
   process boundaries into its own segment, main copies out.
-* **Kernel offload** (:class:`MpKernelPlane`): the executor's
-  charge-then-compute split hands batches of picklable
-  :class:`~repro.runtime.executor.KernelCall` descriptors to the
-  workers, where the GEMMs run under independent BLAS pools.  Operands
-  marked cacheable (the solver's constant H panels) are shipped once
-  and referenced by token afterwards.
 
 **Liveness.**  Every reply is awaited in a poll-and-probe loop: a dead
 worker process surfaces as a typed
@@ -47,17 +42,14 @@ match the modeled CommStats exactly (oracle parity).
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import os
 import time
 import traceback
-import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.runtime import blas
 from repro.runtime.transport import (
     Transport,
     TransportDeadRankError,
@@ -66,7 +58,7 @@ from repro.runtime.transport import (
     TransportTimeoutError,
 )
 
-__all__ = ["UniqueId", "MpTransport", "MpKernelPlane"]
+__all__ = ["UniqueId", "MpTransport"]
 
 
 class UniqueId:
@@ -97,12 +89,7 @@ def _worker_main(token: str, rank: int, size: int, conn) -> None:
     command is answered with ``("ok", payload)`` or ``("error", text)``
     — the orchestrator never waits on a reply that cannot come.
     """
-    # the one-rank-per-GPU layout of the paper, on host cores: the team
-    # shares the host, so each rank gets its share of the cores on the
-    # primary pool and one thread on any other
-    blas.pin_process(max(1, blas.usable_cores() // size))
     segments: dict[str, shared_memory.SharedMemory] = {}
-    cache: dict[int, np.ndarray] = {}
 
     def attach(name: str) -> shared_memory.SharedMemory:
         shm = segments.get(name)
@@ -140,25 +127,6 @@ def _worker_main(token: str, rank: int, size: int, conn) -> None:
                     _, src, dst, shape, dtype = msg
                     np.copyto(view(dst, shape, dtype), view(src, shape, dtype))
                     conn.send(("ok", None))
-                elif op == "calls":
-                    results = []
-                    for fn, enc_args, out_spec in msg[1]:
-                        args = []
-                        for item in enc_args:
-                            kind = item[0]
-                            if kind == "v":
-                                args.append(item[1])
-                            elif kind == "p":
-                                cache[item[1]] = item[2]
-                                args.append(item[2])
-                            else:  # "r"
-                                args.append(cache[item[1]])
-                        if out_spec is not None:
-                            out = np.empty(out_spec[0], np.dtype(out_spec[1]))
-                            results.append(fn(*args, out=out))
-                        else:
-                            results.append(fn(*args))
-                    conn.send(("ok", results))
                 elif op == "exit":
                     conn.send(("ok", None))
                     return
@@ -179,8 +147,7 @@ def _worker_main(token: str, rank: int, size: int, conn) -> None:
 class _WorkerProc:
     """Main-process handle of one backend-rank process + its segment."""
 
-    __slots__ = ("rank", "conn", "proc", "segment", "seg_name", "generation",
-                 "sent_tokens")
+    __slots__ = ("rank", "conn", "proc", "segment", "seg_name", "generation")
 
     def __init__(self, uid: UniqueId, rank: int, size: int, ctx):
         self.rank = rank
@@ -193,7 +160,6 @@ class _WorkerProc:
         self.segment: shared_memory.SharedMemory | None = None
         self.seg_name: str | None = None
         self.generation = 0
-        self.sent_tokens: set[int] = set()
 
 
 class MpGroup(TransportGroup):
@@ -242,91 +208,13 @@ class MpGroup(TransportGroup):
         self.transport.rpc_all(members, [("ping",)] * len(members))
 
 
-class MpKernelPlane:
-    """Kernel offload onto the mp workers (independent BLAS pools).
-
-    Engaged by :func:`repro.runtime.executor.run_kernels` when this
-    transport is active, ``ExecutionConfig.kernel_workers`` is above
-    one, and the whole batch is
-    :class:`~repro.runtime.executor.KernelCall` descriptors.  Calls are
-    dealt round-robin across the first ``workers`` backend ranks;
-    results are copied back into each call's ``out`` storage, so
-    downstream aliasing is exactly the in-process execution's.
-    """
-
-    #: operands smaller than this are always shipped by value
-    CACHE_MIN_BYTES = 1 << 14
-
-    _token_counter = itertools.count(1)
-
-    def __init__(self, transport: "MpTransport"):
-        self.transport = transport
-        self._tokens: dict[int, tuple[weakref.ref, int]] = {}
-
-    def _token(self, arr: np.ndarray) -> int:
-        """Stable token for a cacheable operand, by object identity.
-
-        The weakref guards against id reuse: a *new* array at a
-        recycled address gets a fresh token, so worker caches can never
-        serve stale content for it.
-        """
-        key = id(arr)
-        entry = self._tokens.get(key)
-        if entry is not None and entry[0]() is arr:
-            return entry[1]
-        token = next(self._token_counter)
-        self._tokens[key] = (weakref.ref(arr), token)
-        return token
-
-    def _encode(self, call, worker: _WorkerProc) -> tuple:
-        enc = []
-        for k, a in enumerate(call.args):
-            if (k in call.cacheable and isinstance(a, np.ndarray)
-                    and a.nbytes >= self.CACHE_MIN_BYTES):
-                token = self._token(a)
-                if token in worker.sent_tokens:
-                    enc.append(("r", token))
-                else:
-                    worker.sent_tokens.add(token)
-                    enc.append(("p", token, a))
-            else:
-                enc.append(("v", a))
-        out_spec = None
-        if call.out is not None:
-            out_spec = (call.out.shape, call.out.dtype.str)
-        return (call.fn, enc, out_spec)
-
-    def run_calls(self, calls: list, workers: int | None = None) -> list:
-        """Run a batch of KernelCalls on the process team, in order."""
-        t = self.transport
-        n = min(workers or t.n_ranks, t.n_ranks, len(calls))
-        index_map = [list(range(len(calls)))[w::n] for w in range(n)]
-        ranks, msgs = [], []
-        for w in range(n):
-            wk = t.worker(w)
-            payload = [self._encode(calls[i], wk) for i in index_map[w]]
-            ranks.append(w)
-            msgs.append(("calls", payload))
-        replies = t.rpc_all(ranks, msgs)
-        results: list = [None] * len(calls)
-        for w, reply in enumerate(replies):
-            for i, res in zip(index_map[w], reply):
-                call = calls[i]
-                if call.out is not None:
-                    np.copyto(call.out, res)
-                    results[i] = call.out
-                else:
-                    results[i] = res
-        return results
-
-
 class MpTransport(Transport):
     """The ``mp`` backend: spawned worker processes + shm segments.
 
-    Workers spawn lazily (first collective or kernel batch that needs
-    them), are constructed from ``(UniqueId, rank, size)`` and live for
-    the transport's lifetime; :meth:`close` (also registered atexit)
-    retires them and unlinks every segment.
+    Workers spawn lazily (first collective that needs them), are
+    constructed from ``(UniqueId, rank, size)`` and live for the
+    transport's lifetime; :meth:`close` (also registered atexit) retires
+    them and unlinks every segment.
     """
 
     name = "mp"
@@ -341,12 +229,7 @@ class MpTransport(Transport):
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: list[_WorkerProc | None] = [None] * self.n_ranks
         self._closed = False
-        self._plane = MpKernelPlane(self)
         atexit.register(self.close)
-
-    @property
-    def kernel_plane(self) -> MpKernelPlane:
-        return self._plane
 
     def _make_group(self, member_ids):
         return MpGroup(self, member_ids)

@@ -5,7 +5,7 @@ main thread walks the solver, charges every modeled cost, and records
 CommStats; that is what makes the cost model the *oracle*.  What this
 module makes pluggable is the **data plane**: who actually moves the
 multivector payloads and who runs the rank-local arithmetic when a
-collective (or kernel batch) executes.
+collective executes.
 
 Three backends conform to the :class:`Transport` interface:
 
@@ -16,8 +16,8 @@ Three backends conform to the :class:`Transport` interface:
   :class:`threading.Barrier` rounds and the write-back fan-out runs on
   the rank threads (NumPy releases the GIL inside the copies/BLAS).
 * ``mp`` (:mod:`repro.runtime.mp_backend`) — one spawned OS **process**
-  per rank with an independent BLAS pool, shared-memory segments for
-  multivector exchange and a NCCL-style UniqueId rendezvous.
+  per rank, shared-memory segments for multivector exchange and a
+  NCCL-style UniqueId rendezvous; collectives only, no BLAS in workers.
 
 Construction idiom (after the DGL NCCL wrapper, SNIPPETS.md snippet 2):
 a transport is built from ``(unique_id, rank, size)``-style state once
@@ -338,12 +338,6 @@ class Transport:
 
     def _make_group(self, member_ids) -> TransportGroup:
         return TransportGroup(self, member_ids)
-
-    @property
-    def kernel_plane(self):
-        """Kernel-offload plane for :func:`repro.runtime.executor.run_kernels`
-        (``None``: kernels run in process, the seed behavior)."""
-        return None
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""

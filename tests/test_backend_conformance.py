@@ -37,11 +37,10 @@ BACKENDS = ("threads", "mp")
 
 
 def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, compress=None,
-           plan=None, workers=1):
+           plan=None):
     rng = np.random.default_rng(12345)
     H = uniform_matrix(n, rng=rng)
-    config = ExecutionConfig(comm_compress=compress or "none",
-                             kernel_workers=workers)
+    config = ExecutionConfig(comm_compress=compress or "none")
     with VirtualCluster(p * q, backend=backend, config=config) as cluster:
         grid = Grid2D(cluster, p, q)
         if plan is not None:
@@ -80,15 +79,6 @@ class TestConformanceMatrix:
         np.testing.assert_array_equal(res.residual_norms, base.residual_norms)
         assert stats == stats0
         assert levels == levels0
-
-    def test_mp_kernel_plane_bit_identical(self):
-        """With ``kernel_workers`` above one the mp backend ships the
-        hemm/axpby batches to worker BLAS pools; bits must not move."""
-        base, stats0, _ = _solve("orchestrated", workers=1)
-        res, stats, _ = _solve("mp", workers=2)
-        np.testing.assert_array_equal(res.eigenvalues, base.eigenvalues)
-        np.testing.assert_array_equal(res.eigenvectors, base.eigenvectors)
-        assert stats == stats0
 
     def test_run_twice_identical(self):
         """The threads backend is deterministic across runs (the
@@ -168,6 +158,25 @@ class TestMpFaults:
                 t.rpc(0, ("definitely-not-a-command",))
         finally:
             t.close()
+
+    def test_worker_vocabulary_is_the_data_plane_only(self):
+        """``mp`` is a collectives-only data plane: after a real solve
+        every live worker still refuses the retired kernel-offload
+        command — its vocabulary is ping/drop/reduce/fetch (+ exit)."""
+        H = uniform_matrix(96, rng=np.random.default_rng(12345))
+        with VirtualCluster(2, backend="mp") as cluster:
+            grid = Grid2D(cluster, 2, 1)
+            Hd = DistributedHermitian.from_dense(grid, H)
+            res = ChaseSolver(grid, Hd, ChaseConfig(nev=8, nex=6)).solve(
+                rng=np.random.default_rng(7))
+            assert res.converged
+            t = cluster.transport
+            spawned = [w.rank for w in t._workers if w is not None]
+            assert spawned == [0, 1]
+            for rank in spawned:
+                with pytest.raises(TransportError, match="unknown command"):
+                    t.rpc(rank, ("calls", []))
+                assert t.rpc(rank, ("ping",)) == rank  # still serving
 
     def test_closed_transport_refuses(self):
         t = MpTransport(1)

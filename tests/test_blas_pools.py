@@ -18,7 +18,6 @@ import types
 import numpy as np
 import pytest
 
-import repro.core.qr
 import repro.runtime.device
 from repro import ChaseConfig, ChaseSolver, chase_serial
 from repro.distributed import DistributedHermitian
@@ -72,9 +71,7 @@ def trsm_counts(monkeypatch) -> list[list[int]]:
         seen.append(counts())
         return inner(X, R)
 
-    # the definition and its one ``from ... import`` site
     monkeypatch.setattr(repro.runtime.device, "trsm_numeric", recording)
-    monkeypatch.setattr(repro.core.qr, "trsm_numeric", recording)
     return seen
 
 
@@ -222,15 +219,6 @@ class TestOnePoolScope:
         assert not any(t.is_alive() for t in threads)
         assert not bad
         assert counts() == before
-
-    def test_pin_process_sizes_primary_and_pins_the_rest(self):
-        before = counts()
-        try:
-            blas.pin_process(1)
-            assert counts() == [1] * len(POOLS)
-        finally:
-            for pool, n in zip(POOLS, before):
-                pool.set_threads(n)
 
 
 # ---------------------------------------------------------------- solve level

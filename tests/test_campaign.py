@@ -250,6 +250,13 @@ def test_spec_errors_are_typed():
     dup = probe_spec_dict([1, 1], [0, 0])
     with pytest.raises(SpecError):
         spec_from_dict(dup).expand()  # duplicate label/config
+    retired = {"campaign": "x", "matrix": [
+        {"name": "t", "set": {"kind": "solve", "n": 64, "nev": 4,
+                              "tier": "executor"}}]}
+    with pytest.raises(SpecError, match=(
+            r"unknown tier 'executor' \(expected one of "
+            r"\('seed', 'dedup', 'fused', 'pipeline'\)\)")):
+        spec_from_dict(retired).expand()
 
 
 def test_exclude_drop_and_skip(tmp_path):

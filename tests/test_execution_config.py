@@ -56,13 +56,24 @@ POLLUTED = {
 def test_defaults_are_the_seed_path():
     assert ExecutionConfig() == ExecutionConfig(
         numeric_dedup=True, hemm_fusion=False, pipeline_chunks=0,
-        filter_dtype="fp64", qr_dtype="fp64", comm_compress="none",
-        kernel_workers=1)
+        filter_dtype="fp64", qr_dtype="fp64", comm_compress="none")
     assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
         "numeric_dedup", "hemm_fusion", "pipeline_chunks", "filter_dtype",
-        "qr_dtype", "comm_compress", "kernel_workers"]
+        "qr_dtype", "comm_compress"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ExecutionConfig().hemm_fusion = True
+
+
+def test_kernel_workers_is_gone_not_aliased():
+    """One way to run a kernel batch: the worker count is not a field
+    (a plain ``TypeError``, no shim) and the CLI's env parser neither
+    returns nor reads one — a malformed value is not even looked at."""
+    with pytest.raises(TypeError, match="kernel_workers"):
+        ExecutionConfig(kernel_workers=1)
+    assert not hasattr(VirtualCluster(2), "run_kernels")
+    env = _env_defaults({"REPRO_KERNEL_WORKERS": "abc"})
+    assert env == _env_defaults({})
+    assert "kernel_workers" not in env and len(env) == 10
 
 
 @pytest.mark.parametrize("field, bad, env_var, env_bad", [
@@ -74,8 +85,6 @@ def test_defaults_are_the_seed_path():
     ("filter_dtype", "fp23", "REPRO_FILTER_DTYPE", "fp23"),
     ("qr_dtype", "FP32", "REPRO_QR_DTYPE", "double"),
     ("comm_compress", "fp64", "REPRO_COMM_COMPRESS", "zstd"),
-    ("kernel_workers", 0, "REPRO_KERNEL_WORKERS", "abc"),
-    ("kernel_workers", 2.0, "REPRO_KERNEL_WORKERS", "0"),
     (None, None, "REPRO_COLL_ALGO", "nope"),
     (None, None, "REPRO_BACKEND", "smoke-signals"),
     (None, None, "REPRO_FAULT_SEED", "x7"),
@@ -96,20 +105,20 @@ def test_env_defaults_parse_every_knob():
     assert _env_defaults({}) == {
         "hemm_fusion": False, "pipeline_filter": False,
         "pipeline_chunks": 4, "filter_dtype": "fp64", "qr_dtype": "fp64",
-        "comm_compress": "none", "kernel_workers": 1, "coll_algo": None,
+        "comm_compress": "none", "coll_algo": None,
         "transport": None, "faults": None, "checkpoint": None,
     }
     assert _env_defaults({
         "REPRO_HEMM_FUSION": "on", "REPRO_FILTER_PIPELINE": "TRUE",
         "REPRO_FILTER_CHUNKS": "6", "REPRO_FILTER_DTYPE": " BF16 ",
         "REPRO_QR_DTYPE": "auto", "REPRO_COMM_COMPRESS": "fp16",
-        "REPRO_KERNEL_WORKERS": "3", "REPRO_COLL_ALGO": "tree",
+        "REPRO_COLL_ALGO": "tree",
         "REPRO_BACKEND": "threads", "REPRO_FAULT_SEED": "11",
         "REPRO_CHECKPOINT_EVERY": "2",
     }) == {
         "hemm_fusion": True, "pipeline_filter": True,
         "pipeline_chunks": 6, "filter_dtype": "bf16", "qr_dtype": "auto",
-        "comm_compress": "fp16", "kernel_workers": 3, "coll_algo": "tree",
+        "comm_compress": "fp16", "coll_algo": "tree",
         "transport": "threads", "faults": 11, "checkpoint": 2,
     }
 
@@ -174,7 +183,7 @@ def test_import_and_default_cluster_ignore_the_environment():
         "assert c.config == ExecutionConfig(), c.config\n"
         "print(c.collective_algo.value, c.transport.name)\n",
         {**POLLUTED, "REPRO_BACKEND": "threads",
-         "REPRO_FILTER_CHUNKS": "bogus", "REPRO_KERNEL_WORKERS": "abc"},
+         "REPRO_FILTER_CHUNKS": "bogus"},
     )
     assert out.split() == ["ring", "orchestrated"]
 

@@ -29,8 +29,6 @@ from repro.runtime import (
     FaultPlan,
     RankDeathError,
     VirtualCluster,
-    run_kernels,
-    set_kernel_fault_hook,
 )
 
 from tests.conftest import make_grid
@@ -184,19 +182,6 @@ def test_link_slowdown_scales_collective_time():
     # same data, same stats, strictly more modeled time
     assert slow.stats.as_tuple() == ref.stats.as_tuple()
     assert slow_cluster.makespan() > ref_cluster.makespan()
-
-
-def test_executor_fault_hook_aborts_batch_once():
-    inj = FaultInjector(FaultPlan(events=()), 4)
-    inj.arm_kernel_crash()
-    prev = set_kernel_fault_hook(inj.kernel_hook)
-    try:
-        with pytest.raises(ExecutorFaultError):
-            run_kernels([lambda: 1, lambda: 2])
-        # one-shot: the next batch runs clean
-        assert run_kernels([lambda: 1, lambda: 2]) == [1, 2]
-    finally:
-        set_kernel_fault_hook(prev)
 
 
 def test_cluster_shrink_preserves_clocks_and_refuses_total_loss():

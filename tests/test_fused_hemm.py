@@ -42,9 +42,8 @@ def _vectors(rng, n, ne, dtype):
     return V
 
 
-def _roundtrip(Hd, V, *, dedup, fused, workers=1, p=2, q=2, gamma=0.0,
-               alpha=1.0, cols=None, block_size=None, pipeline=False,
-               chunks=4):
+def _roundtrip(Hd, V, *, dedup, fused, p=2, q=2, gamma=0.0, alpha=1.0,
+               cols=None, block_size=None, pipeline=False, chunks=4):
     """One C->B and one B->C apply; returns gathers + modeled charges.
 
     The applies are always marked pipeline-eligible (as the filter hot
@@ -53,7 +52,7 @@ def _roundtrip(Hd, V, *, dedup, fused, workers=1, p=2, q=2, gamma=0.0,
     byte-for-byte the seed behaviour.
     """
     g = make_grid(p * q, p=p, q=q, config=ExecutionConfig(
-        numeric_dedup=dedup, hemm_fusion=fused, kernel_workers=workers,
+        numeric_dedup=dedup, hemm_fusion=fused,
         pipeline_chunks=chunks if pipeline else 0))
     H = DistributedHermitian.from_dense(g, Hd, block_size=block_size)
     hemm = DistributedHemm(H)
@@ -262,7 +261,7 @@ class TestPipelinedCrossTier:
     """The chunked nonblocking tier composed with every other tier.
 
     Pipelining is a *schedule* transform: within any execution tier
-    (seed, dedup, decoupled-with-workers, fused) it must reproduce that
+    (seed, dedup, fused) it must reproduce that
     tier's numerics bit for bit and its collective byte volume exactly,
     while never increasing the modeled makespan (NCCL's overlap
     efficiency is 1.0, so chunked communication hides behind compute).
@@ -272,20 +271,18 @@ class TestPipelinedCrossTier:
     @given(
         dedup=st.booleans(),
         fused=st.booleans(),
-        workers=st.sampled_from([1, 2]),
         chunks=st.integers(min_value=2, max_value=5),
         dtype=st.sampled_from([np.float64, np.complex128]),
         grid=st.sampled_from([(2, 2), (2, 3), (1, 4)]),
     )
     def test_pipeline_bit_identical_within_each_tier(
-        self, dedup, fused, workers, chunks, dtype, grid
+        self, dedup, fused, chunks, dtype, grid
     ):
         p, q = grid
         rng = np.random.default_rng(p * 100 + q * 10 + chunks)
         Hd = _dense(rng, 40, dtype)
         V = _vectors(rng, 40, 6, dtype)
-        kw = dict(dedup=dedup, fused=fused, workers=workers, p=p, q=q,
-                  gamma=0.21, alpha=1.1)
+        kw = dict(dedup=dedup, fused=fused, p=p, q=q, gamma=0.21, alpha=1.1)
         blk = _roundtrip(Hd, V, **kw)
         pipe = _roundtrip(Hd, V, pipeline=True, chunks=chunks, **kw)
         assert np.array_equal(blk[0], pipe[0])

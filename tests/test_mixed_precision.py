@@ -83,20 +83,19 @@ def run_scenario(backend=CommBackend.NCCL, dtype=np.float64, tol=1e-10,
 
 
 # ------------------------------------------------------- fp64 bit-identity
-#: (dedup, fused, workers, pipelined) — one representative per tier
+#: (dedup, fused, pipelined) — one representative per tier
 TIERS = [
-    (False, False, 1, False),
-    (True, False, 1, False),
-    (True, True, 1, False),
-    (True, True, 3, False),
-    (True, False, 1, True),
+    (False, False, False),
+    (True, False, False),
+    (True, True, False),
+    (True, False, True),
 ]
-TIER_IDS = ["seed", "dedup", "fused", "workers", "pipelined"]
+TIER_IDS = ["seed", "dedup", "fused", "pipelined"]
 
 
-def _run_tier(dedup, fused, workers, pipelined, **kw):
+def _run_tier(dedup, fused, pipelined, **kw):
     return run_scenario(
-        numeric_dedup=dedup, hemm_fusion=fused, kernel_workers=workers,
+        numeric_dedup=dedup, hemm_fusion=fused,
         pipeline_chunks=3 if pipelined else 0, **kw)
 
 

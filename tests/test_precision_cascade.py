@@ -172,15 +172,14 @@ def test_quantize_half_inplace_is_idempotent_and_bounded():
 
 
 # ------------------------------------------------ half solves on every tier
-#: (dedup, fused, workers, pipelined) — one representative per tier
+#: (dedup, fused, pipelined) — one representative per tier
 TIERS = [
-    (False, False, 1, False),
-    (True, False, 1, False),
-    (True, True, 1, False),
-    (True, True, 3, False),
-    (True, False, 1, True),
+    (False, False, False),
+    (True, False, False),
+    (True, True, False),
+    (True, False, True),
 ]
-TIER_IDS = ["seed", "dedup", "fused", "workers", "pipelined"]
+TIER_IDS = ["seed", "dedup", "fused", "pipelined"]
 
 #: (mode, deg, seed) — degrees that keep the iteration-1 cond estimate
 #: under each half tier's gate for the scenario matrix
@@ -194,11 +193,10 @@ def test_half_solve_accurate_at_fp64_tolerance_on_every_tier(
     """A solve that filtered on the half lattice must still converge to
     the dense oracle at fp64 tolerance on every execution tier — and
     must actually have filtered on the half tier."""
-    dedup, fused, workers, pipelined = tier
+    dedup, fused, pipelined = tier
     res = run_scenario(
         deg, seed=seed, numeric_dedup=dedup, hemm_fusion=fused,
-        kernel_workers=workers, pipeline_chunks=3 if pipelined else 0,
-        filter_dtype=mode)
+        pipeline_chunks=3 if pipelined else 0, filter_dtype=mode)
     assert res.converged
     assert mode in res.precision_log
     evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]

@@ -152,25 +152,23 @@ def test_pipelined_filter_regression(dedup, fused, backend):
 # are bit-identical, and the same *solver-level* trajectory on tiers that
 # only reshape the modeled time.
 
-#: (dedup, fused, workers, pipelined) — one representative per tier
+#: (dedup, fused, pipelined) — one representative per tier
 FAULT_TIERS = [
-    (False, False, 1, False),
-    (True, False, 1, False),
-    (True, True, 1, False),
-    (True, True, 3, False),
-    (True, False, 1, True),
+    (False, False, False),
+    (True, False, False),
+    (True, True, False),
+    (True, False, True),
 ]
 
 
-def _run_tier(dedup, fused, workers, pipelined, solver_kw=None):
+def _run_tier(dedup, fused, pipelined, solver_kw=None):
     return run_scenario(
         dedup, "new", CommBackend.NCCL, np.float64, solver_kw=solver_kw,
-        hemm_fusion=fused, kernel_workers=workers,
-        pipeline_chunks=3 if pipelined else 0)
+        hemm_fusion=fused, pipeline_chunks=3 if pipelined else 0)
 
 
 @pytest.mark.parametrize("tier", FAULT_TIERS,
-                         ids=["seed", "dedup", "fused", "workers", "pipelined"])
+                         ids=["seed", "dedup", "fused", "pipelined"])
 def test_faults_disabled_bit_identical_on_every_tier(tier):
     """Constructing the solver with the fault machinery explicitly off
     must be bit-identical to the plain constructor on all four tiers:
@@ -225,11 +223,10 @@ def test_fault_trajectory_bit_identical_with_and_without_dedup():
 
 @pytest.mark.parametrize("tier, exact", [
     (FAULT_TIERS[2], False),   # fused: panel fusion reorders accumulation
-    (FAULT_TIERS[3], False),   # workers: runs on the fused tier
-    (FAULT_TIERS[4], True),    # pipelined: chunking is numerics-neutral
-], ids=["fused", "workers", "pipelined"])
+    (FAULT_TIERS[3], True),    # pipelined: chunking is numerics-neutral
+], ids=["fused", "pipelined"])
 def test_iteration_keyed_faults_tier_invariant(tier, exact):
-    """Tiers that reshape modeled time (fusion, executor, pipelining)
+    """Tiers that reshape modeled time (fusion, pipelining)
     still replay an iteration-keyed plan identically: the solver-level
     trajectory and per-communicator byte volumes match the dedup tier.
     Eigenvalues are bit-identical on numerics-neutral tiers and agree to
