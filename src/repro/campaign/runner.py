@@ -47,13 +47,12 @@ from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.perfmodel.autotune import autotune
 from repro.runtime import (
-    CommBackend,
     ExecutionConfig,
     FaultPlan,
     Grid2D,
-    TRANSPORTS,
     VirtualCluster,
 )
+from repro.runtime.transport import split_backend
 from repro.service.jobs import SolveJob
 from repro.service.scheduler import (
     RunOutcome,
@@ -96,20 +95,6 @@ TIERS: dict[str, ExecutionConfig] = {
     "fused": ExecutionConfig(hemm_fusion=True),
     "pipeline": ExecutionConfig(pipeline_chunks=4),
 }
-
-_MODEL_BACKENDS = {
-    "nccl": CommBackend.NCCL,
-    "mpi": CommBackend.MPI_STAGED,
-    "mpi-host": CommBackend.MPI_HOST,
-}
-
-
-def _split_backend(token: str) -> tuple[CommBackend, str | None]:
-    """(comm model, execution transport) — mirrors the CLI mapping."""
-    if token in TRANSPORTS:
-        return CommBackend.NCCL, token
-    return _MODEL_BACKENDS[token], None
-
 
 # ---------------------------------------------------------------------------
 # result assembly
@@ -243,7 +228,6 @@ def _execution(cfg: Mapping[str, Any], base: ExecutionConfig
 
 
 def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
-    backend, transport = _split_backend(cfg["backend"])
     rng = np.random.default_rng(cfg["seed"])
     dtype = np.complex128 if cfg["dtype"] == "complex128" else np.float64
     H = uniform_matrix(cfg["n"], rng=rng, dtype=dtype)
@@ -254,7 +238,7 @@ def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
             horizon=cfg["fault_horizon"], n_events=cfg["fault_events"],
         )
     with VirtualCluster(
-        cfg["ranks"], backend=backend, transport=transport,
+        cfg["ranks"], backend=cfg["backend"],
         config=_execution(cfg, TIERS[cfg["tier"]]),
     ) as cluster:
         grid = Grid2D(cluster)
@@ -278,7 +262,6 @@ def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _execute_phantom(cfg: Mapping[str, Any]) -> dict[str, Any]:
-    backend = _MODEL_BACKENDS[cfg["backend"]]
     # the paper's configurations (Sec. 4): STD/NCCL run 4 ranks/node x
     # 1 GPU, LMS 1 rank/node x 4 GPUs — same shape as make_phantom_solver
     rpn, gpr = (1, 4) if cfg["scheme"] == "lms" else (4, 1)
@@ -287,7 +270,7 @@ def _execute_phantom(cfg: Mapping[str, Any]) -> dict[str, Any]:
         qr_variant=cfg["qr_variant"],
     )
     cluster = VirtualCluster(
-        cfg["nodes"] * rpn, backend=backend, ranks_per_node=rpn,
+        cfg["nodes"] * rpn, backend=cfg["backend"], ranks_per_node=rpn,
         gpus_per_rank=gpr, phantom=True,
         config=_execution(cfg, TIERS["pipeline" if cfg["pipeline"]
                                      else "dedup"]),
@@ -305,7 +288,7 @@ def _execute_phantom(cfg: Mapping[str, Any]) -> dict[str, Any]:
 def _execute_tune(cfg: Mapping[str, Any]) -> dict[str, Any]:
     report = autotune(
         cfg["ranks"], cfg["n"], cfg["nev"], cfg["nex"],
-        backend=_MODEL_BACKENDS[cfg["backend"]],
+        backend=split_backend(cfg["backend"])[0],
         iterations=cfg["iterations"],
     )
     return {

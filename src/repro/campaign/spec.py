@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.runtime.config import COMPRESS_PAYLOADS, PRECISION_MODES
+from repro.runtime.transport import BACKEND_TOKENS, COMM_MODELS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -208,10 +209,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 _TIERS = ("seed", "dedup", "fused", "pipeline")
-_SOLVE_BACKENDS = (
-    "nccl", "mpi", "mpi-host", "orchestrated", "threads", "mp"
-)
-_MODEL_BACKENDS = ("nccl", "mpi", "mpi-host")
+_MODEL_BACKENDS = tuple(COMM_MODELS)
 
 
 def _validate(config: dict[str, Any], label: str) -> None:
@@ -222,9 +220,10 @@ def _validate(config: dict[str, Any], label: str) -> None:
                 f"{label}: unknown tier {config['tier']!r} "
                 f"(expected one of {_TIERS})"
             )
-        if config["backend"] not in _SOLVE_BACKENDS:
+        if config["backend"] not in BACKEND_TOKENS:
             raise SpecError(
-                f"{label}: unknown backend {config['backend']!r}"
+                f"{label}: unknown backend {config['backend']!r} "
+                f"(expected one of {BACKEND_TOKENS})"
             )
         if config["dtype"] not in ("float64", "complex128"):
             raise SpecError(f"{label}: unknown dtype {config['dtype']!r}")

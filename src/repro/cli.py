@@ -46,31 +46,7 @@ from repro.reporting import render_series, render_table
 from repro.runtime import (
     TRANSPORTS, CommBackend, ExecutionConfig, Grid2D, VirtualCluster, blas)
 from repro.runtime.config import COMPRESS_PAYLOADS, PRECISION_MODES
-
-_BACKENDS = {
-    "nccl": CommBackend.NCCL,
-    "mpi": CommBackend.MPI_STAGED,
-    "mpi-host": CommBackend.MPI_HOST,
-}
-
-#: every ``--backend`` token: communication models plus execution
-#: transports (DESIGN.md §5h)
-_BACKEND_CHOICES = tuple(sorted(_BACKENDS)) + TRANSPORTS
-
-
-def _split_backend(token: str):
-    """``(comm model, execution transport)`` for a ``--backend`` token.
-
-    A communication-model name (``nccl``/``mpi``/``mpi-host``) picks the
-    cost model and leaves the transport to the caller's default
-    (``REPRO_BACKEND``, else orchestrated); a transport token
-    (``orchestrated``/``threads``/``mp``) picks the execution backend
-    and models NCCL communication.
-    """
-    if token in TRANSPORTS:
-        return CommBackend.NCCL, token
-    return _BACKENDS[token], None
-
+from repro.runtime.transport import BACKEND_TOKENS, split_backend
 
 _COLL_ALGOS = tuple(a.value for a in CollectiveAlgo)
 _ENV_TRUE = ("1", "true", "on", "yes")
@@ -195,7 +171,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solver_kw = dict(faults=fault_plan, checkpoint_every=checkpoint)
 
     if args.distributed:
-        comm_backend, transport = _split_backend(args.backend)
+        comm_backend, transport = split_backend(args.backend)
         transport = transport or env["transport"]
 
         def solve_on(grid):
@@ -381,7 +357,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         candidates = enumerate_candidates(args.ranks)
     report = autotune(
         args.ranks, args.n, args.nev, nex,
-        backend=_split_backend(args.backend)[0],
+        backend=split_backend(args.backend)[0],
         iterations=args.iterations,
         candidates=candidates,
     )
@@ -441,7 +417,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     env = _env_defaults()
-    comm_backend, transport = _split_backend(args.backend)
+    comm_backend, transport = split_backend(args.backend)
     svc = EigenService(
         total_ranks=args.ranks, n_shards=args.shards,
         backend=comm_backend,
@@ -721,11 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--distributed", action="store_true",
                    help="run on the simulated cluster")
     s.add_argument("--ranks", type=int, default=4)
-    s.add_argument("--backend", choices=_BACKEND_CHOICES, default="nccl",
+    s.add_argument("--backend", choices=BACKEND_TOKENS, default="nccl",
                    help="communication model (nccl/mpi/mpi-host) or "
-                        "execution transport (orchestrated/threads/mp; "
-                        "models NCCL and runs the data plane on real "
-                        "threads or processes — DESIGN.md §5h).  The "
+                        "execution transport (orchestrated/mp; models "
+                        "NCCL, mp runs the data plane on one process "
+                        "per rank — DESIGN.md §5h).  The "
                         "REPRO_BACKEND env var picks the transport when "
                         "a model name is given here")
     s.add_argument("--seed", type=int, default=0)
@@ -802,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=800, help="matrix size")
     s.add_argument("--nev", type=int, default=96)
     s.add_argument("--nex", type=int, default=32)
-    s.add_argument("--backend", choices=_BACKEND_CHOICES, default="nccl")
+    s.add_argument("--backend", choices=BACKEND_TOKENS, default="nccl")
     s.add_argument("--iterations", type=int, default=2,
                    help="subspace iterations in the modeled dry run")
     s.add_argument("--top", type=int, default=12,
@@ -828,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total simulated ranks across all shards")
     s.add_argument("--shards", type=int, default=2,
                    help="disjoint cluster partitions (one job each)")
-    s.add_argument("--backend", choices=_BACKEND_CHOICES, default="nccl")
+    s.add_argument("--backend", choices=BACKEND_TOKENS, default="nccl")
     s.add_argument("--tune", choices=("off", "fast", "full"), default="fast",
                    help="model-driven per-job config selection")
     s.add_argument("--quota", type=int, default=None,

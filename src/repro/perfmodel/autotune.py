@@ -226,7 +226,7 @@ def applied(cfg: TuneConfig, *, n_ranks: int, backend,
     ``cfg.execution``, so everything solved on it runs the winner's
     execution configuration.  ``transport`` selects the execution
     backend for the data plane (DESIGN.md §5h); its resources (rank
-    threads/processes, shm) are released when the scope exits.
+    processes, shm) are released when the scope exits.
     """
     from repro.runtime import Grid2D, VirtualCluster
 

@@ -196,7 +196,7 @@ class CollectiveModel:
     copy/SM resources and overlap almost perfectly (1.0); host-staged
     MPI without a progress thread mostly advances inside MPI calls, so
     its default is far lower.  The knob only affects the clock
-    accounting of ``Communicator.iallreduce``/``ibcast`` — blocking
+    accounting of ``Communicator.iallreduce`` — blocking
     collectives and all byte/message counters are untouched.
     """
 

@@ -13,7 +13,11 @@ from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, RecoveryExhaustedError
 from repro.runtime.rank import RankContext
 from repro.runtime.tracer import Tracer
-from repro.runtime.transport import TRANSPORTS, Transport, create_transport
+from repro.runtime.transport import (
+    Transport,
+    create_transport,
+    split_backend,
+)
 
 __all__ = ["VirtualCluster"]
 
@@ -59,14 +63,15 @@ class VirtualCluster:
         ``None`` is ``ring`` — the seed behavior, bit-identical charges.
     transport:
         Execution backend for the data plane (DESIGN.md §5h):
-        ``"orchestrated"`` (in-process, the seed), ``"threads"`` (one OS
-        thread per rank) or ``"mp"`` (one spawned process per rank over
-        shared memory), or an already-constructed
-        :class:`~repro.runtime.transport.Transport` instance.  ``None``
-        is ``orchestrated``.
+        ``"orchestrated"`` (in-process, the seed) or ``"mp"`` (one
+        spawned process per rank over shared memory), or an
+        already-constructed :class:`~repro.runtime.transport.Transport`
+        instance.  ``None`` is ``orchestrated``.
         ``backend`` also accepts these tokens as strings (the
-        ``solve --backend mp`` surface): a transport token selects the
-        transport and keeps the NCCL communication model.
+        ``solve --backend mp`` surface, read by
+        :func:`~repro.runtime.transport.split_backend`): a transport
+        token selects the transport and keeps the NCCL communication
+        model.
     config:
         The :class:`~repro.runtime.config.ExecutionConfig` every solve
         on this cluster executes under (``None`` = the defaults).  The
@@ -91,17 +96,14 @@ class VirtualCluster:
         if n_ranks < 1:
             raise ValueError("need at least one rank")
         if isinstance(backend, str):
-            token = backend.strip().lower()
-            if token in TRANSPORTS:
+            backend, token = split_backend(backend)
+            if token is not None:
                 if transport is not None and getattr(
                         transport, "name", transport) != token:
                     raise ValueError(
                         f"backend={token!r} conflicts with "
                         f"transport={transport!r}")
                 transport = token
-                backend = CommBackend.NCCL
-            else:
-                backend = CommBackend(token)
         if placement not in ("block", "round_robin"):
             raise ValueError(f"unknown placement {placement!r}")
         self.machine = machine if machine is not None else juwels_booster()
@@ -232,8 +234,8 @@ class VirtualCluster:
     def close(self) -> None:
         """Release the execution backend's resources (idempotent).
 
-        The orchestrated default holds none; the threads/mp backends
-        retire their rank teams and unlink every shm segment.
+        The orchestrated default holds none; the mp backend retires its
+        worker processes and unlinks every shm segment.
         """
         self.transport.close()
 

@@ -16,7 +16,7 @@ Backend behaviour (paper Sec. 3.3):
 * ``MPI_HOST`` — no staging (buffers already on the host).
 
 Nonblocking collectives (DESIGN.md §5d): :meth:`Communicator.iallreduce`
-and :meth:`Communicator.ibcast` return a :class:`CollectiveRequest`
+returns a :class:`CollectiveRequest`
 whose ``wait()`` settles the clock accounting.  The operation cannot
 start before every participant has issued it (entry time = max of the
 issue-time clocks, exactly the blocking barrier semantics) and runs for
@@ -169,9 +169,9 @@ def _quantize_inplace(arr, payload: str) -> None:
 
 
 class CollectiveRequest:
-    """Handle for one in-flight nonblocking collective (MPI request).
+    """Handle for one in-flight nonblocking allreduce (MPI request).
 
-    Created by :meth:`Communicator.iallreduce` / :meth:`Communicator.ibcast`.
+    Created by :meth:`Communicator.iallreduce`.
     The request remembers the entry time (max of the participants' clocks
     at issue — the collective cannot start earlier) and the blocking-model
     duration ``d``.  :meth:`wait` settles the accounting per rank:
@@ -187,24 +187,23 @@ class CollectiveRequest:
     ``hidden + exposed == d`` on every rank for every ``f``, so the
     communication *volume* always matches the blocking collective; only
     its placement on the clock changes.  Data movement (the numeric
-    reduction / broadcast copy) happens at :meth:`wait`, with exactly the
+    reduction) happens at :meth:`wait`, with exactly the
     blocking path's accumulation order — results are bit-identical.
 
     ``wait()`` is idempotent (subsequent calls return the cached result);
     :meth:`test` probes completability without charging anything.
     """
 
-    __slots__ = ("_comm", "_kind", "_buffers", "_nbytes", "_scalar",
-                 "_duration", "_t_entry", "_shared", "_compute", "_root",
+    __slots__ = ("_comm", "_buffers", "_nbytes", "_scalar",
+                 "_duration", "_t_entry", "_shared", "_compute",
                  "_stage_seconds", "_decompress", "_done", "_result")
 
-    def __init__(self, comm: "Communicator", kind: str, buffers, nbytes: float,
+    def __init__(self, comm: "Communicator", buffers, nbytes: float,
                  scalar: bool, duration: float, t_entry: float, *,
-                 shared: bool = False, compute: bool = True, root: int = 0,
+                 shared: bool = False, compute: bool = True,
                  stage_seconds: float | None = None,
                  decompress: tuple[float, float] | None = None):
         self._comm = comm
-        self._kind = kind
         self._buffers = buffers
         self._nbytes = nbytes
         self._scalar = scalar
@@ -212,7 +211,6 @@ class CollectiveRequest:
         self._t_entry = t_entry
         self._shared = shared
         self._compute = compute
-        self._root = root
         self._stage_seconds = stage_seconds
         self._decompress = decompress
         self._done = False
@@ -221,7 +219,7 @@ class CollectiveRequest:
     @classmethod
     def _completed(cls, comm: "Communicator", result) -> "CollectiveRequest":
         """An already-satisfied request (single-rank communicators)."""
-        req = cls(comm, "noop", [], 0.0, False, 0.0, 0.0)
+        req = cls(comm, [], 0.0, False, 0.0, 0.0)
         req._done = True
         req._result = result
         return req
@@ -274,15 +272,9 @@ class CollectiveRequest:
             if exposed > 0.0:
                 r.charge_comm(exposed)
         comm._stage(self._nbytes, "h2d", seconds=self._stage_seconds)
-        if self._kind == "allreduce":
-            self._result = comm._allreduce_move(
-                self._buffers, self._scalar, self._shared, self._compute
-            )
-        else:
-            self._result = comm._bcast_move(
-                self._buffers, self._scalar, self._root, self._shared,
-                self._compute,
-            )
+        self._result = comm._allreduce_move(
+            self._buffers, self._scalar, self._shared, self._compute
+        )
         if self._decompress is not None:
             comm._charge_cast_all(*self._decompress)
         self._buffers = []  # release references
@@ -533,17 +525,11 @@ class Communicator:
         One implementation for both the blocking call and
         :meth:`CollectiveRequest.wait` — every transport reduces the
         rank-ordered contributions with the same accumulation order, so
-        pipelined, threaded and multiprocess execution are bit-identical
-        to blocking orchestrated.
+        pipelined and multiprocess execution are bit-identical to
+        blocking orchestrated.
         """
         return self.transport_group.allreduce_move(
             buffers, scalar, shared, compute)
-
-    def _bcast_move(self, buffers, scalar: bool, root: int, shared: bool,
-                    compute: bool):
-        """The numeric part of a broadcast (shared with ``ibcast``)."""
-        return self.transport_group.bcast_move(
-            buffers, scalar, root, shared, compute)
 
     # -- collectives --------------------------------------------------------------------
     def allreduce(self, buffers, op: str = "sum", *, shared: bool = False,
@@ -624,7 +610,8 @@ class Communicator:
         self._barrier_entry()
         self._charge_comm_all(charge.time * fmult)
         self._stage(nbytes, "h2d")
-        return self._bcast_move(buffers, scalar, root, shared, compute)
+        return self.transport_group.bcast_move(
+            buffers, scalar, root, shared, compute)
 
     # -- nonblocking collectives --------------------------------------------------------
     def iallreduce(self, buffers, op: str = "sum", *, shared: bool = False,
@@ -676,35 +663,9 @@ class Communicator:
         t_entry = max(r.clock.now for r in self.ranks)
         d = (charge.time if duration is None else float(duration)) * fmult
         return CollectiveRequest(
-            self, "allreduce", list(buffers), nbytes_eff, scalar, d, t_entry,
+            self, list(buffers), nbytes_eff, scalar, d, t_entry,
             shared=shared, compute=compute, stage_seconds=stage_seconds,
             decompress=decompress,
-        )
-
-    def ibcast(self, buffers, root: int, *, shared: bool = False,
-               compute: bool = True, duration: float | None = None,
-               stage_seconds: float | None = None) -> CollectiveRequest:
-        """Issue a nonblocking broadcast; returns a request handle.
-
-        Same semantics and overrides as :meth:`iallreduce`.
-        """
-        if not 0 <= root < self.size:
-            raise IndexError(f"root {root} out of range for size {self.size}")
-        nbytes, scalar = self._check_buffers(buffers)
-        if self.size == 1:
-            return CollectiveRequest._completed(self, list(buffers))
-        fmult = self._fault_entry("ibcast")
-        charge = self._charge_for("bcast", nbytes)
-        self.stats.record(nbytes, self.size,
-                          math.ceil(math.log2(self.size)), charge)
-        self.transport_group.record_wire("bcast", buffers)
-        self._stage(nbytes, "d2h", seconds=stage_seconds)
-        t_entry = max(r.clock.now for r in self.ranks)
-        d = (charge.time if duration is None else float(duration)) * fmult
-        return CollectiveRequest(
-            self, "bcast", list(buffers), nbytes, scalar, d, t_entry,
-            shared=shared, compute=compute, root=root,
-            stage_seconds=stage_seconds,
         )
 
     def allgather(self, buffers):

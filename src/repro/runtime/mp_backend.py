@@ -1,7 +1,7 @@
 """The ``mp`` execution backend: one OS process per rank over shared memory.
 
-DESIGN.md §5h.  The orchestrated runtime and the ``threads`` backend
-both move every payload inside one Python process.  This backend gives
+DESIGN.md §5h.  The orchestrated runtime moves
+every payload inside one Python process.  This backend gives
 each backend rank a real **spawned process** and moves the collectives'
 payloads across process boundaries.  It is a *collectives-only* data
 plane: the solver loop and every BLAS kernel stay on the orchestrating

@@ -7,14 +7,10 @@ module makes pluggable is the **data plane**: who actually moves the
 multivector payloads and who runs the rank-local arithmetic when a
 collective executes.
 
-Three backends conform to the :class:`Transport` interface:
+Two backends conform to the :class:`Transport` interface:
 
 * ``orchestrated`` (default) — the seed behavior: the main thread moves
   the buffers in process.  Bit-identical to every previous release.
-* ``threads`` — the promoted :mod:`repro.runtime.spmd` facet: one
-  persistent OS thread per rank; collectives synchronize with real
-  :class:`threading.Barrier` rounds and the write-back fan-out runs on
-  the rank threads (NumPy releases the GIL inside the copies/BLAS).
 * ``mp`` (:mod:`repro.runtime.mp_backend`) — one spawned OS **process**
   per rank, shared-memory segments for multivector exchange and a
   NCCL-style UniqueId rendezvous; collectives only, no BLAS in workers.
@@ -48,10 +44,13 @@ import numpy as np
 
 from repro.arrays import is_phantom, nbytes_of
 from repro.perfmodel.collectives import collective_cost, payload_ratio
+from repro.runtime.backend import CommBackend
 from repro.runtime.faults import FaultError
 
 __all__ = [
     "TRANSPORTS",
+    "COMM_MODELS",
+    "BACKEND_TOKENS",
     "Transport",
     "TransportGroup",
     "TransportStats",
@@ -61,6 +60,7 @@ __all__ = [
     "TransportParityError",
     "OrchestratedTransport",
     "parse_transport",
+    "split_backend",
     "create_transport",
     "transport_parity_report",
     "assert_transport_parity",
@@ -68,7 +68,16 @@ __all__ = [
 ]
 
 #: conforming backend names, in seed-equivalence order
-TRANSPORTS = ("orchestrated", "threads", "mp")
+TRANSPORTS = ("orchestrated", "mp")
+
+#: ``--backend`` names of the communication models: the enum values,
+#: with the paper's STD build under its shorthand ``mpi``
+COMM_MODELS = {
+    "mpi" if b is CommBackend.MPI_STAGED else b.value: b for b in CommBackend
+}
+
+#: every ``--backend`` token: communication models plus transports
+BACKEND_TOKENS = tuple(COMM_MODELS) + TRANSPORTS
 
 
 class TransportError(FaultError):
@@ -76,7 +85,12 @@ class TransportError(FaultError):
 
 
 class TransportDeadRankError(TransportError):
-    """A backend rank (thread/process) died or stopped responding."""
+    """A backend rank's process died or stopped responding."""
+
+    def __init__(self, ranks):
+        self.ranks = [int(r) for r in ranks]
+        super().__init__(
+            f"mp backend rank(s) {self.ranks} died or stopped responding")
 
 
 class TransportTimeoutError(TransportError):
@@ -96,6 +110,28 @@ def parse_transport(name: str | None) -> str:
             f"unknown execution backend {name!r}; expected one of {TRANSPORTS}"
         )
     return name
+
+
+def split_backend(token) -> tuple[CommBackend, str | None]:
+    """``(comm model, execution transport)`` of one ``--backend`` token.
+
+    The one reading of the token shared by ``VirtualCluster(backend=)``,
+    ``repro solve|serve|tune --backend`` and campaign specs: a
+    communication-model name (:data:`COMM_MODELS`, or a
+    :class:`CommBackend` value) picks the cost model and leaves the
+    transport to the caller (``None``); a transport token
+    (:data:`TRANSPORTS`) picks the execution backend and models NCCL
+    communication.
+    """
+    name = str(token).strip().lower()
+    if name in TRANSPORTS:
+        return CommBackend.NCCL, name
+    try:
+        return COMM_MODELS.get(name) or CommBackend(name), None
+    except ValueError:
+        raise ValueError(
+            f"unknown backend {token!r}; expected one of {BACKEND_TOKENS}"
+        ) from None
 
 
 def schedule_messages(op: str, p: int) -> int:
@@ -269,8 +305,8 @@ class TransportGroup:
 
         One accumulation order for every backend — ``total = b0; total
         += b1; ...`` over the rank-ordered unique contributions — so
-        pipelined, dedup'd, threaded and multiprocess executions are all
-        bit-identical to the seed path.
+        pipelined, dedup'd and multiprocess executions are all bit-identical
+        to the seed path.
         """
         size = len(self.member_ids)
         if not compute:
@@ -319,10 +355,10 @@ class TransportGroup:
 class Transport:
     """A data-plane backend shared by every communicator of one cluster.
 
-    Subclasses own the real resources (thread team, worker processes,
-    shared-memory segments) and hand out per-communicator
-    :class:`TransportGroup` views over arbitrary member subsets —
-    row/column communicators, shrunk survivor grids, replica groups.
+    Subclasses own the real resources (worker processes, shared-memory
+    segments) and hand out per-communicator :class:`TransportGroup`
+    views over arbitrary member subsets — row/column communicators,
+    shrunk survivor grids, replica groups.
     """
 
     name = "orchestrated"
@@ -364,10 +400,6 @@ def create_transport(name: str | None, n_ranks: int, **kw) -> Transport:
     name = parse_transport(name)
     if name == "orchestrated":
         return OrchestratedTransport(n_ranks)
-    if name == "threads":
-        from repro.runtime.spmd import ThreadTransport
-
-        return ThreadTransport(n_ranks, **kw)
     from repro.runtime.mp_backend import MpTransport
 
     return MpTransport(n_ranks, **kw)

@@ -44,6 +44,7 @@ from repro.perfmodel.machine import MachineSpec
 from repro.runtime.backend import CommBackend
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultError, FaultPlan, RecoveryExhaustedError
+from repro.runtime.transport import COMM_MODELS
 from repro.service.jobs import JobRecord, JobState, ServiceResult, SolveJob
 from repro.service.scheduler import (
     RunOutcome,
@@ -60,9 +61,8 @@ def _parse_backend(backend) -> CommBackend:
     if isinstance(backend, CommBackend):
         return backend
     name = str(backend).lower()
-    if name == "mpi":  # CLI shorthand, same mapping as `repro solve`
-        return CommBackend.MPI_STAGED
-    return CommBackend(name)
+    # CLI shorthands (``mpi``), same mapping as `repro solve`
+    return COMM_MODELS.get(name) or CommBackend(name)
 
 
 class EigenService:

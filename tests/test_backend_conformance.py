@@ -27,13 +27,14 @@ from repro.runtime import (
 )
 from repro.runtime.mp_backend import MpTransport, UniqueId
 from repro.runtime.transport import (
+    TRANSPORTS,
     create_transport,
     parse_transport,
     schedule_messages,
     transport_parity_report,
 )
 
-BACKENDS = ("threads", "mp")
+BACKENDS = ("mp",)
 
 
 def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, compress=None,
@@ -81,10 +82,10 @@ class TestConformanceMatrix:
         assert levels == levels0
 
     def test_run_twice_identical(self):
-        """The threads backend is deterministic across runs (the
+        """The mp backend is deterministic across runs (the
         rank-ordered reduction contract, satellite of §5h)."""
-        a = _solve("threads")
-        b = _solve("threads")
+        a = _solve("mp")
+        b = _solve("mp")
         np.testing.assert_array_equal(a[0].eigenvalues, b[0].eigenvalues)
         np.testing.assert_array_equal(a[0].eigenvectors, b[0].eigenvectors)
         assert a[1] == b[1]
@@ -97,12 +98,31 @@ class TestTransportSurface:
         from repro.cli import _env_defaults
 
         assert parse_transport("MP ") == "mp"
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
+        monkeypatch.setenv("REPRO_BACKEND", "mp")
         assert parse_transport(None) == "orchestrated"
         assert VirtualCluster(2).transport.name == "orchestrated"
-        assert _env_defaults()["transport"] == "threads"
+        assert _env_defaults()["transport"] == "mp"
         with pytest.raises(ValueError):
             parse_transport("smoke-signals")
+
+    def test_removed_threads_token_is_an_unknown_backend(self, monkeypatch):
+        """``threads`` has no alias: every surface that takes a backend
+        token rejects it with its typed error naming what it accepts."""
+        from repro.campaign import SpecError, spec_from_dict
+        from repro.cli import _env_defaults
+
+        with pytest.raises(ValueError, match=r"\('orchestrated', 'mp'\)"):
+            parse_transport("threads")
+        with pytest.raises(ValueError, match="'mpi-host', 'orchestrated', 'mp'"):
+            VirtualCluster(2, backend="threads")
+        monkeypatch.setenv("REPRO_BACKEND", "threads")
+        with pytest.raises(ValueError, match=r"REPRO_BACKEND.*'orchestrated', 'mp'"):
+            _env_defaults()
+        spec = spec_from_dict({"campaign": "x", "matrix": [
+            {"name": "t", "set": {"kind": "solve", "n": 64, "nev": 4,
+                                  "backend": "threads"}}]})
+        with pytest.raises(SpecError, match="'mpi-host', 'orchestrated', 'mp'"):
+            spec.expand()
 
     def test_schedule_messages(self):
         assert schedule_messages("allreduce", 1) == 0
@@ -114,10 +134,10 @@ class TestTransportSurface:
 
     def test_cluster_backend_token_conflict(self):
         with pytest.raises(ValueError, match="conflicts"):
-            VirtualCluster(2, backend="mp", transport="threads")
+            VirtualCluster(2, backend="mp", transport="orchestrated")
 
     def test_create_transport_names(self):
-        for name in ("orchestrated", "threads", "mp"):
+        for name in TRANSPORTS:
             with create_transport(name, 2) as t:
                 assert t.name == name
 
@@ -146,8 +166,10 @@ class TestMpFaults:
             g.barrier_sync()  # spawns both workers
             t.worker(1).proc.kill()
             t.worker(1).proc.join(timeout=5.0)
-            with pytest.raises(TransportDeadRankError):
+            with pytest.raises(TransportDeadRankError) as err:
                 g.barrier_sync()
+            assert err.value.ranks == [1]
+            assert "rank(s) [1] died" in str(err.value)
         finally:
             t.close()
 

@@ -44,6 +44,5 @@ def test_all_examples_present():
         "execution_timeline.py",
         "capacity_planning.py",
         "generalized_dft.py",
-        "spmd_threads.py",
     }
     assert expected <= found

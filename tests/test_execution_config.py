@@ -113,13 +113,13 @@ def test_env_defaults_parse_every_knob():
         "REPRO_FILTER_CHUNKS": "6", "REPRO_FILTER_DTYPE": " BF16 ",
         "REPRO_QR_DTYPE": "auto", "REPRO_COMM_COMPRESS": "fp16",
         "REPRO_COLL_ALGO": "tree",
-        "REPRO_BACKEND": "threads", "REPRO_FAULT_SEED": "11",
+        "REPRO_BACKEND": "mp", "REPRO_FAULT_SEED": "11",
         "REPRO_CHECKPOINT_EVERY": "2",
     }) == {
         "hemm_fusion": True, "pipeline_filter": True,
         "pipeline_chunks": 6, "filter_dtype": "bf16", "qr_dtype": "auto",
         "comm_compress": "fp16", "coll_algo": "tree",
-        "transport": "threads", "faults": 11, "checkpoint": 2,
+        "transport": "mp", "faults": 11, "checkpoint": 2,
     }
 
 
@@ -182,7 +182,7 @@ def test_import_and_default_cluster_ignore_the_environment():
         "c = VirtualCluster(4)\n"
         "assert c.config == ExecutionConfig(), c.config\n"
         "print(c.collective_algo.value, c.transport.name)\n",
-        {**POLLUTED, "REPRO_BACKEND": "threads",
+        {**POLLUTED, "REPRO_BACKEND": "mp",
          "REPRO_FILTER_CHUNKS": "bogus"},
     )
     assert out.split() == ["ring", "orchestrated"]

@@ -268,16 +268,6 @@ class TestCollectiveRequest:
         np.testing.assert_array_equal(buf, 2.0)
         assert cl.ranks[0].clock.now == 0.0
 
-    def test_ibcast_matches_blocking_bcast(self):
-        comm, _ = self._comm(3)
-        blocking = [np.full(5, float(i)) for i in range(3)]
-        comm.bcast(blocking, root=2)
-        comm2, _ = self._comm(3)
-        nb = [np.full(5, float(i)) for i in range(3)]
-        comm2.ibcast(nb, root=2).wait()
-        for a, b in zip(blocking, nb):
-            np.testing.assert_array_equal(a, b)
-
     def test_overlap_efficiency_validation(self):
         comm, _ = self._comm()
         with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ class TestWarmStartSemantics:
                                 step=k, seed=100 + k))
         return svc, svc.run()
 
-    @pytest.mark.parametrize("transport", ["orchestrated", "threads", "mp"])
+    @pytest.mark.parametrize("transport", ["orchestrated", "mp"])
     def test_warm_solve_bit_identical_to_seeded_solver(self, transport):
         """A warm service solve equals a ChaseSolver seeded directly with
         the cached subspace/bounds/degree hint — bitwise, on every
