@@ -43,6 +43,7 @@ from repro.campaign.runner import (
 from repro.campaign.report import (
     campaign_section,
     campaign_table,
+    missed_gates,
     write_report,
 )
 
@@ -73,5 +74,6 @@ __all__ = [
     "execute_run",
     "campaign_section",
     "campaign_table",
+    "missed_gates",
     "write_report",
 ]

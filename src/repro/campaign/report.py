@@ -30,6 +30,7 @@ from .runner import _OPS, metric_value
 __all__ = [
     "campaign_section",
     "campaign_table",
+    "missed_gates",
     "write_report",
 ]
 
@@ -122,6 +123,22 @@ def campaign_section(db: CampaignDB, campaign: str) -> dict[str, Any]:
     if gates:
         section["report_gates"] = gates
     return section
+
+
+def missed_gates(section: Mapping[str, Any]) -> list[str]:
+    """Names of every unmet gate of a :func:`campaign_section`: stored
+    run gates as ``<label>:<gate>``, report gates by their own name."""
+    missed = [
+        f"{label}:{name}"
+        for label, run in section["runs"].items()
+        for name, gate in run.get("result", {}).get("gates", {}).items()
+        if not gate["met"]
+    ]
+    missed += [
+        name for name, gate in section.get("report_gates", {}).items()
+        if not gate["met"]
+    ]
+    return missed
 
 
 def _fmt_float(value: Any, digits: int = 6) -> str:

@@ -219,8 +219,7 @@ def _execution(cfg: Mapping[str, Any], base: ExecutionConfig
     or the environment's, so equal config hashes mean equal executions.
     """
     knobs = {
-        k: cfg[k] for k in ("filter_dtype", "qr_dtype", "comm_compress")
-        if cfg.get(k)
+        k: cfg[k] for k in ("filter_dtype", "qr_dtype") if cfg.get(k)
     }
     if base.pipeline_chunks:
         knobs["pipeline_chunks"] = cfg["pipeline_chunks"]

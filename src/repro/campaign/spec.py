@@ -26,7 +26,7 @@ Spec schema::
         axes:                      # cross product over axis values
           tier: [seed, dedup]      #   scalar value -> knob = axis name
           config:                  #   mapping value -> several knobs
-            - {filter_dtype: fp32, comm_compress: fp32}
+            - {filter_dtype: fp32, pipeline: true}
         gates:                     # per-run acceptance gates
           converged: {metric: converged, op: eq, value: true}
     include:                       # explicit extra runs (full knob dicts)
@@ -53,7 +53,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.runtime.config import COMPRESS_PAYLOADS, PRECISION_MODES
+from repro.runtime.config import PRECISION_MODES
 from repro.runtime.transport import BACKEND_TOKENS, COMM_MODELS
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
 
 #: bumped whenever resolution semantics change in a way that invalidates
 #: stored results; participates in every config hash
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: keys that never participate in the content hash (purely cosmetic /
 #: bookkeeping — changing them must not invalidate stored results).
@@ -163,9 +163,8 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "backend": "nccl",        # comm model or execution transport
         "tier": "dedup",          # seed|dedup|fused|pipeline
         "pipeline_chunks": 4,
-        "filter_dtype": None,     # fp16|bf16|fp32|fp64|auto
+        "filter_dtype": None,     # fp64|fp32
         "qr_dtype": None,
-        "comm_compress": None,    # none|fp32|bf16|fp16
         "fault_seed": None,
         "fault_events": 4,
         "fault_horizon": 0.01,
@@ -184,7 +183,6 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "iters": 1,
         "qr_variant": "CholeskyQR2",
         "filter_dtype": None,
-        "comm_compress": None,
         "pipeline": False,
         "pipeline_chunks": 4,
     },
@@ -214,6 +212,13 @@ _MODEL_BACKENDS = tuple(COMM_MODELS)
 
 def _validate(config: dict[str, Any], label: str) -> None:
     kind = config["kind"]
+    for knob in ("filter_dtype", "qr_dtype"):
+        if config.get(knob) is not None and \
+                config[knob] not in PRECISION_MODES:
+            raise SpecError(
+                f"{label}: unknown {knob} {config[knob]!r} "
+                f"(expected one of {PRECISION_MODES})"
+            )
     if kind == "solve":
         if config["tier"] not in _TIERS:
             raise SpecError(
@@ -227,18 +232,6 @@ def _validate(config: dict[str, Any], label: str) -> None:
             )
         if config["dtype"] not in ("float64", "complex128"):
             raise SpecError(f"{label}: unknown dtype {config['dtype']!r}")
-        for knob in ("filter_dtype", "qr_dtype"):
-            if config[knob] is not None and \
-                    config[knob] not in PRECISION_MODES:
-                raise SpecError(
-                    f"{label}: unknown {knob} {config[knob]!r}"
-                )
-        if config["comm_compress"] is not None and \
-                config["comm_compress"] not in COMPRESS_PAYLOADS:
-            raise SpecError(
-                f"{label}: unknown comm_compress "
-                f"{config['comm_compress']!r}"
-            )
     elif kind == "phantom":
         if config["backend"] not in _MODEL_BACKENDS:
             raise SpecError(

@@ -45,7 +45,7 @@ from repro.perfmodel.collectives import CollectiveAlgo
 from repro.reporting import render_series, render_table
 from repro.runtime import (
     TRANSPORTS, CommBackend, ExecutionConfig, Grid2D, VirtualCluster, blas)
-from repro.runtime.config import COMPRESS_PAYLOADS, PRECISION_MODES
+from repro.runtime.config import PRECISION_MODES
 from repro.runtime.transport import BACKEND_TOKENS, split_backend
 
 _COLL_ALGOS = tuple(a.value for a in CollectiveAlgo)
@@ -96,8 +96,6 @@ def _env_defaults(environ=None) -> dict:
         "pipeline_chunks": integer("REPRO_FILTER_CHUNKS", 2, 4),
         "filter_dtype": choice("REPRO_FILTER_DTYPE", PRECISION_MODES, "fp64"),
         "qr_dtype": choice("REPRO_QR_DTYPE", PRECISION_MODES, "fp64"),
-        "comm_compress": choice(
-            "REPRO_COMM_COMPRESS", COMPRESS_PAYLOADS, "none"),
         "coll_algo": choice("REPRO_COLL_ALGO", _COLL_ALGOS, None),
         "transport": choice("REPRO_BACKEND", TRANSPORTS, None),
         "faults": integer("REPRO_FAULT_SEED", 0, None),
@@ -121,8 +119,26 @@ def _execution_config(args, env: dict) -> ExecutionConfig:
             _flag_or_env(args, env, "pipeline_chunks") if pipelined else 0),
         filter_dtype=_flag_or_env(args, env, "filter_dtype"),
         qr_dtype=_flag_or_env(args, env, "qr_dtype"),
-        comm_compress=_flag_or_env(args, env, "comm_compress"),
     )
+
+
+def _precision_line(res) -> str:
+    """What a requested fp32 filter actually did (DESIGN.md §5g)."""
+    from repro.core.precision import DEFAULT_COND_LIMIT
+
+    plog = res.precision_log
+    admitted = plog.count("fp32")
+    if admitted:
+        reason = res.precision_promote_reason
+        promoted = f", promoted to fp64 ({reason})" if reason else ""
+        return (f"mixed precision: fp32 filter on "
+                f"{admitted}/{len(plog)} iterations{promoted}")
+    # nothing admitted means the very first gate was shut: iteration 1
+    # has no residual history, so only the condition estimate can refuse
+    return (f"mixed precision: fp32 requested, 0/{len(plog)} iterations "
+            f"admitted — iteration-1 cond estimate "
+            f"{res.trace.records[0].cond_est:.1e} above the "
+            f"{DEFAULT_COND_LIMIT:.0e} gate")
 
 
 def _solve_or_fail(solver: ChaseSolver, rng):
@@ -194,7 +210,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             # explicit precision flags override the winner's
             explicit = {
                 k: getattr(args, k)
-                for k in ("filter_dtype", "qr_dtype", "comm_compress")
+                for k in ("filter_dtype", "qr_dtype")
                 if getattr(args, k) is not None
             }
             best = dataclasses.replace(best, execution=dataclasses.replace(
@@ -223,19 +239,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"fault tolerance: {res.recoveries} recoveries, "
                   f"{res.checkpoints} checkpoints{shrunk}")
         print(f"modeled time-to-solution: {res.makespan:.4f} s")
+        if grid.cluster.config.filter_dtype != "fp64" and res.precision_log:
+            print(_precision_line(res))
     else:
         res = chase_serial(H, cfg, rng=rng)
-    plog = getattr(res, "precision_log", None)
-    narrow = [t for t in (plog or ()) if t != "fp64"]
-    if narrow:
-        reason = res.precision_promote_reason
-        promoted = f", promoted to fp64 ({reason})" if reason else ""
-        cascade = "/".join(
-            f"{plog.count(t)}x{t}" for t in ("fp16", "bf16", "fp32")
-            if t in plog
-        )
-        print(f"mixed precision: {cascade} filter on "
-              f"{len(narrow)}/{len(plog)} iterations{promoted}")
     print(f"converged: {res.converged} in {res.iterations} iterations, "
           f"{res.matvecs} MatVecs")
     print(f"QR variants: {res.qr_variants}")
@@ -347,7 +354,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     nex = args.nex if args.nex is not None else max(2, args.nev // 2)
     if getattr(args, "precision", False):
         # autotune's default candidate set already spans the precision
-        # ladder (DEFAULT_PRECISION_OPTIONS); --precision just opts in
+        # options (DEFAULT_PRECISION_OPTIONS); --precision just opts in
         candidates = enumerate_candidates(
             args.ranks, precision_options=DEFAULT_PRECISION_OPTIONS
         )
@@ -551,6 +558,7 @@ def _campaign_smoke(args) -> int:
         CampaignRunner,
         campaign_section,
         campaign_table,
+        missed_gates,
         smoke_spec,
     )
 
@@ -597,10 +605,7 @@ def _campaign_smoke(args) -> int:
         section = campaign_section(interrupted, spec.name)
         if section != campaign_section(reference, spec.name):
             failures.append("resumed JSON section differs")
-        missed = [
-            k for k, v in section.items()
-            if k.startswith("target_met_") and not v
-        ]
+        missed = missed_gates(section)
         if missed:
             failures.append(f"smoke gates missed: {missed}")
         if resumed.failed or fresh.failed:
@@ -626,8 +631,10 @@ def _cmd_campaign(args) -> int:
         CampaignInterrupted,
         CampaignRunner,
         SpecError,
+        campaign_section,
         campaign_table,
         load_spec,
+        missed_gates,
         write_report,
     )
 
@@ -677,6 +684,11 @@ def _cmd_campaign(args) -> int:
     )
     print(campaign_table(db, spec.name))
     print(f"report written to {txt} and merged into {js}")
+    missed = missed_gates(campaign_section(db, spec.name))
+    if missed:
+        print(f"campaign {spec.name!r}: gate(s) not met: "
+              f"{', '.join(missed)}")
+        return 1
     return 0
 
 
@@ -723,20 +735,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--filter-dtype", choices=PRECISION_MODES,
                    default=None, dest="filter_dtype",
                    help="Chebyshev filter working precision (DESIGN.md "
-                        "§5j); a narrow tier starts the condest-gated "
-                        "cascade (auto = bf16 -> fp32 -> fp64; default: "
+                        "§5g); fp32 is admitted per iteration by the "
+                        "condition-estimate gate (default: "
                         "REPRO_FILTER_DTYPE env var, else fp64)")
     s.add_argument("--qr-dtype", choices=PRECISION_MODES,
                    default=None, dest="qr_dtype",
                    help="mixed CholeskyQR2 first-pass precision "
-                        "(DESIGN.md §5j); admitted per call by the "
+                        "(DESIGN.md §5g); admitted per call by the "
                         "doubling bound on the condition estimate "
                         "(default: REPRO_QR_DTYPE env var, else fp64)")
-    s.add_argument("--comm-compress", choices=COMPRESS_PAYLOADS,
-                   default=None, dest="comm_compress",
-                   help="compressed allreduce payload dtype for the "
-                        "filter's pipelined reductions (default: "
-                        "REPRO_COMM_COMPRESS env var, else none)")
     s.add_argument("--tuned", action="store_true",
                    help="run the model-driven autotuner first and solve "
                         "under the winning configuration (implies a "
@@ -785,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows of the ranked table to print (0 = all)")
     s.add_argument("--precision", action="store_true",
                    help="also enumerate mixed-precision candidates "
-                        "(fp32 filter, compressed collectives)")
+                        "(fp32 filter, mixed CholeskyQR2)")
     s.add_argument("--smoke", action="store_true",
                    help="one-line check that the winner's modeled makespan "
                         "is <= the untuned default's; exit 1 otherwise")

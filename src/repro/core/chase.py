@@ -40,9 +40,9 @@ from repro.core.precision import (
     PrecisionPolicy,
     narrow_dtype,
     resolve_work_dtype,
-    resolve_work_precision,
 )
 from repro.core.qr import (
+    MIXED_VARIANT,
     QRReport,
     caqr_1d,
     cholesky_qr,
@@ -179,17 +179,8 @@ class ChaseSolver:
         N, ne = self.H.N, self.cfg.ne
         # mixed precision keeps a narrow working set alive next to the
         # fp64 state; size it into the boundary when narrow filtering is
-        # on.  Half tiers pass their token so the memory model charges
-        # genuine 2-byte words (the fp32 emulation storage is an
-        # artifact, not the modeled hardware footprint); "auto" starts
-        # on bf16, its widest-case narrow working set.
-        fdt = cluster.config.filter_dtype
-        if fdt == "fp64":
-            wdt = None
-        elif fdt == "fp32":
-            wdt = narrow_dtype(self.H.dtype)
-        else:
-            wdt = "bf16" if fdt == "auto" else fdt
+        # on
+        wdt = resolve_work_dtype(self.H.dtype, cluster.config.filter_dtype)
         if self.scheme == "lms":
             need = chase_lms_bytes(
                 N, ne, cluster.n_nodes, cluster.ranks_per_node
@@ -209,24 +200,24 @@ class ChaseSolver:
             )
 
     # --------------------------------------------------------------- buffers
-    def _allocate(self, phantom: bool, V0: np.ndarray | None, rng) -> tuple:
+    def _allocate_phantom(self) -> tuple:
+        """Metadata-only C/C2/B/B2 for a phantom replay."""
         grid, H, ne = self.grid, self.H, self.cfg.ne
         dtype = np.dtype(H.dtype)
-        if phantom:
-            C = DistributedMultiVector.zeros(grid, H.rowmap, "C", ne, dtype, True)
-        elif V0 is not None:
-            if V0.shape != (H.N, ne):
-                raise ValueError(f"V0 must be {H.N}x{ne}")
-            C = DistributedMultiVector.from_global(grid, V0.astype(dtype), H.rowmap, "C")
-        else:
-            V = rng.standard_normal((H.N, ne))
-            if dtype.kind == "c":
-                V = V + 1j * rng.standard_normal((H.N, ne))
-            C = DistributedMultiVector.from_global(grid, V.astype(dtype), H.rowmap, "C")
-        C2 = DistributedMultiVector.zeros(grid, H.rowmap, "C", ne, dtype, phantom)
-        B = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, phantom)
-        B2 = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, phantom)
+        C = DistributedMultiVector.zeros(grid, H.rowmap, "C", ne, dtype, True)
+        C2 = DistributedMultiVector.zeros(grid, H.rowmap, "C", ne, dtype, True)
+        B = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, True)
+        B2 = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, True)
         return C, C2, B, B2
+
+    def _random_basis(self, rng: np.random.Generator) -> np.ndarray:
+        """A fresh ``N x ne`` Gaussian start basis in ``H``'s dtype."""
+        H, ne = self.H, self.cfg.ne
+        dtype = np.dtype(H.dtype)
+        V = rng.standard_normal((H.N, ne))
+        if dtype.kind == "c":
+            V = V + 1j * rng.standard_normal((H.N, ne))
+        return V.astype(dtype)
 
     def _precision_policy(self) -> PrecisionPolicy:
         """A fresh filter-precision policy in the config's mode."""
@@ -235,7 +226,7 @@ class ChaseSolver:
     # ------------------------------------------------------------------- QR
     def _qr_step(self, C: DistributedMultiVector, cond: float) -> QRReport:
         grid = self.grid
-        # mixed-precision first pass (DESIGN.md §5j): the requested QR
+        # mixed-precision first pass (DESIGN.md §5g): the requested QR
         # work precision is admitted per call by the doubling gate on
         # the same cond estimate that picks the variant.  The config's
         # qr_dtype defaults to "fp64", where qwork is None and nothing
@@ -255,7 +246,7 @@ class ChaseSolver:
                 shifted_cholesky_qr2(grid, C, report)
         elif self.qr_mode == "cholqr2":
             if qwork is not None:
-                report.variant = f"mCholeskyQR2[{qwork.token}]"
+                report.variant = MIXED_VARIANT
                 if mixed_cholesky_qr2(grid, C, report, qwork):
                     report.variant = "sCholeskyQR2"
                     shifted_cholesky_qr2(grid, C, report)
@@ -413,10 +404,7 @@ class ChaseSolver:
             # (corrupted, or converged to an unlucky locking order that
             # the acceptance check rejected), so an identical replay
             # could deterministically reproduce the same rejection
-            V = rng.standard_normal((H.N, ne))
-            if dtype.kind == "c":
-                V = V + 1j * rng.standard_normal((H.N, ne))
-            V = V.astype(dtype)
+            V = self._random_basis(rng)
         C = DistributedMultiVector.from_global(grid, V, H.rowmap, "C")
         C2 = DistributedMultiVector.from_global(grid, V, H.rowmap, "C")
         B = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, False)
@@ -792,16 +780,12 @@ class ChaseSolver:
         resilient = injector is not None or ckpt_every > 0
 
         H = self.H
-        dtype = np.dtype(H.dtype)
         if V0 is not None:
             if V0.shape != (H.N, ne):
                 raise ValueError(f"V0 must be {H.N}x{ne}")
-            V_init = V0.astype(dtype)
+            V_init = V0.astype(np.dtype(H.dtype))
         else:
-            V_init = rng.standard_normal((H.N, ne))
-            if dtype.kind == "c":
-                V_init = V_init + 1j * rng.standard_normal((H.N, ne))
-            V_init = V_init.astype(dtype)
+            V_init = self._random_basis(rng)
 
         # allocation + Lanczos, retried on early faults: a rank death
         # before the first checkpoint restarts the prelude on survivors
@@ -931,7 +915,7 @@ class ChaseSolver:
             )
             wdtype = resolve_work_dtype(H.dtype, token)
             # the decide() inputs go into the iteration record so a
-            # phantom replay reproduces this cascade (DESIGN.md §5j)
+            # phantom replay reproduces these decisions (DESIGN.md §5g)
             rmin_in = None if resd is None else float(np.min(resd[locked:]))
 
             with tracer.phase("Filter"):
@@ -1103,7 +1087,7 @@ class ChaseSolver:
         ne = cfg.ne
         tracer = grid.cluster.tracer
         bounds = bounds if bounds is not None else SpectralBounds(3.0, -1.0, 1.0)
-        C, C2, B, B2 = self._allocate(True, None, None)
+        C, C2, B, B2 = self._allocate_phantom()
 
         if include_lanczos:
             with tracer.phase("Lanczos"):
@@ -1117,7 +1101,7 @@ class ChaseSolver:
         # (when the trace was recorded by a numeric solve) the previous
         # iteration's smallest active residual and the spectral scale —
         # so the autotuner's modeled makespans see the same precision
-        # cascade the policy would produce on the real run.  Synthetic
+        # decisions the policy would produce on the real run.  Synthetic
         # traces carry no residuals and replay cond-gated only.
         policy = self._precision_policy()
         total_mv = 0
@@ -1146,14 +1130,9 @@ class ChaseSolver:
                         hhqr_1d(grid, C)
                     elif rec.qr_variant == "sCholeskyQR2":
                         shifted_cholesky_qr2(grid, C, report)
-                    elif rec.qr_variant.startswith("mCholeskyQR2["):
-                        # replay the mixed first pass at the recorded tier
-                        qtok = rec.qr_variant[len("mCholeskyQR2["):-1]
-                        qwork = resolve_work_precision(H.dtype, qtok)
-                        if qwork is None:
-                            cholesky_qr(grid, C, 2, report)
-                        else:
-                            mixed_cholesky_qr2(grid, C, report, qwork)
+                    elif rec.qr_variant == MIXED_VARIANT:
+                        mixed_cholesky_qr2(grid, C, report,
+                                           narrow_dtype(H.dtype))
                     elif rec.qr_variant == "CholeskyQR1":
                         cholesky_qr(grid, C, 1, report)
                     else:

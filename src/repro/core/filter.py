@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.distributed.hemm import DistributedHemm
 from repro.distributed.multivector import DistributedMultiVector
-from repro.core.precision import WorkPrecision, quantize_half_inplace
-from repro.perfmodel.kernels import elem_bytes
 from repro.runtime.device import axpby_numeric
 
 __all__ = [
@@ -149,7 +147,6 @@ class FilterWorkspace:
 
 def _cast_mv(
     X: DistributedMultiVector, dtype, *, charge_only: bool = False,
-    charge_elem: tuple[float, float] | None = None,
 ) -> DistributedMultiVector | None:
     """Cast ``X`` to ``dtype`` blockwise, charging a cast kernel per rank.
 
@@ -160,9 +157,7 @@ def _cast_mv(
     the autotuner model demote/promote traffic identically to numeric
     runs.  With ``charge_only`` the per-rank charges are issued and no
     data is produced (the promote path: ``write_into`` performs the
-    widening assignment itself).  ``charge_elem`` — optional
-    ``(src, dst)`` per-element byte widths for the half tiers, whose
-    modeled words are narrower than the emulation storage.
+    widening assignment itself).
     """
     grid = X.grid
     blocks: dict = {}
@@ -171,47 +166,20 @@ def _cast_mv(
             rank = grid.rank_at(i, j)
             key = (i, j)
             if charge_only:
-                rank.k.cast(X.blocks[key], dtype, compute=False,
-                            elem_bytes=charge_elem)
+                rank.k.cast(X.blocks[key], dtype, compute=False)
                 continue
             if X.aliased:
                 root = X.rep_root(i, j)
                 if root in blocks:
-                    rank.k.cast(X.blocks[key], dtype, compute=False,
-                                elem_bytes=charge_elem)
+                    rank.k.cast(X.blocks[key], dtype, compute=False)
                     blocks[key] = blocks[root]
                     continue
-            blocks[key] = rank.k.cast(X.blocks[key], dtype,
-                                      elem_bytes=charge_elem)
+            blocks[key] = rank.k.cast(X.blocks[key], dtype)
     if charge_only:
         return None
     return DistributedMultiVector(
         grid, X.index_map, X.layout, X.ne, blocks, dtype, aliased=X.aliased
     )
-
-
-def _quantize_mv(
-    X: DistributedMultiVector | None, tier: str
-) -> DistributedMultiVector | None:
-    """Round every block of ``X`` (in place) to the fp16/bf16 lattice.
-
-    This is the half-tier *emulation* primitive (DESIGN.md §5j): the
-    narrow iterates live in fp32/complex64 storage but carry only
-    half-precision significands.  Each unique ndarray is rounded once
-    (aliased replicas share storage); phantom multivectors pass through
-    untouched.  No modeled time is charged — on the modeled hardware
-    the values simply *are* half words; the surrounding kernels and
-    collectives already charge the 2-byte traffic.
-    """
-    if X is None or X.is_phantom:
-        return X
-    seen: set[int] = set()
-    for blk in X.blocks.values():
-        if id(blk) in seen:
-            continue
-        seen.add(id(blk))
-        quantize_half_inplace(blk, tier)
-    return X
 
 
 def chebyshev_filter(
@@ -236,18 +204,14 @@ def chebyshev_filter(
     axpbys reuse storage across steps — and across filter calls when
     the caller keeps the workspace alive (``ChaseSolver.solve`` does).
 
-    ``work_dtype`` (mixed precision, DESIGN.md §5g/§5j): when given and
+    ``work_dtype`` (mixed precision, DESIGN.md §5g): when given and
     narrower than ``C.dtype``, the active block is demoted once on
     entry, the whole recurrence — HEMM applies, reductions, axpbys —
     runs in the narrow dtype, and columns are promoted back to
     ``C.dtype`` as they retire.  Demote and promote are charged as
-    bandwidth-bound cast kernels on every rank.  A
-    :class:`~repro.core.precision.WorkPrecision` descriptor selects an
-    emulated half tier: numerics run in the narrow storage dtype with
-    every iterate rounded to the fp16/bf16 lattice after each
-    recurrence step, while kernels, casts and reduction payloads are
-    charged at genuine 2-byte words.  ``None`` (default) or ``C.dtype``
-    leaves the filter bit-identical to the full-precision path.
+    bandwidth-bound cast kernels on every rank.  ``None`` (default) or
+    ``C.dtype`` leaves the filter bit-identical to the full-precision
+    path.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n_active = C.ne - locked
@@ -268,17 +232,8 @@ def chebyshev_filter(
     max_deg = int(degrees[-1])
     retired = 0  # columns already written back
 
-    wdt = None
-    tier = None  # half-tier charge token ("fp16"/"bf16"), None otherwise
-    if work_dtype is not None:
-        if isinstance(work_dtype, WorkPrecision):
-            tier = work_dtype.charge
-            storage = np.dtype(work_dtype.dtype)
-        else:
-            storage = np.dtype(work_dtype)
-        if storage != C.dtype:
-            wdt = storage
-    run_dtype = wdt if wdt is not None else C.dtype
+    run_dtype = np.dtype(work_dtype) if work_dtype is not None else C.dtype
+    narrow = run_dtype != C.dtype
 
     ws = workspace if (C.aliased and not C.is_phantom) else None
 
@@ -291,34 +246,23 @@ def chebyshev_filter(
     sigma = sigma1
 
     X_prev = C.view_cols(locked, C.ne)  # X_0, layout "C"
-    if wdt is not None or tier is not None:
-        # demote the active block once; the whole recurrence runs
-        # narrow (for the half tiers the demote streams 2-byte words)
-        demote_elem = None
-        if tier is not None:
-            demote_elem = (float(C.dtype.itemsize),
-                           elem_bytes(tier, like=C.dtype))
-        X_prev = _cast_mv(X_prev, run_dtype, charge_elem=demote_elem)
-        if tier is not None:
-            _quantize_mv(X_prev, tier)
+    if narrow:
+        # demote the active block once; the whole recurrence runs narrow
+        X_prev = _cast_mv(X_prev, run_dtype)
     X_cur = hemm.apply(
         X_prev, alpha=sigma1 / e, gamma=c, out=out_for("B", n_active),
-        pipeline=True, work_tier=tier,
+        pipeline=True,
     )  # X_1, layout "B"
-    if tier is not None:
-        _quantize_mv(X_cur, tier)
 
     for t in range(2, max_deg + 1):
         sigma_new = 1.0 / (2.0 / sigma1 - sigma)
         W = hemm.apply(
             X_cur, alpha=2.0 * sigma_new / e, gamma=c,
             out=out_for(X_prev.layout, X_cur.ne),
-            pipeline=True, work_tier=tier,
+            pipeline=True,
         )
         X_next = mv_axpby(1.0, W, -sigma * sigma_new, X_prev,
                           out=W if ws is not None else None)
-        if tier is not None:
-            _quantize_mv(X_next, tier)
         sigma = sigma_new
         X_prev, X_cur = X_cur, X_next
 
@@ -327,15 +271,10 @@ def chebyshev_filter(
             done = int(np.searchsorted(degrees[retired:], t, side="right"))
             if done:
                 finished = X_cur.view_cols(0, done)
-                if wdt is not None or tier is not None:
+                if narrow:
                     # promote at retire: write_into's widening assignment
                     # does the data conversion; charge the cast per rank
-                    promote_elem = None
-                    if tier is not None:
-                        promote_elem = (elem_bytes(tier, like=C.dtype),
-                                        float(C.dtype.itemsize))
-                    _cast_mv(finished, C.dtype, charge_only=True,
-                             charge_elem=promote_elem)
+                    _cast_mv(finished, C.dtype, charge_only=True)
                 finished.write_into(C, locked + retired)
                 retired += done
                 width = X_cur.ne

@@ -11,10 +11,10 @@ communicator) is orthonormalized with a CholeskyQR family kernel:
   still breaks down;
 * the **selection heuristic** (Algorithm 4) picks the variant from the
   cost-free condition estimate of Algorithm 5;
-* **mixed-precision CholeskyQR2** (DESIGN.md §5j) — when the condition
-  estimate clears the doubling bound of Yamazaki/Tomov/Dongarra
-  (arXiv:1710.08471), the *first* SYRK -> allreduce -> POTRF -> TRSM
-  pass runs in a narrow work precision (fp16/bf16/fp32) and the second,
+* **mixed-precision CholeskyQR2** (DESIGN.md §5g) — when the condition
+  estimate clears the CholeskyQR2 doubling bound (as used by Hutter &
+  Solomonik's CA-CholeskyQR2, arXiv:1710.08471), the *first* SYRK ->
+  allreduce -> POTRF -> TRSM pass runs in fp32 and the second,
   full-precision pass restores ``O(u_64)`` orthogonality.
 
 Compared to Householder QR, the only communication is one ``ne x ne``
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.scalapack_qr import hhqr_1d
-from repro.core.precision import WorkPrecision, narrow_dtype, resolve_work_precision
+from repro.core.precision import narrow_dtype
 from repro.distributed.multivector import DistributedMultiVector
 from repro.runtime.grid import Grid2D
 
@@ -38,6 +38,7 @@ __all__ = [
     "shifted_cholesky_qr2",
     "mixed_cholesky_qr2",
     "qr_work_precision",
+    "MIXED_VARIANT",
     "caqr_1d",
     "unit_roundoff",
     "shifted_threshold",
@@ -48,26 +49,13 @@ __all__ = [
 SHIFTED_THRESHOLD = 1e8
 CHOLQR1_THRESHOLD = 20.0
 
+#: variant label of CholeskyQR2 with an fp32 first pass, as recorded in
+#: ``QRReport.variant`` and the convergence trace
+MIXED_VARIANT = "mCholeskyQR2[fp32]"
+
 
 def unit_roundoff(dtype) -> float:
-    """``u`` of the working precision (real base type of ``dtype``).
-
-    Also accepts the precision-tier tokens of DESIGN.md §5j
-    (``"fp16"``/``"bf16"``/``"fp32"``/``"fp64"``) — bf16 has no NumPy
-    dtype, so its roundoff (``2**-8``, from the 8-bit significand) is
-    hard-coded.
-    """
-    if isinstance(dtype, str):
-        token = dtype.strip().lower()
-        if token in ("bf16", "bfloat16"):
-            return 2.0 ** -8
-        if token in ("fp16", "float16"):
-            return float(np.finfo(np.float16).eps) / 2
-        if token in ("fp32", "float32"):
-            return float(np.finfo(np.float32).eps) / 2
-        if token in ("fp64", "float64"):
-            return float(np.finfo(np.float64).eps) / 2
-        raise ValueError(f"unknown precision token {dtype!r}")
+    """``u`` of the working precision (real base type of ``dtype``)."""
     real = np.dtype(dtype)
     if real.kind == "c":
         real = np.dtype(f"f{real.itemsize // 2}")
@@ -119,10 +107,7 @@ def _dedup(C: DistributedMultiVector) -> bool:
     return C.aliased and not C.is_phantom
 
 
-def _gram_allreduced(
-    grid: Grid2D, C: DistributedMultiVector,
-    charge_dtype=None, payload: str | None = None,
-) -> dict:
+def _gram_allreduced(grid: Grid2D, C: DistributedMultiVector) -> dict:
     """Per-rank SYRK + allreduce over the column communicators.
 
     With an aliased ``C`` the SYRK runs once per grid row (the column
@@ -130,11 +115,6 @@ def _gram_allreduced(
     column communicator 0 produces the — globally identical — Gram
     matrix; the remaining column communicators charge the identical
     collective without moving data.
-
-    ``charge_dtype``/``payload`` carry the half-tier token of a mixed
-    first pass (DESIGN.md §5j): the SYRK time-model rate and the
-    allreduce wire words are charged at the 2-byte tier while the
-    emulation arithmetic stays in the fp32 storage dtype.
     """
     dedup = _dedup(C)
     grams = {}
@@ -142,37 +122,30 @@ def _gram_allreduced(
         for j in range(grid.q):
             rank = grid.rank_at(i, j)
             if dedup and j > 0:
-                rank.qr_kernels.syrk(
-                    C.blocks[(i, j)], compute=False,
-                    charge_dtype=charge_dtype,
-                )
+                rank.qr_kernels.syrk(C.blocks[(i, j)], compute=False)
                 grams[(i, j)] = grams[(i, 0)]
             else:
-                grams[(i, j)] = rank.qr_kernels.syrk(
-                    C.blocks[(i, j)], charge_dtype=charge_dtype
-                )
+                grams[(i, j)] = rank.qr_kernels.syrk(C.blocks[(i, j)])
     if dedup:
         res = grid.col_comm(0).allreduce(
             [grams[(i, 0)] for i in range(grid.p)], shared=True,
-            payload_dtype=payload,
         )
         for j in range(1, grid.q):
             grid.col_comm(j).allreduce(
                 [grams[(i, j)] for i in range(grid.p)], compute=False,
-                payload_dtype=payload,
             )
         for key in grams:
             grams[key] = res[0]
     else:
         for j in range(grid.q):
             grid.col_comm(j).allreduce(
-                [grams[(i, j)] for i in range(grid.p)], payload_dtype=payload
+                [grams[(i, j)] for i in range(grid.p)]
             )
     return grams
 
 
 def _potrf_all(
-    grid: Grid2D, grams: dict, shared: bool = False, charge_dtype=None
+    grid: Grid2D, grams: dict, shared: bool = False
 ) -> tuple[dict, int]:
     factors = {}
     info_any = 0
@@ -182,25 +155,19 @@ def _potrf_all(
             rank = grid.rank_at(i, j)
             if shared:
                 if first is None:
-                    first = rank.qr_kernels.potrf(
-                        grams[(i, j)], charge_dtype=charge_dtype
-                    )
+                    first = rank.qr_kernels.potrf(grams[(i, j)])
                 else:
-                    rank.qr_kernels.potrf(
-                        grams[(i, j)], compute=False, charge_dtype=charge_dtype
-                    )
+                    rank.qr_kernels.potrf(grams[(i, j)], compute=False)
                 R, info = first
             else:
-                R, info = rank.qr_kernels.potrf(
-                    grams[(i, j)], charge_dtype=charge_dtype
-                )
+                R, info = rank.qr_kernels.potrf(grams[(i, j)])
             factors[(i, j)] = R
             info_any |= info
     return factors, info_any
 
 
 def _trsm_all(
-    grid: Grid2D, C: DistributedMultiVector, factors: dict, charge_dtype=None
+    grid: Grid2D, C: DistributedMultiVector, factors: dict
 ) -> None:
     dedup = _dedup(C)
     for i in range(grid.p):
@@ -208,14 +175,12 @@ def _trsm_all(
             rank = grid.rank_at(i, j)
             if dedup and j > 0:
                 rank.qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)], compute=False,
-                    charge_dtype=charge_dtype,
+                    C.blocks[(i, j)], factors[(i, j)], compute=False
                 )
                 C.blocks[(i, j)] = C.blocks[(i, 0)]
             else:
                 C.blocks[(i, j)] = rank.qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)],
-                    charge_dtype=charge_dtype,
+                    C.blocks[(i, j)], factors[(i, j)]
                 )
 
 
@@ -304,78 +269,59 @@ def shifted_cholesky_qr2(
 
 def qr_work_precision(
     dtype, mode: str, est_cond: float, guard: float = 0.5
-) -> WorkPrecision | None:
-    """Pick the first-pass precision for mixed CholeskyQR2 (§5j).
+) -> np.dtype | None:
+    """First-pass dtype for mixed CholeskyQR2, or ``None`` (all fp64).
 
-    The doubling bound of Yamazaki/Tomov/Dongarra (arXiv:1710.08471):
-    one CholeskyQR pass at unit roundoff ``u_t`` followed by a
-    full-precision pass restores ``O(u_64)`` orthogonality provided
-    ``kappa(V) * sqrt(u_t)`` stays bounded away from 1.  A tier is
-    admitted when ``est_cond <= guard / sqrt(u_t)`` (``guard = 0.5``
-    halves the theoretical breakdown threshold — ``est_cond`` is an
-    estimate, not a certified bound).  ``mode="auto"`` takes the
-    narrowest tier whose gate admits; returns ``None`` (all-fp64
-    CholeskyQR2) when no tier qualifies or ``mode="fp64"``.
+    The CholeskyQR2 doubling bound (arXiv:1710.08471): one CholeskyQR
+    pass at unit roundoff ``u_32`` followed by a full-precision pass
+    restores ``O(u_64)`` orthogonality provided ``kappa(V) * sqrt(u_32)``
+    stays bounded away from 1.  The fp32 pass is admitted when
+    ``est_cond <= guard / sqrt(u_32)`` (``guard = 0.5`` halves the
+    theoretical breakdown threshold — ``est_cond`` is an estimate, not a
+    certified bound), i.e. up to ~2e3.  ``None`` also when ``dtype`` has
+    no narrower counterpart (fp32 inputs).
     """
     if mode == "fp64":
         return None
-    orders = {
-        "fp16": ("fp16",),
-        "bf16": ("bf16",),
-        "fp32": ("fp32",),
-        "auto": ("fp16", "bf16", "fp32"),
-    }
-    if mode not in orders:
+    if mode != "fp32":
         raise ValueError(f"unknown qr precision mode {mode!r}")
-    for token in orders[mode]:
-        if token == "fp32" and narrow_dtype(dtype) == np.dtype(dtype):
-            continue  # fp32 storage already — no narrower dtype to win with
-        u_t = unit_roundoff(token)
-        if float(est_cond) <= guard / np.sqrt(u_t):
-            return resolve_work_precision(dtype, token)
+    work = narrow_dtype(dtype)
+    if work == np.dtype(dtype):
+        return None
+    if float(est_cond) <= guard / np.sqrt(unit_roundoff(work)):
+        return work
     return None
 
 
 def mixed_cholesky_qr2(
-    grid: Grid2D, C: DistributedMultiVector, report: QRReport, work: WorkPrecision
+    grid: Grid2D, C: DistributedMultiVector, report: QRReport, work
 ) -> int:
-    """Mixed-precision CholeskyQR2 (DESIGN.md §5j), in place.
+    """Mixed-precision CholeskyQR2 (DESIGN.md §5g), in place.
 
     The first SYRK -> allreduce -> POTRF -> TRSM pass runs on a *copy*
-    of ``C`` in the narrow work precision (fp32 storage, half tiers
-    quantized to their lattice and charged at 2-byte words); the second
-    pass runs at full precision and restores ``O(u_64)`` orthogonality
-    under the doubling gate of :func:`qr_work_precision`.  Returns 0 on
-    success, nonzero on POTRF breakdown — the narrow first pass mutates
-    only the copy, so ``C`` is left **intact** and callers escalate to
-    the shifted variant cleanly.
+    of ``C`` in the narrow dtype ``work`` (``float32``/``complex64``);
+    the second pass runs at full precision and restores ``O(u_64)``
+    orthogonality under the doubling gate of :func:`qr_work_precision`.
+    Returns 0 on success, nonzero on POTRF breakdown — the narrow first
+    pass mutates only the copy, so ``C`` is left **intact** and callers
+    escalate to the shifted variant cleanly.
     """
-    from repro.core.filter import _cast_mv, _quantize_mv
-    from repro.perfmodel.kernels import elem_bytes
+    from repro.core.filter import _cast_mv
 
     wide = np.dtype(C.dtype)
-    demote_elem = promote_elem = None
-    if work.charge is not None:
-        narrow_b = elem_bytes(work.charge, like=wide)
-        demote_elem = (float(wide.itemsize), narrow_b)
-        promote_elem = (narrow_b, float(wide.itemsize))
     _stage_c(grid, C, "d2h")
-    W = _cast_mv(C, np.dtype(work.dtype), charge_elem=demote_elem)
-    if work.charge is not None:
-        _quantize_mv(W, work.charge)
-    grams = _gram_allreduced(grid, W, charge_dtype=work.charge, payload=work.charge)
-    factors, info = _potrf_all(
-        grid, grams, shared=_dedup(W), charge_dtype=work.charge
-    )
+    W = _cast_mv(C, np.dtype(work))
+    grams = _gram_allreduced(grid, W)
+    factors, info = _potrf_all(grid, grams, shared=_dedup(W))
     if info:
         report.breakdowns += 1
         return info
-    _trsm_all(grid, W, factors, charge_dtype=work.charge)
+    _trsm_all(grid, W, factors)
     report.chol_iterations += 1
-    report.first_pass_dtype = work.token
+    report.first_pass_dtype = "fp32"
     # promote Q1 into C's slots; the fp64 second pass corrects the
-    # narrow pass's O(u_t * kappa) orthogonality error
-    back = _cast_mv(W, wide, charge_elem=promote_elem)
+    # narrow pass's O(u_32 * kappa) orthogonality error
+    back = _cast_mv(W, wide)
     for key in C.blocks:
         C.blocks[key] = back.blocks[key]
     grams = _gram_allreduced(grid, C)
@@ -394,7 +340,7 @@ def caqr_1d(
     C: DistributedMultiVector,
     est_cond: float,
     report: QRReport | None = None,
-    work: WorkPrecision | None = None,
+    work=None,
 ) -> QRReport:
     """Algorithm 4: condition-estimate-driven 1D CAQR of ``C``, in place.
 
@@ -411,7 +357,7 @@ def caqr_1d(
         return report
     degree = 1 if est_cond < CHOLQR1_THRESHOLD else 2
     if degree == 2 and work is not None:
-        report.variant = f"mCholeskyQR2[{work.token}]"
+        report.variant = MIXED_VARIANT
         info = mixed_cholesky_qr2(grid, C, report, work)
         if info:
             # narrow-pass POTRF breakdown: C is untouched, escalate

@@ -30,10 +30,10 @@ class IterationRecord:
     cond_est: float
     matvecs: int = 0
     # inputs of the precision policy's decide() at this iteration
-    # (DESIGN.md §5j): the smallest active residual of the *previous*
+    # (DESIGN.md §5g): the smallest active residual of the *previous*
     # iteration (None on the first) and the spectral scale.  Recording
     # the decision INPUTS — not the decided token — lets a phantom
-    # replay reproduce the precision cascade under any policy mode.
+    # replay reproduce the precision decisions under either mode.
     resd_min: float | None = None
     res_scale: float = 1.0
 

@@ -47,8 +47,7 @@ from repro.arrays import PhantomArray, is_phantom, nbytes_of
 from repro.distributed.block import overlap_pairs
 from repro.distributed.hermitian import DistributedHermitian
 from repro.distributed.multivector import DistributedMultiVector
-from repro.perfmodel.collectives import payload_ratio
-from repro.perfmodel.kernels import bytes_per_scalar, elem_bytes
+from repro.perfmodel.kernels import bytes_per_scalar
 from repro.runtime.device import LocalKernels, axpy_into_numeric
 
 __all__ = ["DistributedHemm"]
@@ -182,7 +181,7 @@ class DistributedHemm:
             self._overlaps[(i, j)] = pairs
         return pairs
 
-    def _local_work(self, i: int, j: int, rdtype, tier: str | None = None):
+    def _local_work(self, i: int, j: int, rdtype):
         """``H.local(i, j)`` in the apply's working dtype.
 
         The seed (full-width) path returns the block itself.  A narrow
@@ -190,31 +189,21 @@ class DistributedHemm:
         instead: the cast runs once per block per ``H.version`` and
         charges the owning rank one :meth:`LocalKernels.cast` at build
         time — the model keeps the narrow copy resident thereafter
-        (see ``perfmodel.memory.chase_new_scheme_bytes``).  A half
-        ``tier`` keys a *separate* cached cast whose values are rounded
-        to the fp16/bf16 lattice and whose build streams 2-byte words.
+        (see ``perfmodel.memory.chase_new_scheme_bytes``).
         """
         Hij = self.H.local(i, j)
         rdt = np.dtype(rdtype)
         if bytes_per_scalar(rdt) >= bytes_per_scalar(self.H.dtype):
             return Hij
         wdt = _NARROW.get(np.dtype(self.H.dtype))
-        key = (i, j, wdt.str) if tier is None else (i, j, wdt.str, tier)
+        key = (i, j, wdt.str)
         cached = self._hwork.get(key)
         if cached is None:
-            charge_elem = None
-            if tier is not None:
-                charge_elem = (float(np.dtype(self.H.dtype).itemsize),
-                               elem_bytes(tier, like=self.H.dtype))
-            cached = self.grid.rank_at(i, j).k.cast(
-                Hij, wdt, elem_bytes=charge_elem)
-            if tier is not None and not is_phantom(cached):
-                from repro.core.precision import quantize_half_inplace
-                quantize_half_inplace(cached, tier)
+            cached = self.grid.rank_at(i, j).k.cast(Hij, wdt)
             self._hwork[key] = cached
         return cached
 
-    def _h_conj(self, i: int, j: int, rdtype=None, tier: str | None = None):
+    def _h_conj(self, i: int, j: int, rdtype=None):
         """Work-dtype ``H`` block conjugate, cached for complex numerics.
 
         The gemm for the C->B direction evaluates ``A.conj().T @ X``;
@@ -226,13 +215,12 @@ class DistributedHemm:
         promote/demote can never hand back the wrong-width block.
         """
         Hij = self.H.local(i, j) if rdtype is None \
-            else self._local_work(i, j, rdtype, tier)
+            else self._local_work(i, j, rdtype)
         if is_phantom(Hij) or np.dtype(self.H.dtype).kind != "c":
             return None  # .conj() is free (a view) for real ndarrays
         if not self.grid.cluster.config.numeric_dedup:
             return None
-        key = (i, j, np.dtype(Hij.dtype).str) if tier is None \
-            else (i, j, np.dtype(Hij.dtype).str, tier)
+        key = (i, j, np.dtype(Hij.dtype).str)
         cached = self._hconj.get(key)
         if cached is None:
             cached = Hij.conj()
@@ -249,22 +237,21 @@ class DistributedHemm:
             self._offsets = offs
         return self._offsets
 
-    def _row_panel(self, i: int, rdtype=None,
-                   tier: str | None = None) -> np.ndarray:
+    def _row_panel(self, i: int, rdtype=None) -> np.ndarray:
         """``[H_i0 | ... | H_i,q-1]`` — the grid row's blocks, stacked.
 
-        Cached per (row, dtype, tier): a narrow apply stacks the cached
+        Cached per (row, dtype): a narrow apply stacks the cached
         work-dtype casts (charging their one-time cast builds), a
         full-width apply the blocks themselves.
         """
         rdt = np.dtype(rdtype if rdtype is not None else self.H.dtype)
         narrow = bytes_per_scalar(rdt) < bytes_per_scalar(self.H.dtype)
         pdt = _NARROW[np.dtype(self.H.dtype)] if narrow else np.dtype(self.H.dtype)
-        key = (i, pdt.str) if tier is None else (i, pdt.str, tier)
+        key = (i, pdt.str)
         P = self._panels.get(key)
         if P is None:
             blocks = [
-                np.asarray(self._local_work(i, j, rdt, tier) if narrow
+                np.asarray(self._local_work(i, j, rdt) if narrow
                            else self.H.local(i, j))
                 for j in range(self.grid.q)
             ]
@@ -272,13 +259,12 @@ class DistributedHemm:
             self._panels[key] = P
         return P
 
-    def _row_panel_conj(self, i: int, rdtype=None,
-                        tier: str | None = None) -> np.ndarray:
+    def _row_panel_conj(self, i: int, rdtype=None) -> np.ndarray:
         """Elementwise conjugate of the fused row panel (complex C->B)."""
         if np.dtype(self.H.dtype).kind != "c":
-            return self._row_panel(i, rdtype, tier)
-        P0 = self._row_panel(i, rdtype, tier)
-        key = (i, P0.dtype.str) if tier is None else (i, P0.dtype.str, tier)
+            return self._row_panel(i, rdtype)
+        P0 = self._row_panel(i, rdtype)
+        key = (i, P0.dtype.str)
         P = self._panels_conj.get(key)
         if P is None:
             P = P0.conj()
@@ -302,7 +288,6 @@ class DistributedHemm:
         gamma: float = 0.0,
         out: DistributedMultiVector | None = None,
         pipeline: bool = False,
-        work_tier: str | None = None,
     ) -> DistributedMultiVector:
         """``alpha (H - gamma I) X[:, cols]`` in the *opposite* layout.
 
@@ -317,15 +302,6 @@ class DistributedHemm:
         Chebyshev filter hot path); when the cluster's config also sets
         ``pipeline_chunks``, the apply runs the chunked nonblocking path
         (:meth:`_apply_pipelined`, DESIGN.md §5d).
-
-        ``work_tier`` (``"fp16"``/``"bf16"``, DESIGN.md §5j) marks the
-        apply as an emulated half-tier pass: the H blocks are cast into
-        tier-keyed lattice-rounded caches, the GEMMs are charged at the
-        tier's throughput, and pipeline-eligible reductions carry the
-        tier's 2-byte words on the wire (with wide accumulation, as a
-        NCCL half allreduce does).  BLAS-1 shift/scale terms stay
-        charged at the fp32 storage width — a deliberate conservative
-        bound.  ``None`` is the exact pre-tier behaviour.
         """
         grid = self.grid
         H = self.H
@@ -341,23 +317,6 @@ class DistributedHemm:
         out_map = H.colmap if to_b else H.rowmap
         out_layout = "B" if to_b else "C"
         rdtype = _work_dtype(H.dtype, X.dtype)
-        # compressed payloads apply to the filter hot path only (calls
-        # marked pipeline-eligible) and only while the apply runs in the
-        # narrow working dtype: quantization noise is O(eps32), so once
-        # the precision policy promotes the filter back to fp64 the wire
-        # must widen with it or residuals plateau above fp64 tolerance
-        payload = cfg.comm_compress if pipeline else "none"
-        payload = None if payload == "none" else payload
-        if work_tier is not None and pipeline:
-            # a half-tier apply puts the tier's 2-byte words on the wire
-            # regardless of the compression field (it is never wider
-            # than any compression payload)
-            payload = work_tier
-        if payload is not None and (
-            bytes_per_scalar(rdtype)
-            >= bytes_per_scalar(np.result_type(H.dtype, X.dtype))
-        ):
-            payload = None
 
         dedup = X.aliased and not X.is_phantom
         numeric_h = not is_phantom(H.local(0, 0))
@@ -365,36 +324,32 @@ class DistributedHemm:
         if pipeline and cfg.pipeline_chunks and width >= 2:
             return self._apply_pipelined(
                 X, cols, width, to_b, alpha, gamma, out,
-                dedup and numeric_h, fused, rdtype, payload, work_tier,
+                dedup and numeric_h, fused, rdtype,
             )
         if dedup and numeric_h and (fused or out is not None):
             return self._apply_decoupled(
                 X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
-                payload, work_tier,
             )
 
         contrib: dict[tuple[int, int], object] = {}
         for i in range(grid.p):
             for j in range(grid.q):
                 rank = grid.rank_at(i, j)
-                Hij = self._local_work(i, j, rdtype, work_tier)
+                Hij = self._local_work(i, j, rdtype)
                 Xblk = X.local(i, j)
                 Xcols = Xblk.cols(cols.start, cols.stop) if is_phantom(Xblk) \
                     else Xblk[:, cols]
                 if to_b:
-                    Hc = self._h_conj(i, j, rdtype, work_tier)
+                    Hc = self._h_conj(i, j, rdtype)
                     if Hc is not None:
                         # same flops/charge as op_a="C" (gemm_flops is
                         # symmetric in the m/k swap); operand layout
                         # matches the per-call Hij.conj() temporary
-                        W = rank.k.gemm(Hc.T, Xcols, op_a="N", kind="hemm",
-                                        charge_dtype=work_tier)
+                        W = rank.k.gemm(Hc.T, Xcols, op_a="N", kind="hemm")
                     else:
-                        W = rank.k.gemm(Hij, Xcols, op_a="C", kind="hemm",
-                                        charge_dtype=work_tier)
+                        W = rank.k.gemm(Hij, Xcols, op_a="C", kind="hemm")
                 else:
-                    W = rank.k.gemm(Hij, Xcols, op_a="N", kind="hemm",
-                                    charge_dtype=work_tier)
+                    W = rank.k.gemm(Hij, Xcols, op_a="N", kind="hemm")
                 if gamma != 0.0:
                     for rsl, csl in self._pairs(i, j):
                         if to_b:
@@ -413,7 +368,6 @@ class DistributedHemm:
                 comm = grid.col_comm(j)
                 res = comm.allreduce(
                     [contrib[(i, j)] for i in range(grid.p)], shared=dedup,
-                    payload_dtype=payload,
                 )
                 if dedup:
                     for i in range(grid.p):
@@ -423,7 +377,6 @@ class DistributedHemm:
                 comm = grid.row_comm(i)
                 res = comm.allreduce(
                     [contrib[(i, j)] for j in range(grid.q)], shared=dedup,
-                    payload_dtype=payload,
                 )
                 if dedup:
                     for j in range(grid.q):
@@ -449,7 +402,7 @@ class DistributedHemm:
         return out
 
     def _charge_block(self, k: LocalKernels, i: int, j: int, to_b, width,
-                      alpha, gamma, rdtype, tier) -> None:
+                      alpha, gamma, rdtype) -> None:
         """Issue grid block ``(i, j)``'s modeled charges into ``k``.
 
         The per-block sequence of one apply — GEMM, overlap AXPYs,
@@ -465,7 +418,6 @@ class DistributedHemm:
         k.gemm(
             PhantomArray(hshape, rdtype), PhantomArray((xrows, width), rdtype),
             op_a="C" if to_b else "N", kind="hemm", compute=False,
-            charge_dtype=tier,
         )
         proxy = PhantomArray((rows, width), rdtype)
         if gamma != 0.0:
@@ -478,7 +430,7 @@ class DistributedHemm:
             k.scale(proxy, alpha, compute=False)
 
     def _apply_decoupled(self, X, cols, width, to_b, alpha, gamma, out, fused,
-                         rdtype, payload, tier=None):
+                         rdtype):
         """Charge-first, compute-second execution of an aliased apply.
 
         Pass 1 issues, in the exact seed order, every per-rank modeled
@@ -498,18 +450,18 @@ class DistributedHemm:
             for j in range(q):
                 # the first narrow apply builds (and charges) the cached
                 # cast of H_ij here, ahead of the block's GEMM charge
-                self._local_work(i, j, rdtype, tier)
+                self._local_work(i, j, rdtype)
                 self._charge_block(grid.rank_at(i, j).k, i, j, to_b, width,
-                                   alpha, gamma, rdtype, tier)
+                                   alpha, gamma, rdtype)
 
         # ---- pass 2: numerics + reductions ----
         if fused:
             blocks, base = self._numeric_fused(
-                X, cols, width, to_b, alpha, gamma, out, rdtype, payload, tier
+                X, cols, width, to_b, alpha, gamma, out, rdtype
             )
         else:
             blocks, base = self._numeric_per_block(
-                X, cols, width, to_b, alpha, gamma, out, rdtype, payload, tier
+                X, cols, width, to_b, alpha, gamma, out, rdtype
             )
         result = DistributedMultiVector(
             grid, out_map, out_layout, width, blocks, rdtype, aliased=True
@@ -517,8 +469,7 @@ class DistributedHemm:
         result.stacked_base = base
         return result
 
-    def _numeric_fused(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
-                       payload=None, tier=None):
+    def _numeric_fused(self, X, cols, width, to_b, alpha, gamma, out, rdtype):
         """Fused-panel numerics: one GEMM per grid row."""
         grid = self.grid
         p, q = grid.p, grid.q
@@ -526,29 +477,26 @@ class DistributedHemm:
 
         if to_b:
             panels, base = self._fused_cb_panels(
-                X, cols, width, alpha, gamma, out, rdtype, tier
+                X, cols, width, alpha, gamma, out, rdtype
             )
             roots = {}
             for j in range(q):
                 bufs = [panels[i][offs[j]:offs[j + 1]] for i in range(p)]
-                res = grid.col_comm(j).allreduce(bufs, shared=True,
-                                                 payload_dtype=payload)
+                res = grid.col_comm(j).allreduce(bufs, shared=True)
                 roots[j] = res[0]
             blocks = self._fused_cb_blocks(roots, base, out)
             return blocks, base
 
         tgts = self._fused_bc_targets(
-            X, cols, width, alpha, gamma, out, rdtype, tier
+            X, cols, width, alpha, gamma, out, rdtype
         )
         for i in range(p):
-            grid.row_comm(i).allreduce([tgts[i]] * q, compute=False,
-                                       payload_dtype=payload)
+            grid.row_comm(i).allreduce([tgts[i]] * q, compute=False)
         blocks = {(i, j): tgts[i] for i in range(p) for j in range(q)}
         base = out.stacked_base if out is not None else None
         return blocks, base
 
-    def _fused_cb_panels(self, X, cols, width, alpha, gamma, out, rdtype,
-                         tier=None):
+    def _fused_cb_panels(self, X, cols, width, alpha, gamma, out, rdtype):
         """C -> B partial panels: per row ``i`` one ``(sum n_c) x width``
         panel of all ``q`` partial products; the column allreduces then
         sum the panel row-slices exactly as the seed path sums W_ij."""
@@ -561,7 +509,7 @@ class DistributedHemm:
             base = out.stacked_base
         panels = []
         for i in range(p):
-            P = self._row_panel_conj(i, rdtype, tier)
+            P = self._row_panel_conj(i, rdtype)
             if i == 0:
                 tgt = base if base is not None \
                     else np.empty((offs[-1], width), rdtype)
@@ -586,8 +534,7 @@ class DistributedHemm:
                 roots[j] = out.blocks[(0, j)]
         return {(i, j): roots[j] for i in range(p) for j in range(q)}
 
-    def _fused_bc_targets(self, X, cols, width, alpha, gamma, out, rdtype,
-                          tier=None):
+    def _fused_bc_targets(self, X, cols, width, alpha, gamma, out, rdtype):
         """B -> C fused numerics: stack the q unique input blocks once,
         contract them with the cached row panel in one GEMM per row —
         the reduction sum lives in the GEMM's k-dimension, so the row
@@ -599,7 +546,7 @@ class DistributedHemm:
             Bstack[offs[j]:offs[j + 1], :] = X.local(0, j)[:, cols]
         tgts = []
         for i in range(p):
-            P = self._row_panel(i, rdtype, tier)
+            P = self._row_panel(i, rdtype)
             if out is not None:
                 tgt = out.blocks[(i, 0)]
             else:
@@ -613,7 +560,7 @@ class DistributedHemm:
         return tgts
 
     def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
-                        tier=None, *, persistent: bool = False):
+                        *, persistent: bool = False):
         """Seed-granularity partial products, one per grid block.
 
         Arithmetic identical to the seed path (same operands, same
@@ -629,13 +576,13 @@ class DistributedHemm:
         partials = {}
         for i in range(p):
             for j in range(q):
-                Hij = self._local_work(i, j, rdtype, tier)
+                Hij = self._local_work(i, j, rdtype)
                 if to_b:
                     if complex_h:
                         # cached conj for complex (exact seed operand
                         # layout); falls back to the per-call conj
                         # temporary when the config turns dedup off
-                        Hc = self._h_conj(i, j, rdtype, tier)
+                        Hc = self._h_conj(i, j, rdtype)
                         Hop = Hc if Hc is not None else Hij.conj()
                     else:
                         Hop = Hij  # .T inside the kernel, free for real blocks
@@ -661,8 +608,7 @@ class DistributedHemm:
                     to_b, out=tgt)
         return partials
 
-    def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
-                           payload=None, tier=None):
+    def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype):
         """Seed-granularity numerics (partials + shared reductions).
 
         Used when fusion is off but an ``out`` buffer is in play.
@@ -670,7 +616,7 @@ class DistributedHemm:
         grid = self.grid
         p, q = grid.p, grid.q
         partials = self._block_partials(
-            X, cols, width, to_b, alpha, gamma, out, rdtype, tier
+            X, cols, width, to_b, alpha, gamma, out, rdtype
         )
 
         blocks = {}
@@ -678,7 +624,6 @@ class DistributedHemm:
             for j in range(q):
                 res = grid.col_comm(j).allreduce(
                     [partials[(i, j)] for i in range(p)], shared=True,
-                    payload_dtype=payload,
                 )
                 for i in range(p):
                     blocks[(i, j)] = res[0]
@@ -686,7 +631,6 @@ class DistributedHemm:
             for i in range(p):
                 res = grid.row_comm(i).allreduce(
                     [partials[(i, j)] for j in range(q)], shared=True,
-                    payload_dtype=payload,
                 )
                 for j in range(q):
                     blocks[(i, j)] = res[0]
@@ -694,8 +638,7 @@ class DistributedHemm:
         return blocks, base
 
     # -- pipelined (chunked nonblocking) execution -----------------------------------
-    def _apply_times(self, to_b, width, alpha, gamma, rdtype,
-                     tier=None) -> dict:
+    def _apply_times(self, to_b, width, alpha, gamma, rdtype) -> dict:
         """Per-rank full-width COMPUTE time of one apply, in model seconds.
 
         Replays the per-block charge sequence (:meth:`_charge_block`)
@@ -712,7 +655,7 @@ class DistributedHemm:
         does) and cached per (direction, width, shift/scale presence).
         """
         key = (to_b, width, gamma != 0.0, alpha != 1.0, np.dtype(rdtype).str,
-               tier, self.H.version)
+               self.H.version)
         cached = self._apply_time_cache.get(key)
         if cached is not None:
             return cached
@@ -722,14 +665,13 @@ class DistributedHemm:
             for j in range(grid.q):
                 acc: list[float] = []
                 k = LocalKernels(grid.rank_at(i, j).k.model, acc.append)
-                self._charge_block(k, i, j, to_b, width, alpha, gamma,
-                                   rdtype, tier)
+                self._charge_block(k, i, j, to_b, width, alpha, gamma, rdtype)
                 times[(i, j)] = sum(acc)
         self._apply_time_cache[key] = times
         return times
 
     def _apply_pipelined(self, X, cols, width, to_b, alpha, gamma, out,
-                         dedup, fused, rdtype, payload, tier=None):
+                         dedup, fused, rdtype):
         """Chunked nonblocking execution of an apply (DESIGN.md §5d).
 
         The width-wide block is split into the config's
@@ -787,7 +729,7 @@ class DistributedHemm:
             aliased = False
         elif fused and to_b:
             panels, base = self._fused_cb_panels(
-                X, cols, width, alpha, gamma, out, rdtype, tier
+                X, cols, width, alpha, gamma, out, rdtype
             )
             groups = [
                 (grid.col_comm(j),
@@ -798,7 +740,7 @@ class DistributedHemm:
             aliased = True
         elif fused:
             tgts = self._fused_bc_targets(
-                X, cols, width, alpha, gamma, out, rdtype, tier
+                X, cols, width, alpha, gamma, out, rdtype
             )
             groups = [
                 (grid.row_comm(i), [tgts[i]] * q, False, False)
@@ -810,7 +752,7 @@ class DistributedHemm:
         else:
             partials = self._block_partials(
                 X, cols, width, to_b, alpha, gamma,
-                out if dedup else None, rdtype, tier, persistent=not dedup,
+                out if dedup else None, rdtype, persistent=not dedup,
             )
             if to_b:
                 groups = [
@@ -836,13 +778,10 @@ class DistributedHemm:
 
         # ---- chunked model loop: charge k, wait k-1, issue k ----
         edges = _chunk_edges(width, grid.cluster.config.pipeline_chunks)
-        times = self._apply_times(to_b, width, alpha, gamma, rdtype, tier)
-        # compressed payloads shrink the wire bytes the chunk durations
-        # and stagings are derived from (1.0 exactly when inactive)
-        ratio = payload_ratio(rdtype, payload) if payload is not None else 1.0
+        times = self._apply_times(to_b, width, alpha, gamma, rdtype)
         group_cost = []
         for comm, bufs, _s, _c in groups:
-            nb_full = float(nbytes_of(bufs[0])) * ratio
+            nb_full = float(nbytes_of(bufs[0]))
             # routed through the communicator's selected collective
             # algorithm/topology so chunked charges match blocking ones
             d_full = comm.collective_time("allreduce", nb_full)
@@ -863,7 +802,6 @@ class DistributedHemm:
                     shared=shared, compute=compute,
                     duration=d_full * frac,
                     stage_seconds=(st_full * frac) if st_full > 0.0 else None,
-                    payload_dtype=payload,
                 )
                 for (comm, bufs, shared, compute), (d_full, st_full)
                 in zip(groups, group_cost)

@@ -57,24 +57,17 @@ __all__ = [
 DEFAULT_CHUNKS = (0, 4)
 #: collective algorithms tried
 DEFAULT_ALGOS = ("ring", "tree", "hierarchical", "auto")
-#: ``(filter_dtype, comm_compress[, qr_dtype])`` tuples spanning the
-#: precision ladder (DESIGN.md §5j).  :func:`autotune` folds these into
-#: its default candidate set, so ``repro solve --tuned`` searches the
-#: precision cascade out of the box; ties always break toward fp64
-#: (and the fp64 default config is always a candidate), so a tuned run
-#: never models slower — or less precise at equal time — than the seed.
+#: ``(filter_dtype, qr_dtype)`` pairs (DESIGN.md §5g).  :func:`autotune`
+#: folds these into its default candidate set, so ``repro solve
+#: --tuned`` searches the fp32 filter and the mixed QR out of the box;
+#: ties always break toward fp64 (and the fp64 default config is always
+#: a candidate), so a tuned run never models slower — or less precise
+#: at equal time — than the seed.
 DEFAULT_PRECISION_OPTIONS = (
-    ("fp64", "none", "fp64"),
-    ("fp32", "none", "fp64"),
-    ("fp32", "fp32", "auto"),
-    ("bf16", "bf16", "auto"),
-    ("fp16", "fp16", "auto"),
+    ("fp64", "fp64"),
+    ("fp32", "fp64"),
+    ("fp32", "fp32"),
 )
-
-#: tie-break orderings: lower index = preferred (wider / less lossy)
-_DTYPE_ORDER = {"fp64": 0, "fp32": 1, "bf16": 2, "fp16": 3, "auto": 4}
-_PAYLOAD_ORDER = {"none": 0, "fp32": 1, "bf16": 2, "fp16": 3}
-_QR_ORDER = {"fp64": 0, "auto": 1, "fp32": 2, "bf16": 3, "fp16": 4}
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,6 @@ class TuneConfig:
             bits.append(f"overlap={self.overlap:g}")
         if ex.filter_dtype != "fp64":
             bits.append(f"filter={ex.filter_dtype}")
-        if ex.comm_compress != "none":
-            bits.append(f"compress={ex.comm_compress}")
         if ex.qr_dtype != "fp64":
             bits.append(f"qr={ex.qr_dtype}")
         return " ".join(bits)
@@ -171,15 +162,14 @@ def enumerate_candidates(
     chunk_options: tuple[int, ...] = DEFAULT_CHUNKS,
     fusion_options: tuple[bool, ...] = (False, True),
     overlaps: tuple[float | None, ...] = (None,),
-    precision_options: tuple[tuple, ...] = (("fp64", "none"),),
+    precision_options: tuple[tuple[str, str], ...] = (("fp64", "fp64"),),
 ) -> list[TuneConfig]:
     """The candidate grid; always contains :func:`default_config`.
 
-    ``precision_options`` lists ``(filter_dtype, comm_compress)`` pairs
-    or ``(filter_dtype, comm_compress, qr_dtype)`` triples (the omitted
-    QR precision defaults to fp64); the parameter's own default
-    enumerates fp64-only — :func:`autotune` opts its default candidate
-    set into :data:`DEFAULT_PRECISION_OPTIONS`.
+    ``precision_options`` lists ``(filter_dtype, qr_dtype)`` pairs; the
+    parameter's own default enumerates fp64-only — :func:`autotune`
+    opts its default candidate set into
+    :data:`DEFAULT_PRECISION_OPTIONS`.
     """
     cands = []
     for p, q in grid_factorizations(n_ranks):
@@ -188,15 +178,13 @@ def enumerate_candidates(
             for chunks in chunk_options:
                 for fusion in fusion_options:
                     for overlap in overlaps:
-                        for opt in precision_options:
-                            fdt, comp, *rest = opt
-                            qdt = rest[0] if rest else "fp64"
+                        for fdt, qdt in precision_options:
                             cands.append(TuneConfig(
                                 p=p, q=q, algo=algo, overlap=overlap,
                                 execution=ExecutionConfig(
                                     pipeline_chunks=chunks,
                                     hemm_fusion=fusion, filter_dtype=fdt,
-                                    comm_compress=comp, qr_dtype=qdt,
+                                    qr_dtype=qdt,
                                 ),
                             ))
     default = default_config(n_ranks)
@@ -260,14 +248,13 @@ def _dry_run(cfg: TuneConfig, *, n_ranks, N, nev, nex, backend, machine,
         # gate admits — replay the recorded CholeskyQR2 iterations
         # through the mixed first pass so the candidate's QR-phase
         # advantage is scored by the same code path a solve charges
-        from repro.core.qr import qr_work_precision
+        from repro.core.qr import MIXED_VARIANT, qr_work_precision
 
-        qwork = qr_work_precision(
-            np.dtype(dtype), cfg.execution.qr_dtype, 1.0)
-        if qwork is not None:
+        if qr_work_precision(
+                np.dtype(dtype), cfg.execution.qr_dtype, 1.0) is not None:
             for rec in trace.records:
                 if rec.qr_variant == "CholeskyQR2":
-                    rec.qr_variant = f"mCholeskyQR2[{qwork.token}]"
+                    rec.qr_variant = MIXED_VARIANT
 
     with applied(cfg, n_ranks=n_ranks, backend=backend, machine=machine,
                  ranks_per_node=ranks_per_node, nodes_per_leaf=nodes_per_leaf,
@@ -347,12 +334,9 @@ def autotune(
     results.sort(key=lambda r: (
         r.makespan,
         not r.config.execution.hemm_fusion,
-        # at equal modeled time prefer the widest precision / least
-        # lossy wire: fp64 before fp32 before the half tiers
-        _DTYPE_ORDER.get(r.config.execution.filter_dtype, len(_DTYPE_ORDER)),
-        _PAYLOAD_ORDER.get(r.config.execution.comm_compress,
-                           len(_PAYLOAD_ORDER)),
-        _QR_ORDER.get(r.config.execution.qr_dtype, len(_QR_ORDER)),
+        # at equal modeled time prefer the wider precision
+        r.config.execution.filter_dtype != "fp64",
+        r.config.execution.qr_dtype != "fp64",
         r.config.execution.pipeline_chunks,
         algo_order.get(r.config.algo, len(algo_order)),
         abs(r.config.p - r.config.q),

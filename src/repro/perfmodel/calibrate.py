@@ -69,7 +69,7 @@ def measure_rate(kind: str, n: int = 512, repeats: int = 3,
 
     ``kind`` is one of ``gemm``, ``syrk``, ``potrf``, ``geqrf``;
     ``dtype`` picks the working precision (fp32 measures the local
-    BLAS's single-precision rate for the §5j rate table).
+    BLAS's single-precision rate for the §5g rate table).
     """
     rng = np.random.default_rng(0)
     dt = np.dtype(dtype)
@@ -120,8 +120,7 @@ def measure_bandwidth(nbytes: int = 64 * 1024 * 1024, repeats: int = 3) -> float
 
 
 @blas.one_pool_scope()
-def calibrate_local_machine(n: int = 512,
-                            half_rate_factor: float = 4.0) -> MachineSpec:
+def calibrate_local_machine(n: int = 512) -> MachineSpec:
     """A single-node machine model with locally measured rates.
 
     The 'GPU' of the model is the host BLAS itself (this is a CPU-only
@@ -129,13 +128,10 @@ def calibrate_local_machine(n: int = 512,
     model useful for predicting *compute-bound* behaviour of the
     simulated algorithms on this machine.
 
-    The per-dtype **rate table** (DESIGN.md §5j) is calibrated too: the
-    fp32 factor is the measured fp32/fp64 GEMM rate ratio (clamped to
-    ``[1, 4]`` — a local BLAS can fall anywhere between "no win" and
-    the theoretical 4x of bandwidth-bound half traffic), while the half
-    tiers keep ``half_rate_factor`` (host BLAS has no fp16/bf16 GEMM to
-    measure; override after measuring on real accelerator hardware).
-    fp64 is always 1.0 by construction and never appears in the table.
+    The **rate table** (DESIGN.md §5g) is calibrated too: the fp32
+    factor is the measured fp32/fp64 GEMM rate ratio, clamped to
+    ``[1, 4]``.  fp64 is always 1.0 by construction and never appears
+    in the table.
     """
     gemm = measure_rate("gemm", n)
     level3 = measure_rate("syrk", n)
@@ -154,11 +150,7 @@ def calibrate_local_machine(n: int = 512,
         launch_overhead=2e-6,
         eff_half_flops=5e6,
         memory_bytes=8 * 1024**3,
-        rate_table=(
-            ("fp32", fp32_factor),
-            ("bf16", float(half_rate_factor)),
-            ("fp16", float(half_rate_factor)),
-        ),
+        rate_table=(("fp32", fp32_factor),),
     )
     link = LinkSpec("local", latency=5e-7, bandwidth=bw)
     return MachineSpec(

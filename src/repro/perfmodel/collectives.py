@@ -50,7 +50,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from repro.perfmodel.kernels import bytes_per_scalar
 from repro.perfmodel.machine import LinkSpec, MachineSpec
 from repro.perfmodel.topology import FatTree
 
@@ -62,30 +61,9 @@ __all__ = [
     "CommTopology",
     "CollectiveCharge",
     "collective_cost",
-    "payload_ratio",
 ]
 
 _EAGER_LIMIT = 64 * 1024  # bytes; binomial bcast below, pipelined above
-
-
-def payload_ratio(buffer_dtype, payload_dtype) -> float:
-    """Wire-byte fraction of a compressed collective payload.
-
-    The ratio of the payload word width to the buffer word width,
-    capped at 1.0 — compression never inflates a message (an fp32
-    buffer sent with an fp32 payload, or any buffer with payload
-    ``None``/``"none"``, costs exactly the uncompressed bytes).  Every
-    cost-model and CommStats byte count of a compressed collective is
-    the uncompressed count times this ratio, so the per-level
-    conservation ``intra_bytes + inter_bytes == nbytes_eff * p`` holds
-    unchanged (DESIGN.md §5g).
-    """
-    if payload_dtype is None:
-        return 1.0
-    if isinstance(payload_dtype, str) and \
-            payload_dtype.strip().lower() in ("", "none", "fp64", "float64"):
-        return 1.0
-    return min(1.0, bytes_per_scalar(payload_dtype) / bytes_per_scalar(buffer_dtype))
 
 
 def _is_pow2(p: int) -> bool:

@@ -17,7 +17,6 @@ from repro.perfmodel.machine import DeviceSpec
 __all__ = [
     "complex_factor",
     "bytes_per_scalar",
-    "elem_bytes",
     "dtype_token",
     "dtype_rate_factor",
     "DEFAULT_RATE_FACTORS",
@@ -42,65 +41,28 @@ def bytes_per_scalar(dtype) -> float:
     """Bytes of one *real scalar word* of ``dtype``.
 
     A complex value counts as two real words (so ``complex128`` -> 8.0,
-    matching ``float64``); the string tokens ``"bf16"``/``"bfloat16"``
-    map to 2.0 since NumPy has no native bfloat16.  This is the single
-    place word widths live — payload compression ratios and workspace
-    sizes derive from it instead of hard-coding 8/16.
+    matching ``float64``).  This is the single place word widths live —
+    narrow-apply decisions and workspace sizes derive from it instead
+    of hard-coding 8/16.
     """
-    if isinstance(dtype, str):
-        token = dtype.strip().lower()
-        if token in ("bf16", "bfloat16", "fp16"):
-            return 2.0
-        if token == "fp32":
-            return 4.0
-        if token == "fp64":
-            return 8.0
     dt = np.dtype(dtype)
     return dt.itemsize / 2.0 if dt.kind == "c" else float(dt.itemsize)
 
 
-def elem_bytes(dtype, like=None) -> float:
-    """Bytes of one *element* of ``dtype``.
-
-    For NumPy dtypes this is the plain itemsize (``complex128`` ->
-    16.0).  For precision tokens (``"fp16"``/``"bf16"``/...) the word
-    width is doubled when ``like`` is a complex dtype — a complex half
-    element is two 2-byte real words.  Memory-model working sets and
-    cast charges size 2-byte tiers through this helper instead of
-    reading ``itemsize`` off the (wider) emulation storage.
-    """
-    if isinstance(dtype, str):
-        width = bytes_per_scalar(dtype)
-        if like is not None and np.dtype(like).kind == "c":
-            return 2.0 * width
-        return width
-    return float(np.dtype(dtype).itemsize)
-
-
 def dtype_token(dtype) -> str:
-    """Canonical precision token (``"fp64"``/``"fp32"``/``"fp16"``/
-    ``"bf16"``) for a dtype or token string, keyed on the real word
-    width for NumPy dtypes."""
-    if isinstance(dtype, str):
-        token = dtype.strip().lower()
-        return "bf16" if token in ("bf16", "bfloat16") else token
-    width = bytes_per_scalar(dtype)
-    if width <= 2.0:
-        return "fp16"
-    return "fp32" if width <= 4.0 else "fp64"
+    """Precision token (``"fp64"``/``"fp32"``) of a NumPy dtype, keyed
+    on its real word width."""
+    return "fp32" if bytes_per_scalar(dtype) <= 4.0 else "fp64"
 
 
 #: Fallback throughput multipliers relative to the device's calibrated
 #: fp64 rates, used when the device carries no calibrated rate table.
 #: fp64 is *exactly* 1.0 (the bit-identity gates depend on it); fp32 is
-#: the classic 2x of vendor BLAS; the half tiers default to 4x — the
-#: conservative word-width ratio, far below tensor-core peaks, and
-#: overridable per machine via ``perfmodel.calibrate``.
+#: the classic 2x of vendor BLAS, overridable per machine via
+#: ``perfmodel.calibrate``.
 DEFAULT_RATE_FACTORS = {
     "fp64": 1.0,
     "fp32": 2.0,
-    "bf16": 4.0,
-    "fp16": 4.0,
 }
 
 
@@ -108,12 +70,11 @@ def dtype_rate_factor(dtype, device: DeviceSpec | None = None) -> float:
     """Throughput multiplier of ``dtype`` relative to the device's
     calibrated double-precision rates.
 
-    Resolution order: the device's calibrated per-dtype rate table
+    Resolution order: the device's calibrated rate table
     (``DeviceSpec.rate_factor``) when a device is given, then
-    :data:`DEFAULT_RATE_FACTORS`, then the word-width ratio
-    ``8 / bytes_per_scalar`` floored at 1.0.  ``float64``/``complex128``
-    map to exactly 1.0 on every path so the default configuration
-    multiplies rates by 1.0 and stays bit-identical.
+    :data:`DEFAULT_RATE_FACTORS`.  ``float64``/``complex128`` map to
+    exactly 1.0 on every path so the default configuration multiplies
+    rates by 1.0 and stays bit-identical.
     """
     token = dtype_token(dtype)
     if token == "fp64":
@@ -122,10 +83,7 @@ def dtype_rate_factor(dtype, device: DeviceSpec | None = None) -> float:
         factor = device.rate_factor(token)
         if factor is not None:
             return float(factor)
-    factor = DEFAULT_RATE_FACTORS.get(token)
-    if factor is not None:
-        return factor
-    return max(1.0, 8.0 / bytes_per_scalar(dtype))
+    return DEFAULT_RATE_FACTORS[token]
 
 
 def gemm_flops(m: int, n: int, k: int, dtype=np.float64) -> float:

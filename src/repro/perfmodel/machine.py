@@ -24,11 +24,10 @@ class DeviceSpec:
     here.  ``eff_half_flops`` parameterizes the small-problem efficiency
     ramp: a kernel of ``f`` flops runs at ``rate * f / (f + eff_half_flops)``.
 
-    ``rate_table`` holds the calibrated throughput multipliers of the
-    narrow precisions relative to the fp64 rates (DESIGN.md §5j).  The
-    defaults are the conservative word-width ratios — fp32 the classic
-    2x of vendor BLAS, the half tiers 4x (far below tensor-core peaks);
-    ``perfmodel.calibrate`` measures and overrides them per machine.
+    ``rate_table`` holds the calibrated throughput multiplier of fp32
+    relative to the fp64 rates (DESIGN.md §5g).  The default is the
+    classic 2x of vendor BLAS; ``perfmodel.calibrate`` measures and
+    overrides it per machine.
     fp64 is *never* in the table: its factor is exactly 1.0 by
     construction, so the default path multiplies rates by 1.0 and every
     bit-identity gate survives.
@@ -43,9 +42,7 @@ class DeviceSpec:
     launch_overhead: float        # fixed per-kernel overhead (s)
     eff_half_flops: float         # flops at which efficiency reaches 50%
     memory_bytes: int             # device memory capacity
-    rate_table: tuple[tuple[str, float], ...] = (
-        ("fp32", 2.0), ("bf16", 4.0), ("fp16", 4.0),
-    )
+    rate_table: tuple[tuple[str, float], ...] = (("fp32", 2.0),)
 
     def rate_factor(self, token: str) -> float | None:
         """Calibrated throughput multiplier for a precision token, or

@@ -24,25 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perfmodel.kernels import elem_bytes
-
 __all__ = ["chase_new_scheme_bytes", "chase_lms_bytes", "fits_on_device"]
 
 
 def _work_elem_bytes(work_dtype, dtype) -> float | None:
     """Per-element bytes of the narrow working set, or None when the
-    working precision adds no separate footprint.
-
-    ``work_dtype`` is either an NumPy dtype (fp32 mixed precision) or a
-    half-tier token string (``"fp16"``/``"bf16"``, DESIGN.md §5j) whose
-    modeled words are 2 bytes — 4 for the complex pairs — even though
-    the emulation stores them in fp32.
-    """
-    if work_dtype is None:
-        return None
-    if isinstance(work_dtype, str):
-        return elem_bytes(work_dtype, like=dtype)
-    if np.dtype(work_dtype) == np.dtype(dtype):
+    working precision adds no separate footprint."""
+    if work_dtype is None or np.dtype(work_dtype) == np.dtype(dtype):
         return None
     return float(np.dtype(work_dtype).itemsize)
 

@@ -43,7 +43,6 @@ from repro.perfmodel.collectives import (
     CollectiveCharge,
     CommTopology,
     collective_cost,
-    payload_ratio,
 )
 from repro.perfmodel.topology import FatTree
 from repro.runtime.faults import CollectiveError, RankDeathError
@@ -125,49 +124,6 @@ class CommStats:
         )
 
 
-def _bf16_trunc(arr):
-    """Round-trip a float array through bfloat16 (mantissa truncation).
-
-    NumPy has no native bfloat16; truncating the low 16 mantissa bits of
-    the float32 representation reproduces its value lattice exactly.
-    ``astype`` returns a fresh contiguous array, so the uint32 view is
-    always legal whatever the input strides.
-    """
-    f32 = arr.astype(np.float32)
-    bits = f32.view(np.uint32)
-    bits &= np.uint32(0xFFFF0000)
-    return f32
-
-
-def _quantize_inplace(arr, payload: str) -> None:
-    """Replace ``arr`` with its value after a payload-width round trip.
-
-    The collective then accumulates these quantized values in the
-    buffer's native (wider) precision with the seed accumulation order —
-    fp32/bf16/fp16 payload, wide accumulate (exactly what a NCCL
-    half-precision allreduce with fp32 accumulation does).
-    """
-    if payload == "fp32":
-        target = np.complex64 if arr.dtype.kind == "c" else np.float32
-        arr[...] = arr.astype(target)
-    elif payload == "bf16":
-        if arr.dtype.kind == "c":
-            arr.real = _bf16_trunc(arr.real)
-            arr.imag = _bf16_trunc(arr.imag)
-        else:
-            arr[...] = _bf16_trunc(arr)
-    elif payload == "fp16":
-        # IEEE half: round-trip through np.float16 per real word
-        # (overflow saturates to inf, as the hardware would)
-        if arr.dtype.kind == "c":
-            arr.real = arr.real.astype(np.float16)
-            arr.imag = arr.imag.astype(np.float16)
-        else:
-            arr[...] = arr.astype(np.float16)
-    else:
-        raise ValueError(f"unknown payload dtype {payload!r}")
-
-
 class CollectiveRequest:
     """Handle for one in-flight nonblocking allreduce (MPI request).
 
@@ -196,13 +152,12 @@ class CollectiveRequest:
 
     __slots__ = ("_comm", "_buffers", "_nbytes", "_scalar",
                  "_duration", "_t_entry", "_shared", "_compute",
-                 "_stage_seconds", "_decompress", "_done", "_result")
+                 "_stage_seconds", "_done", "_result")
 
     def __init__(self, comm: "Communicator", buffers, nbytes: float,
                  scalar: bool, duration: float, t_entry: float, *,
                  shared: bool = False, compute: bool = True,
-                 stage_seconds: float | None = None,
-                 decompress: tuple[float, float] | None = None):
+                 stage_seconds: float | None = None):
         self._comm = comm
         self._buffers = buffers
         self._nbytes = nbytes
@@ -212,7 +167,6 @@ class CollectiveRequest:
         self._shared = shared
         self._compute = compute
         self._stage_seconds = stage_seconds
-        self._decompress = decompress
         self._done = False
         self._result = None
 
@@ -275,8 +229,6 @@ class CollectiveRequest:
         self._result = comm._allreduce_move(
             self._buffers, self._scalar, self._shared, self._compute
         )
-        if self._decompress is not None:
-            comm._charge_cast_all(*self._decompress)
         self._buffers = []  # release references
         return self._result
 
@@ -457,51 +409,6 @@ class Communicator:
         for r in self.ranks:
             r.charge_comm(dt)
 
-    # -- payload compression (DESIGN.md §5g) ------------------------------------------
-    def _compression(self, buffers, payload_dtype, scalar: bool
-                     ) -> tuple[float, str | None]:
-        """Resolve a ``payload_dtype`` request against these buffers.
-
-        Returns ``(ratio, payload)``: the wire-byte fraction and the
-        active payload token, or ``(1.0, None)`` when compression does
-        not apply (no request, scalar payloads, or a payload at least as
-        wide as the buffers) — in which case every downstream charge is
-        computed from the exact same numbers as an uncompressed call.
-        """
-        if payload_dtype is None or scalar:
-            return 1.0, None
-        dt = getattr(buffers[0], "dtype", None)
-        if dt is None:
-            return 1.0, None
-        ratio = payload_ratio(dt, payload_dtype)
-        if ratio >= 1.0:
-            return 1.0, None
-        return ratio, str(payload_dtype).strip().lower()
-
-    def _charge_cast_all(self, nbytes_full: float, nbytes_eff: float) -> None:
-        """Charge one quantize (or dequantize) pass on every rank.
-
-        Bandwidth-bound: reads one payload width, writes the other.  No
-        launch-overhead term — the pipelined filter issues one cast per
-        chunk, and the chunk casts must sum exactly to the full-payload
-        cast so chunking never inflates the model (same rule as its
-        ``duration``/``stage_seconds`` fractions).
-        """
-        for r in self.ranks:
-            bw = r.k.model.device.blas1_bandwidth
-            r.charge_compute((nbytes_full + nbytes_eff) / bw)
-
-    def _quantize_buffers(self, buffers, payload: str, compute: bool) -> None:
-        """Quantize every distinct contribution to the payload width."""
-        if not compute or is_phantom(buffers[0]):
-            return
-        seen = set()
-        for b in buffers:
-            if id(b) in seen:  # aliased replicas quantize once
-                continue
-            seen.add(id(b))
-            _quantize_inplace(b, payload)
-
     # -- overlap knob -------------------------------------------------------------------
     @property
     def overlap_efficiency(self) -> float:
@@ -533,7 +440,7 @@ class Communicator:
 
     # -- collectives --------------------------------------------------------------------
     def allreduce(self, buffers, op: str = "sum", *, shared: bool = False,
-                  compute: bool = True, payload_dtype: str | None = None):
+                  compute: bool = True):
         """SUM-allreduce one buffer per rank.
 
         Real arrays are updated **in place** (so views into larger rank
@@ -552,15 +459,6 @@ class Communicator:
         barrier, modeled time) without moving any data — used for the
         replica communicators of replication groups whose shared result
         was already produced by their root communicator.
-
-        ``payload_dtype`` (``"fp32"``/``"bf16"``) compresses the wire
-        payload: each contribution is quantized to the payload width
-        before the reduction and accumulated in the buffers' native
-        precision (fp32/bf16 payload, fp64 accumulate).  All byte-based
-        charges — cost model, CommStats, host staging — scale by the
-        payload ratio, and each rank is charged a quantize and a
-        dequantize cast (COMPUTE).  ``None``, or a payload at least as
-        wide as the buffers, is the uncompressed path bit for bit.
         """
         if op != "sum":
             raise NotImplementedError("only SUM allreduce is used by ChASE")
@@ -568,24 +466,15 @@ class Communicator:
         if self.size == 1:
             return list(buffers)
         fmult = self._fault_entry("allreduce")
-        ratio, payload = self._compression(buffers, payload_dtype, scalar)
-        nbytes_eff = nbytes * ratio
-        if payload is not None:
-            self._charge_cast_all(nbytes, nbytes_eff)
-        charge = self._charge_for("allreduce", nbytes_eff)
-        self.stats.record(nbytes_eff, self.size,
+        charge = self._charge_for("allreduce", nbytes)
+        self.stats.record(nbytes, self.size,
                           2 * math.ceil(math.log2(self.size)), charge)
-        self.transport_group.record_wire("allreduce", buffers, payload)
-        self._stage(nbytes_eff, "d2h")
+        self.transport_group.record_wire("allreduce", buffers)
+        self._stage(nbytes, "d2h")
         self._barrier_entry()
         self._charge_comm_all(charge.time * fmult)
-        self._stage(nbytes_eff, "h2d")
-        if payload is not None:
-            self._quantize_buffers(buffers, payload, compute)
-        result = self._allreduce_move(buffers, scalar, shared, compute)
-        if payload is not None:
-            self._charge_cast_all(nbytes, nbytes_eff)
-        return result
+        self._stage(nbytes, "h2d")
+        return self._allreduce_move(buffers, scalar, shared, compute)
 
     def bcast(self, buffers, root: int, *, shared: bool = False,
               compute: bool = True):
@@ -616,8 +505,7 @@ class Communicator:
     # -- nonblocking collectives --------------------------------------------------------
     def iallreduce(self, buffers, op: str = "sum", *, shared: bool = False,
                    compute: bool = True, duration: float | None = None,
-                   stage_seconds: float | None = None,
-                   payload_dtype: str | None = None) -> CollectiveRequest:
+                   stage_seconds: float | None = None) -> CollectiveRequest:
         """Issue a nonblocking SUM-allreduce; returns a request handle.
 
         At issue time the collective records its stats (identical message
@@ -636,11 +524,6 @@ class Communicator:
         alpha-beta model's per-call constants would otherwise be paid
         once per chunk, making chunking itself inflate the model and
         drowning the overlap effect it exists to expose.
-
-        ``payload_dtype`` compresses the wire payload exactly as in the
-        blocking :meth:`allreduce`: the quantize cast and compressed
-        stats/staging are settled at issue, the dequantize cast at
-        :meth:`CollectiveRequest.wait`.
         """
         if op != "sum":
             raise NotImplementedError("only SUM allreduce is used by ChASE")
@@ -648,24 +531,16 @@ class Communicator:
         if self.size == 1:
             return CollectiveRequest._completed(self, list(buffers))
         fmult = self._fault_entry("iallreduce")
-        ratio, payload = self._compression(buffers, payload_dtype, scalar)
-        nbytes_eff = nbytes * ratio
-        decompress = None
-        if payload is not None:
-            self._charge_cast_all(nbytes, nbytes_eff)
-            self._quantize_buffers(buffers, payload, compute)
-            decompress = (nbytes, nbytes_eff)
-        charge = self._charge_for("allreduce", nbytes_eff)
-        self.stats.record(nbytes_eff, self.size,
+        charge = self._charge_for("allreduce", nbytes)
+        self.stats.record(nbytes, self.size,
                           2 * math.ceil(math.log2(self.size)), charge)
-        self.transport_group.record_wire("allreduce", buffers, payload)
-        self._stage(nbytes_eff, "d2h", seconds=stage_seconds)
+        self.transport_group.record_wire("allreduce", buffers)
+        self._stage(nbytes, "d2h", seconds=stage_seconds)
         t_entry = max(r.clock.now for r in self.ranks)
         d = (charge.time if duration is None else float(duration)) * fmult
         return CollectiveRequest(
-            self, list(buffers), nbytes_eff, scalar, d, t_entry,
+            self, list(buffers), nbytes, scalar, d, t_entry,
             shared=shared, compute=compute, stage_seconds=stage_seconds,
-            decompress=decompress,
         )
 
     def allgather(self, buffers):

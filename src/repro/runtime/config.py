@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ExecutionConfig", "PRECISION_MODES", "COMPRESS_PAYLOADS"]
+__all__ = ["ExecutionConfig", "PRECISION_MODES"]
 
-#: working-precision requests of the filter and the QR first pass
-PRECISION_MODES = ("fp64", "fp32", "bf16", "fp16", "auto")
-#: allreduce payload word widths of the filter's reductions
-COMPRESS_PAYLOADS = ("none", "fp32", "bf16", "fp16")
+#: working-precision requests of the filter and the QR first pass: the
+#: two word widths the host BLAS runs natively
+PRECISION_MODES = ("fp64", "fp32")
 
 
 def _is_int(value) -> bool:
@@ -29,7 +28,7 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The six execution choices of a solve; defaults are the seed path.
+    """The five execution choices of a solve; defaults are the seed path.
 
     numeric_dedup:
         Build numeric multivectors with one shared ndarray per
@@ -44,15 +43,13 @@ class ExecutionConfig:
         ``0`` is the blocking filter, otherwise at least 2.  Chunking
         keeps bytes and numerics but multiplies the collective count.
     filter_dtype:
-        Precision mode the filter's :class:`~repro.core.precision.
-        PrecisionPolicy` starts from (``auto`` starts the cascade at
-        bf16).  RR and residuals always run in fp64.
+        Precision the filter's :class:`~repro.core.precision.
+        PrecisionPolicy` may run at; ``fp32`` is admitted per iteration
+        by the condition-estimate gate.  RR and residuals always run in
+        fp64.
     qr_dtype:
         Precision requested for the first CholeskyQR2 pass, admitted
-        per call by the doubling bound (``auto`` = narrowest admitted).
-    comm_compress:
-        Wire word width of the filter's HEMM reductions while the apply
-        itself runs narrow; ``none`` keeps full-width payloads.
+        per call by the doubling bound.
     """
 
     numeric_dedup: bool = True
@@ -60,7 +57,6 @@ class ExecutionConfig:
     pipeline_chunks: int = 0
     filter_dtype: str = "fp64"
     qr_dtype: str = "fp64"
-    comm_compress: str = "none"
 
     def __post_init__(self) -> None:
         for name in ("numeric_dedup", "hemm_fusion"):
@@ -72,10 +68,8 @@ class ExecutionConfig:
             raise ValueError(
                 "pipeline_chunks must be 0 (blocking) or an integer >= 2, "
                 f"got {chunks!r}")
-        for name, allowed in (("filter_dtype", PRECISION_MODES),
-                              ("qr_dtype", PRECISION_MODES),
-                              ("comm_compress", COMPRESS_PAYLOADS)):
+        for name in ("filter_dtype", "qr_dtype"):
             value = getattr(self, name)
-            if value not in allowed:
+            if value not in PRECISION_MODES:
                 raise ValueError(
-                    f"{name} must be one of {allowed}, got {value!r}")
+                    f"{name} must be one of {PRECISION_MODES}, got {value!r}")

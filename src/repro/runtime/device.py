@@ -134,16 +134,8 @@ class LocalKernels:
         alpha: float = 1.0,
         kind: str = "gemm",
         compute: bool = True,
-        charge_dtype=None,
     ):
-        """``alpha * op(A) @ B`` with ``op in {"N", "T", "C"}``.
-
-        ``charge_dtype`` (a precision token or dtype) overrides the
-        dtype the *time model* rates the kernel at — the emulated half
-        tiers compute in fp32 storage but are charged at 2-byte-tier
-        throughput.  The flop count always follows the operand dtype
-        (complex factor), and ``None`` keeps the seed charge exactly.
-        """
+        """``alpha * op(A) @ B`` with ``op in {"N", "T", "C"}``."""
         if op_a not in ("N", "T", "C"):
             raise ValueError(f"bad op_a {op_a!r}")
         am, ak = (A.shape if op_a == "N" else A.shape[::-1])
@@ -152,9 +144,7 @@ class LocalKernels:
             raise ValueError(f"gemm shape mismatch: op(A)={am}x{ak}, B={bk}x{bn}")
         dtype = np.result_type(A.dtype, B.dtype)
         self._charge(self.model.time(
-            kind, gemm_flops(am, bn, ak, dtype),
-            dtype=dtype if charge_dtype is None else charge_dtype,
-        ))
+            kind, gemm_flops(am, bn, ak, dtype), dtype=dtype))
         if not compute:
             return None
         if _any_phantom(A, B):
@@ -162,33 +152,29 @@ class LocalKernels:
         return gemm_numeric(A, B, op_a=op_a, alpha=alpha)
 
     def hemm(self, H, X, *, op_h: str = "N", alpha: float = 1.0,
-             compute: bool = True, charge_dtype=None):
+             compute: bool = True):
         """Hermitian matrix times a block of vectors (cuBLAS ZHEMM/DSYMM)."""
         return self.gemm(H, X, op_a=op_h, alpha=alpha, kind="hemm",
-                         compute=compute, charge_dtype=charge_dtype)
+                         compute=compute)
 
-    def syrk(self, X, *, compute: bool = True, charge_dtype=None):
+    def syrk(self, X, *, compute: bool = True):
         """Gram matrix ``X^H X`` (ZHERK/DSYRK)."""
         m, n = X.shape
         self._charge(self.model.time(
-            "syrk", syrk_flops(n, m, X.dtype),
-            dtype=X.dtype if charge_dtype is None else charge_dtype,
-        ))
+            "syrk", syrk_flops(n, m, X.dtype), dtype=X.dtype))
         if not compute:
             return None
         if is_phantom(X):
             return PhantomArray((n, n), X.dtype)
         return syrk_numeric(X)
 
-    def trsm(self, X, R, *, compute: bool = True, charge_dtype=None):
+    def trsm(self, X, R, *, compute: bool = True):
         """``X <- X R^{-1}`` with ``R`` upper triangular (right-side TRSM)."""
         m, n = X.shape
         if R is not None and R.shape != (n, n):
             raise ValueError(f"trsm shape mismatch: X={X.shape}, R={R.shape}")
         self._charge(self.model.time(
-            "trsm", trsm_flops(m, n, X.dtype),
-            dtype=X.dtype if charge_dtype is None else charge_dtype,
-        ))
+            "trsm", trsm_flops(m, n, X.dtype), dtype=X.dtype))
         if not compute:
             return None
         if _any_phantom(X, R):
@@ -196,15 +182,13 @@ class LocalKernels:
         return trsm_numeric(X, R)
 
     # -- factorizations ---------------------------------------------------------
-    def potrf(self, G, *, compute: bool = True, charge_dtype=None):
+    def potrf(self, G, *, compute: bool = True):
         """Cholesky ``G = R^H R`` (upper factor).  Returns ``(R, info)``;
         ``info != 0`` signals breakdown (matrix not positive definite),
         mirroring LAPACK xPOTRF semantics."""
         n = G.shape[0]
         self._charge(self.model.time(
-            "potrf", potrf_flops(n, G.dtype),
-            dtype=G.dtype if charge_dtype is None else charge_dtype,
-        ))
+            "potrf", potrf_flops(n, G.dtype), dtype=G.dtype))
         if not compute:
             return None, 0
         if is_phantom(G):
@@ -253,23 +237,16 @@ class LocalKernels:
             + (n_ops - 1) * self.model.device.launch_overhead
         )
 
-    def cast(self, X, dtype, *, compute: bool = True, elem_bytes=None):
+    def cast(self, X, dtype, *, compute: bool = True):
         """Precision conversion ``X.astype(dtype)`` (bandwidth-bound copy).
 
         Charged as a streaming kernel reading the source and writing the
         destination width; used by the mixed-precision filter for
         demote/promote copies and by the HEMM for its cached narrow
-        H-block casts.  ``elem_bytes`` — an optional ``(src, dst)``
-        pair of per-element byte widths — overrides the itemsize-based
-        charge for the emulated half tiers, whose fp32 storage is twice
-        as wide as the 2-byte words the modeled hardware would stream.
+        H-block casts.
         """
         dtype = np.dtype(dtype)
-        if elem_bytes is not None:
-            src_b, dst_b = elem_bytes
-        else:
-            src_b, dst_b = X.itemsize, dtype.itemsize
-        nbytes = X.size * (src_b + dst_b)
+        nbytes = X.size * (X.itemsize + dtype.itemsize)
         self._blas1_charge(nbytes)
         if not compute:
             return None

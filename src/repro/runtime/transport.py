@@ -43,7 +43,7 @@ from numbers import Number
 import numpy as np
 
 from repro.arrays import is_phantom, nbytes_of
-from repro.perfmodel.collectives import collective_cost, payload_ratio
+from repro.perfmodel.collectives import collective_cost
 from repro.runtime.backend import CommBackend
 from repro.runtime.faults import FaultError
 
@@ -189,18 +189,13 @@ class TransportStats:
                 f"messages={self.messages}, bytes={self.bytes_moved:.3g})")
 
 
-def _wire_nbytes(buffers, payload: str | None) -> float:
+def _wire_nbytes(buffers) -> float:
     """Per-participant wire bytes of one collective, measured from the
-    buffers the data plane was handed (compressed width included)."""
+    buffers the data plane was handed."""
     b0 = buffers[0]
     if isinstance(b0, Number):
         return 8.0
-    nbytes = float(nbytes_of(b0))
-    if payload is not None:
-        dt = getattr(b0, "dtype", None)
-        if dt is not None:
-            nbytes *= payload_ratio(dt, payload)
-    return nbytes
+    return float(nbytes_of(b0))
 
 
 def _dedup_in_rank_order(buffers) -> list:
@@ -238,8 +233,7 @@ class TransportGroup:
         """Attach the owning communicator (model/topology/algo source)."""
         self._comm = comm
 
-    def record_wire(self, op: str, buffers, payload: str | None = None,
-                    nbytes: float | None = None,
+    def record_wire(self, op: str, buffers, nbytes: float | None = None,
                     messages: int | None = None) -> None:
         """Account one executed collective from the data plane's side.
 
@@ -247,14 +241,14 @@ class TransportGroup:
         allgather's mean-block v-collective convention) and ``messages``
         the schedule count (the v1.2 gather-by-broadcasts pattern, which
         books ``ceil(log2(max(p, 2)))`` even on one rank); otherwise the
-        wire bytes are measured from ``buffers[0]`` and the payload
-        width.  Level attribution re-routes the measured bytes through
-        the shared topology/algorithm splitter, so it matches the
-        modeled CommStats iff the data plane moved the modeled bytes.
+        wire bytes are measured from ``buffers[0]``.  Level attribution
+        re-routes the measured bytes through the shared
+        topology/algorithm splitter, so it matches the modeled
+        CommStats iff the data plane moved the modeled bytes.
         """
         p = len(self.member_ids)
         if nbytes is None:
-            nbytes = _wire_nbytes(buffers, payload)
+            nbytes = _wire_nbytes(buffers)
         self.stats.collectives += 1
         self.stats.messages += (
             schedule_messages(op, p) if messages is None else messages

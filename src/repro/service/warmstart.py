@@ -22,10 +22,10 @@ entry is dropped and the solve proceeds cold) — a corrupted cache can
 cost iterations but can never produce a wrong answer.  Capacity is a
 byte budget with LRU eviction.
 
-Mixed precision (DESIGN.md §5j): a tuned sequence whose filter ran in a
+Mixed precision (DESIGN.md §5g): a tuned sequence whose filter ran in a
 narrow working dtype may store its subspace narrowly (``put(...,
 store_dtype=...)`` — the converged basis is only accurate to the narrow
-tier's floor anyway, and the entry costs half the budget).  A later
+dtype's floor anyway, and the entry costs half the budget).  A later
 lookup at a *wider* dtype of the same kind upcasts the stored basis on
 the way out instead of missing: the cache keeps the narrow copy, the
 caller gets a widened view sealed with its own checksum.  Lookups at a
@@ -204,7 +204,7 @@ class WarmStartCache:
         budget is a hard cap, not a goal).
 
         ``store_dtype`` narrows the stored basis (mixed-precision
-        sequences, §5j): the subspace is only converged to the narrow
+        sequences, §5g): the subspace is only converged to the narrow
         tier's floor, so storing it wide wastes budget.  ``get`` at the
         wide dtype upcasts transparently.
         """

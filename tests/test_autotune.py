@@ -63,6 +63,15 @@ def test_winner_never_regresses_default(report):
     assert spans == sorted(spans)
 
 
+def test_default_space_spans_fp64_and_fp32_only(report):
+    """4 grids x 4 algorithms x 2 chunk counts x 2 fusion x 3
+    (filter, qr) precision pairs; no candidate carries another token."""
+    assert len(report.results) == 192
+    assert {(r.config.execution.filter_dtype, r.config.execution.qr_dtype)
+            for r in report.results} == \
+        {("fp64", "fp64"), ("fp32", "fp64"), ("fp32", "fp32")}
+
+
 def test_reference_problem_strictly_improves(report):
     """On the 2x4 NCCL reference the pipelined filter is a real modeled
     win (DESIGN.md §5d), so the tuner must find a strict improvement."""

@@ -37,17 +37,18 @@ from repro.runtime.transport import (
 BACKENDS = ("mp",)
 
 
-def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, compress=None,
-           plan=None):
+def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, plan=None, deg=20,
+           **execution):
     rng = np.random.default_rng(12345)
     H = uniform_matrix(n, rng=rng)
-    config = ExecutionConfig(comm_compress=compress or "none")
-    with VirtualCluster(p * q, backend=backend, config=config) as cluster:
+    with VirtualCluster(p * q, backend=backend,
+                        config=ExecutionConfig(**execution)) as cluster:
         grid = Grid2D(cluster, p, q)
         if plan is not None:
             cluster.attach_faults(plan)
         Hd = DistributedHermitian.from_dense(grid, H)
-        solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex))
+        solver = ChaseSolver(grid, Hd,
+                             ChaseConfig(nev=nev, nex=nex, deg=deg))
         res = solver.solve(rng=np.random.default_rng(7),
                            return_vectors=True)
         final = solver.grid
@@ -69,13 +70,14 @@ class TestConformanceMatrix:
         assert levels == levels0
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compressed_wire_parity(self, backend):
-        """fp32-compressed collectives: the wire account (compressed
-        widths included) must still match the modeled CommStats — the
-        in-solve parity assert would raise otherwise — and the numerics
-        must match the orchestrated compressed run bit for bit."""
-        base, stats0, levels0 = _solve("orchestrated", compress="fp32")
-        res, stats, levels = _solve(backend, compress="fp32")
+    def test_fp32_filter_parity(self, backend):
+        """Single-precision panels cross the data plane too: an engaged
+        fp32 filter (``deg=4`` opens the gate) must match the
+        orchestrated run bit for bit, wire account included."""
+        kw = dict(deg=4, filter_dtype="fp32")
+        base, stats0, levels0 = _solve("orchestrated", **kw)
+        res, stats, levels = _solve(backend, **kw)
+        assert base.precision_log[0] == "fp32"
         np.testing.assert_array_equal(res.eigenvalues, base.eigenvalues)
         np.testing.assert_array_equal(res.residual_norms, base.residual_norms)
         assert stats == stats0

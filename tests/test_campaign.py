@@ -257,6 +257,57 @@ def test_spec_errors_are_typed():
             r"unknown tier 'executor' \(expected one of "
             r"\('seed', 'dedup', 'fused', 'pipeline'\)\)")):
         spec_from_dict(retired).expand()
+    # two precisions: a sub-fp32 token names the accepted values on every
+    # kind that has the knob, and the compression knob is unknown
+    for kind_knobs in ({"kind": "solve", "n": 64, "nev": 4},
+                       {"kind": "phantom", "n": 64, "nev": 4, "nex": 2}):
+        narrow = {"campaign": "x", "matrix": [
+            {"name": "t", "set": {**kind_knobs, "filter_dtype": "bf16"}}]}
+        with pytest.raises(SpecError, match=(
+                r"unknown filter_dtype 'bf16' \(expected one of "
+                r"\('fp64', 'fp32'\)\)")):
+            spec_from_dict(narrow).expand()
+        compressed = {"campaign": "x", "matrix": [
+            {"name": "t", "set": {**kind_knobs, "comm_compress": "none"}}]}
+        with pytest.raises(SpecError, match=(
+                r"unknown knob\(s\) \['comm_compress'\]")):
+            spec_from_dict(compressed).expand()
+
+
+def test_report_exits_nonzero_and_names_a_missed_gate(tmp_path, capsys):
+    """``repro campaign report`` is a gate, not a printer: a stored run
+    gate or a report gate that is not met fails the command by name."""
+    import json
+
+    from repro.cli import main
+
+    def report(spec_dict):
+        path = tmp_path / f"{spec_dict['campaign']}.json"
+        path.write_text(json.dumps(spec_dict))
+        common = ["--spec", str(path),
+                  "--db", str(tmp_path / f"{spec_dict['campaign']}.sqlite")]
+        assert main(["campaign", "run", *common]) == 0
+        rc = main(["campaign", "report", *common,
+                   "--results-dir", str(tmp_path / "out"),
+                   "--json", str(tmp_path / "out" / "bench.json")])
+        return rc, capsys.readouterr().out
+
+    met = probe_spec_dict([1, 2], [0, 0])
+    rc, out = report(met)
+    assert rc == 0 and "not met" not in out
+
+    missed = probe_spec_dict([1, 2], [0, 0])
+    missed["campaign"] = "missed"
+    missed["matrix"][0]["gates"]["negative"] = {
+        "metric": "makespan", "op": "lt", "value": 0.0}
+    missed["report"] = {"gates": {"second_is_smaller": {
+        "ratio": ["probes/fail=False+value=2:makespan",
+                  "probes/fail=False+value=1:makespan"],
+        "op": "lt", "value": 1.0}}}
+    rc, out = report(missed)
+    assert rc == 1
+    assert "probes/fail=False+value=1:negative" in out
+    assert "second_is_smaller" in out
 
 
 def test_exclude_drop_and_skip(tmp_path):

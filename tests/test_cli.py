@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,17 +26,24 @@ class TestParser:
 
     def test_precision_flags(self):
         args = build_parser().parse_args(
-            ["solve", "--filter-dtype", "fp32", "--comm-compress", "bf16"]
+            ["solve", "--filter-dtype", "fp32", "--qr-dtype", "fp32"]
         )
-        assert args.filter_dtype == "fp32" and args.comm_compress == "bf16"
+        assert args.filter_dtype == "fp32" and args.qr_dtype == "fp32"
         # default None: the flags never clobber a tuned winner's scopes
         args = build_parser().parse_args(["solve"])
-        assert args.filter_dtype is None and args.comm_compress is None
-        # fp16/bf16/auto are valid cascade tiers (§5j); fp8 is not
-        args = build_parser().parse_args(["solve", "--filter-dtype", "fp16"])
-        assert args.filter_dtype == "fp16"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--filter-dtype", "fp8"])
+        assert args.filter_dtype is None and args.qr_dtype is None
+
+    @pytest.mark.parametrize("argv", [
+        ["--filter-dtype", "bf16"], ["--filter-dtype", "auto"],
+        ["--qr-dtype", "fp16"], ["--comm-compress", "none"],
+    ])
+    def test_sub_fp32_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["solve", *argv])
+        assert exc.value.code == 2
+        if argv[0] != "--comm-compress":
+            # argparse names the accepted values
+            assert "'fp64', 'fp32'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -77,12 +86,26 @@ class TestCommands:
         rc = main(
             ["solve", "--n", "200", "--nev", "8", "--distributed",
              "--ranks", "8", "--backend", "nccl", "--seed", "1",
-             "--filter-dtype", "fp32", "--comm-compress", "fp32",
-             "--pipeline-filter"]
+             "--filter-dtype", "fp32", "--pipeline-filter"]
         )
         out = capsys.readouterr().out
         assert rc == 0
         assert "converged: True" in out
+        assert re.search(r"mixed precision: fp32 filter on [1-9]\d*/\d+ "
+                         r"iterations", out)
+
+    def test_solve_mixed_precision_never_admitted(self, capsys):
+        """A precision request that never engages says so, and why."""
+        rc = main(
+            ["solve", "--n", "300", "--nev", "20", "--distributed",
+             "--ranks", "4", "--seed", "3", "--filter-dtype", "fp32"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(
+            r"mixed precision: fp32 requested, 0/\d+ iterations admitted — "
+            r"iteration-1 cond estimate \d\.\de\+\d+ above the 1e\+06 gate",
+            out)
 
     def test_tune_precision_smoke(self, capsys):
         rc = main(

@@ -38,6 +38,7 @@ from repro.runtime import (
     Grid2D,
     VirtualCluster,
 )
+from repro.runtime.config import PRECISION_MODES
 from repro.service import EigenService, JobState, SolveJob
 
 TUNED = ExecutionConfig(hemm_fusion=True, pipeline_chunks=4,
@@ -56,10 +57,10 @@ POLLUTED = {
 def test_defaults_are_the_seed_path():
     assert ExecutionConfig() == ExecutionConfig(
         numeric_dedup=True, hemm_fusion=False, pipeline_chunks=0,
-        filter_dtype="fp64", qr_dtype="fp64", comm_compress="none")
+        filter_dtype="fp64", qr_dtype="fp64")
     assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
         "numeric_dedup", "hemm_fusion", "pipeline_chunks", "filter_dtype",
-        "qr_dtype", "comm_compress"]
+        "qr_dtype"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ExecutionConfig().hemm_fusion = True
 
@@ -73,7 +74,23 @@ def test_kernel_workers_is_gone_not_aliased():
     assert not hasattr(VirtualCluster(2), "run_kernels")
     env = _env_defaults({"REPRO_KERNEL_WORKERS": "abc"})
     assert env == _env_defaults({})
-    assert "kernel_workers" not in env and len(env) == 10
+    assert "kernel_workers" not in env and len(env) == 9
+
+
+def test_sub_fp32_words_are_gone_not_aliased():
+    """Two precisions: a sub-fp32 token is the ordinary ``ValueError``
+    naming the accepted values, the compression field the ordinary
+    ``TypeError``, and its environment variable is not even looked at."""
+    assert PRECISION_MODES == ("fp64", "fp32")
+    for token in ("bf16", "fp16", "auto"):
+        for field in ("filter_dtype", "qr_dtype"):
+            with pytest.raises(ValueError, match=r"\('fp64', 'fp32'\)"):
+                ExecutionConfig(**{field: token})
+    with pytest.raises(TypeError, match="comm_compress"):
+        ExecutionConfig(comm_compress="none")
+    with pytest.raises(ValueError, match=r"REPRO_FILTER_DTYPE.*'fp64', 'fp32'"):
+        _env_defaults({"REPRO_FILTER_DTYPE": "bf16"})
+    assert _env_defaults({"REPRO_COMM_COMPRESS": "zstd"}) == _env_defaults({})
 
 
 @pytest.mark.parametrize("field, bad, env_var, env_bad", [
@@ -84,7 +101,6 @@ def test_kernel_workers_is_gone_not_aliased():
     ("pipeline_chunks", None, "REPRO_FILTER_PIPELINE", "2"),
     ("filter_dtype", "fp23", "REPRO_FILTER_DTYPE", "fp23"),
     ("qr_dtype", "FP32", "REPRO_QR_DTYPE", "double"),
-    ("comm_compress", "fp64", "REPRO_COMM_COMPRESS", "zstd"),
     (None, None, "REPRO_COLL_ALGO", "nope"),
     (None, None, "REPRO_BACKEND", "smoke-signals"),
     (None, None, "REPRO_FAULT_SEED", "x7"),
@@ -105,20 +121,19 @@ def test_env_defaults_parse_every_knob():
     assert _env_defaults({}) == {
         "hemm_fusion": False, "pipeline_filter": False,
         "pipeline_chunks": 4, "filter_dtype": "fp64", "qr_dtype": "fp64",
-        "comm_compress": "none", "coll_algo": None,
+        "coll_algo": None,
         "transport": None, "faults": None, "checkpoint": None,
     }
     assert _env_defaults({
         "REPRO_HEMM_FUSION": "on", "REPRO_FILTER_PIPELINE": "TRUE",
-        "REPRO_FILTER_CHUNKS": "6", "REPRO_FILTER_DTYPE": " BF16 ",
-        "REPRO_QR_DTYPE": "auto", "REPRO_COMM_COMPRESS": "fp16",
-        "REPRO_COLL_ALGO": "tree",
+        "REPRO_FILTER_CHUNKS": "6", "REPRO_FILTER_DTYPE": " FP32 ",
+        "REPRO_QR_DTYPE": "fp32", "REPRO_COLL_ALGO": "tree",
         "REPRO_BACKEND": "mp", "REPRO_FAULT_SEED": "11",
         "REPRO_CHECKPOINT_EVERY": "2",
     }) == {
         "hemm_fusion": True, "pipeline_filter": True,
-        "pipeline_chunks": 6, "filter_dtype": "bf16", "qr_dtype": "auto",
-        "comm_compress": "fp16", "coll_algo": "tree",
+        "pipeline_chunks": 6, "filter_dtype": "fp32", "qr_dtype": "fp32",
+        "coll_algo": "tree",
         "transport": "mp", "faults": 11, "checkpoint": 2,
     }
 

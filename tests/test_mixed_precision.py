@@ -1,6 +1,6 @@
-"""Mixed-precision filter + compressed collectives (DESIGN.md §5g).
+"""Mixed-precision filter and mixed CholeskyQR2 (DESIGN.md §5g).
 
-Four guarantees pinned here:
+The guarantees pinned here:
 
 * the **fp64 configuration is bit-identical to the seed path** on every
   execution tier — the precision layer is a strict no-op until opted
@@ -8,16 +8,25 @@ Four guarantees pinned here:
 * **promotion is monotone**: the sticky fp64 fallback is driven by a
   tolerance-independent accuracy floor, so tightening ``tol`` can only
   append fp64 iterations, never convert one back to fp32;
-* **compressed allreduces conserve bytes honestly**: wire bytes scale
-  exactly with the payload width, the per-level (intra/inter) split
-  always sums to the byte total, and the chunked pipelined filter moves
-  exactly the blocking volume;
-* **chaos interplay**: fault plans with fp32 filtering and compression
-  armed never return silently wrong eigenpairs — a solve either matches
-  the dense oracle at fp64 tolerance or raises.
+* **narrow applies conserve bytes honestly**: wire bytes scale exactly
+  with the buffer width, the per-level (intra/inter) split always sums
+  to the byte total, and the chunked pipelined filter moves exactly the
+  blocking volume;
+* **chaos interplay**: fault plans with fp32 filtering armed never
+  return silently wrong eigenpairs — a solve either matches the dense
+  oracle at fp64 tolerance or raises;
+* **mixed CholeskyQR2 restores fp64 orthogonality**: when the doubling
+  bound (arXiv:1710.08471) admits an fp32 first pass, the fp64 second
+  pass lands ``||Q^H Q - I||`` at O(eps64), real and complex;
+* **narrowly stored warm-start subspaces upcast** instead of missing:
+  a tuned fp32-filter sequence step still warm-starts the next (fp64)
+  step;
+* the **fp32 rate factor** resolves per device, with fp64 pinned at 1.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,11 +35,23 @@ from hypothesis import strategies as st
 
 from repro.core import ChaseConfig, ChaseSolver, PrecisionPolicy, chase_serial
 from repro.core.precision import FP32_EPS, narrow_dtype, resolve_work_dtype
+from repro.core.qr import (
+    QRReport,
+    caqr_1d,
+    mixed_cholesky_qr2,
+    qr_work_precision,
+    unit_roundoff,
+)
 from repro.distributed import (
+    BlockMap1D,
     DistributedHermitian,
     DistributedMultiVector,
 )
 from repro.distributed.hemm import DistributedHemm
+from repro.perfmodel.autotune import default_config
+from repro.perfmodel.kernels import dtype_rate_factor, dtype_token
+from repro.perfmodel.machine import DeviceSpec
+from repro.perfmodel.memory import chase_new_scheme_bytes
 from repro.runtime import (
     CommBackend,
     ExecutionConfig,
@@ -39,6 +60,9 @@ from repro.runtime import (
     VirtualCluster,
 )
 from repro.runtime.faults import FaultError
+from repro.service import EigenService, JobState, SolveJob, scf_sequence
+from repro.service.warmstart import WarmStartCache, WarmStartMiss
+from tests.conftest import make_grid
 
 N, NEV, NEX = 160, 18, 12
 
@@ -52,7 +76,7 @@ def scenario_matrix(dtype=np.float64, seed=2024):
 
 
 def run_scenario(backend=CommBackend.NCCL, dtype=np.float64, tol=1e-10,
-                 p=2, q=4, solver_kw=None, seed=2718, **execution):
+                 p=2, q=4, solver_kw=None, seed=2718, deg=10, **execution):
     """One fixed distributed solve; returns all modeled outputs.
 
     ``deg=10`` keeps the iteration-1 condition estimate under the fp32
@@ -65,7 +89,7 @@ def run_scenario(backend=CommBackend.NCCL, dtype=np.float64, tol=1e-10,
     grid = Grid2D(cluster, p, q)
     Hd = DistributedHermitian.from_dense(grid, H)
     solver = ChaseSolver(grid, Hd,
-                         ChaseConfig(nev=NEV, nex=NEX, tol=tol, deg=10),
+                         ChaseConfig(nev=NEV, nex=NEX, tol=tol, deg=deg),
                          **(solver_kw or {}))
     res = solver.solve(rng=np.random.default_rng(seed), return_vectors=True)
     grid = solver.grid
@@ -101,12 +125,11 @@ def _run_tier(dedup, fused, pipelined, **kw):
 
 @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
 def test_fp64_config_bit_identical_on_every_tier(tier):
-    """Explicit fp64/none fields must equal the default config
+    """Explicit fp64 fields must equal the default config
     byte-for-byte: eigenpairs, comm stats (legacy and per-level),
     per-phase breakdowns, every rank clock."""
     r0, s0, t0, c0 = _run_tier(*tier)
-    r1, s1, t1, c1 = _run_tier(*tier, filter_dtype="fp64",
-                               comm_compress="none")
+    r1, s1, t1, c1 = _run_tier(*tier, filter_dtype="fp64", qr_dtype="fp64")
     np.testing.assert_array_equal(r1.eigenvalues, r0.eigenvalues)
     np.testing.assert_array_equal(r1.eigenvectors, r0.eigenvectors)
     assert r1.iterations == r0.iterations
@@ -119,8 +142,7 @@ def test_fp64_config_bit_identical_on_every_tier(tier):
 def test_fp32_solve_accurate_at_fp64_tolerance_on_every_tier(tier):
     """Mixed-precision solves must still converge to the dense oracle at
     the solver's own fp64 tolerance on every execution tier."""
-    res, _s, _t, _c = _run_tier(*tier, filter_dtype="fp32",
-                                comm_compress="fp32")
+    res, _s, _t, _c = _run_tier(*tier, filter_dtype="fp32")
     assert res.converged
     assert "fp32" in res.precision_log
     evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]
@@ -202,25 +224,24 @@ def test_resolve_work_dtype():
     assert resolve_work_dtype(np.float64, "fp32") == np.dtype(np.float32)
     assert resolve_work_dtype(np.complex128, "fp32") == np.dtype(np.complex64)
     assert narrow_dtype(np.float32) == np.dtype(np.float32)
-    # half tiers resolve to a WorkPrecision: fp32 storage, 2-byte charge
-    for token in ("fp16", "bf16"):
-        wp = resolve_work_dtype(np.float64, token)
-        assert wp.token == token
-        assert wp.dtype == np.dtype(np.float32)
-        assert wp.charge == token
-    assert resolve_work_dtype(np.complex128, "bf16").dtype == \
-        np.dtype(np.complex64)
-    with pytest.raises(ValueError):
-        resolve_work_dtype(np.float64, "fp8")
+    for token in ("bf16", "fp16", "fp8"):
+        with pytest.raises(ValueError):
+            resolve_work_dtype(np.float64, token)
 
 
-# ----------------------------------------------- compressed byte accounting
-def _pipeline_bytes(x_dtype, payload, chunks=0):
+@pytest.mark.parametrize("token", ["bf16", "fp16", "auto"])
+def test_policy_rejects_sub_fp32_modes(token):
+    with pytest.raises(ValueError, match=r"\('fp64', 'fp32'\)"):
+        PrecisionPolicy(token)
+
+
+# -------------------------------------------------- narrow byte accounting
+def _pipeline_bytes(x_dtype, chunks=0):
     """Total allreduce bytes of one pipeline-eligible HEMM apply."""
     H = scenario_matrix()
     cluster = VirtualCluster(
         8, backend=CommBackend.NCCL,
-        config=ExecutionConfig(comm_compress=payload, pipeline_chunks=chunks))
+        config=ExecutionConfig(pipeline_chunks=chunks))
     grid = Grid2D(cluster, 2, 4)
     Hd = DistributedHermitian.from_dense(grid, H)
     hemm = DistributedHemm(Hd)
@@ -240,51 +261,27 @@ def _pipeline_bytes(x_dtype, payload, chunks=0):
     return total
 
 
-def test_compressed_allreduce_byte_ratios_exact():
-    b64 = _pipeline_bytes(np.float64, "none")
-    b32 = _pipeline_bytes(np.float32, "none")
-    b64_fp32 = _pipeline_bytes(np.float64, "fp32")
-    b32_bf16 = _pipeline_bytes(np.float32, "bf16")
-    # narrow buffers halve the wire; payload compression is exact too
+def test_narrow_apply_halves_wire_bytes_and_chunks_conserve_them():
+    """Narrow buffers halve the wire, and chunked nonblocking reductions
+    move exactly the blocking volume."""
+    b64 = _pipeline_bytes(np.float64)
+    b32 = _pipeline_bytes(np.float32)
     assert b32 == 0.5 * b64
-    # fp64 X alone is not a narrow apply -> compression gated off
-    assert b64_fp32 == b64
-    assert b32_bf16 == 0.5 * b32 == 0.25 * b64
+    assert _pipeline_bytes(np.float32, chunks=3) == \
+        pytest.approx(b32, rel=0, abs=1e-6)
 
 
-@pytest.mark.parametrize("payload", ["none", "bf16"])
-def test_pipelined_chunks_conserve_compressed_bytes(payload):
-    """Chunked nonblocking reductions must move exactly the blocking
-    volume at every payload width."""
-    blocking = _pipeline_bytes(np.float32, payload, chunks=0)
-    chunked = _pipeline_bytes(np.float32, payload, chunks=3)
-    assert chunked == pytest.approx(blocking, rel=0, abs=1e-6)
-
-
-def test_compressed_solve_byte_reduction():
-    """End-to-end: an fp32+compressed solve moves strictly fewer
-    allreduce bytes than the fp64 baseline while still converging."""
+def test_fp32_solve_byte_reduction():
+    """End-to-end: an fp32-filter solve moves strictly fewer allreduce
+    bytes than the fp64 baseline while still converging."""
     r64, s64, *_ = run_scenario()
-    r32, s32, *_ = run_scenario(filter_dtype="fp32", comm_compress="bf16")
+    r32, s32, *_ = run_scenario(filter_dtype="fp32")
     assert r64.converged and r32.converged
     total64 = sum(t[2][2] for t in s64)
     total32 = sum(t[2][2] for t in s32)
     assert total32 < total64
     for _kind, _idx, legacy, levels in s32:
         assert levels[2] + levels[3] == pytest.approx(legacy[2])
-
-
-def test_bf16_quantization_roundtrip():
-    from repro.runtime.communicator import _bf16_trunc
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(257)
-    t = _bf16_trunc(x)
-    assert t.dtype == np.float32
-    # idempotent (already on the bf16 lattice) and within bf16 precision
-    # elementwise (truncation error < 2^-7 of each element's magnitude)
-    np.testing.assert_array_equal(_bf16_trunc(t), t)
-    assert np.all(np.abs(t - x) <= 2 ** -7 * np.abs(x) + 1e-12)
 
 
 # ----------------------------------------------------- cache invalidation
@@ -314,14 +311,14 @@ def test_narrow_h_cache_invalidated_on_version_bump():
 # ------------------------------------------------------------------ chaos
 @given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=8, deadline=None)
-def test_chaos_compression_never_silently_wrong(seed):
-    """Fault plans with mixed precision + compression armed: the solve
+def test_chaos_fp32_never_silently_wrong(seed):
+    """Fault plans with the fp32 filter armed: the solve
     either converges to the dense oracle at fp64 tolerance or raises a
     typed fault — silent corruption of the answer is impossible."""
     plan = FaultPlan.random(seed, 8, horizon=0.02, n_events=3)
     try:
         res, *_ = run_scenario(solver_kw=dict(faults=plan), seed=seed,
-                               filter_dtype="fp32", comm_compress="fp32")
+                               filter_dtype="fp32")
     except FaultError:
         return  # an honest failure is an acceptable outcome
     if not res.converged:
@@ -340,3 +337,196 @@ def test_serial_oracle_matches_fp32_distributed():
     res, *_ = run_scenario(seed=9, filter_dtype="fp32")
     assert ser.converged and res.converged
     assert np.abs(ser.eigenvalues - res.eigenvalues).max() <= 1e-9
+
+
+# ------------------------------------------------- mixed CholeskyQR2
+def conditioned_matrix(rng, m, n, cond):
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    W = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = np.logspace(0, -np.log10(cond), n)
+    return (U * s[None, :]) @ W.T
+
+
+def make_mv(grid, V):
+    return DistributedMultiVector.from_global(
+        grid, V, BlockMap1D(V.shape[0], grid.p), "C")
+
+
+def orthogonality_error(Q):
+    n = Q.shape[1]
+    return np.abs(Q.conj().T @ Q - np.eye(n)).max()
+
+
+class TestMixedCholeskyQR2:
+    def test_doubling_bound_gates(self):
+        """Admission is ``est_cond <= guard / sqrt(u_32)`` (~2e3); fp64
+        mode and a too-ill-conditioned basis resolve to no narrow pass."""
+        assert qr_work_precision(np.float64, "fp64", 1.0) is None
+        assert qr_work_precision(np.float64, "fp32", 100.0) == np.float32
+        assert qr_work_precision(np.complex128, "fp32", 100.0) == np.complex64
+        assert qr_work_precision(np.complex128, "fp32", 5000.0) is None
+        # an fp32 base has no narrower fp32 to win with
+        assert qr_work_precision(np.float32, "fp32", 10.0) is None
+        for token in ("bf16", "fp16", "auto", "fp8"):
+            with pytest.raises(ValueError):
+                qr_work_precision(np.float64, token, 1.0)
+
+    def test_orthogonality_at_eps64_when_gate_admits(self, rng):
+        """fp32 first pass + fp64 second pass: ``||Q^H Q - I||`` lands
+        at O(eps64), exactly as the doubling argument promises."""
+        g = make_grid(4)
+        V = conditioned_matrix(rng, 60, 8, cond=5.0)
+        C = make_mv(g, V)
+        rep = QRReport()
+        work = qr_work_precision(np.float64, "fp32", 5.0)
+        assert mixed_cholesky_qr2(g, C, rep, work) == 0
+        Q = C.gather(0)
+        assert orthogonality_error(Q) < 1e-13
+        assert rep.first_pass_dtype == "fp32"
+        assert rep.chol_iterations == 2
+        # the span is preserved to the narrow pass's precision (the
+        # demoted input defines it); orthogonality above is fp64-exact
+        span_err = np.abs(Q @ (Q.T @ V) - V).max()
+        assert span_err <= 10.0 * unit_roundoff(np.float32)
+
+    def test_complex_orthogonality(self, rng):
+        g = make_grid(4)
+        V = conditioned_matrix(rng, 40, 5, 5.0) \
+            + 1j * conditioned_matrix(rng, 40, 5, 5.0)
+        C = make_mv(g, V)
+        work = qr_work_precision(np.complex128, "fp32", 3.0)
+        assert mixed_cholesky_qr2(g, C, QRReport(), work) == 0
+        assert orthogonality_error(C.gather(0)) < 1e-13
+
+    def test_caqr_dispatches_mixed_variant(self, rng):
+        """Algorithm 4 + §5g: inside the CholeskyQR2 regime an admitted
+        work precision takes the mixed path and names it."""
+        g = make_grid(4)
+        C = make_mv(g, conditioned_matrix(rng, 60, 8, cond=100.0))
+        work = qr_work_precision(np.float64, "fp32", 100.0)
+        rep = caqr_1d(g, C, est_cond=100.0, work=work)
+        assert rep.variant == "mCholeskyQR2[fp32]"
+        assert orthogonality_error(C.gather(0)) < 1e-13
+
+    def test_caqr_shifted_regime_ignores_work(self, rng):
+        g = make_grid(4)
+        C = make_mv(g, conditioned_matrix(rng, 60, 8, cond=1e9))
+        rep = caqr_1d(g, C, est_cond=1e9,
+                      work=qr_work_precision(np.float64, "fp32", 1.0))
+        assert rep.variant == "sCholeskyQR2"
+
+    def test_solver_qr_scope_end_to_end(self):
+        """``qr_dtype='fp32'`` inside a real solve (``deg=6`` puts the
+        iteration-1 estimate inside the doubling gate): the mixed variant
+        is actually taken and the answer still matches the dense oracle
+        at fp64 tolerance."""
+        res, *_ = run_scenario(deg=6, qr_dtype="fp32")
+        assert res.converged
+        assert "mCholeskyQR2[fp32]" in res.qr_variants
+        evs = np.sort(np.linalg.eigvalsh(scenario_matrix()))[:NEV]
+        scale = max(abs(evs[0]), abs(evs[-1]), 1.0)
+        assert np.abs(res.eigenvalues - evs).max() <= 1e-9 * scale
+
+
+# ------------------------------------------------- warm-start upcasting
+class TestWarmStartUpcast:
+    def _basis(self, dtype=np.float64):
+        return np.random.default_rng(0).standard_normal((12, 4)).astype(dtype)
+
+    def _bounds(self):
+        from repro.core.lanczos import SpectralBounds
+        return SpectralBounds(b_sup=2.0, mu1=-1.0, mu_ne=0.5)
+
+    def test_narrow_store_upcasts_on_wide_lookup(self):
+        c = WarmStartCache()
+        basis = self._basis()
+        c.put("s", step=0, basis=basis, bounds=self._bounds(),
+              store_dtype=np.float32)
+        entry, miss = c.get("s", 12, 4, np.float64)
+        assert miss is None and entry is not None
+        assert entry.basis.dtype == np.float64
+        assert entry.intact  # the derived entry carries its own checksum
+        np.testing.assert_array_equal(
+            entry.basis, basis.astype(np.float32).astype(np.float64))
+        # the cache keeps the narrow original (half the budget)
+        narrow, _ = c.get("s", 12, 4, np.float32)
+        assert narrow.basis.dtype == np.float32
+
+    def test_downcast_and_kind_mismatch_stay_typed_misses(self):
+        c = WarmStartCache()
+        c.put("wide", step=0, basis=self._basis(), bounds=self._bounds())
+        entry, miss = c.get("wide", 12, 4, np.float32)
+        assert entry is None and miss is WarmStartMiss.DTYPE
+        c.put("cplx", step=0, basis=self._basis(np.complex64),
+              bounds=self._bounds())
+        entry, miss = c.get("cplx", 12, 4, np.float64)
+        assert entry is None and miss is WarmStartMiss.DTYPE
+
+    def test_corruption_detected_before_upcast(self):
+        c = WarmStartCache()
+        c.put("s", step=0, basis=self._basis(), bounds=self._bounds(),
+              store_dtype=np.float32)
+        c._entries["s"].basis[0, 0] += 1.0  # corrupt the stored bytes
+        entry, miss = c.get("s", 12, 4, np.float64)
+        assert entry is None and miss is WarmStartMiss.CORRUPT
+
+    def test_tuned_fp32_sequence_step_still_warm_starts(self):
+        """Regression: a tuned fp32-filter step stores its subspace
+        narrowly; the next step of the sequence must be a warm *hit*
+        (upcast), not a ``miss:dtype``, and still converge."""
+        hams = scf_sequence(160, 2, seed=3)
+        svc = EigenService(total_ranks=8, n_shards=2, tune="off")
+        cfg = dataclasses.replace(
+            default_config(4),
+            execution=ExecutionConfig(filter_dtype="fp32"))
+        for k, H in enumerate(hams):
+            key = (4, H.shape[0], 20, 10, np.dtype(H.dtype).str)
+            svc._tuned[key] = ("forced-fp32", cfg)
+            svc.submit(SolveJob(H=H, nev=20, nex=10, sequence_id="scf",
+                                step=k, seed=7, tenant="alice"))
+        results = svc.run()
+        assert all(r.state is JobState.DONE and r.converged for r in results)
+        # the cached basis really is narrow
+        assert svc.cache._entries["scf"].basis.dtype == np.float32
+        step0, step1 = results
+        assert step0.warmstart == "miss:absent"
+        assert step1.warm_hit, step1.warmstart
+        assert step1.iterations <= step0.iterations
+        for r in results:
+            ref = np.linalg.eigvalsh(hams[r.step])[:20]
+            np.testing.assert_allclose(r.eigenvalues, ref, atol=1e-7)
+
+
+# -------------------------------------------- rate table + byte accounting
+class TestRateTableAndBytes:
+    def test_dtype_token_normalization(self):
+        assert dtype_token(np.float64) == "fp64"
+        assert dtype_token(np.complex128) == "fp64"
+        assert dtype_token(np.float32) == "fp32"
+        assert dtype_token(np.complex64) == "fp32"
+
+    def test_rate_factor_resolution_order(self):
+        dev = DeviceSpec(
+            name="x", gemm_rate=1.0, level3_rate=1.0, factor_rate=1.0,
+            geqrf_rate=1.0, blas1_bandwidth=1.0, launch_overhead=0.0,
+            eff_half_flops=1.0, memory_bytes=1,
+            rate_table=(("fp32", 1.5),),
+        )
+        # fp64 is pinned at 1.0 and never read from the table
+        assert dtype_rate_factor(np.float64, dev) == 1.0
+        assert dtype_rate_factor(np.complex128, dev) == 1.0
+        # the device table wins where it has an entry...
+        assert dtype_rate_factor(np.float32, dev) == 1.5
+        # ...the default fills in otherwise
+        assert dtype_rate_factor(
+            np.float32, dataclasses.replace(dev, rate_table=())) == 2.0
+        assert dtype_rate_factor(np.complex64, None) == 2.0
+
+    def test_fp32_work_set_adds_its_own_footprint(self):
+        base = chase_new_scheme_bytes(1024, 64, 2, 2)
+        w32 = chase_new_scheme_bytes(1024, 64, 2, 2, work_dtype=np.float32)
+        # narrow H block + demoted input and C ping-pong pair + B pair
+        welems = 1024 * 1024 / 4 + 3 * 1024 * 64 / 2 + 2 * 1024 * 64 / 2
+        assert w32 - base == welems * 4
+        assert chase_new_scheme_bytes(
+            1024, 64, 2, 2, work_dtype=np.float64) == base
