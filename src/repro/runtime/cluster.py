@@ -64,7 +64,7 @@ class VirtualCluster:
     transport:
         Execution backend for the data plane (DESIGN.md §5h):
         ``"orchestrated"`` (in-process, the seed) or ``"mp"`` (one
-        spawned process per rank over shared memory), or an
+        process per rank over shared memory), or an
         already-constructed :class:`~repro.runtime.transport.Transport`
         instance.  ``None`` is ``orchestrated``.
         ``backend`` also accepts these tokens as strings (the

@@ -11,9 +11,10 @@ Two backends conform to the :class:`Transport` interface:
 
 * ``orchestrated`` (default) — the seed behavior: the main thread moves
   the buffers in process.  Bit-identical to every previous release.
-* ``mp`` (:mod:`repro.runtime.mp_backend`) — one spawned OS **process**
-  per rank, shared-memory segments for multivector exchange and a
-  NCCL-style UniqueId rendezvous; collectives only, no BLAS in workers.
+* ``mp`` (:mod:`repro.runtime.mp_backend`) — one OS **process** per
+  rank (a leaf program launched by path), shared-memory segments for
+  multivector exchange and a NCCL-style UniqueId rendezvous;
+  collectives only, no BLAS in workers.
 
 Construction idiom (after the DGL NCCL wrapper, SNIPPETS.md snippet 2):
 a transport is built from ``(unique_id, rank, size)``-style state once
@@ -23,10 +24,9 @@ interchangeable backends.
 
 **Oracle parity.**  Every group keeps its own :class:`TransportStats`
 wire account, measured independently at execution time: payload bytes
-are re-measured from the buffers the data plane was handed (compressed
-wire widths included), message counts are re-derived from the wire
-schedule, and the per-level split is re-attributed from the member
-topology.  :func:`assert_transport_parity` then checks the account
+are re-measured from the buffers the data plane was handed, message
+counts are re-derived from the wire schedule, and the per-level split
+is re-attributed from the member topology.  :func:`assert_transport_parity` then checks the account
 against the communicator's modeled CommStats *exactly* — a backend
 that moves different bytes than the model charged fails loudly.  The
 numeric contract is stronger still: every backend reduces in rank
@@ -87,10 +87,11 @@ class TransportError(FaultError):
 class TransportDeadRankError(TransportError):
     """A backend rank's process died or stopped responding."""
 
-    def __init__(self, ranks):
+    def __init__(self, ranks, how: str | None = None):
         self.ranks = [int(r) for r in ranks]
         super().__init__(
-            f"mp backend rank(s) {self.ranks} died or stopped responding")
+            f"mp backend rank(s) {self.ranks} died or stopped responding"
+            + (f" ({how})" if how else ""))
 
 
 class TransportTimeoutError(TransportError):
@@ -183,10 +184,6 @@ class TransportStats:
         """Per-level counters, comparable to ``CommStats.levels_tuple()``."""
         return (self.intra_messages, self.inter_messages,
                 self.intra_bytes, self.inter_bytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"TransportStats(collectives={self.collectives}, "
-                f"messages={self.messages}, bytes={self.bytes_moved:.3g})")
 
 
 def _wire_nbytes(buffers) -> float:
@@ -404,8 +401,7 @@ def transport_parity_report(grid) -> list[tuple[str, tuple, tuple]]:
 
     Returns ``(label, modeled, recorded)`` triples — empty when the data
     plane executed exactly the modeled traffic.  Both the legacy triple
-    and the per-level split must agree (compressed wire ratios
-    included).
+    and the per-level split must agree.
     """
     mismatches = []
     comms = [(f"row{i}", grid.row_comm(i)) for i in range(grid.p)]

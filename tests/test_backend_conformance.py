@@ -167,11 +167,12 @@ class TestMpFaults:
             g = t.group([0, 1])
             g.barrier_sync()  # spawns both workers
             t.worker(1).proc.kill()
-            t.worker(1).proc.join(timeout=5.0)
+            t.worker(1).proc.wait(timeout=5.0)
             with pytest.raises(TransportDeadRankError) as err:
                 g.barrier_sync()
             assert err.value.ranks == [1]
             assert "rank(s) [1] died" in str(err.value)
+            assert "killed by signal 9" in str(err.value)
         finally:
             t.close()
 
