@@ -14,6 +14,7 @@ raises immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ class PhantomArray:
         if any(d < 0 for d in self.shape):
             raise ValueError(f"negative dimension in shape {self.shape}")
 
+    @classmethod
+    def _derived(cls, shape: tuple[int, ...], dtype: np.dtype) -> "PhantomArray":
+        """An instance from an already-normalised ``shape`` (a tuple of
+        non-negative ints) and canonical ``dtype`` — what the structural
+        operations below derive from ``self`` — without re-validating."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "shape", shape)
+        object.__setattr__(new, "dtype", dtype)
+        return new
+
     # -- structural metadata -------------------------------------------------
     @property
     def ndim(self) -> int:
@@ -49,10 +60,7 @@ class PhantomArray:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
+        return math.prod(self.shape)
 
     @property
     def itemsize(self) -> int:
@@ -64,30 +72,27 @@ class PhantomArray:
 
     @property
     def T(self) -> "PhantomArray":
-        return PhantomArray(self.shape[::-1], self.dtype)
+        return self._derived(self.shape[::-1], self.dtype)
 
     # -- structural operations used by the solver ----------------------------
     def copy(self) -> "PhantomArray":
-        return PhantomArray(self.shape, self.dtype)
+        return self._derived(self.shape, self.dtype)
 
     def conj(self) -> "PhantomArray":
-        return PhantomArray(self.shape, self.dtype)
+        return self._derived(self.shape, self.dtype)
 
     def reshape(self, *shape: int) -> "PhantomArray":
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
-        known = [d for d in shape if d != -1]
-        prod = 1
-        for d in known:
-            prod *= d
+        prod = math.prod(d for d in shape if d != -1)
         if -1 in shape:
             if prod == 0 or self.size % prod:
                 raise ValueError(f"cannot reshape {self.shape} into {shape}")
             shape = tuple(self.size // prod if d == -1 else d for d in shape)
-        new = PhantomArray(tuple(shape), self.dtype)
-        if new.size != self.size:
+        shape = tuple(int(d) for d in shape)
+        if any(d < 0 for d in shape) or math.prod(shape) != self.size:
             raise ValueError(f"cannot reshape {self.shape} into {shape}")
-        return new
+        return self._derived(shape, self.dtype)
 
     def cols(self, start: int, stop: int | None = None) -> "PhantomArray":
         """Column-slice ``self[:, start:stop]`` for a 2-D phantom."""
@@ -96,7 +101,8 @@ class PhantomArray:
         stop = self.shape[1] if stop is None else stop
         stop = min(stop, self.shape[1])
         start = max(start, 0)
-        return PhantomArray((self.shape[0], max(stop - start, 0)), self.dtype)
+        return self._derived(
+            (self.shape[0], int(max(stop - start, 0))), self.dtype)
 
     # -- guard rails ----------------------------------------------------------
     def _no_math(self, *_a, **_k):

@@ -70,8 +70,7 @@ class DistributedElpa:
     def _charge_all(self, seconds: float, phase: str) -> None:
         tracer = self.grid.cluster.tracer
         with tracer.phase(phase):
-            for rank in self.grid.ranks:
-                rank.charge_compute(seconds)
+            self.grid.everyone.charge_compute(seconds)
 
     def _charge_comm(self, seconds: float, phase: str) -> None:
         tracer = self.grid.cluster.tracer

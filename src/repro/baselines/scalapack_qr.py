@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.distributed.hermitian import global_indices
 from repro.distributed.multivector import DistributedMultiVector
-from repro.perfmodel.kernels import KernelTimeModel, geqrf_flops
+from repro.perfmodel.kernels import geqrf_flops
 from repro.runtime.backend import CommBackend
 from repro.runtime.grid import Grid2D
 
@@ -71,11 +71,8 @@ def hhqr_1d(grid: Grid2D, C: DistributedMultiVector, nb: int = PANEL_NB) -> None
                 blk_bytes = C.index_map.local_size(i) * ne * itemsize
                 rank.stage_d2h(blk_bytes)
         # -- compute: host factorization, flops split over the 1D grid ----
-        for rank in comm.ranks:
-            model = KernelTimeModel(rank.machine.cpu)
-            rank.charge_compute(
-                model.time("geqrf", PANEL_INEFFICIENCY * flops_total / p)
-            )
+        comm.group.charge_compute(comm.group.cpu.model.time(
+            "geqrf", PANEL_INEFFICIENCY * flops_total / p))
         # -- communication: panel broadcasts + triangular allreduces -------
         mpi = CommBackend.MPI_HOST.collective_model(comm.machine)
         panel_bytes = (N / p) * nb * itemsize

@@ -58,7 +58,7 @@ from repro.distributed.hemm import DistributedHemm
 from repro.distributed.hermitian import DistributedHermitian, global_indices
 from repro.distributed.multivector import DistributedMultiVector
 from repro.distributed.redistribute import redistribute_c_to_b
-from repro.perfmodel.kernels import KernelTimeModel, gemm_flops, geqrf_flops, heevd_flops
+from repro.perfmodel.kernels import gemm_flops, geqrf_flops, heevd_flops
 from repro.perfmodel.memory import chase_lms_bytes, chase_new_scheme_bytes, fits_on_device
 from repro.runtime.faults import (
     CHECKPOINT_BANDWIDTH,
@@ -273,10 +273,7 @@ class ChaseSolver:
 
     def _fs_sync(self) -> None:
         """Barrier around checkpoint I/O: sync all current clocks to max."""
-        ranks = self.grid.ranks
-        t = max(r.clock.now for r in ranks)
-        for r in ranks:
-            r.clock.sync_to(t)
+        self.grid.cluster.sync(self.grid.everyone.ids)
 
     def _snapshot(self, it: int, locked: int, ritzv, resd, degs_full,
                   C: DistributedMultiVector, b_sup: float, tol_abs: float,
@@ -314,18 +311,15 @@ class ChaseSolver:
             )
         self._fs_sync()
 
-    def _charge_restore_read(self) -> None:
-        """Restore: every surviving rank streams its block back in
-        parallel (replicas re-read independently — the restart of a real
-        cluster repopulates every device)."""
-        grid = self.grid
-        itemsize = np.dtype(self.H.dtype).itemsize
-        ne = self.cfg.ne
+    def _charge_restore_read(self, C: DistributedMultiVector) -> None:
+        """Restore: every surviving rank streams its block of ``C`` back
+        in parallel (replicas re-read independently — the restart of a
+        real cluster repopulates every device)."""
         self._fs_sync()
-        for r in grid.ranks:
-            i, _j = r.coords
-            nbytes = self.H.rowmap.local_size(i) * ne * itemsize
-            r.charge_recovery(CHECKPOINT_LATENCY + nbytes / CHECKPOINT_BANDWIDTH)
+        for members in C.classes():
+            members.charge_recovery(
+                CHECKPOINT_LATENCY
+                + C.blocks[members.key].nbytes / CHECKPOINT_BANDWIDTH)
         self._fs_sync()
 
     def _take_checkpoint(self, state: dict, tracer, charge: bool) -> None:
@@ -369,11 +363,12 @@ class ChaseSolver:
         # each survivor reads its new H block from the replicated source
         # (matrix re-layout is real recovery work, charged as RECOVERY)
         itemsize = np.dtype(self.H.dtype).itemsize
-        for r in self.grid.ranks:
-            i, j = r.coords
+        for members in self.hemm.classes():
+            i, j = members.key
             nbytes = (self.H.rowmap.local_size(i)
                       * self.H.colmap.local_size(j) * itemsize)
-            r.charge_recovery(CHECKPOINT_LATENCY + nbytes / CHECKPOINT_BANDWIDTH)
+            members.charge_recovery(
+                CHECKPOINT_LATENCY + nbytes / CHECKPOINT_BANDWIDTH)
         self._fs_sync()
         try:
             self._check_memory()
@@ -396,7 +391,6 @@ class ChaseSolver:
         state = self._load_checkpoint_state(restart)
         grid, H, ne = self.grid, self.H, self.cfg.ne
         dtype = np.dtype(H.dtype)
-        self._charge_restore_read()
         V = np.asarray(state["V"], dtype=dtype)
         if restart and rng is not None:
             # a from-zero restart replays with a *fresh* random basis:
@@ -406,6 +400,7 @@ class ChaseSolver:
             # could deterministically reproduce the same rejection
             V = self._random_basis(rng)
         C = DistributedMultiVector.from_global(grid, V, H.rowmap, "C")
+        self._charge_restore_read(C)
         C2 = DistributedMultiVector.from_global(grid, V, H.rowmap, "C")
         B = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, False)
         B2 = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype, False)
@@ -433,7 +428,7 @@ class ChaseSolver:
         across every execution tier (including the pipelined filter,
         whose model times legitimately differ).
         """
-        injector.poll(max(r.clock.now for r in self.grid.ranks))
+        injector.poll(self.grid.cluster.makespan())
         dead = injector.dead_among(self.grid.ranks)
         if dead:
             raise RankDeathError(dead)
@@ -568,9 +563,7 @@ class ChaseSolver:
             _lu, D, _perm = scipy.linalg.ldl(shifted)
             count = _ldl_negative_inertia(D)
             n_ranks = max(len(self.grid.ranks), 1)
-            share = (self.H.N ** 3 / 3.0) / n_ranks
-            for r in self.grid.ranks:
-                r.charge_compute(r.kernel_model.time("gemm", share))
+            self._charge_all_ranks("gemm", (self.H.N ** 3 / 3.0) / n_ranks)
             self._fs_sync()
         if count > nev:
             raise CorruptionError(
@@ -579,10 +572,10 @@ class ChaseSolver:
                 f"direction was lost to corruption", restart=True)
 
     # ------------------------------------------------------------ LMS scheme
-    def _charge_all_ranks(self, kind: str, flops: float, phase_done=None) -> None:
+    def _charge_all_ranks(self, kind: str, flops: float) -> None:
         """Charge an identical redundant kernel on every rank."""
-        for rank in self.grid.ranks:
-            rank.charge_compute(rank.kernel_model.time(kind, flops))
+        self.grid.everyone.charge_compute(
+            self.grid.cluster.gpu_model.time(kind, flops))
 
     def _lms_gather_c(self, C: DistributedMultiVector, cols: slice,
                       pregathered: np.ndarray | None = None):
@@ -640,8 +633,7 @@ class ChaseSolver:
 
     def _lms_stage_full(self, nbytes: float) -> None:
         """v1.2 copies results back to the host after each GPU kernel."""
-        for rank in self.grid.ranks:
-            rank.stage_d2h(nbytes)
+        self.grid.everyone.stage_d2h(nbytes)
 
     def _iterate_lms(self, C, C2, locked: int, phantom: bool, tracer,
                      pregathered: np.ndarray | None = None):
@@ -700,13 +692,11 @@ class ChaseSolver:
             # host after staging the operands out of the devices
             W2 = self.hemm.apply(C, active)
             W2full = self._lms_gather_b(W2)
-            for rank in grid.ranks:
-                rank.stage_d2h(2 * N * k * dtype.itemsize)
-                rank.cpu.colnorms_sq(
-                    PhantomArray((N, k), dtype)
-                    if phantom
-                    else np.empty((0, k), dtype=dtype)
-                )
+            grid.everyone.stage_d2h(2 * N * k * dtype.itemsize)
+            # a numeric run charges the launch only: its norms are taken
+            # on the gathered matrix below, not by this kernel
+            grid.everyone.cpu.colnorms_sq(
+                PhantomArray((N if phantom else 0, k), dtype))
             resd = None
             if not phantom:
                 R = W2full - Vnew * ritzv[None, :]  # Vnew == C.gather(0)[:, active]

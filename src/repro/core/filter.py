@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import PhantomArray
 from repro.distributed.hemm import DistributedHemm
 from repro.distributed.multivector import DistributedMultiVector
-from repro.runtime.device import axpby_numeric
 
 __all__ = [
     "chebyshev_filter",
@@ -38,60 +38,30 @@ def mv_axpby(
 ) -> DistributedMultiVector:
     """``alpha X + beta Y`` blockwise (no communication; same layout).
 
-    When both operands are aliased (replication-aware numeric mode) the
-    combination is computed once per replication group and the result
-    ndarray aliased into every replica slot; replica ranks are still
-    charged the modeled kernel time.
+    Every rank is charged the modeled kernel time, one charge call per
+    shape class.  When both operands are aliased (replication-aware
+    numeric mode) the combination is computed once per replication group
+    and the result ndarray aliased into every replica slot.
 
     ``out`` (dedup mode only) receives the result in place — its root
     blocks may alias ``X``'s (the recurrence passes ``out=X``) but must
-    not alias ``Y``'s.  With ``out`` every rank is charged first (seed
-    order) and the arithmetic then runs once per replication group; the
-    bits and the modeled charges are unchanged.
+    not alias ``Y``'s; the bits and the modeled charges are unchanged.
     """
     if X.layout != Y.layout or X.ne != Y.ne:
         raise ValueError("mv_axpby needs same-layout, same-width multivectors")
-    grid = X.grid
     dedup = X.aliased and Y.aliased and not X.is_phantom
     if out is not None and (
         not dedup or out.is_phantom or not out.aliased
         or out.layout != X.layout or out.ne != X.ne
     ):
         out = None
-    if dedup and out is not None:
-        # decoupled: charge every rank (seed order), then compute once
-        # per replication group, in place
-        for i in range(grid.p):
-            for j in range(grid.q):
-                grid.rank_at(i, j).k.axpby(
-                    alpha, X.blocks[(i, j)], beta, Y.blocks[(i, j)], compute=False
-                )
-        by_root = {
-            key: axpby_numeric(alpha, X.blocks[key], beta, Y.blocks[key],
-                               out=out.blocks[key])
-            for key in X.unique_keys()
-        }
-        blocks = {
-            key: by_root[X.rep_root(*key)] for key in X.blocks
-        }
-        return DistributedMultiVector(
-            grid, X.index_map, X.layout, X.ne, blocks, X.dtype, aliased=True
-        )
-    blocks = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup:
-                root = X.rep_root(i, j)
-                if root in blocks:
-                    rank.k.axpby(
-                        alpha, X.blocks[(i, j)], beta, Y.blocks[(i, j)], compute=False
-                    )
-                    blocks[(i, j)] = blocks[root]
-                    continue
-            blocks[(i, j)] = rank.k.axpby(alpha, X.blocks[(i, j)], beta, Y.blocks[(i, j)])
+    blocks = X.blockwise(
+        lambda k, key: k.axpby(
+            alpha, X.blocks[key], beta, Y.blocks[key],
+            out=None if out is None else out.blocks[key]),
+        aliased=dedup)
     return DistributedMultiVector(
-        grid, X.index_map, X.layout, X.ne, blocks, X.dtype, aliased=dedup
+        X.grid, X.index_map, X.layout, X.ne, blocks, X.dtype, aliased=dedup
     )
 
 
@@ -151,34 +121,22 @@ def _cast_mv(
     """Cast ``X`` to ``dtype`` blockwise, charging a cast kernel per rank.
 
     Dedup-aware: on an aliased multivector the conversion is computed
-    once per replication group (replicas charged ``compute=False``) and
-    the fresh array aliased into every replica slot.  Phantom blocks
+    once per replication group and the fresh array aliased into every
+    replica slot.  Phantom blocks
     yield phantom blocks of the new dtype, so the charge-only tiers and
     the autotuner model demote/promote traffic identically to numeric
     runs.  With ``charge_only`` the per-rank charges are issued and no
     data is produced (the promote path: ``write_into`` performs the
     widening assignment itself).
     """
-    grid = X.grid
-    blocks: dict = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            key = (i, j)
-            if charge_only:
-                rank.k.cast(X.blocks[key], dtype, compute=False)
-                continue
-            if X.aliased:
-                root = X.rep_root(i, j)
-                if root in blocks:
-                    rank.k.cast(X.blocks[key], dtype, compute=False)
-                    blocks[key] = blocks[root]
-                    continue
-            blocks[key] = rank.k.cast(X.blocks[key], dtype)
     if charge_only:
+        for members in X.classes():
+            blk = X.blocks[members.key]
+            members.k.cast(PhantomArray(blk.shape, blk.dtype), dtype)
         return None
+    blocks = X.blockwise(lambda k, key: k.cast(X.blocks[key], dtype))
     return DistributedMultiVector(
-        grid, X.index_map, X.layout, X.ne, blocks, dtype, aliased=X.aliased
+        X.grid, X.index_map, X.layout, X.ne, blocks, dtype, aliased=X.aliased
     )
 
 

@@ -53,45 +53,24 @@ def _allreduce_col_dots(grid, X, Y) -> np.ndarray:
     collective without recomputing (replication-aware numeric mode).
     """
     dedup = X.aliased and Y.aliased and not X.is_phantom
-    partials = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup and j > 0:
-                rank.k.dot_columns(X.blocks[(i, j)], Y.blocks[(i, j)], compute=False)
-                partials[(i, j)] = partials[(i, 0)]
-            else:
-                partials[(i, j)] = rank.k.dot_columns(
-                    X.blocks[(i, j)], Y.blocks[(i, j)]
-                )
-    if dedup:
-        res = grid.col_comm(0).allreduce(
-            [partials[(i, 0)] for i in range(grid.p)], shared=True
-        )
-        for j in range(1, grid.q):
-            grid.col_comm(j).allreduce(
-                [partials[(i, j)] for i in range(grid.p)], compute=False
-            )
-        for key in partials:
-            partials[key] = res[0]
-    else:
-        for j in range(grid.q):
-            grid.col_comm(j).allreduce([partials[(i, j)] for i in range(grid.p)])
+    partials = X.allreduce(X.blockwise(
+        lambda k, key: k.dot_columns(X.blocks[key], Y.blocks[key]),
+        aliased=dedup), shared=dedup)
     return partials[(0, 0)]
 
 
 def _scale_all(grid, X, factor: float) -> None:
     # the scale is in place: an aliased multivector's replicas share one
     # ndarray, which must be scaled exactly once per replication group
-    # (replica ranks charge the kernel without mutating)
-    dedup = X.aliased and not X.is_phantom
-    for i in range(grid.p):
-        for j in range(grid.q):
-            shared_replica = dedup and X.blocks[(i, j)] is X.blocks[X.rep_root(i, j)] \
-                and (i, j) != X.rep_root(i, j)
-            grid.rank_at(i, j).k.scale(
-                X.blocks[(i, j)], factor, compute=not shared_replica
-            )
+    # (every rank is charged the kernel; a slot holding its root's array
+    # is not scaled again)
+    def root_of(i, j):
+        root = X.rep_root(i, j)
+        return root if X.blocks[(i, j)] is X.blocks[root] else (i, j)
+
+    grid.charged_map(
+        X.classes(), lambda k, key: k.scale(X.blocks[key], factor),
+        phantom=X.is_phantom, root_of=root_of if X.aliased else None)
 
 
 def _lanczos_sweep(

@@ -27,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import nbytes_of
 from repro.baselines.scalapack_qr import hhqr_1d
 from repro.core.precision import narrow_dtype
 from repro.distributed.multivector import DistributedMultiVector
+from repro.runtime.backend import CommBackend
 from repro.runtime.grid import Grid2D
 
 __all__ = [
@@ -88,18 +90,10 @@ class QRReport:
 def _stage_c(grid: Grid2D, C: DistributedMultiVector, direction: str) -> None:
     """STD build only: the QR kernels run on the host, so the C panels
     cross PCIe once at entry and once at exit of the factorization."""
-    from repro.runtime.backend import CommBackend
-    from repro.arrays import nbytes_of
-
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if rank.backend is CommBackend.MPI_STAGED:
-                nb = nbytes_of(C.blocks[(i, j)])
-                if direction == "d2h":
-                    rank.stage_d2h(nb)
-                else:
-                    rank.stage_h2d(nb)
+    if grid.cluster.backend is not CommBackend.MPI_STAGED:
+        return
+    for members in C.classes():
+        members.stage(nbytes_of(C.blocks[members.key]), direction)
 
 
 def _dedup(C: DistributedMultiVector) -> bool:
@@ -116,72 +110,27 @@ def _gram_allreduced(grid: Grid2D, C: DistributedMultiVector) -> dict:
     matrix; the remaining column communicators charge the identical
     collective without moving data.
     """
-    dedup = _dedup(C)
-    grams = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup and j > 0:
-                rank.qr_kernels.syrk(C.blocks[(i, j)], compute=False)
-                grams[(i, j)] = grams[(i, 0)]
-            else:
-                grams[(i, j)] = rank.qr_kernels.syrk(C.blocks[(i, j)])
-    if dedup:
-        res = grid.col_comm(0).allreduce(
-            [grams[(i, 0)] for i in range(grid.p)], shared=True,
-        )
-        for j in range(1, grid.q):
-            grid.col_comm(j).allreduce(
-                [grams[(i, j)] for i in range(grid.p)], compute=False,
-            )
-        for key in grams:
-            grams[key] = res[0]
-    else:
-        for j in range(grid.q):
-            grid.col_comm(j).allreduce(
-                [grams[(i, j)] for i in range(grid.p)]
-            )
-    return grams
+    return C.allreduce(
+        C.blockwise(lambda k, key: k.syrk(C.blocks[key]), "qr_kernels"),
+        shared=_dedup(C))
 
 
 def _potrf_all(
     grid: Grid2D, grams: dict, shared: bool = False
 ) -> tuple[dict, int]:
-    factors = {}
+    results = grid.charged_redundant(
+        lambda k, G: k.potrf(G), grams, shared=shared, kernels="qr_kernels")
     info_any = 0
-    first = None  # unique (R, info) when the gram matrices are shared
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if shared:
-                if first is None:
-                    first = rank.qr_kernels.potrf(grams[(i, j)])
-                else:
-                    rank.qr_kernels.potrf(grams[(i, j)], compute=False)
-                R, info = first
-            else:
-                R, info = rank.qr_kernels.potrf(grams[(i, j)])
-            factors[(i, j)] = R
-            info_any |= info
-    return factors, info_any
+    for _R, info in results.values():
+        info_any |= info
+    return {key: R for key, (R, _info) in results.items()}, info_any
 
 
 def _trsm_all(
     grid: Grid2D, C: DistributedMultiVector, factors: dict
 ) -> None:
-    dedup = _dedup(C)
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup and j > 0:
-                rank.qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)], compute=False
-                )
-                C.blocks[(i, j)] = C.blocks[(i, 0)]
-            else:
-                C.blocks[(i, j)] = rank.qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)]
-                )
+    C.blocks.update(C.blockwise(
+        lambda k, key: k.trsm(C.blocks[key], factors[key]), "qr_kernels"))
 
 
 def cholesky_qr(
@@ -223,15 +172,8 @@ def shifted_cholesky_qr2(
     grams = _gram_allreduced(grid, C)
 
     # global squared Frobenius norm of C (per rank partial + allreduce)
-    norms = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup and j > 0:
-                rank.qr_kernels.frob_norm_sq(C.blocks[(i, j)], compute=False)
-                norms[(i, j)] = norms[(i, 0)]
-            else:
-                norms[(i, j)] = rank.qr_kernels.frob_norm_sq(C.blocks[(i, j)])
+    norms = C.blockwise(
+        lambda k, key: k.frob_norm_sq(C.blocks[key]), "qr_kernels")
     for j in range(grid.q):
         res = grid.col_comm(j).allreduce([norms[(i, j)] for i in range(grid.p)])
         for i in range(grid.p):
@@ -239,19 +181,9 @@ def shifted_cholesky_qr2(
 
     s = 11.0 * (N * ne + ne * (ne + 1)) * unit_roundoff(C.dtype) * norms[(0, 0)]
 
-    shifted = {}
-    first = None
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup:
-                if first is None:
-                    first = rank.qr_kernels.add_diag(grams[(i, j)], s)
-                else:
-                    rank.qr_kernels.add_diag(grams[(i, j)], s, compute=False)
-                shifted[(i, j)] = first
-            else:
-                shifted[(i, j)] = rank.qr_kernels.add_diag(grams[(i, j)], s)
+    shifted = grid.charged_redundant(
+        lambda k, G: k.add_diag(G, s), grams, shared=dedup,
+        kernels="qr_kernels")
     factors, info = _potrf_all(grid, shifted, shared=dedup)
     if info:
         report.breakdowns += 1

@@ -59,62 +59,26 @@ def rayleigh_ritz(
     dedup = (
         B.aliased and B2.aliased and not B.is_phantom and not B2.is_phantom
     )
-    A_loc = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            b2 = B2.blocks[(i, j)]
-            b = B.blocks[(i, j)]
-            b2a = b2.cols(locked, ne) if is_phantom(b2) else b2[:, active]
-            ba = b.cols(locked, ne) if is_phantom(b) else b[:, active]
-            if dedup and i > 0:
-                rank.k.gemm(b2a, ba, op_a="C", compute=False)
-                A_loc[(i, j)] = A_loc[(0, j)]
-            else:
-                A_loc[(i, j)] = rank.k.gemm(b2a, ba, op_a="C")
-    if dedup:
-        res = grid.row_comm(0).allreduce(
-            [A_loc[(0, j)] for j in range(grid.q)], shared=True
-        )
-        for i in range(1, grid.p):
-            grid.row_comm(i).allreduce(
-                [A_loc[(i, j)] for j in range(grid.q)], compute=False
-            )
-        for key in A_loc:
-            A_loc[key] = res[0]
-    else:
-        for i in range(grid.p):
-            grid.row_comm(i).allreduce([A_loc[(i, j)] for j in range(grid.q)])
+    A_loc = B.allreduce(B.blockwise(
+        lambda k, key: k.gemm(B2.local_cols(key, locked, ne),
+                              B.local_cols(key, locked, ne), op_a="C"),
+        aliased=dedup), shared=dedup)
 
     # (4) redundant HEEVD on every rank (line 18)
-    ritzv = None
-    Y = None
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup and ritzv is not None:
-                rank.k.eigh(A_loc[(i, j)], compute=False)
-                continue
-            w, V = rank.k.eigh(A_loc[(i, j)])
-            if ritzv is None:
-                ritzv, Y = w, V
+    ritzv, Y = grid.charged_redundant(
+        lambda k, A: k.eigh(A), A_loc, shared=dedup)[(0, 0)]
 
     # (5) back-transform C[:, l:] = C2[:, l:] Y, then C2 <- C (lines 19-20)
     # C/C2 replicate over grid columns: with aliased buffers the GEMM is
     # unique per grid row and written once through the shared block.
     dedup_c = C.aliased and C2.aliased and not C.is_phantom
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            c2 = C2.blocks[(i, j)]
-            c2a = c2.cols(locked, ne) if is_phantom(c2) else c2[:, active]
-            if dedup_c and j > 0:
-                rank.k.gemm(c2a, Y, compute=False)
-                continue
-            new = rank.k.gemm(c2a, Y)
-            if not is_phantom(c2):
-                C.blocks[(i, j)][:, active] = new
-                C2.blocks[(i, j)][:, active] = new
+    new = C2.blockwise(
+        lambda k, key: k.gemm(C2.local_cols(key, locked, ne), Y),
+        aliased=dedup_c)
+    if not C.is_phantom:
+        for key in (C.unique_keys() if dedup_c else C.blocks):
+            C.blocks[key][:, active] = new[key]
+            C2.blocks[key][:, active] = new[key]
 
     if ritzv is None or is_phantom(ritzv):
         return None

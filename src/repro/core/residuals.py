@@ -51,41 +51,24 @@ def residuals(
     dedup = (
         B.aliased and B2.aliased and not B.is_phantom and not B2.is_phantom
     )
-    nrm_loc = {}
-    for i in range(grid.p):
-        for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            on_gpu = rank.backend is CommBackend.NCCL
-            k = rank.gpu if on_gpu else rank.cpu
-            b = B.blocks[(i, j)]
-            b2 = B2.blocks[(i, j)]
-            ba = b.cols(locked, ne) if is_phantom(b) else b[:, active]
-            b2a = b2.cols(locked, ne) if is_phantom(b2) else b2[:, active]
-            if rank.backend is CommBackend.MPI_STAGED:
-                # the BLAS-1 residual kernels stay on the CPU in the STD
-                # build: the operands must cross PCIe first
-                rank.stage_d2h(nbytes_of(ba) + nbytes_of(b2a))
-            lam = ritzv[active] if ritzv is not None else b2a  # phantom dummy
-            if dedup and i > 0:
-                k.sub_scaled_columns(ba, b2a, lam, compute=False)
-                k.colnorms_sq(ba, compute=False)
-                nrm_loc[(i, j)] = nrm_loc[(0, j)]
-            else:
-                diff = k.sub_scaled_columns(ba, b2a, lam)
-                nrm_loc[(i, j)] = k.colnorms_sq(diff)
-    if dedup:
-        res = grid.row_comm(0).allreduce(
-            [nrm_loc[(0, j)] for j in range(grid.q)], shared=True
-        )
-        for i in range(1, grid.p):
-            grid.row_comm(i).allreduce(
-                [nrm_loc[(i, j)] for j in range(grid.q)], compute=False
-            )
-        for key in nrm_loc:
-            nrm_loc[key] = res[0]
-    else:
-        for i in range(grid.p):
-            grid.row_comm(i).allreduce([nrm_loc[(i, j)] for j in range(grid.q)])
+    if grid.cluster.backend is CommBackend.MPI_STAGED:
+        # the BLAS-1 residual kernels stay on the CPU in the STD
+        # build: the operands must cross PCIe first
+        for members in B.classes():
+            members.stage_d2h(
+                nbytes_of(B.local_cols(members.key, locked, ne))
+                + nbytes_of(B2.local_cols(members.key, locked, ne)))
+
+    def local_norms(k, key):
+        ba = B.local_cols(key, locked, ne)
+        b2a = B2.local_cols(key, locked, ne)
+        lam = ritzv[active] if ritzv is not None else b2a  # phantom dummy
+        return k.colnorms_sq(k.sub_scaled_columns(ba, b2a, lam))
+
+    on_gpu = grid.cluster.backend is CommBackend.NCCL
+    nrm_loc = B.allreduce(
+        B.blockwise(local_norms, "gpu" if on_gpu else "cpu", aliased=dedup),
+        shared=dedup)
 
     first = nrm_loc[(0, 0)]
     if phantom or is_phantom(first):

@@ -9,9 +9,11 @@ kinds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-__all__ = ["Segment", "BlockMap1D", "BlockCyclicMap1D", "overlap_pairs"]
+__all__ = ["Segment", "BlockMap1D", "BlockCyclicMap1D", "overlap_table",
+           "overlap_pairs"]
 
 
 @dataclass(frozen=True)
@@ -147,27 +149,44 @@ class BlockCyclicMap1D:
         return f"BlockCyclicMap1D(N={self.N}, parts={self.parts}, nb={self.nb})"
 
 
-def overlap_pairs(rowmap, i: int, colmap, j: int) -> list[tuple[slice, slice]]:
-    """Aligned (row-local, col-local) slice pairs where the global row
-    indices owned by ``rowmap`` part ``i`` intersect the global column
-    indices owned by ``colmap`` part ``j``.
+@functools.lru_cache(maxsize=64)
+def overlap_table(rowmap, colmap) -> tuple[tuple[tuple, ...], ...]:
+    """``table[i][j]``: the aligned (row-local, col-local) slice pairs where
+    the global row indices owned by ``rowmap`` part ``i`` intersect the
+    global column indices owned by ``colmap`` part ``j``.
 
-    Used for the diagonal shift in ``(H - gamma I) X``: the gamma term of
-    global row ``g`` must be applied exactly once, by the rank whose row
-    segment and column segment both contain ``g``.
+    Used for the diagonal shift in ``(H - gamma I) X`` — the gamma term
+    of global row ``g`` must be applied exactly once, by the rank whose
+    row segment and column segment both contain ``g`` — and by the
+    C <-> B redistributions.  The maps are immutable values, so the whole
+    table is computed once per map pair (the 64 most recent pairs are
+    kept) and shared by every caller: the HEMM, its charge classes and
+    every redistribution.
     """
-    pairs: list[tuple[slice, slice]] = []
-    for rs in rowmap.segments(i):
-        for cs in colmap.segments(j):
-            lo = max(rs.global_start, cs.global_start)
-            hi = min(rs.global_stop, cs.global_stop)
-            if lo < hi:
-                pairs.append(
-                    (
+    row_segments = [rowmap.segments(i) for i in range(rowmap.parts)]
+    col_segments = [colmap.segments(j) for j in range(colmap.parts)]
+
+    def pairs(rsegs, csegs) -> tuple[tuple[slice, slice], ...]:
+        out = []
+        for rs in rsegs:
+            for cs in csegs:
+                lo = max(rs.global_start, cs.global_start)
+                hi = min(rs.global_stop, cs.global_stop)
+                if lo < hi:
+                    out.append((
                         slice(rs.local_start + lo - rs.global_start,
                               rs.local_start + hi - rs.global_start),
                         slice(cs.local_start + lo - cs.global_start,
                               cs.local_start + hi - cs.global_start),
-                    )
-                )
-    return pairs
+                    ))
+        return tuple(out)
+
+    return tuple(
+        tuple(pairs(rsegs, csegs) for csegs in col_segments)
+        for rsegs in row_segments
+    )
+
+
+def overlap_pairs(rowmap, i: int, colmap, j: int) -> tuple[tuple[slice, slice], ...]:
+    """One cell of :func:`overlap_table`."""
+    return overlap_table(rowmap, colmap)[i][j]

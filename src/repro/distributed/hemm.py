@@ -35,8 +35,12 @@ direction are additionally cached (``H_ij.conj()`` is a full copy per
 call for complex arrays, a no-copy view for real ones); the cached
 array has the exact memory layout of the per-call temporary, keeping
 the GEMM results bit-identical.  All derived caches (conjugates, fused
-panels, overlap pairs) are keyed off ``H.version`` and rebuilt when
-local blocks are replaced via ``DistributedHermitian.replace_local``.
+panels) are keyed off ``H.version`` and rebuilt when local blocks are
+replaced via ``DistributedHermitian.replace_local``.
+
+Modeled charges are issued per *charge class* (DESIGN.md §5j): the grid
+ranks grouped by (H block shape, row/column overlap lengths) receive
+each GEMM / AXPY / scale charge in one call.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arrays import PhantomArray, is_phantom, nbytes_of
-from repro.distributed.block import overlap_pairs
+from repro.distributed.block import overlap_table
 from repro.distributed.hermitian import DistributedHermitian
 from repro.distributed.multivector import DistributedMultiVector
 from repro.perfmodel.kernels import bytes_per_scalar
-from repro.runtime.device import LocalKernels, axpy_into_numeric
+from repro.runtime.clock import CostCategory
+from repro.runtime.device import UNCHARGED, LocalKernels, axpy_into_numeric
 
 __all__ = ["DistributedHemm"]
 
@@ -144,15 +149,12 @@ class DistributedHemm:
         self._hwork: dict[tuple, object] = {}
         self._panels: dict[tuple, np.ndarray] = {}
         self._panels_conj: dict[tuple, np.ndarray] = {}
-        #: overlap_pairs is a pure function of the (immutable) index
-        #: maps, so this cache needs no version key
-        self._overlaps: dict[tuple[int, int], list] = {}
         self._offsets: list[int] | None = None
         #: per-key reusable workspace of the decoupled paths (partial
         #: products and the stacked-B operand; never escapes an apply)
         self._scratch: dict[tuple, np.ndarray] = {}
         #: full-width per-rank apply times for the pipelined path
-        self._apply_time_cache: dict[tuple, dict] = {}
+        self._apply_time_cache: dict[tuple, tuple] = {}
         self._cache_version = H.version
 
     # -- caches -----------------------------------------------------------------
@@ -173,35 +175,41 @@ class DistributedHemm:
             self._apply_time_cache.clear()
             self._cache_version = self.H.version
 
-    def _pairs(self, i: int, j: int) -> list:
-        """Cached ``overlap_pairs(H.rowmap, i, H.colmap, j)``."""
-        pairs = self._overlaps.get((i, j))
-        if pairs is None:
-            pairs = overlap_pairs(self.H.rowmap, i, self.H.colmap, j)
-            self._overlaps[(i, j)] = pairs
-        return pairs
+    def classes(self):
+        """The grid ranks grouped by what an apply's charges depend on:
+        the H block's shape and the lengths of its row/column overlaps."""
+        H = self.H
+        overlaps = overlap_table(H.rowmap, H.colmap)
+        return self.grid.charge_classes(
+            (H.rowmap, H.colmap),
+            lambda i, j: (H.rowmap.local_size(i), H.colmap.local_size(j),
+                          tuple(r.stop - r.start for r, _c in overlaps[i][j])))
+
+    def _cast_work(self, rdtype) -> None:
+        """Build the narrow casts a mixed-precision apply works on (a
+        no-op for the seed, full-width, path and once built).
+
+        The cast runs once per block per ``H.version`` and charges every
+        rank one :meth:`LocalKernels.cast` at build time, ahead of its
+        first narrow GEMM; the model keeps the narrow copy resident
+        thereafter (see ``perfmodel.memory.chase_new_scheme_bytes``).
+        """
+        if bytes_per_scalar(rdtype) >= bytes_per_scalar(self.H.dtype):
+            return
+        wdt = _NARROW[np.dtype(self.H.dtype)]
+        for members in self.classes():
+            if (*members.key, wdt.str) in self._hwork:
+                continue
+            for i, j in members.keys:
+                k = members.k if (i, j) == members.key else UNCHARGED
+                self._hwork[(i, j, wdt.str)] = k.cast(self.H.local(i, j), wdt)
 
     def _local_work(self, i: int, j: int, rdtype):
-        """``H.local(i, j)`` in the apply's working dtype.
-
-        The seed (full-width) path returns the block itself.  A narrow
-        (mixed-precision) apply returns a cached single-precision cast
-        instead: the cast runs once per block per ``H.version`` and
-        charges the owning rank one :meth:`LocalKernels.cast` at build
-        time — the model keeps the narrow copy resident thereafter
-        (see ``perfmodel.memory.chase_new_scheme_bytes``).
-        """
-        Hij = self.H.local(i, j)
-        rdt = np.dtype(rdtype)
-        if bytes_per_scalar(rdt) >= bytes_per_scalar(self.H.dtype):
-            return Hij
-        wdt = _NARROW.get(np.dtype(self.H.dtype))
-        key = (i, j, wdt.str)
-        cached = self._hwork.get(key)
-        if cached is None:
-            cached = self.grid.rank_at(i, j).k.cast(Hij, wdt)
-            self._hwork[key] = cached
-        return cached
+        """``H.local(i, j)`` in the apply's working dtype: the block
+        itself, or its cached narrow cast (:meth:`_cast_work`)."""
+        if bytes_per_scalar(rdtype) >= bytes_per_scalar(self.H.dtype):
+            return self.H.local(i, j)
+        return self._hwork[(i, j, _NARROW[np.dtype(self.H.dtype)].str)]
 
     def _h_conj(self, i: int, j: int, rdtype=None):
         """Work-dtype ``H`` block conjugate, cached for complex numerics.
@@ -241,8 +249,7 @@ class DistributedHemm:
         """``[H_i0 | ... | H_i,q-1]`` — the grid row's blocks, stacked.
 
         Cached per (row, dtype): a narrow apply stacks the cached
-        work-dtype casts (charging their one-time cast builds), a
-        full-width apply the blocks themselves.
+        work-dtype casts, a full-width apply the blocks themselves.
         """
         rdt = np.dtype(rdtype if rdtype is not None else self.H.dtype)
         narrow = bytes_per_scalar(rdt) < bytes_per_scalar(self.H.dtype)
@@ -251,8 +258,7 @@ class DistributedHemm:
         P = self._panels.get(key)
         if P is None:
             blocks = [
-                np.asarray(self._local_work(i, j, rdt) if narrow
-                           else self.H.local(i, j))
+                np.asarray(self._local_work(i, j, rdt))
                 for j in range(self.grid.q)
             ]
             P = np.hstack(blocks)
@@ -318,69 +324,37 @@ class DistributedHemm:
         out_layout = "B" if to_b else "C"
         rdtype = _work_dtype(H.dtype, X.dtype)
 
-        dedup = X.aliased and not X.is_phantom
-        numeric_h = not is_phantom(H.local(0, 0))
-        fused = dedup and numeric_h and cfg.hemm_fusion
+        phantom = X.is_phantom or is_phantom(H.local(0, 0))
+        dedup = X.aliased and not phantom
+        fused = dedup and cfg.hemm_fusion
         if pipeline and cfg.pipeline_chunks and width >= 2:
             return self._apply_pipelined(
-                X, cols, width, to_b, alpha, gamma, out,
-                dedup and numeric_h, fused, rdtype,
+                X, cols, width, to_b, alpha, gamma, out, dedup, fused, rdtype,
             )
-        if dedup and numeric_h and (fused or out is not None):
+        self._cast_work(rdtype)
+        if dedup and (fused or out is not None):
             return self._apply_decoupled(
                 X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
             )
 
-        contrib: dict[tuple[int, int], object] = {}
-        for i in range(grid.p):
-            for j in range(grid.q):
-                rank = grid.rank_at(i, j)
-                Hij = self._local_work(i, j, rdtype)
-                Xblk = X.local(i, j)
-                Xcols = Xblk.cols(cols.start, cols.stop) if is_phantom(Xblk) \
-                    else Xblk[:, cols]
-                if to_b:
-                    Hc = self._h_conj(i, j, rdtype)
-                    if Hc is not None:
-                        # same flops/charge as op_a="C" (gemm_flops is
-                        # symmetric in the m/k swap); operand layout
-                        # matches the per-call Hij.conj() temporary
-                        W = rank.k.gemm(Hc.T, Xcols, op_a="N", kind="hemm")
-                    else:
-                        W = rank.k.gemm(Hij, Xcols, op_a="C", kind="hemm")
-                else:
-                    W = rank.k.gemm(Hij, Xcols, op_a="N", kind="hemm")
-                if gamma != 0.0:
-                    for rsl, csl in self._pairs(i, j):
-                        if to_b:
-                            rank.k.axpy_into(W, csl, Xcols, rsl, -gamma)
-                        else:
-                            rank.k.axpy_into(W, rsl, Xcols, csl, -gamma)
-                if alpha != 1.0:
-                    W = rank.k.scale(W, alpha)
-                contrib[(i, j)] = W
+        def partial_product(k: LocalKernels, key):
+            return self._block_product(
+                k, *key, self._local_work(*key, rdtype),
+                X.local_cols(key, cols.start, cols.stop), to_b, alpha, gamma,
+                self._h_conj(*key, rdtype) if to_b else None)
+
+        # one charge sequence per class reaches every member rank; the
+        # partial products are unique work, computed once per rank
+        contrib = grid.charged_map(
+            self.classes(), partial_product, phantom=phantom)
 
         # reduction: sum the partial products across the distributed axis.
         # With an aliased (dedup) input the result is summed once per
         # communicator and the shared ndarray aliased into every replica.
-        if to_b:
-            for j in range(grid.q):
-                comm = grid.col_comm(j)
-                res = comm.allreduce(
-                    [contrib[(i, j)] for i in range(grid.p)], shared=dedup,
-                )
-                if dedup:
-                    for i in range(grid.p):
-                        contrib[(i, j)] = res[0]
-        else:
-            for i in range(grid.p):
-                comm = grid.row_comm(i)
-                res = comm.allreduce(
-                    [contrib[(i, j)] for j in range(grid.q)], shared=dedup,
-                )
-                if dedup:
-                    for j in range(grid.q):
-                        contrib[(i, j)] = res[0]
+        for comm, keys in X.comm_groups():
+            res = comm.allreduce([contrib[key] for key in keys], shared=dedup)
+            if dedup:
+                contrib.update(dict.fromkeys(keys, res[0]))
 
         return DistributedMultiVector(
             grid, out_map, out_layout, width, contrib, rdtype, aliased=dedup
@@ -401,58 +375,63 @@ class DistributedHemm:
             return None
         return out
 
+    def _block_product(self, k: LocalKernels, i: int, j: int, Hij, Xcols,
+                       to_b, alpha, gamma, Hc=None):
+        """Grid block ``(i, j)``'s share ``alpha (H_ij - gamma I) X`` of one
+        apply — GEMM, overlap AXPYs, scale — through the kernel set ``k``.
+        ``Hc`` is the cached conjugate of a complex ``Hij`` (C -> B)."""
+        if Hc is not None:
+            # same flops/charge as op_a="C" (gemm_flops is symmetric in
+            # the m/k swap); operand layout matches the per-call
+            # Hij.conj() temporary
+            W = k.gemm(Hc.T, Xcols, op_a="N", kind="hemm")
+        else:
+            W = k.gemm(Hij, Xcols, op_a="C" if to_b else "N", kind="hemm")
+        if gamma != 0.0:
+            for rsl, csl in overlap_table(self.H.rowmap, self.H.colmap)[i][j]:
+                if to_b:
+                    k.axpy_into(W, csl, Xcols, rsl, -gamma)
+                else:
+                    k.axpy_into(W, rsl, Xcols, csl, -gamma)
+        if alpha != 1.0:
+            W = k.scale(W, alpha)
+        return W
+
     def _charge_block(self, k: LocalKernels, i: int, j: int, to_b, width,
                       alpha, gamma, rdtype) -> None:
-        """Issue grid block ``(i, j)``'s modeled charges into ``k``.
-
-        The per-block sequence of one apply — GEMM, overlap AXPYs,
-        scale — on phantom shape proxies (``compute=False``: charges
-        depend on shapes and dtypes only).  ``k`` is the owning rank's
-        kernel set (the charge-first pass of :meth:`_apply_decoupled`)
-        or a capturing one (:meth:`_apply_times`); the H proxy carries
-        the *working* dtype, so a narrow apply is charged on its cached
-        narrow cast.
+        """Issue grid block ``(i, j)``'s modeled charges into ``k``:
+        :meth:`_block_product` on phantom shape proxies (charges depend
+        on shapes and dtypes only).  The H proxy carries the *working*
+        dtype, so a narrow apply is charged on its cached narrow cast.
+        ``k`` is a charge class's kernel set (the charge-first pass of
+        :meth:`_apply_decoupled`: every member rank is charged) or a
+        capturing one (:meth:`_apply_times`).
         """
         hshape = tuple(self.H.local(i, j).shape)
-        xrows, rows = hshape if to_b else hshape[::-1]
-        k.gemm(
-            PhantomArray(hshape, rdtype), PhantomArray((xrows, width), rdtype),
-            op_a="C" if to_b else "N", kind="hemm", compute=False,
-        )
-        proxy = PhantomArray((rows, width), rdtype)
-        if gamma != 0.0:
-            for rsl, csl in self._pairs(i, j):
-                if to_b:
-                    k.axpy_into(proxy, csl, proxy, rsl, -gamma, compute=False)
-                else:
-                    k.axpy_into(proxy, rsl, proxy, csl, -gamma, compute=False)
-        if alpha != 1.0:
-            k.scale(proxy, alpha, compute=False)
+        self._block_product(
+            k, i, j, PhantomArray(hshape, rdtype),
+            PhantomArray((hshape[0 if to_b else 1], width), rdtype),
+            to_b, alpha, gamma)
 
     def _apply_decoupled(self, X, cols, width, to_b, alpha, gamma, out, fused,
                          rdtype):
         """Charge-first, compute-second execution of an aliased apply.
 
-        Pass 1 issues, in the exact seed order, every per-rank modeled
-        charge (:meth:`_charge_block`).  Pass 2 runs the pure numeric
+        Pass 1 issues every rank's modeled charges in the seed's per-rank
+        order (:meth:`_charge_block`).  Pass 2 runs the pure numeric
         kernels (per block, or fused per grid row) and the reductions.
         Clocks, tracer and CommStats therefore see the byte-identical
         sequence of every other path.
         """
         grid, H = self.grid, self.H
-        p, q = grid.p, grid.q
         out_map = H.colmap if to_b else H.rowmap
         out_layout = "B" if to_b else "C"
         out = self._usable_out(out, out_layout, out_map, width, rdtype)
 
-        # ---- pass 1: modeled charges (seed order) ----
-        for i in range(p):
-            for j in range(q):
-                # the first narrow apply builds (and charges) the cached
-                # cast of H_ij here, ahead of the block's GEMM charge
-                self._local_work(i, j, rdtype)
-                self._charge_block(grid.rank_at(i, j).k, i, j, to_b, width,
-                                   alpha, gamma, rdtype)
+        # ---- pass 1: modeled charges, one sequence per charge class ----
+        for members in self.classes():
+            self._charge_block(members.k, *members.key, to_b, width,
+                               alpha, gamma, rdtype)
 
         # ---- pass 2: numerics + reductions ----
         if fused:
@@ -500,8 +479,9 @@ class DistributedHemm:
         """C -> B partial panels: per row ``i`` one ``(sum n_c) x width``
         panel of all ``q`` partial products; the column allreduces then
         sum the panel row-slices exactly as the seed path sums W_ij."""
-        p, q = self.grid.p, self.grid.q
+        p = self.grid.p
         offs = self._stack_offsets()
+        overlaps = overlap_table(self.H.rowmap, self.H.colmap)
         base = None
         if out is not None and out.stacked_base is not None \
                 and out.stacked_base.shape == (offs[-1], width) \
@@ -515,10 +495,7 @@ class DistributedHemm:
                     else np.empty((offs[-1], width), rdtype)
             else:
                 tgt = self._scratch_arr(("cb", i), (offs[-1], width), rdtype)
-            pairs_i = (
-                [(j, self._pairs(i, j)) for j in range(q)]
-                if gamma != 0.0 else None
-            )
+            pairs_i = list(enumerate(overlaps[i])) if gamma != 0.0 else None
             panels.append(panel_cb_numeric(
                 P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs, out=tgt))
         return panels, base
@@ -541,6 +518,7 @@ class DistributedHemm:
         allreduces only charge the model."""
         p, q = self.grid.p, self.grid.q
         offs = self._stack_offsets()
+        overlaps = overlap_table(self.H.rowmap, self.H.colmap)
         Bstack = self._scratch_arr(("bstack",), (offs[-1], width), rdtype)
         for j in range(q):
             Bstack[offs[j]:offs[j + 1], :] = X.local(0, j)[:, cols]
@@ -551,10 +529,7 @@ class DistributedHemm:
                 tgt = out.blocks[(i, 0)]
             else:
                 tgt = np.empty((P.shape[0], width), rdtype)
-            pairs_i = (
-                [(j, self._pairs(i, j)) for j in range(q)]
-                if gamma != 0.0 else None
-            )
+            pairs_i = list(enumerate(overlaps[i])) if gamma != 0.0 else None
             tgts.append(panel_bc_numeric(
                 P, Bstack, pairs_i, gamma, alpha, offs, out=tgt))
         return tgts
@@ -572,6 +547,7 @@ class DistributedHemm:
         """
         grid, H = self.grid, self.H
         p, q = grid.p, grid.q
+        overlaps = overlap_table(H.rowmap, H.colmap)
         complex_h = np.dtype(H.dtype).kind == "c"
         partials = {}
         for i in range(p):
@@ -602,7 +578,7 @@ class DistributedHemm:
                     tgt = np.empty((rows, width), rdtype)
                 else:
                     tgt = self._scratch_arr(("pb", i, j), (rows, width), rdtype)
-                pairs = self._pairs(i, j) if gamma != 0.0 else None
+                pairs = overlaps[i][j] if gamma != 0.0 else None
                 partials[(i, j)] = block_numeric(
                     Hop, trans, X.local(i, j), cols, pairs, gamma, alpha,
                     to_b, out=tgt)
@@ -613,62 +589,49 @@ class DistributedHemm:
 
         Used when fusion is off but an ``out`` buffer is in play.
         """
-        grid = self.grid
-        p, q = grid.p, grid.q
         partials = self._block_partials(
             X, cols, width, to_b, alpha, gamma, out, rdtype
         )
-
         blocks = {}
-        if to_b:
-            for j in range(q):
-                res = grid.col_comm(j).allreduce(
-                    [partials[(i, j)] for i in range(p)], shared=True,
-                )
-                for i in range(p):
-                    blocks[(i, j)] = res[0]
-        else:
-            for i in range(p):
-                res = grid.row_comm(i).allreduce(
-                    [partials[(i, j)] for j in range(q)], shared=True,
-                )
-                for j in range(q):
-                    blocks[(i, j)] = res[0]
+        for comm, keys in X.comm_groups():
+            res = comm.allreduce([partials[key] for key in keys], shared=True)
+            blocks.update(dict.fromkeys(keys, res[0]))
         base = out.stacked_base if out is not None else None
         return blocks, base
 
     # -- pipelined (chunked nonblocking) execution -----------------------------------
-    def _apply_times(self, to_b, width, alpha, gamma, rdtype) -> dict:
-        """Per-rank full-width COMPUTE time of one apply, in model seconds.
+    def _apply_times(self, to_b, width, alpha, gamma, rdtype) -> tuple:
+        """Full-width COMPUTE time of one apply on every rank, in model
+        seconds: ``(rank ids, seconds)``, two aligned tuples.
 
-        Replays the per-block charge sequence (:meth:`_charge_block`)
-        into a capturing kernel set instead of the rank clocks.  The
-        pipelined tier then charges each chunk the exact fraction
-        ``chunk_width / width`` of this total: a chunk-width GEMM would
-        otherwise pay the launch overhead again and run lower on the
-        efficiency ramp, i.e. chunking itself would inflate COMPUTE (the
-        model assumes the chunked kernels are stream-captured and
-        amortize their launches).
+        Replays each charge class's charge sequence
+        (:meth:`_charge_block`) into a capturing kernel set instead of
+        the rank clocks.  The pipelined tier then charges each chunk the
+        exact fraction ``chunk_width / width`` of this total: a
+        chunk-width GEMM would otherwise pay the launch overhead again
+        and run lower on the efficiency ramp, i.e. chunking itself would
+        inflate COMPUTE (the model assumes the chunked kernels are
+        stream-captured and amortize their launches).
 
-        Times are pre-slowdown (``RankContext.charge_compute`` applies
-        the straggler multiplier at charge time, as the blocking path
-        does) and cached per (direction, width, shift/scale presence).
+        Times are pre-slowdown (``VirtualCluster.charge`` applies the
+        straggler multiplier at charge time, as the blocking path does)
+        and cached per (direction, width, shift/scale presence).
         """
         key = (to_b, width, gamma != 0.0, alpha != 1.0, np.dtype(rdtype).str,
                self.H.version)
         cached = self._apply_time_cache.get(key)
-        if cached is not None:
-            return cached
-        grid = self.grid
-        times = {}
-        for i in range(grid.p):
-            for j in range(grid.q):
+        if cached is None:
+            ids: list[int] = []
+            times: list[float] = []
+            for members in self.classes():
                 acc: list[float] = []
-                k = LocalKernels(grid.rank_at(i, j).k.model, acc.append)
-                self._charge_block(k, i, j, to_b, width, alpha, gamma, rdtype)
-                times[(i, j)] = sum(acc)
-        self._apply_time_cache[key] = times
-        return times
+                k = LocalKernels(members.k.model, acc.append)
+                self._charge_block(k, *members.key, to_b, width, alpha, gamma,
+                                   rdtype)
+                ids.extend(members.ids)
+                times.extend([sum(acc)] * len(members.ids))
+            cached = self._apply_time_cache[key] = (tuple(ids), tuple(times))
+        return cached
 
     def _apply_pipelined(self, X, cols, width, to_b, alpha, gamma, out,
                          dedup, fused, rdtype):
@@ -703,29 +666,20 @@ class DistributedHemm:
         phantom = X.is_phantom or is_phantom(H.local(0, 0))
         out = self._usable_out(out, out_layout, out_map, width, rdtype)
         offs = self._stack_offsets()
+        if not phantom:
+            # charged when the numerics below first touch the narrow
+            # blocks; a phantom replay has no numerics and has never
+            # charged the casts (pinned by tests/test_model_fingerprint.py)
+            self._cast_work(rdtype)
 
         # ---- full-width numerics (uncharged; the model loop below charges) ----
         base = None
         blocks = None
         if phantom:
-            blocks = {}
-            for i in range(p):
-                for j in range(q):
-                    Hij = H.local(i, j)
-                    rows = Hij.shape[1] if to_b else Hij.shape[0]
-                    blocks[(i, j)] = PhantomArray((rows, width), rdtype)
-            if to_b:
-                groups = [
-                    (grid.col_comm(j), [blocks[(i, j)] for i in range(p)],
-                     False, True)
-                    for j in range(q)
-                ]
-            else:
-                groups = [
-                    (grid.row_comm(i), [blocks[(i, j)] for j in range(q)],
-                     False, True)
-                    for i in range(p)
-                ]
+            blocks = DistributedMultiVector.zeros(
+                grid, out_map, out_layout, width, rdtype, True).blocks
+            groups = [(comm, [blocks[key] for key in keys], False, True)
+                      for comm, keys in X.comm_groups()]
             aliased = False
         elif fused and to_b:
             panels, base = self._fused_cb_panels(
@@ -754,18 +708,8 @@ class DistributedHemm:
                 X, cols, width, to_b, alpha, gamma,
                 out if dedup else None, rdtype, persistent=not dedup,
             )
-            if to_b:
-                groups = [
-                    (grid.col_comm(j), [partials[(i, j)] for i in range(p)],
-                     dedup, True)
-                    for j in range(q)
-                ]
-            else:
-                groups = [
-                    (grid.row_comm(i), [partials[(i, j)] for j in range(q)],
-                     dedup, True)
-                    for i in range(p)
-                ]
+            groups = [(comm, [partials[key] for key in keys], dedup, True)
+                      for comm, keys in X.comm_groups()]
             if dedup:
                 blocks = {
                     (i, j): partials[(0, j) if to_b else (i, 0)]
@@ -778,7 +722,7 @@ class DistributedHemm:
 
         # ---- chunked model loop: charge k, wait k-1, issue k ----
         edges = _chunk_edges(width, grid.cluster.config.pipeline_chunks)
-        times = self._apply_times(to_b, width, alpha, gamma, rdtype)
+        ids, times = self._apply_times(to_b, width, alpha, gamma, rdtype)
         group_cost = []
         for comm, bufs, _s, _c in groups:
             nb_full = float(nbytes_of(bufs[0]))
@@ -792,8 +736,8 @@ class DistributedHemm:
         for c in range(len(edges) - 1):
             sl = slice(edges[c], edges[c + 1])
             frac = (sl.stop - sl.start) / width
-            for key, t in times.items():
-                grid.rank_at(*key).charge_compute(t * frac)
+            grid.cluster.charge(
+                ids, CostCategory.COMPUTE, [t * frac for t in times])
             for req in in_flight:
                 req.wait()
             in_flight = [

@@ -81,11 +81,15 @@ class DistributedHermitian:
         """Metadata-only distribution for paper-scale performance runs."""
         rowmap = BlockMap1D(N, grid.p)
         colmap = BlockMap1D(N, grid.q)
-        blocks = {
-            (i, j): PhantomArray((rowmap.size(i), colmap.size(j)), dtype)
-            for i in range(grid.p)
-            for j in range(grid.q)
-        }
+        # one immutable metadata block per shape (at most four)
+        by_shape: dict = {}
+        blocks = {}
+        for i in range(grid.p):
+            for j in range(grid.q):
+                shape = (rowmap.size(i), colmap.size(j))
+                if shape not in by_shape:
+                    by_shape[shape] = PhantomArray(shape, dtype)
+                blocks[(i, j)] = by_shape[shape]
         return cls(grid, N, rowmap, colmap, blocks, dtype)
 
     # -- access ---------------------------------------------------------------------

@@ -62,6 +62,57 @@ class DistributedMultiVector:
         #: writes all partial products with a single GEMM into it)
         self.stacked_base: np.ndarray | None = None
 
+    # -- charge classes (DESIGN.md §5j) ---------------------------------------------
+    def classes(self):
+        """The grid's ranks grouped by the height of their block (at most
+        two heights under the balanced block distribution)."""
+        index_map, layout = self.index_map, self.layout
+        return self.grid.charge_classes(
+            (index_map, layout),
+            lambda i, j: index_map.local_size(i if layout == "C" else j))
+
+    def blockwise(self, kernel, kernels: str = "k",
+                  aliased: bool | None = None) -> dict:
+        """``Grid2D.charged_map`` over this multivector's blocks: one
+        charge per shape class, the arithmetic once per replication root
+        when the blocks are ``aliased`` (default: this multivector's
+        flag; pass the conjunction when ``kernel`` reads several)."""
+        if aliased is None:
+            aliased = self.aliased
+        return self.grid.charged_map(
+            self.classes(), kernel, phantom=self.is_phantom, kernels=kernels,
+            root_of=self.rep_root if aliased else None)
+
+    def comm_groups(self) -> list:
+        """``(communicator, its ranks' coordinates)`` along this layout's
+        distributed axis: the column communicators for ``"C"``, the row
+        communicators for ``"B"``."""
+        grid = self.grid
+        if self.layout == "C":
+            return [(grid.col_comm(j), [(i, j) for i in range(grid.p)])
+                    for j in range(grid.q)]
+        return [(grid.row_comm(i), [(i, j) for j in range(grid.q)])
+                for i in range(grid.p)]
+
+    def allreduce(self, values: dict, shared: bool) -> dict:
+        """SUM per-rank ``values`` (as :meth:`blockwise` returns them)
+        over this layout's distributed axis, one allreduce per
+        communicator of :meth:`comm_groups`.
+
+        The communicators replicate each other.  With ``shared`` (the
+        values of a replication group are one object) the sum runs once,
+        on the first communicator, into a single array every rank then
+        holds; the others charge the identical collective without moving
+        data.  Otherwise every communicator reduces in place.
+        """
+        totals = [
+            comm.allreduce([values[key] for key in keys],
+                           shared=shared and n == 0,
+                           compute=not shared or n == 0)
+            for n, (comm, keys) in enumerate(self.comm_groups())
+        ]
+        return dict.fromkeys(values, totals[0][0]) if shared else values
+
     # -- replication groups --------------------------------------------------------
     def rep_root(self, i: int, j: int) -> tuple[int, int]:
         """Canonical key of the replication group ``(i, j)`` belongs to."""
@@ -92,21 +143,19 @@ class DistributedMultiVector:
         cls, grid: Grid2D, index_map, layout: str, ne: int, dtype, phantom: bool
     ) -> "DistributedMultiVector":
         dedup = not phantom and grid.cluster.config.numeric_dedup
+        # ranks share a block object per replication root (dedup), or —
+        # immutable metadata — per block height (phantom)
+        shared: dict = {}
         blocks = {}
         for i in range(grid.p):
             for j in range(grid.q):
                 part = i if layout == "C" else j
                 n_local = index_map.local_size(part)
-                if phantom:
-                    blocks[(i, j)] = PhantomArray((n_local, ne), dtype)
-                elif dedup:
-                    root = (i, 0) if layout == "C" else (0, j)
-                    if root in blocks:
-                        blocks[(i, j)] = blocks[root]
-                    else:
-                        blocks[(i, j)] = np.zeros((n_local, ne), dtype=dtype)
-                else:
-                    blocks[(i, j)] = np.zeros((n_local, ne), dtype=dtype)
+                slot = n_local if phantom else part if dedup else (i, j)
+                if slot not in shared:
+                    shared[slot] = PhantomArray((n_local, ne), dtype) \
+                        if phantom else np.zeros((n_local, ne), dtype=dtype)
+                blocks[(i, j)] = shared[slot]
         return cls(grid, index_map, layout, ne, blocks, dtype, aliased=dedup)
 
     @classmethod
@@ -162,6 +211,12 @@ class DistributedMultiVector:
     def local(self, i: int, j: int):
         return self.blocks[(i, j)]
 
+    def local_cols(self, key, start: int, stop: int):
+        """Columns ``[start, stop)`` of the block at ``key``: a NumPy view,
+        or sliced metadata for a phantom block."""
+        blk = self.blocks[key]
+        return blk.cols(start, stop) if is_phantom(blk) else blk[:, start:stop]
+
     def part_of(self, i: int, j: int) -> int:
         """The index-map part a rank's block corresponds to."""
         return i if self.layout == "C" else j
@@ -213,20 +268,21 @@ class DistributedMultiVector:
         """A column-sliced view (``[:, start:stop]``).
 
         Real blocks are NumPy *views* — writes through the view update
-        this multivector; phantom blocks are sliced metadata.  On an
-        aliased multivector the replicas of the result share one view
-        object per group, so the result is aliased too.
+        this multivector; phantom blocks are sliced metadata.  Slots
+        holding one object (the replicas of an aliased group) share one
+        view object in the result, so it is aliased too.
         """
         if not 0 <= start <= stop <= self.ne:
             raise ValueError(f"bad column range [{start}, {stop}) for ne={self.ne}")
+        # every distinct block object is sliced once: the replicas of an
+        # aliased group, and the ranks of a phantom shape class, keep
+        # sharing one object
+        sliced: dict[int, object] = {}
         blocks = {}
         for key, blk in self.blocks.items():
-            if self.aliased:
-                root = self.rep_root(*key)
-                if root in blocks and self.blocks[root] is blk:
-                    blocks[key] = blocks[root]
-                    continue
-            blocks[key] = blk.cols(start, stop) if is_phantom(blk) else blk[:, start:stop]
+            if id(blk) not in sliced:
+                sliced[id(blk)] = self.local_cols(key, start, stop)
+            blocks[key] = sliced[id(blk)]
         view = DistributedMultiVector(
             self.grid,
             self.index_map,

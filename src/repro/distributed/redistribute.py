@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arrays import PhantomArray
-from repro.distributed.block import overlap_pairs
+from repro.distributed.block import overlap_table
 from repro.distributed.multivector import DistributedMultiVector
 from repro.runtime.grid import Grid2D
 
@@ -42,7 +42,7 @@ def redistribute_c_to_b(
     width = stop - start
     if width <= 0:
         return 0
-    rowmap, colmap = C.index_map, B.index_map
+    overlaps = overlap_table(C.index_map, B.index_map)
     phantom = C.is_phantom
     n_bcasts = 0
 
@@ -50,13 +50,10 @@ def redistribute_c_to_b(
     for j in range(grid.q):
         comm = grid.col_comm(j)
         for i in range(grid.p):
-            for rsl, csl in overlap_pairs(rowmap, i, colmap, j):
+            for rsl, csl in overlaps[i][j]:
                 seg_rows = rsl.stop - rsl.start
                 if phantom:
-                    bufs = [
-                        PhantomArray((seg_rows, width), C.dtype)
-                        for _ in range(grid.p)
-                    ]
+                    bufs = [PhantomArray((seg_rows, width), C.dtype)] * grid.p
                     comm.bcast(bufs, root=i)
                 elif dedup:
                     # the target replicates over grid rows: broadcast
@@ -106,7 +103,7 @@ def redistribute_b_to_c(
     width = stop - start
     if width <= 0:
         return 0
-    colmap, rowmap = B.index_map, C.index_map
+    overlaps = overlap_table(B.index_map, C.index_map)
     phantom = B.is_phantom
     n_bcasts = 0
 
@@ -115,13 +112,10 @@ def redistribute_b_to_c(
         comm = grid.row_comm(i)
         for j in range(grid.q):
             # source segment: colmap part j; target segment: rowmap part i
-            for csl, rsl in overlap_pairs(colmap, j, rowmap, i):
+            for csl, rsl in overlaps[j][i]:
                 seg_rows = csl.stop - csl.start
                 if phantom:
-                    bufs = [
-                        PhantomArray((seg_rows, width), B.dtype)
-                        for _ in range(grid.q)
-                    ]
+                    bufs = [PhantomArray((seg_rows, width), B.dtype)] * grid.q
                     comm.bcast(bufs, root=j)
                 elif dedup:
                     src = B.blocks[(i, j)][csl, start:stop]

@@ -29,6 +29,12 @@ class CostCategory(enum.Enum):
     RECOVERY = "recovery"
 
 
+# dense index of each category: the tracer keeps one row per category
+# in a list, so the charge path never hashes an Enum member
+for _slot, _category in enumerate(CostCategory):
+    _category.slot = _slot
+
+
 class Clock:
     """A monotonically advancing virtual clock for one rank.
 
@@ -36,32 +42,39 @@ class Clock:
     operations first *synchronize* the clock to the barrier entry time
     (``sync_to``; the skipped interval is idle wait, charged to no
     category) and then advance it by the collective's modeled time.
+
+    The time itself lives in a list: a standalone ``Clock(start)`` owns a
+    one-slot list, a rank's clock is a view of its slot in the owning
+    cluster's flat ``clocks`` (``shared``/``index``), which is what
+    :meth:`VirtualCluster.charge` advances for whole groups at once.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("_times", "_i")
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self, start: float = 0.0, *,
+                 shared: list[float] | None = None, index: int = 0) -> None:
+        self._times = [float(start)] if shared is None else shared
+        self._i = index
 
     @property
     def now(self) -> float:
-        return self._now
+        return self._times[self._i]
 
     def advance(self, dt: float) -> float:
         """Advance by ``dt`` seconds (must be non-negative); returns new time."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
-        self._now += dt
-        return self._now
+        self._times[self._i] += dt
+        return self._times[self._i]
 
     def sync_to(self, t: float) -> float:
         """Jump forward to time ``t`` (no-op if already past it)."""
-        if t > self._now:
-            self._now = t
-        return self._now
+        if t > self._times[self._i]:
+            self._times[self._i] = t
+        return self._times[self._i]
 
     def reset(self, t: float = 0.0) -> None:
-        self._now = float(t)
+        self._times[self._i] = float(t)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Clock(now={self._now:.6f})"
+        return f"Clock(now={self.now:.6f})"

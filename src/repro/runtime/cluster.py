@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import replace
 
 from repro.perfmodel.collectives import CollectiveAlgo
+from repro.perfmodel.kernels import KernelTimeModel
 from repro.perfmodel.machine import MachineSpec, juwels_booster
 from repro.perfmodel.topology import FatTree
 from repro.runtime.backend import CommBackend
+from repro.runtime.clock import CostCategory
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, RecoveryExhaustedError
 from repro.runtime.rank import RankContext
@@ -24,6 +27,12 @@ __all__ = ["VirtualCluster"]
 
 class VirtualCluster:
     """A set of simulated ranks placed consecutively on nodes.
+
+    The cluster owns every rank's modeled time: ``clocks`` and
+    ``slowdowns`` are flat lists indexed by ``rank_id``, the tracer keeps
+    its rows the same way, and :meth:`charge` is the one place a clock
+    advances and the tracer is added to — for a whole group of ranks per
+    call (DESIGN.md §5j).  ``RankContext`` objects are single-id views.
 
     Parameters
     ----------
@@ -109,6 +118,8 @@ class VirtualCluster:
         self.machine = machine if machine is not None else juwels_booster()
         self.backend = backend
         self.phantom = bool(phantom)
+        if gpus_per_rank < 1:
+            raise ValueError("gpus_per_rank must be >= 1")
         if ranks_per_node is None:
             ranks_per_node = max(self.machine.gpus_per_node // gpus_per_rank, 1)
         if ranks_per_node < 1:
@@ -116,7 +127,25 @@ class VirtualCluster:
         self.ranks_per_node = ranks_per_node
         self.gpus_per_rank = gpus_per_rank
         self.placement = placement
-        self.tracer = Tracer()
+        #: per-rank virtual time and compute-slowdown multiplier, indexed
+        #: by rank_id; shared (not copied) with shrink() survivors
+        self.clocks: list[float] = [0.0] * n_ranks
+        self.slowdowns: list[float] = [1.0] * n_ranks
+        self.tracer = Tracer(n_ranks)
+        #: ``listener(rank_ids, category, starts, ends)`` callables told of
+        #: every charge, with each rank's own interval (see Timeline)
+        self.charge_listeners: list = []
+        gpu_spec = self.machine.gpu
+        if gpus_per_rank > 1:
+            gpu_spec = replace(
+                gpu_spec,
+                gemm_rate=gpu_spec.gemm_rate * gpus_per_rank,
+                level3_rate=gpu_spec.level3_rate * gpus_per_rank,
+                blas1_bandwidth=gpu_spec.blas1_bandwidth * gpus_per_rank,
+            )
+        #: device / host kernel time models, one per cluster (stateless)
+        self.gpu_model = KernelTimeModel(gpu_spec)
+        self.cpu_model = KernelTimeModel(self.machine.cpu)
         n_nodes = math.ceil(n_ranks / ranks_per_node)
         if topology == "auto":
             topology = FatTree(n_nodes, nodes_per_leaf=8)
@@ -148,15 +177,7 @@ class VirtualCluster:
             return r % n_nodes
 
         self.ranks: list[RankContext] = [
-            RankContext(
-                rank_id=r,
-                node=node_of(r),
-                machine=self.machine,
-                tracer=self.tracer,
-                backend=backend,
-                gpus_per_rank=gpus_per_rank,
-            )
-            for r in range(n_ranks)
+            RankContext(self, r, node_of(r)) for r in range(n_ranks)
         ]
 
     @property
@@ -209,11 +230,13 @@ class VirtualCluster:
     def shrink(self, dead_ranks) -> "VirtualCluster":
         """The surviving cluster after ``dead_ranks`` died.
 
-        Survivor :class:`RankContext` objects are **reused** — their
-        clocks, tracer accumulations and armed injector carry over, so
-        the makespan of a recovered solve honestly includes everything
-        paid before the failure.  Dead ranks keep their (now frozen)
-        clocks but are marked ``alive = False`` and dropped.
+        Survivor :class:`RankContext` objects are **reused** and keep
+        indexing the shared ``clocks`` / ``slowdowns`` / tracer rows by
+        their original ``rank_id`` — clocks, tracer accumulations and
+        armed injector carry over, so the makespan of a recovered solve
+        honestly includes everything paid before the failure.  Dead
+        ranks keep their (now frozen) clocks but are marked
+        ``alive = False`` and dropped.
         """
         dead = {int(r) for r in dead_ranks}
         survivors = [r for r in self.ranks if r.rank_id not in dead]
@@ -222,8 +245,9 @@ class VirtualCluster:
         for r in self.ranks:
             if r.rank_id in dead:
                 r.alive = False
-        # a shallow copy shares everything but the rank list: tracer,
-        # armed injector, execution config, and the transport — survivors
+        # a shallow copy shares everything but the rank list: clocks,
+        # slowdowns, tracer, charge listeners, armed injector, execution
+        # config, and the transport — survivors
         # keep their original lane indices (rank_id), so its rank team
         # carries over unchanged
         new = copy.copy(self)
@@ -245,14 +269,81 @@ class VirtualCluster:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    # -- modeled time (DESIGN.md §5j) --------------------------------------------
+    def charge(self, rank_ids, category: CostCategory, dt) -> None:
+        """Advance ``rank_ids`` by ``dt`` seconds of ``category``: one
+        float for the group, or a list/tuple with one float per rank.
+
+        COMPUTE is multiplied by each rank's slowdown.  Every rank gets
+        exactly the adds — clock, then tracer row — of a per-rank call,
+        so group charging moves no modeled number as long as callers
+        keep each rank's charge order.
+        """
+        per_rank = isinstance(dt, (list, tuple))
+        if (min(dt) if per_rank else dt) < 0:
+            raise ValueError(f"negative {category.value} charge dt={dt}")
+        clocks = self.clocks
+        row = self.tracer.row(category)
+        starts = [clocks[r] for r in rank_ids] if self.charge_listeners else None
+        if category is CostCategory.COMPUTE:
+            slow = self.slowdowns
+            if per_rank:
+                for r, d in zip(rank_ids, dt):
+                    d = d * slow[r]
+                    clocks[r] += d
+                    row[r] += d
+            else:
+                for r in rank_ids:
+                    d = dt * slow[r]
+                    clocks[r] += d
+                    row[r] += d
+        elif per_rank:
+            for r, d in zip(rank_ids, dt):
+                clocks[r] += d
+                row[r] += d
+        else:
+            for r in rank_ids:
+                clocks[r] += dt
+                row[r] += dt
+        if starts is not None:
+            ends = [clocks[r] for r in rank_ids]
+            for listener in self.charge_listeners:
+                listener(rank_ids, category, starts, ends)
+
+    def book_hidden(self, rank_ids, dt, start: float) -> None:
+        """Book COMM_HIDDEN on ``rank_ids`` (``dt`` as in :meth:`charge`)
+        without advancing any clock; each rank's hidden interval is
+        ``[start, start + dt]``, from the collective's entry time."""
+        dts = dt if isinstance(dt, (list, tuple)) else [dt] * len(rank_ids)
+        if min(dts) < 0:
+            raise ValueError(f"negative hidden-comm charge dt={dt}")
+        row = self.tracer.row(CostCategory.COMM_HIDDEN)
+        for r, d in zip(rank_ids, dts):
+            row[r] += d
+        for listener in self.charge_listeners:
+            listener(rank_ids, CostCategory.COMM_HIDDEN,
+                     [start] * len(dts), [start + d for d in dts])
+
+    def sync(self, rank_ids, t: float | None = None) -> float:
+        """Barrier entry: idle ``rank_ids`` forward to ``t`` (default: the
+        furthest-ahead of them); returns ``t``.  The skipped interval is
+        wait time, charged to no category."""
+        clocks = self.clocks
+        if t is None:
+            t = max([clocks[r] for r in rank_ids])
+        for r in rank_ids:
+            if clocks[r] < t:
+                clocks[r] = t
+        return t
+
     def makespan(self) -> float:
         """Current parallel time: the furthest-ahead rank clock."""
-        return max(r.clock.now for r in self.ranks)
+        return max(self.clocks[r.rank_id] for r in self.ranks)
 
     def reset_clocks(self) -> None:
         """Zero every rank clock and clear the tracer (fresh experiment)."""
         for r in self.ranks:
-            r.clock.reset()
+            self.clocks[r.rank_id] = 0.0
         self.tracer.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -45,8 +45,9 @@ from repro.perfmodel.collectives import (
     collective_cost,
 )
 from repro.perfmodel.topology import FatTree
+from repro.runtime.clock import CostCategory
 from repro.runtime.faults import CollectiveError, RankDeathError
-from repro.runtime.rank import RankContext
+from repro.runtime.rank import RankContext, RankGroup
 from repro.runtime.transport import TransportGroup
 
 __all__ = ["Communicator", "CommStats", "CollectiveRequest"]
@@ -204,9 +205,10 @@ class CollectiveRequest:
             return True
         f = self._comm.overlap_efficiency
         d = self._duration
+        clocks = self._comm.cluster.clocks
         return all(
-            f * max(0.0, r.clock.now - self._t_entry) >= d
-            for r in self._comm.ranks
+            f * max(0.0, clocks[r] - self._t_entry) >= d
+            for r in self._comm.group.ids
         )
 
     def wait(self):
@@ -215,16 +217,22 @@ class CollectiveRequest:
             return self._result
         self._done = True
         comm = self._comm
+        cluster, ids = comm.cluster, comm.group.ids
         f = comm.overlap_efficiency
         d = self._duration
-        for r in comm.ranks:
-            t_w = r.clock.sync_to(self._t_entry)  # idle until all entered
-            hidden = min(d, f * (t_w - self._t_entry))
-            exposed = d - hidden
-            if hidden > 0.0:
-                r.charge_comm_hidden(hidden, start=self._t_entry)
-            if exposed > 0.0:
-                r.charge_comm(exposed)
+        t0 = self._t_entry
+        cluster.sync(ids, t0)  # idle until all entered
+        clocks = cluster.clocks
+        hidden = [min(d, f * (clocks[r] - t0)) for r in ids]
+        # a rank with nothing hidden (or nothing exposed) is not charged
+        # the zero: it would show as an empty interval on a Timeline
+        hid = [(r, h) for r, h in zip(ids, hidden) if h > 0.0]
+        if hid:
+            cluster.book_hidden([r for r, _ in hid], [h for _, h in hid], t0)
+        exp = [(r, d - h) for r, h in zip(ids, hidden) if d - h > 0.0]
+        if exp:
+            cluster.charge([r for r, _ in exp], CostCategory.COMM,
+                           [e for _, e in exp])
         comm._stage(self._nbytes, "h2d", seconds=self._stage_seconds)
         self._result = comm._allreduce_move(
             self._buffers, self._scalar, self._shared, self._compute
@@ -265,7 +273,12 @@ class Communicator:
             raise ValueError("mixed backends within a communicator")
         self.backend = backend
         self.machine = machine
+        self.cluster = ranks[0].cluster
+        #: the members, charged in one pass per collective (DESIGN.md §5j)
+        self.group = RankGroup(self.cluster, [r.rank_id for r in ranks])
         self.model = backend.collective_model(machine)
+        #: CollectiveCharge per (op, nbytes); dropped by the set_* methods
+        self._charges: dict[tuple[str, float], CollectiveCharge] = {}
         self.stats = CommStats()
         # membership is immutable: node set, topology profile and the
         # spans-nodes flag are computed once here, not per collective
@@ -296,17 +309,24 @@ class Communicator:
         """Select the collective algorithm; returns the previous one."""
         prev = self.algo
         self.algo = CollectiveAlgo.parse(algo)
+        self._charges.clear()
         return prev
 
     def set_topology(self, tree: FatTree | None) -> None:
         """Attach (or detach, with ``None``) a fat tree for hop-aware costing."""
         self.topology = CommTopology(self.topology.nodes, tree)
+        self._charges.clear()
 
     def _charge_for(self, op: str, nbytes: float) -> CollectiveCharge:
-        """Route one collective through the selected algorithm/topology."""
-        return collective_cost(
-            self.model, op, nbytes, self.size, self.topology, self.algo
-        )
+        """Route one collective through the selected algorithm/topology
+        (``collective_cost`` is pure and a solve repeats few payload
+        sizes: computed once per ``(op, nbytes)``)."""
+        charge = self._charges.get((op, nbytes))
+        if charge is None:
+            charge = self._charges[(op, nbytes)] = collective_cost(
+                self.model, op, nbytes, self.size, self.topology, self.algo
+            )
+        return charge
 
     def collective_time(self, op: str, nbytes: float) -> float:
         """Modeled seconds of one ``op`` under the selected algorithm.
@@ -346,30 +366,31 @@ class Communicator:
         inj = self.ranks[0].faults
         if inj is None:
             return 1.0
-        now = max(r.clock.now for r in self.ranks)
+        now = self._entry_time()
         inj.poll(now)
         dead = inj.dead_among(self.ranks)
         if dead:
             raise RankDeathError(dead)
         attempts, target = inj.transient_attempts(self.ranks, now)
         if attempts:
-            for r in self.ranks:  # failed attempts synchronize like a barrier
-                r.clock.sync_to(now)
+            self._barrier_entry()  # failed attempts synchronize like a barrier
             for attempt in range(1, attempts + 1):
                 if attempt > inj.max_retries:
                     raise CollectiveError(op, target, attempts)
-                backoff = inj.backoff_base * (2.0 ** (attempt - 1))
-                for r in self.ranks:
-                    r.charge_recovery(backoff)
+                self.group.charge_recovery(
+                    inj.backoff_base * (2.0 ** (attempt - 1)))
                 inj.note("retry", op, target, attempt)
-            now = max(r.clock.now for r in self.ranks)
+            now = self._entry_time()
         return inj.comm_factor(self.ranks, now)
 
     # -- internals ------------------------------------------------------------------
+    def _entry_time(self) -> float:
+        """The furthest-ahead member clock: when a collective can start."""
+        clocks = self.cluster.clocks
+        return max([clocks[r] for r in self.group.ids])
+
     def _barrier_entry(self) -> None:
-        t = max(r.clock.now for r in self.ranks)
-        for r in self.ranks:
-            r.clock.sync_to(t)
+        self.cluster.sync(self.group.ids)
 
     def _check_buffers(self, buffers) -> tuple[float, bool]:
         """Validate one buffer per rank; return (payload bytes, is_scalar)."""
@@ -397,17 +418,31 @@ class Communicator:
         """
         if not self.backend.stages_through_host or nbytes <= 0:
             return
-        for r in self.ranks:
-            if seconds is not None:
-                r.charge_datamove(seconds)
-            elif direction == "d2h":
-                r.stage_d2h(nbytes)
-            else:
-                r.stage_h2d(nbytes)
+        if seconds is not None:
+            self.group.charge_datamove(seconds)
+        else:
+            self.group.stage(nbytes, direction)
 
     def _charge_comm_all(self, dt: float) -> None:
-        for r in self.ranks:
-            r.charge_comm(dt)
+        self.group.charge_comm(dt)
+
+    def _charge_blocking(self, op: str, nbytes: float, messages: int,
+                         buffers, *, stage_nbytes: float | None = None,
+                         wire_nbytes: float | None = None,
+                         wire_messages: int | None = None) -> None:
+        """The control plane of one blocking collective, every member in
+        one pass: fault hook, CommStats and wire account, host staging
+        out, barrier entry, the modeled COMM time, host staging back."""
+        fmult = self._fault_entry(op)
+        charge = self._charge_for(op, nbytes)
+        self.stats.record(nbytes, self.size, messages, charge)
+        self.transport_group.record_wire(
+            op, buffers, nbytes=wire_nbytes, messages=wire_messages)
+        stage_nbytes = nbytes if stage_nbytes is None else stage_nbytes
+        self._stage(stage_nbytes, "d2h")
+        self._barrier_entry()
+        self._charge_comm_all(charge.time * fmult)
+        self._stage(stage_nbytes, "h2d")
 
     # -- overlap knob -------------------------------------------------------------------
     @property
@@ -422,6 +457,7 @@ class Communicator:
             raise ValueError(f"overlap efficiency must be in [0, 1], got {f}")
         old = self.overlap_efficiency
         self.model = dataclasses.replace(self.model, overlap_efficiency=f)
+        self._charges.clear()
         return old
 
     # -- data movement (shared by blocking and nonblocking paths) -----------------------
@@ -465,15 +501,8 @@ class Communicator:
         nbytes, scalar = self._check_buffers(buffers)
         if self.size == 1:
             return list(buffers)
-        fmult = self._fault_entry("allreduce")
-        charge = self._charge_for("allreduce", nbytes)
-        self.stats.record(nbytes, self.size,
-                          2 * math.ceil(math.log2(self.size)), charge)
-        self.transport_group.record_wire("allreduce", buffers)
-        self._stage(nbytes, "d2h")
-        self._barrier_entry()
-        self._charge_comm_all(charge.time * fmult)
-        self._stage(nbytes, "h2d")
+        self._charge_blocking(
+            "allreduce", nbytes, 2 * math.ceil(math.log2(self.size)), buffers)
         return self._allreduce_move(buffers, scalar, shared, compute)
 
     def bcast(self, buffers, root: int, *, shared: bool = False,
@@ -490,15 +519,8 @@ class Communicator:
         nbytes, scalar = self._check_buffers(buffers)
         if self.size == 1:
             return list(buffers)
-        fmult = self._fault_entry("bcast")
-        charge = self._charge_for("bcast", nbytes)
-        self.stats.record(nbytes, self.size,
-                          math.ceil(math.log2(self.size)), charge)
-        self.transport_group.record_wire("bcast", buffers)
-        self._stage(nbytes, "d2h")
-        self._barrier_entry()
-        self._charge_comm_all(charge.time * fmult)
-        self._stage(nbytes, "h2d")
+        self._charge_blocking(
+            "bcast", nbytes, math.ceil(math.log2(self.size)), buffers)
         return self.transport_group.bcast_move(
             buffers, scalar, root, shared, compute)
 
@@ -536,7 +558,7 @@ class Communicator:
                           2 * math.ceil(math.log2(self.size)), charge)
         self.transport_group.record_wire("allreduce", buffers)
         self._stage(nbytes, "d2h", seconds=stage_seconds)
-        t_entry = max(r.clock.now for r in self.ranks)
+        t_entry = self._entry_time()
         d = (charge.time if duration is None else float(duration)) * fmult
         return CollectiveRequest(
             self, list(buffers), nbytes, scalar, d, t_entry,
@@ -553,14 +575,9 @@ class Communicator:
             raise ValueError("one buffer per rank required")
         nbytes = float(np.mean([nbytes_of(b) if not isinstance(b, Number) else 8.0
                                 for b in buffers]))
-        fmult = self._fault_entry("allgather")
-        charge = self._charge_for("allgather", nbytes)
-        self.stats.record(nbytes, self.size, max(self.size - 1, 0), charge)
-        self.transport_group.record_wire("allgather", buffers, nbytes=nbytes)
-        self._stage(nbytes * self.size, "d2h")
-        self._barrier_entry()
-        self._charge_comm_all(charge.time * fmult)
-        self._stage(nbytes * self.size, "h2d")
+        self._charge_blocking(
+            "allgather", nbytes, max(self.size - 1, 0), buffers,
+            stage_nbytes=nbytes * self.size, wire_nbytes=nbytes)
         return self.transport_group.allgather_move(buffers)
 
     def allgather_by_bcasts(self, buffers):
@@ -577,17 +594,9 @@ class Communicator:
         for root in range(self.size):
             b = buffers[root]
             nbytes = 8.0 if isinstance(b, Number) else float(nbytes_of(b))
-            fmult = self._fault_entry("bcast")
-            charge = self._charge_for("bcast", nbytes)
-            self.stats.record(nbytes, self.size,
-                              math.ceil(math.log2(max(self.size, 2))), charge)
-            self.transport_group.record_wire(
-                "bcast", buffers, nbytes=nbytes,
-                messages=math.ceil(math.log2(max(self.size, 2))))
-            self._stage(nbytes, "d2h")
-            self._barrier_entry()
-            self._charge_comm_all(charge.time * fmult)
-            self._stage(nbytes, "h2d")
+            messages = math.ceil(math.log2(max(self.size, 2)))
+            self._charge_blocking("bcast", nbytes, messages, buffers,
+                                  wire_nbytes=nbytes, wire_messages=messages)
         return self.transport_group.allgather_move(buffers)
 
     def barrier(self) -> None:
@@ -617,8 +626,4 @@ class Communicator:
 
     def stage_all(self, nbytes: float, direction: str) -> None:
         """Charge a host-staging copy on every participant (DATAMOVE)."""
-        for r in self.ranks:
-            if direction == "d2h":
-                r.stage_d2h(nbytes)
-            else:
-                r.stage_h2d(nbytes)
+        self.group.stage(nbytes, direction)

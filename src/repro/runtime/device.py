@@ -13,12 +13,14 @@ The mapping to the paper's GPU port (Sec. 3.3): GEMM/HEMM -> cuBLAS,
 SYRK/TRSM -> cuBLAS, POTRF/GEQRF/HEEVD -> cuSOLVER, batched BLAS-1
 residual kernels -> custom CUDA kernel (NCCL build) or host BLAS (STD).
 
-Every kernel accepts ``compute=False`` to charge the modeled time
-without touching the numerics (returning ``None``).  Replication-aware
-execution uses it for replica ranks whose result is aliased from the
-group's root (see ``repro.distributed.multivector``): the cost model
-sees the identical per-rank charge sequence while the arithmetic runs
-once per unique block.
+A step splits into its two halves (DESIGN.md §5j): handed phantom
+operands — shape proxies — a kernel charges the modeled time and does no
+arithmetic, and a kernel set built without a charge sink
+(:data:`UNCHARGED`) runs the arithmetic without charging.  The charge is
+issued once per *shape class* — a kernel set whose sink reaches every
+rank holding equally shaped blocks — and the arithmetic once per unique
+block, so the cost model sees the identical per-rank charge sequence
+whatever the numerics share.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.perfmodel.kernels import (
 
 __all__ = [
     "LocalKernels",
+    "UNCHARGED",
     "gemm_numeric",
     "syrk_numeric",
     "trsm_numeric",
@@ -116,13 +119,19 @@ class LocalKernels:
     model:
         Time model for the executing device.
     charge:
-        Callable ``charge(seconds)`` that advances the owning rank's
-        clock and books the time as COMPUTE.
+        Callable ``charge(seconds)`` that advances the owning ranks'
+        clocks and books the time as COMPUTE; ``None`` for a set that
+        only computes.
     """
 
-    def __init__(self, model: KernelTimeModel, charge: Callable[[float], None]):
+    def __init__(self, model: KernelTimeModel | None,
+                 charge: Callable[[float], None] | None):
         self.model = model
         self._charge = charge
+
+    def _charge_flops(self, kind: str, flops: float, dtype) -> None:
+        if self._charge is not None:
+            self._charge(self.model.time(kind, flops, dtype=dtype))
 
     # -- level 3 ---------------------------------------------------------------
     def gemm(
@@ -133,7 +142,6 @@ class LocalKernels:
         op_a: str = "N",
         alpha: float = 1.0,
         kind: str = "gemm",
-        compute: bool = True,
     ):
         """``alpha * op(A) @ B`` with ``op in {"N", "T", "C"}``."""
         if op_a not in ("N", "T", "C"):
@@ -143,54 +151,40 @@ class LocalKernels:
         if ak != bk:
             raise ValueError(f"gemm shape mismatch: op(A)={am}x{ak}, B={bk}x{bn}")
         dtype = np.result_type(A.dtype, B.dtype)
-        self._charge(self.model.time(
-            kind, gemm_flops(am, bn, ak, dtype), dtype=dtype))
-        if not compute:
-            return None
+        self._charge_flops(kind, gemm_flops(am, bn, ak, dtype), dtype)
         if _any_phantom(A, B):
             return PhantomArray((am, bn), dtype)
         return gemm_numeric(A, B, op_a=op_a, alpha=alpha)
 
-    def hemm(self, H, X, *, op_h: str = "N", alpha: float = 1.0,
-             compute: bool = True):
+    def hemm(self, H, X, *, op_h: str = "N", alpha: float = 1.0):
         """Hermitian matrix times a block of vectors (cuBLAS ZHEMM/DSYMM)."""
-        return self.gemm(H, X, op_a=op_h, alpha=alpha, kind="hemm",
-                         compute=compute)
+        return self.gemm(H, X, op_a=op_h, alpha=alpha, kind="hemm")
 
-    def syrk(self, X, *, compute: bool = True):
+    def syrk(self, X):
         """Gram matrix ``X^H X`` (ZHERK/DSYRK)."""
         m, n = X.shape
-        self._charge(self.model.time(
-            "syrk", syrk_flops(n, m, X.dtype), dtype=X.dtype))
-        if not compute:
-            return None
+        self._charge_flops("syrk", syrk_flops(n, m, X.dtype), X.dtype)
         if is_phantom(X):
             return PhantomArray((n, n), X.dtype)
         return syrk_numeric(X)
 
-    def trsm(self, X, R, *, compute: bool = True):
+    def trsm(self, X, R):
         """``X <- X R^{-1}`` with ``R`` upper triangular (right-side TRSM)."""
         m, n = X.shape
         if R is not None and R.shape != (n, n):
             raise ValueError(f"trsm shape mismatch: X={X.shape}, R={R.shape}")
-        self._charge(self.model.time(
-            "trsm", trsm_flops(m, n, X.dtype), dtype=X.dtype))
-        if not compute:
-            return None
+        self._charge_flops("trsm", trsm_flops(m, n, X.dtype), X.dtype)
         if _any_phantom(X, R):
             return PhantomArray((m, n), np.result_type(X.dtype, R.dtype))
         return trsm_numeric(X, R)
 
     # -- factorizations ---------------------------------------------------------
-    def potrf(self, G, *, compute: bool = True):
+    def potrf(self, G):
         """Cholesky ``G = R^H R`` (upper factor).  Returns ``(R, info)``;
         ``info != 0`` signals breakdown (matrix not positive definite),
         mirroring LAPACK xPOTRF semantics."""
         n = G.shape[0]
-        self._charge(self.model.time(
-            "potrf", potrf_flops(n, G.dtype), dtype=G.dtype))
-        if not compute:
-            return None, 0
+        self._charge_flops("potrf", potrf_flops(n, G.dtype), G.dtype)
         if is_phantom(G):
             return PhantomArray((n, n), G.dtype), 0
         try:
@@ -199,7 +193,7 @@ class LocalKernels:
             return G, 1
         return L.conj().T, 0
 
-    def qr(self, X, *, compute: bool = True):
+    def qr(self, X):
         """Economy Householder QR; returns the explicit Q factor
         (GEQRF + ORGQR/UNGQR, both charged).
 
@@ -211,33 +205,27 @@ class LocalKernels:
         f = geqrf_flops(m, n, X.dtype)
         if np.dtype(X.dtype).kind == "c":
             f /= 1.8
-        self._charge(self.model.time("geqrf", 2.0 * f, dtype=X.dtype))  # factor + form Q
-        if not compute:
-            return None
+        self._charge_flops("geqrf", 2.0 * f, X.dtype)  # factor + form Q
         if is_phantom(X):
             return PhantomArray((m, n), X.dtype)
         Q, _ = np.linalg.qr(X)
         return Q
 
-    def eigh(self, A, *, compute: bool = True):
+    def eigh(self, A):
         """Full Hermitian eigendecomposition (cuSOLVER ZHEEVD/DSYEVD)."""
         n = A.shape[0]
-        self._charge(self.model.time("heevd", heevd_flops(n, A.dtype), dtype=A.dtype))
-        if not compute:
-            return None, None
+        self._charge_flops("heevd", heevd_flops(n, A.dtype), A.dtype)
         if is_phantom(A):
             return PhantomArray((n,), np.float64), PhantomArray((n, n), A.dtype)
         w, V = np.linalg.eigh(A)
         return w, V
 
     # -- level 1 / batched vector ops --------------------------------------------
-    def _blas1_charge(self, nbytes: float, n_ops: int = 1) -> None:
-        self._charge(
-            self.model.time("blas1", 0.0, bytes_touched=nbytes)
-            + (n_ops - 1) * self.model.device.launch_overhead
-        )
+    def _blas1_charge(self, nbytes: float) -> None:
+        if self._charge is not None:
+            self._charge(self.model.time("blas1", 0.0, bytes_touched=nbytes))
 
-    def cast(self, X, dtype, *, compute: bool = True):
+    def cast(self, X, dtype):
         """Precision conversion ``X.astype(dtype)`` (bandwidth-bound copy).
 
         Charged as a streaming kernel reading the source and writing the
@@ -248,26 +236,23 @@ class LocalKernels:
         dtype = np.dtype(dtype)
         nbytes = X.size * (X.itemsize + dtype.itemsize)
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if is_phantom(X):
             return PhantomArray(tuple(X.shape), dtype)
         return X.astype(dtype)
 
-    def axpby(self, alpha, X, beta, Y, *, compute: bool = True):
-        """``alpha*X + beta*Y`` elementwise (same shapes)."""
+    def axpby(self, alpha, X, beta, Y, *, out=None):
+        """``alpha*X + beta*Y`` elementwise (same shapes); with ``out``
+        into preallocated storage (see :func:`axpby_numeric`)."""
         if tuple(X.shape) != tuple(Y.shape):
             raise ValueError("axpby shape mismatch")
         dtype = np.result_type(X.dtype, Y.dtype)
         nbytes = 3 * X.size * np.dtype(dtype).itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if _any_phantom(X, Y):
             return PhantomArray(tuple(X.shape), dtype)
-        return axpby_numeric(alpha, X, beta, Y)
+        return axpby_numeric(alpha, X, beta, Y, out)
 
-    def axpy_into(self, W, wrows: slice, X, xrows: slice, alpha: float, *, compute: bool = True):
+    def axpy_into(self, W, wrows: slice, X, xrows: slice, alpha: float):
         """``W[wrows, :] += alpha * X[xrows, :]`` (row-sliced AXPY).
 
         Used for the diagonal-shift term of ``(H - gamma I) X`` on the
@@ -277,91 +262,76 @@ class LocalKernels:
         ncols = W.shape[1]
         nbytes = 3 * nrows * ncols * np.dtype(W.dtype).itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return W
         if _any_phantom(W, X):
             return W
         return axpy_into_numeric(W, wrows, X, xrows, alpha)
 
-    def scale(self, X, alpha: float, *, compute: bool = True):
-        """``X *= alpha`` in place (real); phantom pass-through.
-
-        ``compute=False`` charges without mutating — the caller must use
-        it for every replica slot sharing an already-scaled ndarray
-        (aliased multivectors), else the shared block is scaled twice.
-        """
+    def scale(self, X, alpha: float):
+        """``X *= alpha`` in place (real); phantom pass-through.  An
+        ndarray shared by several replica slots (aliased multivectors)
+        must be handed in once, else it is scaled twice."""
         nbytes = 2 * X.size * X.itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return X
         if is_phantom(X):
             return X
         X *= alpha
         return X
 
-    def scale_columns(self, X, v, *, compute: bool = True):
+    def scale_columns(self, X, v):
         """``X * v[None, :]`` — per-column scaling."""
         nbytes = 2 * X.size * X.itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if _any_phantom(X, v):
             return PhantomArray(tuple(X.shape), X.dtype)
         return X * np.asarray(v)[None, :]
 
-    def sub_scaled_columns(self, B, B2, ritzv, *, compute: bool = True):
+    def sub_scaled_columns(self, B, B2, ritzv):
         """``B - B2 * ritzv[None, :]`` — the residual numerator
         (Algorithm 2, line 22), batched as one device kernel."""
         if tuple(B.shape) != tuple(B2.shape):
             raise ValueError("shape mismatch")
         nbytes = 3 * B.size * B.itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if _any_phantom(B, B2, ritzv):
             return PhantomArray(tuple(B.shape), B.dtype)
         return B - B2 * np.asarray(ritzv)[None, :]
 
-    def colnorms_sq(self, X, *, compute: bool = True):
+    def colnorms_sq(self, X):
         """Squared Euclidean norm of each column (batched DOT kernels)."""
         nbytes = X.size * X.itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if is_phantom(X):
             return PhantomArray((X.shape[1],), np.float64)
         return np.einsum("ij,ij->j", X.conj(), X).real.copy()
 
-    def dot_columns(self, X, Y, *, compute: bool = True):
+    def dot_columns(self, X, Y):
         """Per-column inner products ``diag(X^H Y)`` (batched DOT)."""
         if tuple(X.shape) != tuple(Y.shape):
             raise ValueError("dot_columns shape mismatch")
         nbytes = 2 * X.size * X.itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if _any_phantom(X, Y):
             return PhantomArray((X.shape[1],), np.result_type(X.dtype, Y.dtype))
         return np.einsum("ij,ij->j", X.conj(), Y).copy()
 
-    def frob_norm_sq(self, X, *, compute: bool = True):
+    def frob_norm_sq(self, X):
         """Squared Frobenius norm (single fused reduction)."""
         nbytes = X.size * X.itemsize
         self._blas1_charge(nbytes)
-        if not compute:
-            return None
         if is_phantom(X):
             return 1.0  # placeholder scalar; phantom mode never branches on it
         return float(np.vdot(X, X).real)
 
-    def add_diag(self, G, s: float, *, compute: bool = True):
+    def add_diag(self, G, s: float):
         """``G + s*I`` (shift before POTRF in s-CholeskyQR)."""
         n = G.shape[0]
         self._blas1_charge(2 * n * np.dtype(G.dtype).itemsize)
-        if not compute:
-            return None
         if is_phantom(G):
             return G
         out = G.copy()
         out[np.diag_indices(n)] += s
         return out
+
+
+#: the numeric half of a class-charged step: computes, charges nobody
+UNCHARGED = LocalKernels(None, None)

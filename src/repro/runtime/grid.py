@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 
+from repro.arrays import is_phantom
 from repro.runtime.cluster import VirtualCluster
 from repro.runtime.communicator import Communicator
-from repro.runtime.rank import RankContext
+from repro.runtime.device import UNCHARGED
+from repro.runtime.rank import RankContext, RankGroup
 
-__all__ = ["Grid2D", "squarest_grid"]
+__all__ = ["Grid2D", "ChargeClass", "squarest_grid"]
 
 
 def squarest_grid(n_ranks: int) -> tuple[int, int]:
@@ -31,8 +33,25 @@ def squarest_grid(n_ranks: int) -> tuple[int, int]:
     return p, n_ranks // p
 
 
+class ChargeClass(RankGroup):
+    """The grid ranks whose blocks have one shape (DESIGN.md §5j).
+
+    A kernel charge is a function of (shapes, dtype, device spec), so one
+    call on the class's kernel sets charges every member.  ``keys`` are
+    the members' grid coordinates in row-major order and ``key`` the
+    first of them — the block callers hand the kernel as shape proxy.
+    """
+
+    def __init__(self, grid: "Grid2D", keys) -> None:
+        super().__init__(
+            grid.cluster, [grid.rank_at(i, j).rank_id for i, j in keys])
+        self.keys = tuple(keys)
+        self.key = self.keys[0]
+
+
 class Grid2D:
-    """A ``p x q`` view of a cluster's ranks with cached communicators."""
+    """A ``p x q`` view of a cluster's ranks with cached communicators
+    and charge-class tables."""
 
     def __init__(self, cluster: VirtualCluster, p: int | None = None, q: int | None = None):
         n = cluster.n_ranks
@@ -73,6 +92,9 @@ class Grid2D:
             comm([self.rank_at(i, j) for i in range(self.p)])
             for j in range(self.q)
         ]
+        # built at first use: constructing a grid allocates nothing per
+        # rank beyond its communicators
+        self._classes: dict = {}
 
     @property
     def is_square(self) -> bool:
@@ -88,6 +110,77 @@ class Grid2D:
         if not (0 <= i < self.p and 0 <= j < self.q):
             raise IndexError(f"grid coords ({i},{j}) out of {self.p}x{self.q}")
         return self.cluster.ranks[i * self.q + j]
+
+    def charge_classes(self, table, signature=None) -> tuple[ChargeClass, ...]:
+        """The grid's ranks grouped by ``signature(i, j)``, cached as ``table``.
+
+        ``table`` is any hashable naming the grouping (the index maps
+        and layout of a multivector, the maps of an ``H``); ``signature``
+        returns what a rank's charges depend on — block heights, overlap
+        lengths — and is only called when the table is first built.
+        Classes come in order of their first member (row-major); without
+        a ``signature`` every rank falls into one class.
+        """
+        classes = self._classes.get(table)
+        if classes is None:
+            members: dict = {}
+            for i in range(self.p):
+                for j in range(self.q):
+                    sig = signature(i, j) if signature is not None else None
+                    members.setdefault(sig, []).append((i, j))
+            classes = tuple(ChargeClass(self, keys) for keys in members.values())
+            self._classes[table] = classes
+        return classes
+
+    @property
+    def everyone(self) -> ChargeClass:
+        """All ranks as one class: redundant kernels on replicated data."""
+        return self.charge_classes("everyone")[0]
+
+    def charged_map(self, classes, kernel, *, phantom: bool,
+                    kernels: str = "k", root_of=None) -> dict:
+        """Run one kernel step on every rank's block; returns the results
+        by grid coordinates.
+
+        ``kernel(k, key)`` calls :class:`LocalKernels` methods of ``k``
+        on the block(s) at coordinates ``key``.  It runs once per class,
+        on the class's ``kernels`` set and first member's block(s): that
+        call charges every member.  In ``phantom`` mode its (metadata)
+        result is shared by the members; otherwise every other rank's
+        arithmetic runs uncharged — or, with ``root_of(i, j)``, only
+        that of the replication roots, whose result the other ranks
+        alias (a class's first member is the root of its group).
+        """
+        first, out = {}, {}
+        for members in classes:
+            res = first[members.key] = kernel(
+                getattr(members, kernels), members.key)
+            if phantom:
+                out.update(dict.fromkeys(members.keys, res))
+        if phantom:
+            return out
+        for i in range(self.p):
+            for j in range(self.q):
+                key = (i, j)
+                root = key if root_of is None else root_of(i, j)
+                if key in first:
+                    out[key] = first[key]
+                elif root in out:
+                    out[key] = out[root]
+                else:
+                    out[key] = kernel(UNCHARGED, key)
+        return out
+
+    def charged_redundant(self, kernel, mats: dict, *, shared: bool,
+                          kernels: str = "k") -> dict:
+        """A redundant kernel on the replicated small matrices ``mats``
+        (Gram matrix, Rayleigh quotient): ``kernel(k, mat)`` is charged
+        to everyone in one call and computed once when the replicas are
+        one object (``shared``), else once per rank."""
+        return self.charged_map(
+            (self.everyone,), lambda k, key: kernel(k, mats[key]),
+            phantom=is_phantom(mats[(0, 0)]), kernels=kernels,
+            root_of=(lambda i, j: (0, 0)) if shared else None)
 
     def row_comm(self, i: int) -> Communicator:
         """Communicator of grid row ``i`` (hosts the B/B2 collectives)."""

@@ -1,92 +1,70 @@
-"""Rank context: one simulated MPI process bound to one (or more) GPUs."""
+"""Rank views of a cluster: one simulated MPI process, or a group of them.
+
+Modeled time lives on the :class:`~repro.runtime.cluster.VirtualCluster`
+(flat per-rank clocks, slowdowns and tracer rows) and reaches it through
+``VirtualCluster.charge`` only.  :class:`RankGroup` names a set of rank
+ids and forwards charges for all of them in one call — the charge classes
+of :class:`~repro.runtime.grid.Grid2D` and the communicators are rank
+groups; :class:`RankContext` is the single-id group with the per-rank
+attributes (node, grid coordinates, liveness) on top.
+"""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import cached_property, partial
 
 from repro.perfmodel.kernels import KernelTimeModel
-from repro.perfmodel.machine import MachineSpec
 from repro.runtime.backend import CommBackend
 from repro.runtime.clock import Clock, CostCategory
 from repro.runtime.device import LocalKernels
-from repro.runtime.tracer import Tracer
 
-__all__ = ["RankContext"]
+__all__ = ["RankGroup", "RankContext"]
 
 
-class RankContext:
-    """One simulated MPI rank.
+class RankGroup:
+    """Ranks that are charged together.
 
-    Holds the rank's clock, its (possibly multi-GPU) device kernel set
-    ``gpu``, a host kernel set ``cpu`` (used for the BLAS-1 residual
-    reductions the STD/LMS builds keep on the CPU, paper Sec. 3.3), and
-    the PCIe staging helpers that the STD backend charges as DATAMOVE.
+    A charge is a function of (shapes, dtype, device spec), so ranks
+    holding equally shaped blocks receive one charge call: the kernel
+    sets ``gpu`` / ``cpu`` sink into ``cluster.charge(ids, COMPUTE, dt)``
+    — each member's own slowdown still applies, inside that call — and
+    ``charge_*`` / ``stage_*`` book the other categories the same way.
 
-    The paper's configurations map to:
-
-    * ChASE(STD)/ChASE(NCCL): ``gpus_per_rank=1`` (4 ranks/node);
-    * ChASE(LMS): ``gpus_per_rank=4`` (1 rank/node) — GEMM-like kernels
-      are split across the node's GPUs (rates scaled 4x) while the
-      redundant factorizations run on a single device.
+    ``gpu`` is the device kernel set (GEMM-like rates scaled by the
+    rank's GPU count, see :attr:`VirtualCluster.gpu_model`), ``cpu`` the
+    host set used for the BLAS-1 residual reductions the STD/LMS builds
+    keep on the CPU (paper Sec. 3.3).
     """
 
-    def __init__(
-        self,
-        rank_id: int,
-        node: int,
-        machine: MachineSpec,
-        tracer: Tracer,
-        backend: CommBackend,
-        gpus_per_rank: int = 1,
-    ) -> None:
-        if gpus_per_rank < 1:
-            raise ValueError("gpus_per_rank must be >= 1")
-        self.rank_id = int(rank_id)
-        self.node = int(node)
-        self.machine = machine
-        self.tracer = tracer
-        self.backend = backend
-        self.gpus_per_rank = int(gpus_per_rank)
-        self.clock = Clock()
-        self.coords: tuple[int, int] | None = None  # set by Grid2D
-        #: compute-slowdown multiplier (1.0 = nominal).  Setting it above
-        #: 1 models a straggler (thermally throttled GPU, noisy
-        #: neighbour); collectives then propagate its delay to every
-        #: coupled rank through the barrier semantics.
-        self.slowdown = 1.0
-        #: fault injector shared by the owning cluster (None = fault
-        #: injection disabled; every hook is then a no-op)
-        self.faults = None
-        #: False once a scheduled RANK_DEATH event has been observed
-        #: and the rank dropped from the surviving grid
-        self.alive = True
+    def __init__(self, cluster, ids) -> None:
+        self.cluster = cluster
+        self.ids = tuple(ids)
 
-        gpu_spec = machine.gpu
-        if gpus_per_rank > 1:
-            gpu_spec = replace(
-                gpu_spec,
-                gemm_rate=gpu_spec.gemm_rate * gpus_per_rank,
-                level3_rate=gpu_spec.level3_rate * gpus_per_rank,
-                blas1_bandwidth=gpu_spec.blas1_bandwidth * gpus_per_rank,
-            )
-        self.gpu_spec = gpu_spec
-        # late-bound charge sink: looked up per call so instrumentation
-        # (e.g. repro.runtime.timeline) can wrap charge_compute afterwards
-        charge = lambda dt: self.charge_compute(dt)  # noqa: E731
-        self.gpu = LocalKernels(KernelTimeModel(gpu_spec), charge)
-        self.cpu = LocalKernels(KernelTimeModel(machine.cpu), charge)
+    def _kernels(self, model: KernelTimeModel) -> LocalKernels:
+        return LocalKernels(model, partial(
+            self.cluster.charge, self.ids, CostCategory.COMPUTE))
+
+    # built at first use: the charge classes run the kernels, few ranks do
+    @cached_property
+    def gpu(self) -> LocalKernels:
+        return self._kernels(self.cluster.gpu_model)
+
+    @cached_property
+    def cpu(self) -> LocalKernels:
+        return self._kernels(self.cluster.cpu_model)
+
+    @property
+    def machine(self):
+        return self.cluster.machine
+
+    @property
+    def backend(self) -> CommBackend:
+        return self.cluster.backend
 
     # default kernel set: device-resident builds compute on the GPU
     @property
     def k(self) -> LocalKernels:
         return self.gpu if self.backend.device_resident else self.cpu
-
-    @property
-    def kernel_model(self) -> KernelTimeModel:
-        """The rank's device time model (cached; ``KernelTimeModel`` is
-        frozen/stateless, so callers must not construct fresh instances
-        per charge — use this one)."""
-        return self.gpu.model
 
     @property
     def qr_kernels(self) -> LocalKernels:
@@ -104,54 +82,94 @@ class RankContext:
 
     # -- cost charging ----------------------------------------------------------
     def charge_compute(self, dt: float) -> None:
-        """Advance this rank by ``dt`` seconds of COMPUTE (slowdown applies)."""
-        dt = dt * self.slowdown
-        self.clock.advance(dt)
-        self.tracer.add(self.rank_id, CostCategory.COMPUTE, dt)
+        """Advance every member by ``dt`` seconds of COMPUTE (times its
+        own slowdown)."""
+        self.cluster.charge(self.ids, CostCategory.COMPUTE, dt)
 
     def charge_comm(self, dt: float) -> None:
-        """Advance this rank by ``dt`` seconds of COMMUNICATION."""
-        self.clock.advance(dt)
-        self.tracer.add(self.rank_id, CostCategory.COMM, dt)
+        """Advance every member by ``dt`` seconds of COMMUNICATION."""
+        self.cluster.charge(self.ids, CostCategory.COMM, dt)
 
     def charge_datamove(self, dt: float) -> None:
-        """Advance this rank by ``dt`` seconds of host-device DATAMOVE."""
-        self.clock.advance(dt)
-        self.tracer.add(self.rank_id, CostCategory.DATAMOVE, dt)
+        """Advance every member by ``dt`` seconds of host-device DATAMOVE."""
+        self.cluster.charge(self.ids, CostCategory.DATAMOVE, dt)
 
     def charge_recovery(self, dt: float) -> None:
-        """Advance this rank by ``dt`` seconds of RECOVERY overhead.
+        """Advance every member by ``dt`` seconds of RECOVERY overhead.
 
         Checkpoint I/O, collective retry backoff and post-failure
         re-layout are real wall time (DESIGN.md §5f): they advance the
         clock like any other charge but are accounted in their own
         category so fault-tolerance overhead stays visible.
         """
-        self.clock.advance(dt)
-        self.tracer.add(self.rank_id, CostCategory.RECOVERY, dt)
+        self.cluster.charge(self.ids, CostCategory.RECOVERY, dt)
 
     def charge_comm_hidden(self, dt: float, start: float) -> None:
         """Book ``dt`` seconds of communication hidden behind compute.
 
         Hidden communication progressed concurrently with already-charged
         COMPUTE intervals (nonblocking collectives, DESIGN.md §5d), so it
-        must **not** advance the clock — it is recorded in the tracer
-        (and, when a :class:`~repro.runtime.timeline.Timeline` is
-        attached, as an interval ``[start, start + dt]`` overlapping the
-        compute it hid behind).
+        does **not** advance the clock — it is recorded in the tracer
+        (and, by an attached :class:`~repro.runtime.timeline.Timeline`,
+        as an interval ``[start, start + dt]`` overlapping the compute it
+        hid behind).
         """
-        if dt < 0:
-            raise ValueError(f"negative hidden-comm charge dt={dt}")
-        self.tracer.add(self.rank_id, CostCategory.COMM_HIDDEN, dt)
+        self.cluster.book_hidden(self.ids, dt, start)
 
     # -- host-device staging -------------------------------------------------------
-    def stage_d2h(self, nbytes: float) -> None:
-        """Device -> host copy of ``nbytes`` (PCIe), charged as DATAMOVE."""
+    def stage(self, nbytes: float, direction: str) -> None:
+        """Copy ``nbytes`` device -> host (``"d2h"``) or back (``"h2d"``)
+        over PCIe — the link is symmetric — charged as DATAMOVE."""
+        if direction not in ("d2h", "h2d"):
+            raise ValueError(f"unknown staging direction {direction!r}")
         self.charge_datamove(self.machine.pcie.time(nbytes))
 
+    def stage_d2h(self, nbytes: float) -> None:
+        self.stage(nbytes, "d2h")
+
     def stage_h2d(self, nbytes: float) -> None:
-        """Host -> device copy of ``nbytes`` (PCIe), charged as DATAMOVE."""
-        self.charge_datamove(self.machine.pcie.time(nbytes))
+        self.stage(nbytes, "h2d")
+
+
+class RankContext(RankGroup):
+    """One simulated MPI rank: a single-id view of its cluster's state.
+
+    The paper's configurations map to:
+
+    * ChASE(STD)/ChASE(NCCL): ``gpus_per_rank=1`` (4 ranks/node);
+    * ChASE(LMS): ``gpus_per_rank=4`` (1 rank/node) — GEMM-like kernels
+      are split across the node's GPUs (rates scaled 4x) while the
+      redundant factorizations run on a single device.
+    """
+
+    def __init__(self, cluster, rank_id: int, node: int) -> None:
+        super().__init__(cluster, (int(rank_id),))
+        self.rank_id = self.ids[0]
+        self.node = int(node)
+        self.clock = Clock(shared=cluster.clocks, index=self.rank_id)
+        self.coords: tuple[int, int] | None = None  # set by Grid2D
+        #: fault injector shared by the owning cluster (None = fault
+        #: injection disabled; every hook is then a no-op)
+        self.faults = None
+        #: False once a scheduled RANK_DEATH event has been observed
+        #: and the rank dropped from the surviving grid
+        self.alive = True
+
+    @property
+    def gpu_spec(self):
+        return self.cluster.gpu_model.device
+
+    @property
+    def slowdown(self) -> float:
+        """Compute-slowdown multiplier (1.0 = nominal).  Setting it above
+        1 models a straggler (thermally throttled GPU, noisy neighbour);
+        collectives then propagate its delay to every coupled rank
+        through the barrier semantics."""
+        return self.cluster.slowdowns[self.rank_id]
+
+    @slowdown.setter
+    def slowdown(self, factor: float) -> None:
+        self.cluster.slowdowns[self.rank_id] = factor
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

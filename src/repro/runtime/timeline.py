@@ -13,13 +13,16 @@ Enable by attaching a :class:`Timeline` to a cluster::
     ... run a solver ...
     print(timeline.render())
 
-Attachment wraps each rank's charge methods; detach restores them.
+Attachment registers one listener on the cluster's charge choke point
+(``VirtualCluster.charge`` and its hidden-communication booking), so
+group charges are seen like per-rank ones; detach removes it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from repro.runtime.clock import CostCategory
 
@@ -50,12 +53,11 @@ class TimelineEvent:
 
 
 class Timeline:
-    """Interval recorder wired into a cluster's rank charge methods."""
+    """Interval recorder listening at a cluster's charge choke point."""
 
     def __init__(self) -> None:
         self.events: list[TimelineEvent] = []
-        self._restore: list = []
-        self._wrapped: set[int] = set()
+        self._attached: list = []  # (cluster's listener list, our listener)
 
     # -- attachment -------------------------------------------------------------
     @classmethod
@@ -66,74 +68,35 @@ class Timeline:
         return tl
 
     def attach_to(self, cluster) -> "Timeline":
-        """Attach this timeline to ``cluster``'s ranks (idempotent).
+        """Attach this timeline to ``cluster`` (idempotent).
 
-        Ranks already wrapped by *this* timeline are skipped, so calling
-        attach twice never stacks wrappers (stacked wrappers would record
-        every charge twice — a double-count bug, not a double-render
-        cosmetic issue).  Returns ``self`` for chaining.
+        A cluster this timeline already listens to is skipped, so calling
+        attach twice never records a charge twice (a double-count bug,
+        not a double-render cosmetic issue).  Survivor clusters of
+        ``shrink()`` share their parent's listener list.  Returns
+        ``self`` for chaining.
         """
-        for rank in cluster.ranks:
-            if rank.rank_id in self._wrapped:
-                continue
-            self._wrap(rank, cluster.tracer)
+        listeners = cluster.charge_listeners
+        if all(ls is not listeners for ls, _listener in self._attached):
+            listener = partial(self._record, cluster.tracer)
+            listeners.append(listener)
+            self._attached.append((listeners, listener))
         return self
 
-    def _wrap(self, rank, tracer) -> None:
-        originals = {
-            CostCategory.COMPUTE: rank.charge_compute,
-            CostCategory.COMM: rank.charge_comm,
-            CostCategory.DATAMOVE: rank.charge_datamove,
-            CostCategory.COMM_HIDDEN: rank.charge_comm_hidden,
-        }
-
-        def make(category, original):
-            def charge(dt: float) -> None:
-                start = rank.clock.now
-                original(dt)
-                self.events.append(
-                    TimelineEvent(
-                        rank_id=rank.rank_id,
-                        phase=tracer.current_phase,
-                        category=category,
-                        start=start,
-                        end=rank.clock.now,
-                    )
-                )
-            return charge
-
-        def charge_hidden(dt: float, start: float) -> None:
-            # hidden comm never advances the clock: the interval starts
-            # at the collective's entry time, not at the rank's `now`
-            originals[CostCategory.COMM_HIDDEN](dt, start)
-            self.events.append(
-                TimelineEvent(
-                    rank_id=rank.rank_id,
-                    phase=tracer.current_phase,
-                    category=CostCategory.COMM_HIDDEN,
-                    start=start,
-                    end=start + dt,
-                )
-            )
-
-        rank.charge_compute = make(CostCategory.COMPUTE, originals[CostCategory.COMPUTE])
-        rank.charge_comm = make(CostCategory.COMM, originals[CostCategory.COMM])
-        rank.charge_datamove = make(
-            CostCategory.DATAMOVE, originals[CostCategory.DATAMOVE]
+    def _record(self, tracer, rank_ids, category, starts, ends) -> None:
+        """One charge of a rank group: an event per member, each with the
+        member's own interval."""
+        phase = tracer.current_phase
+        self.events.extend(
+            TimelineEvent(r, phase, category, start, end)
+            for r, start, end in zip(rank_ids, starts, ends)
         )
-        rank.charge_comm_hidden = charge_hidden
-        self._restore.append((rank, originals))
-        self._wrapped.add(rank.rank_id)
 
     def detach(self) -> None:
-        """Restore the wrapped charge methods."""
-        for rank, originals in self._restore:
-            rank.charge_compute = originals[CostCategory.COMPUTE]
-            rank.charge_comm = originals[CostCategory.COMM]
-            rank.charge_datamove = originals[CostCategory.DATAMOVE]
-            rank.charge_comm_hidden = originals[CostCategory.COMM_HIDDEN]
-        self._restore.clear()
-        self._wrapped.clear()
+        """Stop listening."""
+        for listeners, listener in self._attached:
+            listeners.remove(listener)
+        self._attached.clear()
 
     # -- queries ---------------------------------------------------------------
     def span(self) -> tuple[float, float]:

@@ -13,7 +13,6 @@ what wall-clock measurements on a real machine observe.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -65,13 +64,28 @@ class PhaseBreakdown:
         }
 
 
-class Tracer:
-    """Accumulates modeled cost per (rank, phase, category)."""
+#: the clock-advancing categories, in the one order their sum is taken
+_ADVANCING = tuple(
+    c for c in CostCategory if c is not CostCategory.COMM_HIDDEN)
 
-    def __init__(self) -> None:
-        # (rank_id, phase, category) -> seconds
-        self._acc: dict[tuple[int, str, CostCategory], float] = defaultdict(float)
+
+class Tracer:
+    """Accumulates modeled cost per (phase, category) and rank.
+
+    One row — a list of seconds indexed by rank id — per (phase,
+    category), created at the phase's first charge.  A cluster builds
+    ``Tracer(n_ranks)`` and :meth:`VirtualCluster.charge` adds to
+    :meth:`row` for whole rank groups; a standalone ``Tracer()`` takes
+    arbitrary rank ids through :meth:`add`, its rows growing on demand.
+    """
+
+    def __init__(self, n_ranks: int = 0) -> None:
+        self._n_ranks = int(n_ranks)
+        # phase -> one equally long row per category, by CostCategory.slot
+        self._rows: dict[str, list[list[float]]] = {}
         self._phase_stack: list[str] = []
+        #: the current phase's entry of ``_rows`` (None until charged)
+        self._current: list[list[float]] | None = None
 
     # -- phase scoping --------------------------------------------------------
     @property
@@ -82,53 +96,60 @@ class Tracer:
     def phase(self, name: str):
         """Scope subsequent charges to phase ``name`` (re-entrant)."""
         self._phase_stack.append(name)
+        self._current = self._rows.get(name)
         try:
             yield self
         finally:
             self._phase_stack.pop()
+            self._current = self._rows.get(self.current_phase)
 
     # -- charging --------------------------------------------------------------
+    def row(self, category: CostCategory) -> list[float]:
+        """The current phase's per-rank seconds of ``category`` (mutable:
+        the group charge path adds to it in place)."""
+        if self._current is None:
+            self._current = self._rows.setdefault(
+                self.current_phase,
+                [[0.0] * self._n_ranks for _ in CostCategory])
+        return self._current[category.slot]
+
     def add(self, rank_id: int, category: CostCategory, dt: float) -> None:
         if dt < 0:
             raise ValueError("negative cost charge")
-        self._acc[(rank_id, self.current_phase, category)] += dt
+        row = self.row(category)
+        if rank_id >= len(row):
+            for grown in self._current:
+                grown.extend([0.0] * (rank_id + 1 - len(grown)))
+        row[rank_id] += dt
 
     # -- reporting ---------------------------------------------------------------
     def phases(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for (_r, phase, _c) in self._acc:
-            seen.setdefault(phase, None)
-        return list(seen)
+        return list(self._rows)
 
     def rank_total(self, rank_id: int, phase: str, category: CostCategory) -> float:
-        return self._acc.get((rank_id, phase, category), 0.0)
+        rows = self._rows.get(phase)
+        if rows is None or rank_id >= len(rows[0]):
+            return 0.0
+        return rows[category.slot][rank_id]
 
     def breakdown(self, phase: str) -> PhaseBreakdown:
-        """Critical-path (max over ranks) breakdown of one phase."""
-        per_rank: dict[int, dict[CostCategory, float]] = defaultdict(
-            lambda: defaultdict(float)
-        )
-        for (rank_id, ph, cat), dt in self._acc.items():
-            if ph == phase:
-                per_rank[rank_id][cat] += dt
-        if not per_rank:
-            return PhaseBreakdown(phase)
-        # critical rank = the one with the largest clock-advancing phase
-        # total (hidden communication does not advance any clock)
-        def advancing(d: dict[CostCategory, float]) -> float:
-            return sum(
-                dt for cat, dt in d.items() if cat is not CostCategory.COMM_HIDDEN
-            )
+        """Critical-path (max over ranks) breakdown of one phase.
 
-        crit = max(per_rank.values(), key=advancing)
-        return PhaseBreakdown(
-            phase,
-            compute=crit.get(CostCategory.COMPUTE, 0.0),
-            comm=crit.get(CostCategory.COMM, 0.0),
-            datamove=crit.get(CostCategory.DATAMOVE, 0.0),
-            comm_hidden=crit.get(CostCategory.COMM_HIDDEN, 0.0),
-            recovery=crit.get(CostCategory.RECOVERY, 0.0),
-        )
+        The critical rank is the one with the largest clock-advancing
+        phase total (hidden communication advances no clock), summed in
+        the fixed order compute + comm + datamove + recovery; equal
+        totals resolve to the lowest rank id.  Ranks never charged in
+        the phase do not compete, so a rank that only ever booked hidden
+        communication is still reported when no rank advanced.
+        """
+        crit, best = (), -1.0
+        for charged in zip(*self._rows.get(phase, ())):
+            if any(charged):
+                total = sum(charged[c.slot] for c in _ADVANCING)
+                if total > best:
+                    crit, best = charged, total
+        # PhaseBreakdown's fields follow CostCategory's (slot) order
+        return PhaseBreakdown(phase, *crit)
 
     def total(self, phase: str | None = None) -> float:
         """Critical-path total time of one phase (or of all phases summed)."""
@@ -137,4 +158,5 @@ class Tracer:
         return sum(self.breakdown(ph).total for ph in self.phases())
 
     def reset(self) -> None:
-        self._acc.clear()
+        self._rows.clear()
+        self._current = None

@@ -111,6 +111,21 @@ class TestOverlapPairs:
                 pairs = overlap_pairs(rm, i, cm, j)
                 assert bool(pairs) == (i == j)
 
+    def test_one_memoised_table_per_map_pair(self):
+        """Equal maps are one key: the HEMM, its charge classes and the
+        redistributions all read the same immutable table."""
+        from repro.distributed.block import overlap_table
+
+        table = overlap_table(BlockMap1D(12, 3), BlockCyclicMap1D(12, 4, 2))
+        assert table is overlap_table(BlockMap1D(12, 3),
+                                      BlockCyclicMap1D(12, 4, 2))
+        assert table is not overlap_table(BlockMap1D(12, 3),
+                                          BlockCyclicMap1D(12, 4, 3))
+        assert len(table) == 3 and all(len(row) == 4 for row in table)
+        assert overlap_pairs(BlockMap1D(12, 3), 2,
+                             BlockCyclicMap1D(12, 4, 2), 1) is table[2][1]
+        assert isinstance(table[2][1], tuple)
+
     def test_mismatched_maps(self):
         rm = BlockMap1D(12, 3)  # rows: [0,4) [4,8) [8,12)
         cm = BlockMap1D(12, 4)  # cols: [0,3) [3,6) [6,9) [9,12)

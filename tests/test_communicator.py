@@ -149,6 +149,35 @@ class TestTimingSemantics:
         comm.charge_collective(0.25)
         assert all(r.clock.now == 0.25 for r in cl.ranks)
 
+    def test_collective_charge_memo_follows_the_model(self):
+        """The (op, nbytes) charge is costed once per communicator and
+        recomputed after anything that prices it is replaced."""
+        from repro.perfmodel.collectives import collective_cost
+        from repro.perfmodel.topology import FatTree
+
+        comm, _ = make_comm(8, ranks_per_node=2)
+
+        def fresh():
+            return collective_cost(comm.model, "allreduce", 4096.0, 8,
+                                   comm.topology, comm.algo)
+
+        ring = comm._charge_for("allreduce", 4096.0)
+        assert ring is comm._charge_for("allreduce", 4096.0)  # memoised
+        assert ring == fresh()
+        assert comm._charge_for("bcast", 4096.0) != ring
+        comm.set_collective_algo("tree")
+        tree = comm._charge_for("allreduce", 4096.0)
+        assert tree == fresh() and tree.time != ring.time
+        comm.set_topology(FatTree(4, nodes_per_leaf=2))
+        hops = comm._charge_for("allreduce", 4096.0)
+        assert hops == fresh() and hops.time != tree.time
+        comm.set_overlap_efficiency(0.5)
+        assert comm._charge_for("allreduce", 4096.0) is not hops
+        assert comm.collective_time("allreduce", 4096.0) == fresh().time
+        comm.set_topology(None)
+        comm.set_collective_algo("ring")
+        assert comm._charge_for("allreduce", 4096.0) == ring
+
     def test_empty_communicator_rejected(self):
         with pytest.raises(ValueError):
             Communicator([])

@@ -54,6 +54,28 @@ class TestPhantomArray:
         assert a.cols(3).shape == (10, 5)
         assert a.cols(6, 100).shape == (10, 2)  # clamped
 
+    def test_derived_instances_equal_public_ones(self):
+        """The structural operations build their result without
+        re-validating; it must be indistinguishable from one built by
+        the (validating, dtype-canonicalising) public constructor."""
+        a = PhantomArray([np.int64(4), 6], "c16")
+        assert a.shape == (4, 6) and type(a.shape[0]) is int
+        assert a.dtype is np.dtype(np.complex128)
+        derived = {
+            a.T: PhantomArray((6, 4), np.complex128),
+            a.copy(): a,
+            a.conj(): a,
+            a.reshape(8, 3): PhantomArray((8, 3), np.complex128),
+            a.reshape((-1, 12)): PhantomArray((2, 12), np.complex128),
+            a.cols(np.int64(1), np.int64(4)): PhantomArray((4, 3), "c16"),
+        }
+        for fast, public in derived.items():
+            assert fast == public and hash(fast) == hash(public)
+            assert all(type(d) is int for d in fast.shape)
+            assert fast.dtype is public.dtype
+        with pytest.raises(ValueError):
+            a.reshape(-2, -12)
+
     def test_cols_requires_2d(self):
         with pytest.raises(ValueError):
             PhantomArray((10,), np.float64).cols(0, 1)
