@@ -27,6 +27,9 @@ fused win is modest; all numbers are reported honestly with
 
 Run:  ``PYTHONPATH=src python benchmarks/bench_wallclock.py [--smoke]``
 
+A full run replaces this bench's keys of ``BENCH_wallclock.json`` and
+keeps the sections other tools merged in; ``--smoke`` writes nothing.
+
 ``--smoke`` (CI) additionally **gates**: it exits nonzero if the fused
 full-solve is slower than the seed path (speedup < 1.0), if the
 pipelined filter fails to reduce the modeled filter phase, or if the
@@ -541,6 +544,28 @@ def main(argv=None) -> None:
     return _run(args)
 
 
+def write_report(report: dict, summary: str) -> None:
+    """Persist a full-size report; a smoke report is only printed.
+
+    ``BENCH_wallclock.json`` is shared: ``bench_service_throughput.py``
+    and ``repro campaign report`` merge their ``service`` /
+    ``campaign_*`` sections into it, so this bench replaces its own
+    keys and keeps every other section as found.  Smoke-sized numbers
+    never replace the committed full-size ones — ``--smoke`` gates and
+    prints, and writes nothing under the repository.
+    """
+    if report["smoke"]:
+        print(f"\n{summary}\n")
+        return
+    merged = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    merged.update(report)
+    JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "BENCH_wallclock.json").write_text(
+        json.dumps(report, indent=2) + "\n")
+    emit("bench_wallclock", summary)
+
+
 def _run(args) -> None:
     if args.smoke:
         repeats = 1
@@ -678,13 +703,10 @@ def _run(args) -> None:
         ),
         "points": points,
     }
-    text = json.dumps(report, indent=2)
-    JSON_PATH.write_text(text + "\n")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_wallclock.json").write_text(text + "\n")
-    emit(
-        "bench_wallclock",
-        f"wallclock tier benchmark -> {JSON_PATH}\n"
+    write_report(
+        report,
+        f"wallclock tier benchmark -> "
+        f"{'nothing written (smoke)' if args.smoke else JSON_PATH}\n"
         f"headline solve  N={headline['N']} grid={headline['grid']}: "
         f"dedup x{headline['speedup_dedup']:.2f}  "
         f"fused x{headline['speedup_fused']:.2f}\n"

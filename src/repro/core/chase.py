@@ -45,15 +45,12 @@ from repro.core.qr import (
     MIXED_VARIANT,
     QRReport,
     caqr_1d,
-    cholesky_qr,
-    mixed_cholesky_qr2,
     qr_work_precision,
-    shifted_cholesky_qr2,
+    run_qr_variant,
 )
 from repro.core.rayleigh_ritz import rayleigh_ritz
 from repro.core.residuals import residuals
 from repro.core.trace import ConvergenceTrace, IterationRecord
-from repro.baselines.scalapack_qr import hhqr_1d
 from repro.distributed.hemm import DistributedHemm
 from repro.distributed.hermitian import DistributedHermitian, global_indices
 from repro.distributed.multivector import DistributedMultiVector
@@ -76,6 +73,15 @@ from repro.runtime.tracer import PhaseBreakdown
 from repro.runtime.transport import assert_transport_parity
 
 __all__ = ["ChaseSolver", "ChaseResult"]
+
+#: the forced ``qr_mode`` values and the variant each one runs
+#: (``"auto"`` selects by the condition estimate instead, Algorithm 4)
+_FORCED_QR = {
+    "hhqr": "HHQR",
+    "cholqr1": "CholeskyQR1",
+    "cholqr2": "CholeskyQR2",
+    "scholqr2": "sCholeskyQR2",
+}
 
 
 def _ldl_negative_inertia(D: np.ndarray) -> int:
@@ -150,7 +156,7 @@ class ChaseSolver:
     ) -> None:
         if scheme not in ("new", "lms"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if qr_mode not in ("auto", "hhqr", "cholqr1", "cholqr2", "scholqr2"):
+        if qr_mode != "auto" and qr_mode not in _FORCED_QR:
             raise ValueError(f"unknown qr_mode {qr_mode!r}")
         self.grid = grid
         self.H = H
@@ -235,30 +241,10 @@ class ChaseSolver:
             self.H.dtype, grid.cluster.config.qr_dtype, cond)
         if self.qr_mode == "auto":
             return caqr_1d(grid, C, cond, work=qwork)
-        report = QRReport()
-        if self.qr_mode == "hhqr":
-            report.variant = "HHQR"
-            hhqr_1d(grid, C)
-        elif self.qr_mode == "cholqr1":
-            report.variant = "CholeskyQR1"
-            if cholesky_qr(grid, C, 1, report):
-                report.variant = "sCholeskyQR2"
-                shifted_cholesky_qr2(grid, C, report)
-        elif self.qr_mode == "cholqr2":
-            if qwork is not None:
-                report.variant = MIXED_VARIANT
-                if mixed_cholesky_qr2(grid, C, report, qwork):
-                    report.variant = "sCholeskyQR2"
-                    shifted_cholesky_qr2(grid, C, report)
-            else:
-                report.variant = "CholeskyQR2"
-                if cholesky_qr(grid, C, 2, report):
-                    report.variant = "sCholeskyQR2"
-                    shifted_cholesky_qr2(grid, C, report)
-        else:  # scholqr2
-            report.variant = "sCholeskyQR2"
-            shifted_cholesky_qr2(grid, C, report)
-        return report
+        variant = _FORCED_QR[self.qr_mode]
+        if variant == "CholeskyQR2" and qwork is not None:
+            variant = MIXED_VARIANT
+        return run_qr_variant(grid, C, variant, work=qwork)
 
     # ------------------------------------------- fault tolerance (DESIGN.md §5f)
     def _allocate_from(self, V: np.ndarray) -> tuple:
@@ -703,6 +689,63 @@ class ChaseSolver:
                 resd = np.linalg.norm(R, axis=0)
         return ritzv, resd
 
+    def _run_phases(self, C, C2, B, B2, locked: int, degs, c: float,
+                    e: float, mu1: float, wdtype, qr, ritzv=None,
+                    filter_ws=None):
+        """One iteration's phase sequence of Algorithm 2, each phase
+        under its ``tracer.phase``: Filter -> QR -> RR -> Resid (the LMS
+        scheme: Filter + host staging, then its redundant QR/RR/Resid).
+
+        The numeric solve and the phantom replay run this one statement
+        of it and differ in two arguments: ``qr``, a callable ``C ->
+        QRReport`` (selection by the condition estimate vs replay of the
+        recorded variant), and ``ritzv``, the current Ritz values
+        (``None`` in a replay, which has none).  Returns ``(filter
+        matvecs, QR report, active Ritz values, active residuals,
+        cond_true)``.
+        """
+        cfg, H, tracer = self.cfg, self.H, self.grid.cluster.tracer
+        ne = cfg.ne
+        phantom = C.is_phantom
+        with tracer.phase("Filter"):
+            mv = chebyshev_filter(
+                self.hemm, C, locked, degs, c, e, mu1,
+                workspace=filter_ws, work_dtype=wdtype,
+            )
+            if self.scheme == "lms":
+                self._lms_stage_full(H.N * ne * np.dtype(H.dtype).itemsize)
+        cond_true = None
+        gathered_c = None
+        if cfg.compute_true_cond and not phantom:
+            # kappa_2 of the matrix the estimate models: the block of
+            # vectors *outputted by the filter* (the locked columns are
+            # not filtered), computed by SVD as in the paper's Fig. 1.
+            # The assembled matrix is kept: the LMS QR phase gathers
+            # the same (unmodified) C and can reuse it.
+            gathered_c = C.gather(0)
+            cond_true = float(np.linalg.cond(gathered_c[:, locked:]))
+
+        if self.scheme == "lms":
+            ritz_active, resd_active = self._iterate_lms(
+                C, C2, locked, phantom, tracer, pregathered=gathered_c)
+            return (mv, QRReport(variant="HHQR(redundant)"), ritz_active,
+                    resd_active, cond_true)
+        with tracer.phase("QR"):
+            report = qr(C)
+        # restore locked columns / refresh C2 (line 13)
+        C.copy_cols_from(C2, 0, locked)
+        C2.copy_cols_from(C, locked, ne)
+        with tracer.phase("RR"):
+            ritz_active = rayleigh_ritz(self.hemm, C, C2, B, B2, locked)
+        with tracer.phase("Resid"):
+            resd_active = residuals(
+                self.hemm, C, C2, B, B2,
+                None if ritzv is None
+                else np.concatenate([ritzv[:locked], ritz_active]),
+                locked,
+            )
+        return mv, report, ritz_active, resd_active, cond_true
+
     # -------------------------------------------------------------- numeric
     def solve(
         self,
@@ -908,43 +951,9 @@ class ChaseSolver:
             # phantom replay reproduces these decisions (DESIGN.md §5g)
             rmin_in = None if resd is None else float(np.min(resd[locked:]))
 
-            with tracer.phase("Filter"):
-                mv = chebyshev_filter(
-                    self.hemm, C, locked, degs_active, c, e, mu1_f,
-                    workspace=filter_ws, work_dtype=wdtype,
-                )
-                if self.scheme == "lms":
-                    self._lms_stage_full(H.N * ne * np.dtype(H.dtype).itemsize)
-            cond_true = None
-            gathered_c = None
-            if cfg.compute_true_cond:
-                # kappa_2 of the matrix the estimate models: the block of
-                # vectors *outputted by the filter* (the locked columns are
-                # not filtered), computed by SVD as in the paper's Fig. 1.
-                # The assembled matrix is kept: the LMS QR phase gathers
-                # the same (unmodified) C and can reuse it.
-                gathered_c = C.gather(0)
-                cond_true = float(np.linalg.cond(gathered_c[:, locked:]))
-
-            if self.scheme == "new":
-                with tracer.phase("QR"):
-                    report = self._qr_step(C, cond)
-                # restore locked columns / refresh C2 (line 13)
-                C.copy_cols_from(C2, 0, locked)
-                C2.copy_cols_from(C, locked, ne)
-                with tracer.phase("RR"):
-                    ritz_active = rayleigh_ritz(self.hemm, C, C2, B, B2, locked)
-                with tracer.phase("Resid"):
-                    resd_active = residuals(
-                        self.hemm, C, C2, B, B2,
-                        np.concatenate([ritzv[:locked], ritz_active]),
-                        locked,
-                    )
-            else:
-                report = QRReport(variant="HHQR(redundant)")
-                ritz_active, resd_active = self._iterate_lms(
-                    C, C2, locked, False, tracer, pregathered=gathered_c
-                )
+            mv, report, ritz_active, resd_active, cond_true = self._run_phases(
+                C, C2, B, B2, locked, degs_active, c, e, mu1_f, wdtype,
+                lambda Cq: self._qr_step(Cq, cond), ritzv, filter_ws)
 
             ritzv = np.concatenate([ritzv[:locked], ritz_active])
             resd = np.concatenate(
@@ -1073,8 +1082,7 @@ class ChaseSolver:
         arithmetic is performed.  The paper's scaling experiments
         (Figs. 2, 3a, 3b) are phantom replays.
         """
-        cfg, grid, H = self.cfg, self.grid, self.H
-        ne = cfg.ne
+        grid, H = self.grid, self.H
         tracer = grid.cluster.tracer
         bounds = bounds if bounds is not None else SpectralBounds(3.0, -1.0, 1.0)
         C, C2, B, B2 = self._allocate_phantom()
@@ -1104,35 +1112,12 @@ class ChaseSolver:
                 scale=rec.res_scale,
             )
             wdtype = resolve_work_dtype(H.dtype, token)
-            with tracer.phase("Filter"):
-                total_mv += chebyshev_filter(
-                    self.hemm, C, locked, degs, c, e, bounds.mu1,
-                    work_dtype=wdtype,
-                )
-                if self.scheme == "lms":
-                    self._lms_stage_full(
-                        H.N * ne * np.dtype(H.dtype).itemsize
-                    )
-            if self.scheme == "new":
-                with tracer.phase("QR"):
-                    report = QRReport(variant=rec.qr_variant)
-                    if rec.qr_variant == "HHQR":
-                        hhqr_1d(grid, C)
-                    elif rec.qr_variant == "sCholeskyQR2":
-                        shifted_cholesky_qr2(grid, C, report)
-                    elif rec.qr_variant == MIXED_VARIANT:
-                        mixed_cholesky_qr2(grid, C, report,
-                                           narrow_dtype(H.dtype))
-                    elif rec.qr_variant == "CholeskyQR1":
-                        cholesky_qr(grid, C, 1, report)
-                    else:
-                        cholesky_qr(grid, C, 2, report)
-                with tracer.phase("RR"):
-                    rayleigh_ritz(self.hemm, C, C2, B, B2, locked)
-                with tracer.phase("Resid"):
-                    residuals(self.hemm, C, C2, B, B2, None, locked)
-            else:
-                self._iterate_lms(C, C2, locked, True, tracer)
+            # a replayed variant never breaks down (a phantom POTRF
+            # always succeeds), so the recorded name is what runs
+            total_mv += self._run_phases(
+                C, C2, B, B2, locked, degs, c, e, bounds.mu1, wdtype,
+                lambda Cq: run_qr_variant(
+                    grid, Cq, rec.qr_variant, work=narrow_dtype(H.dtype)))[0]
 
         timings = {ph: tracer.breakdown(ph) for ph in tracer.phases()}
         return ChaseResult(

@@ -41,6 +41,7 @@ __all__ = [
     "mixed_cholesky_qr2",
     "qr_work_precision",
     "MIXED_VARIANT",
+    "run_qr_variant",
     "caqr_1d",
     "unit_roundoff",
     "shifted_threshold",
@@ -267,6 +268,45 @@ def mixed_cholesky_qr2(
     return 0
 
 
+def run_qr_variant(
+    grid: Grid2D,
+    C: DistributedMultiVector,
+    variant: str,
+    report: QRReport | None = None,
+    work=None,
+) -> QRReport:
+    """Orthonormalize ``C`` in place with the QR ``variant`` named as in
+    ``QRReport.variant``: ``HHQR``, ``CholeskyQR1``, ``CholeskyQR2``,
+    :data:`MIXED_VARIANT` (first pass in the dtype ``work``) or
+    ``sCholeskyQR2``.
+
+    The one statement of "run it, escalate on breakdown": a POTRF
+    breakdown of a CholeskyQR variant — a miss of whatever selected it;
+    it should not happen when the condition estimate is a true upper
+    bound — escalates to the stabilized sCholeskyQR2 (the narrow pass
+    of the mixed variant leaves ``C`` untouched, the others a partially
+    updated one the shifted pass still handles).  A label this module
+    does not produce (a trace recorded under the LMS scheme) runs
+    CholeskyQR2.
+    """
+    report = report if report is not None else QRReport()
+    report.variant = variant
+    if variant == "HHQR":
+        hhqr_1d(grid, C)
+        return report
+    if variant != "sCholeskyQR2":
+        if variant == MIXED_VARIANT:
+            info = mixed_cholesky_qr2(grid, C, report, work)
+        else:
+            degree = 1 if variant == "CholeskyQR1" else 2
+            info = cholesky_qr(grid, C, degree, report)
+        if not info:
+            return report
+        report.variant = "sCholeskyQR2"
+    shifted_cholesky_qr2(grid, C, report)
+    return report
+
+
 def caqr_1d(
     grid: Grid2D,
     C: DistributedMultiVector,
@@ -282,25 +322,10 @@ def caqr_1d(
     fp64 orthogonality, and the shifted variant exists *because* the
     basis is ill-conditioned).
     """
-    report = report if report is not None else QRReport()
     if est_cond > shifted_threshold(C.dtype):
-        report.variant = "sCholeskyQR2"
-        shifted_cholesky_qr2(grid, C, report)
-        return report
-    degree = 1 if est_cond < CHOLQR1_THRESHOLD else 2
-    if degree == 2 and work is not None:
-        report.variant = MIXED_VARIANT
-        info = mixed_cholesky_qr2(grid, C, report, work)
-        if info:
-            # narrow-pass POTRF breakdown: C is untouched, escalate
-            report.variant = "sCholeskyQR2"
-            shifted_cholesky_qr2(grid, C, report)
-        return report
-    report.variant = f"CholeskyQR{degree}"
-    info = cholesky_qr(grid, C, degree, report)
-    if info:
-        # heuristic miss (should not happen when est_cond is a true upper
-        # bound): escalate to the stabilized variant
-        report.variant = "sCholeskyQR2"
-        shifted_cholesky_qr2(grid, C, report)
-    return report
+        variant = "sCholeskyQR2"
+    elif est_cond < CHOLQR1_THRESHOLD:
+        variant = "CholeskyQR1"
+    else:
+        variant = MIXED_VARIANT if work is not None else "CholeskyQR2"
+    return run_qr_variant(grid, C, variant, report, work)

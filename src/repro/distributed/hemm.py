@@ -13,16 +13,25 @@ Both directions optionally apply the spectral shift
 ``alpha (H - gamma I) X`` needed by the filter; the diagonal term is
 applied exactly once per global row via the row/column segment overlap.
 
-Which numeric path an apply takes is decided per call from the
-multivector it is handed (aliased or not, phantom or not) and from the
-cluster's :class:`~repro.runtime.config.ExecutionConfig` (DESIGN.md,
-"Execution configuration"); every path issues the same per-rank
-modeled charges in the same order, so clocks, tracer and CommStats do
-not depend on the choice.  The fused-panel path matches the per-block
-arithmetic to rounding (``<= 1e-13 * ||H||``, asserted by
-``tests/test_fused_hemm.py``), not bit for bit: BLAS tiles the wider
-fused m-dimension with different SIMD tail kernels, and B->C folds the
-q-term reduction sum into the GEMM's k-loop.
+Every apply is one driver (:meth:`DistributedHemm.apply`) running three
+stages, each stated once: the modeled **charges** on shape proxies
+(cast, GEMM, overlap AXPYs, scale — per charge class, in every rank's
+order), the uncharged **numerics** at full width, and the **reductions**
+— blocking allreduces, or the chunked nonblocking schedule of the
+pipelined filter (DESIGN.md §5d).  Only the numerics depend on what the
+apply is handed, and know four input kinds (``_numerics``; tabulated in
+DESIGN.md §5c): phantom (shape proxies, no arithmetic), aliased + fused
+C -> B (``panel_cb_numeric``), aliased + fused B -> C
+(``panel_bc_numeric``, charge-only reductions) and per block
+(``block_numeric``; aliased inputs reduce into the root partial, plain
+ones keep every partial) — so clocks, tracer and CommStats cannot
+depend on the kind.
+
+The fused-panel kernels match the per-block arithmetic to rounding
+(``<= 1e-13 * ||H||``, asserted by ``tests/test_fused_hemm.py``), not
+bit for bit: BLAS tiles the wider fused m-dimension with different SIMD
+tail kernels, and B->C folds the q-term reduction sum into the GEMM's
+k-loop.
 
 The per-rank GEMMs are *unique* work — the ``p*q`` partial products sum
 to exactly the global ``2 N^2 w`` flops — so nothing is deduplicated
@@ -93,7 +102,7 @@ def _chunk_view(buf, sl: slice):
     return buf[:, sl]
 
 
-# -- numeric kernels of the decoupled (charge first, then compute) paths ------------
+# -- the numeric kernels of stage 2 (uncharged; stage 1 charged the model) ----------
 
 def panel_cb_numeric(P, Xfull, cols, pairs_i, gamma, alpha, offs, *, out):
     """C->B fused row panel: ``out = alpha (P^T X - gamma overlaps)``."""
@@ -150,10 +159,10 @@ class DistributedHemm:
         self._panels: dict[tuple, np.ndarray] = {}
         self._panels_conj: dict[tuple, np.ndarray] = {}
         self._offsets: list[int] | None = None
-        #: per-key reusable workspace of the decoupled paths (partial
+        #: per-key reusable workspace of the numerics (non-root partial
         #: products and the stacked-B operand; never escapes an apply)
         self._scratch: dict[tuple, np.ndarray] = {}
-        #: full-width per-rank apply times for the pipelined path
+        #: full-width per-rank apply times of the chunked schedule
         self._apply_time_cache: dict[tuple, tuple] = {}
         self._cache_version = H.version
 
@@ -187,7 +196,7 @@ class DistributedHemm:
 
     def _cast_work(self, rdtype) -> None:
         """Build the narrow casts a mixed-precision apply works on (a
-        no-op for the seed, full-width, path and once built).
+        no-op for a full-width apply and once built).
 
         The cast runs once per block per ``H.version`` and charges every
         rank one :meth:`LocalKernels.cast` at build time, ahead of its
@@ -211,28 +220,27 @@ class DistributedHemm:
             return self.H.local(i, j)
         return self._hwork[(i, j, _NARROW[np.dtype(self.H.dtype)].str)]
 
-    def _h_conj(self, i: int, j: int, rdtype=None):
-        """Work-dtype ``H`` block conjugate, cached for complex numerics.
+    def _h_conj(self, i: int, j: int, Hij):
+        """Conjugate of ``Hij``, grid block ``(i, j)`` in the apply's
+        working dtype (:meth:`_local_work`): the C->B operand.
 
-        The gemm for the C->B direction evaluates ``A.conj().T @ X``;
-        caching the ``.conj()`` (a per-call full copy for complex
-        dtypes) and handing out the same array preserves the exact
-        operand memory layout, so results stay bit-identical to the
-        uncached path.  With a narrow ``rdtype`` the conjugate is taken
-        of the cached narrow cast; keys carry the dtype so a precision
-        promote/demote can never hand back the wrong-width block.
+        The gemm for the C->B direction evaluates ``A.conj().T @ X``.
+        For a real block the conjugate is the block; for a complex one
+        it is a full copy, cached here: handing out the same array
+        preserves the exact operand memory layout, so results stay
+        bit-identical to the per-call temporary (which a config with
+        dedup off still takes, as the seed did).  Keys carry the dtype,
+        so a precision promote/demote can never hand back the conjugate
+        of the wrong-width block.
         """
-        Hij = self.H.local(i, j) if rdtype is None \
-            else self._local_work(i, j, rdtype)
-        if is_phantom(Hij) or np.dtype(self.H.dtype).kind != "c":
-            return None  # .conj() is free (a view) for real ndarrays
+        if Hij.dtype.kind != "c":
+            return Hij
         if not self.grid.cluster.config.numeric_dedup:
-            return None
-        key = (i, j, np.dtype(Hij.dtype).str)
+            return Hij.conj()
+        key = (i, j, Hij.dtype.str)
         cached = self._hconj.get(key)
         if cached is None:
-            cached = Hij.conj()
-            self._hconj[key] = cached
+            cached = self._hconj[key] = Hij.conj()
         return cached
 
     def _stack_offsets(self) -> list[int]:
@@ -245,36 +253,31 @@ class DistributedHemm:
             self._offsets = offs
         return self._offsets
 
-    def _row_panel(self, i: int, rdtype=None) -> np.ndarray:
+    def _row_panel(self, i: int, rdtype) -> np.ndarray:
         """``[H_i0 | ... | H_i,q-1]`` — the grid row's blocks, stacked.
 
         Cached per (row, dtype): a narrow apply stacks the cached
         work-dtype casts, a full-width apply the blocks themselves.
         """
-        rdt = np.dtype(rdtype if rdtype is not None else self.H.dtype)
-        narrow = bytes_per_scalar(rdt) < bytes_per_scalar(self.H.dtype)
+        narrow = bytes_per_scalar(rdtype) < bytes_per_scalar(self.H.dtype)
         pdt = _NARROW[np.dtype(self.H.dtype)] if narrow else np.dtype(self.H.dtype)
         key = (i, pdt.str)
         P = self._panels.get(key)
         if P is None:
-            blocks = [
-                np.asarray(self._local_work(i, j, rdt))
-                for j in range(self.grid.q)
-            ]
-            P = np.hstack(blocks)
-            self._panels[key] = P
+            P = self._panels[key] = np.hstack([
+                np.asarray(self._local_work(i, j, rdtype))
+                for j in range(self.grid.q)])
         return P
 
-    def _row_panel_conj(self, i: int, rdtype=None) -> np.ndarray:
+    def _row_panel_conj(self, i: int, rdtype) -> np.ndarray:
         """Elementwise conjugate of the fused row panel (complex C->B)."""
-        if np.dtype(self.H.dtype).kind != "c":
-            return self._row_panel(i, rdtype)
         P0 = self._row_panel(i, rdtype)
+        if np.dtype(self.H.dtype).kind != "c":
+            return P0
         key = (i, P0.dtype.str)
         P = self._panels_conj.get(key)
         if P is None:
-            P = P0.conj()
-            self._panels_conj[key] = P
+            P = self._panels_conj[key] = P0.conj()
         return P
 
     def _scratch_arr(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
@@ -298,69 +301,77 @@ class DistributedHemm:
         """``alpha (H - gamma I) X[:, cols]`` in the *opposite* layout.
 
         Returns a new multivector of width ``stop - start`` whose layout
-        is ``"B"`` when ``X`` is ``"C"`` and vice versa.  ``out`` is an
-        optional preallocated aliased multivector of the result's
-        layout/width whose storage receives the result (dedup mode
-        only; the returned multivector aliases it).  Incompatible
+        is ``"B"`` when ``X`` is ``"C"`` and vice versa.  ``cols`` is a
+        non-empty unit-step slice of ``X``'s columns (``None``: all).
+        ``out`` is an optional preallocated aliased multivector of the
+        result's layout/width whose storage receives the result (aliased
+        inputs only; the returned multivector aliases it).  Incompatible
         ``out`` buffers are ignored.
 
-        ``pipeline=True`` marks the call as pipeline-eligible (the
-        Chebyshev filter hot path); when the cluster's config also sets
-        ``pipeline_chunks``, the apply runs the chunked nonblocking path
-        (:meth:`_apply_pipelined`, DESIGN.md §5d).
+        Every apply is the same three stages: the modeled **charges**
+        (narrow H casts, then one :meth:`_charge_block` per charge
+        class), the **numerics** (:meth:`_numerics`: the partial
+        products and the reductions they need) and the **reductions**
+        (blocking allreduces).  ``pipeline=True`` marks the call as
+        pipeline-eligible (the Chebyshev filter hot path); when the
+        cluster's config also sets ``pipeline_chunks``, the compute
+        charges and the reductions are issued chunk-wise and nonblocking
+        instead (:meth:`_reduce_chunked`, DESIGN.md §5d).
         """
-        grid = self.grid
-        H = self.H
+        grid, H = self.grid, self.H
         cfg = grid.cluster.config
         self._sync_caches()
-        cols = cols if cols is not None else slice(0, X.ne)
-        width = (cols.stop if cols.stop is not None else X.ne) - (cols.start or 0)
-        if width <= 0:
-            raise ValueError("empty column slice")
+        start, stop, step = (cols if cols is not None else slice(None)).indices(X.ne)
+        if step != 1 or stop <= start:
+            raise ValueError(
+                f"column {cols} of a multivector with ne={X.ne} is not a "
+                "non-empty unit-step range")
+        cols, width = slice(start, stop), stop - start
         self.matvecs += width
 
         to_b = X.layout == "C"
         out_map = H.colmap if to_b else H.rowmap
         out_layout = "B" if to_b else "C"
         rdtype = _work_dtype(H.dtype, X.dtype)
-
         phantom = X.is_phantom or is_phantom(H.local(0, 0))
         dedup = X.aliased and not phantom
-        fused = dedup and cfg.hemm_fusion
-        if pipeline and cfg.pipeline_chunks and width >= 2:
-            return self._apply_pipelined(
-                X, cols, width, to_b, alpha, gamma, out, dedup, fused, rdtype,
-            )
-        self._cast_work(rdtype)
-        if dedup and (fused or out is not None):
-            return self._apply_decoupled(
-                X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
-            )
+        chunked = pipeline and cfg.pipeline_chunks and width >= 2
+        out = self._usable_out(out, out_layout, out_map, width, rdtype) \
+            if dedup else None
 
-        def partial_product(k: LocalKernels, key):
-            return self._block_product(
-                k, *key, self._local_work(*key, rdtype),
-                X.local_cols(key, cols.start, cols.stop), to_b, alpha, gamma,
-                self._h_conj(*key, rdtype) if to_b else None)
+        # ---- (1) charges, in every rank's order: cast, GEMM, AXPYs, scale ----
+        # a chunked *phantom* apply has never charged the narrow H casts
+        # (pinned by tests/test_model_fingerprint.py and the wart cells of
+        # tests/test_hemm.py); charging them is a deliberate model change
+        if not (phantom and chunked):
+            self._cast_work(rdtype)
+        if not chunked:
+            # per kernel, never the summed _apply_times value: the clock
+            # accumulates ``+= a; += b``, which rounds unlike ``+= (a + b)``
+            for members in self.classes():
+                self._charge_block(members.k, *members.key, to_b, width,
+                                   alpha, gamma, rdtype)
 
-        # one charge sequence per class reaches every member rank; the
-        # partial products are unique work, computed once per rank
-        contrib = grid.charged_map(
-            self.classes(), partial_product, phantom=phantom)
+        # ---- (2) numerics: uncharged, at full width ----
+        rows, blocks, base = self._numerics(
+            X, cols, width, to_b, alpha, gamma, out, rdtype, phantom, dedup)
 
-        # reduction: sum the partial products across the distributed axis.
-        # With an aliased (dedup) input the result is summed once per
-        # communicator and the shared ndarray aliased into every replica.
-        for comm, keys in X.comm_groups():
-            res = comm.allreduce([contrib[key] for key in keys], shared=dedup)
-            if dedup:
-                contrib.update(dict.fromkeys(keys, res[0]))
+        # ---- (3) reductions: sum the partials across the distributed axis ----
+        if chunked:
+            self._reduce_chunked(rows, width, to_b, alpha, gamma, rdtype)
+        else:
+            for comm, bufs, shared, compute in rows:
+                comm.allreduce(bufs, shared=shared, compute=compute)
+        if blocks is None:  # fused C -> B: assembled from the summed slices
+            blocks = self._fused_cb_blocks(
+                [bufs[0] for _comm, bufs, _s, _c in rows], base, out)
 
-        return DistributedMultiVector(
-            grid, out_map, out_layout, width, contrib, rdtype, aliased=dedup
+        result = DistributedMultiVector(
+            grid, out_map, out_layout, width, blocks, rdtype, aliased=dedup
         )
+        result.stacked_base = base
+        return result
 
-    # -- decoupled charge / numeric execution -------------------------------------
     def _usable_out(self, out, out_layout, out_map, width, rdtype):
         """``out`` when it can receive the result, else ``None``."""
         if out is None or out.is_phantom or not out.aliased:
@@ -375,18 +386,21 @@ class DistributedHemm:
             return None
         return out
 
-    def _block_product(self, k: LocalKernels, i: int, j: int, Hij, Xcols,
-                       to_b, alpha, gamma, Hc=None):
-        """Grid block ``(i, j)``'s share ``alpha (H_ij - gamma I) X`` of one
-        apply — GEMM, overlap AXPYs, scale — through the kernel set ``k``.
-        ``Hc`` is the cached conjugate of a complex ``Hij`` (C -> B)."""
-        if Hc is not None:
-            # same flops/charge as op_a="C" (gemm_flops is symmetric in
-            # the m/k swap); operand layout matches the per-call
-            # Hij.conj() temporary
-            W = k.gemm(Hc.T, Xcols, op_a="N", kind="hemm")
-        else:
-            W = k.gemm(Hij, Xcols, op_a="C" if to_b else "N", kind="hemm")
+    # -- stage 1: modeled charges ------------------------------------------------------
+    def _charge_block(self, k: LocalKernels, i: int, j: int, to_b, width,
+                      alpha, gamma, rdtype) -> None:
+        """Issue grid block ``(i, j)``'s modeled charges into ``k``: the
+        GEMM, overlap AXPYs and scale of ``alpha (H_ij - gamma I) X`` on
+        phantom shape proxies (charges depend on shapes and dtypes
+        only).  The H proxy carries the *working* dtype, so a narrow
+        apply is charged on its cached narrow cast.  ``k`` is a charge
+        class's kernel set (:meth:`apply`: every member rank is charged)
+        or a capturing one (:meth:`_apply_times`).
+        """
+        hshape = tuple(self.H.local(i, j).shape)
+        Xcols = PhantomArray((hshape[0 if to_b else 1], width), rdtype)
+        W = k.gemm(PhantomArray(hshape, rdtype), Xcols,
+                   op_a="C" if to_b else "N", kind="hemm")
         if gamma != 0.0:
             for rsl, csl in overlap_table(self.H.rowmap, self.H.colmap)[i][j]:
                 if to_b:
@@ -394,91 +408,99 @@ class DistributedHemm:
                 else:
                     k.axpy_into(W, rsl, Xcols, csl, -gamma)
         if alpha != 1.0:
-            W = k.scale(W, alpha)
-        return W
+            k.scale(W, alpha)
 
-    def _charge_block(self, k: LocalKernels, i: int, j: int, to_b, width,
-                      alpha, gamma, rdtype) -> None:
-        """Issue grid block ``(i, j)``'s modeled charges into ``k``:
-        :meth:`_block_product` on phantom shape proxies (charges depend
-        on shapes and dtypes only).  The H proxy carries the *working*
-        dtype, so a narrow apply is charged on its cached narrow cast.
-        ``k`` is a charge class's kernel set (the charge-first pass of
-        :meth:`_apply_decoupled`: every member rank is charged) or a
-        capturing one (:meth:`_apply_times`).
+    def _apply_times(self, to_b, width, alpha, gamma, rdtype) -> tuple:
+        """Full-width COMPUTE time of one apply on every rank, in model
+        seconds: ``(rank ids, seconds)``, two aligned tuples.
+
+        Replays each charge class's charge sequence
+        (:meth:`_charge_block`) into a capturing kernel set instead of
+        the rank clocks.  A chunked apply then charges each chunk the
+        exact fraction ``chunk_width / width`` of this total: a
+        chunk-width GEMM would otherwise pay the launch overhead again
+        and run lower on the efficiency ramp, i.e. chunking itself would
+        inflate COMPUTE (the model assumes the chunked kernels are
+        stream-captured and amortize their launches).
+
+        Times are pre-slowdown (``VirtualCluster.charge`` applies the
+        straggler multiplier at charge time, as the blocking schedule
+        does) and cached per (direction, width, shift/scale presence).
         """
-        hshape = tuple(self.H.local(i, j).shape)
-        self._block_product(
-            k, i, j, PhantomArray(hshape, rdtype),
-            PhantomArray((hshape[0 if to_b else 1], width), rdtype),
-            to_b, alpha, gamma)
+        key = (to_b, width, gamma != 0.0, alpha != 1.0, np.dtype(rdtype).str,
+               self.H.version)
+        cached = self._apply_time_cache.get(key)
+        if cached is None:
+            ids: list[int] = []
+            times: list[float] = []
+            for members in self.classes():
+                acc: list[float] = []
+                k = LocalKernels(members.k.model, acc.append)
+                self._charge_block(k, *members.key, to_b, width, alpha, gamma,
+                                   rdtype)
+                ids.extend(members.ids)
+                times.extend([sum(acc)] * len(members.ids))
+            cached = self._apply_time_cache[key] = (tuple(ids), tuple(times))
+        return cached
 
-    def _apply_decoupled(self, X, cols, width, to_b, alpha, gamma, out, fused,
-                         rdtype):
-        """Charge-first, compute-second execution of an aliased apply.
+    # -- stage 2: numerics ---------------------------------------------------------------
+    def _numerics(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
+                  phantom, dedup):
+        """The partial products of one apply, by input kind, and the
+        reductions that finish them: ``(rows, blocks, base)``.
 
-        Pass 1 issues every rank's modeled charges in the seed's per-rank
-        order (:meth:`_charge_block`).  Pass 2 runs the pure numeric
-        kernels (per block, or fused per grid row) and the reductions.
-        Clocks, tracer and CommStats therefore see the byte-identical
-        sequence of every other path.
+        ``rows`` are the allreduces as ``(comm, buffers, shared,
+        compute)`` — one per communicator of the input's distributed
+        axis, the same sequence for every kind; ``blocks`` the result
+        blocks once the rows are reduced (``None`` for fused C -> B,
+        which :meth:`_fused_cb_blocks` assembles afterwards); ``base``
+        the contiguous array the unique result blocks tile, if any.
         """
-        grid, H = self.grid, self.H
-        out_map = H.colmap if to_b else H.rowmap
-        out_layout = "B" if to_b else "C"
-        out = self._usable_out(out, out_layout, out_map, width, rdtype)
-
-        # ---- pass 1: modeled charges, one sequence per charge class ----
-        for members in self.classes():
-            self._charge_block(members.k, *members.key, to_b, width,
-                               alpha, gamma, rdtype)
-
-        # ---- pass 2: numerics + reductions ----
-        if fused:
-            blocks, base = self._numeric_fused(
-                X, cols, width, to_b, alpha, gamma, out, rdtype
-            )
-        else:
-            blocks, base = self._numeric_per_block(
-                X, cols, width, to_b, alpha, gamma, out, rdtype
-            )
-        result = DistributedMultiVector(
-            grid, out_map, out_layout, width, blocks, rdtype, aliased=True
-        )
-        result.stacked_base = base
-        return result
-
-    def _numeric_fused(self, X, cols, width, to_b, alpha, gamma, out, rdtype):
-        """Fused-panel numerics: one GEMM per grid row."""
         grid = self.grid
         p, q = grid.p, grid.q
-        offs = self._stack_offsets()
-
-        if to_b:
-            panels, base = self._fused_cb_panels(
-                X, cols, width, alpha, gamma, out, rdtype
-            )
-            roots = {}
-            for j in range(q):
-                bufs = [panels[i][offs[j]:offs[j + 1]] for i in range(p)]
-                res = grid.col_comm(j).allreduce(bufs, shared=True)
-                roots[j] = res[0]
-            blocks = self._fused_cb_blocks(roots, base, out)
-            return blocks, base
-
-        tgts = self._fused_bc_targets(
-            X, cols, width, alpha, gamma, out, rdtype
-        )
-        for i in range(p):
-            grid.row_comm(i).allreduce([tgts[i]] * q, compute=False)
-        blocks = {(i, j): tgts[i] for i in range(p) for j in range(q)}
         base = out.stacked_base if out is not None else None
-        return blocks, base
+        fused = dedup and grid.cluster.config.hemm_fusion
+        if fused and to_b:
+            offs = self._stack_offsets()
+            panels, base = self._fused_cb_panels(
+                X, cols, width, alpha, gamma, out, rdtype)
+            rows = [(grid.col_comm(j), [P[offs[j]:offs[j + 1]] for P in panels],
+                     True, True) for j in range(q)]
+            blocks = None
+        elif fused:
+            # the sum over j already happened in the GEMM's k-dimension:
+            # the row allreduces only charge the model
+            tgts = self._fused_bc_targets(
+                X, cols, width, alpha, gamma, out, rdtype)
+            rows = [(grid.row_comm(i), [tgts[i]] * q, False, False)
+                    for i in range(p)]
+            blocks = {(i, j): tgts[i] for i in range(p) for j in range(q)}
+        else:
+            if phantom:
+                # shape proxies, one per charge class: O(classes) per apply
+                partials = {}
+                for members in self.classes():
+                    hshape = self.H.local(*members.key).shape
+                    partials.update(dict.fromkeys(members.keys, PhantomArray(
+                        (hshape[1 if to_b else 0], width), rdtype)))
+            else:
+                partials = self._block_partials(
+                    X, cols, width, to_b, alpha, gamma, out, rdtype,
+                    persistent=not dedup)
+            rows = [(comm, [partials[key] for key in keys], dedup, True)
+                    for comm, keys in X.comm_groups()]
+            # an aliased input reduces into the root partial, which every
+            # replica slot of the result then aliases; a plain one keeps
+            # every (in place reduced) partial
+            blocks = partials if not dedup else {
+                (i, j): partials[(0, j) if to_b else (i, 0)]
+                for i in range(p) for j in range(q)}
+        return rows, blocks, base
 
     def _fused_cb_panels(self, X, cols, width, alpha, gamma, out, rdtype):
         """C -> B partial panels: per row ``i`` one ``(sum n_c) x width``
         panel of all ``q`` partial products; the column allreduces then
-        sum the panel row-slices exactly as the seed path sums W_ij."""
+        sum the panel row-slices exactly as the per-block kind sums W_ij."""
         p = self.grid.p
         offs = self._stack_offsets()
         overlaps = overlap_table(self.H.rowmap, self.H.colmap)
@@ -501,7 +523,8 @@ class DistributedHemm:
         return panels, base
 
     def _fused_cb_blocks(self, roots, base, out):
-        """Assemble the C -> B result blocks from the summed row-slices."""
+        """Assemble the C -> B result blocks from the summed row-slices
+        ``roots`` (one per grid column)."""
         p, q = self.grid.p, self.grid.q
         if out is not None and base is None:
             # out exists but is not slice-contiguous: land the
@@ -514,8 +537,7 @@ class DistributedHemm:
     def _fused_bc_targets(self, X, cols, width, alpha, gamma, out, rdtype):
         """B -> C fused numerics: stack the q unique input blocks once,
         contract them with the cached row panel in one GEMM per row —
-        the reduction sum lives in the GEMM's k-dimension, so the row
-        allreduces only charge the model."""
+        the reduction sum lives in the GEMM's k-dimension."""
         p, q = self.grid.p, self.grid.q
         offs = self._stack_offsets()
         overlaps = overlap_table(self.H.rowmap, self.H.colmap)
@@ -538,104 +560,39 @@ class DistributedHemm:
                         *, persistent: bool = False):
         """Seed-granularity partial products, one per grid block.
 
-        Arithmetic identical to the seed path (same operands, same
-        operation order, row-major block order), root targets landing
-        in ``out``'s storage when provided.  ``persistent=True``
-        allocates every partial fresh (instead of recycling the scratch
-        workspace for non-roots) — required when the partials themselves
-        become the result blocks (non-aliased pipelined applies).
+        Same operands, same operation order as the seed (row-major block
+        order), root targets landing in ``out``'s storage when provided.
+        ``persistent=True`` allocates every partial fresh (instead of
+        recycling the scratch workspace for non-roots) — required when
+        the partials themselves become the result blocks (plain,
+        non-aliased inputs).
         """
-        grid, H = self.grid, self.H
-        p, q = grid.p, grid.q
+        H = self.H
         overlaps = overlap_table(H.rowmap, H.colmap)
-        complex_h = np.dtype(H.dtype).kind == "c"
         partials = {}
-        for i in range(p):
-            for j in range(q):
+        for i in range(self.grid.p):
+            for j in range(self.grid.q):
                 Hij = self._local_work(i, j, rdtype)
-                if to_b:
-                    if complex_h:
-                        # cached conj for complex (exact seed operand
-                        # layout); falls back to the per-call conj
-                        # temporary when the config turns dedup off
-                        Hc = self._h_conj(i, j, rdtype)
-                        Hop = Hc if Hc is not None else Hij.conj()
-                    else:
-                        Hop = Hij  # .T inside the kernel, free for real blocks
-                    trans = True
-                    rows = Hij.shape[1]
-                    is_root = i == 0
-                    root = (0, j)
-                else:
-                    Hop = Hij
-                    trans = False
-                    rows = Hij.shape[0]
-                    is_root = j == 0
-                    root = (i, 0)
-                if is_root and out is not None:
+                # C -> B contracts with the conjugate's transpose (the
+                # .T is taken inside the kernel, free)
+                Hop = self._h_conj(i, j, Hij) if to_b else Hij
+                shape = (Hij.shape[1 if to_b else 0], width)
+                root = (0, j) if to_b else (i, 0)
+                if (i, j) == root and out is not None:
                     tgt = out.blocks[root]
-                elif is_root or persistent:
-                    tgt = np.empty((rows, width), rdtype)
+                elif (i, j) == root or persistent:
+                    tgt = np.empty(shape, rdtype)
                 else:
-                    tgt = self._scratch_arr(("pb", i, j), (rows, width), rdtype)
+                    tgt = self._scratch_arr(("pb", i, j), shape, rdtype)
                 pairs = overlaps[i][j] if gamma != 0.0 else None
                 partials[(i, j)] = block_numeric(
-                    Hop, trans, X.local(i, j), cols, pairs, gamma, alpha,
+                    Hop, to_b, X.local(i, j), cols, pairs, gamma, alpha,
                     to_b, out=tgt)
         return partials
 
-    def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype):
-        """Seed-granularity numerics (partials + shared reductions).
-
-        Used when fusion is off but an ``out`` buffer is in play.
-        """
-        partials = self._block_partials(
-            X, cols, width, to_b, alpha, gamma, out, rdtype
-        )
-        blocks = {}
-        for comm, keys in X.comm_groups():
-            res = comm.allreduce([partials[key] for key in keys], shared=True)
-            blocks.update(dict.fromkeys(keys, res[0]))
-        base = out.stacked_base if out is not None else None
-        return blocks, base
-
-    # -- pipelined (chunked nonblocking) execution -----------------------------------
-    def _apply_times(self, to_b, width, alpha, gamma, rdtype) -> tuple:
-        """Full-width COMPUTE time of one apply on every rank, in model
-        seconds: ``(rank ids, seconds)``, two aligned tuples.
-
-        Replays each charge class's charge sequence
-        (:meth:`_charge_block`) into a capturing kernel set instead of
-        the rank clocks.  The pipelined tier then charges each chunk the
-        exact fraction ``chunk_width / width`` of this total: a
-        chunk-width GEMM would otherwise pay the launch overhead again
-        and run lower on the efficiency ramp, i.e. chunking itself would
-        inflate COMPUTE (the model assumes the chunked kernels are
-        stream-captured and amortize their launches).
-
-        Times are pre-slowdown (``VirtualCluster.charge`` applies the
-        straggler multiplier at charge time, as the blocking path does)
-        and cached per (direction, width, shift/scale presence).
-        """
-        key = (to_b, width, gamma != 0.0, alpha != 1.0, np.dtype(rdtype).str,
-               self.H.version)
-        cached = self._apply_time_cache.get(key)
-        if cached is None:
-            ids: list[int] = []
-            times: list[float] = []
-            for members in self.classes():
-                acc: list[float] = []
-                k = LocalKernels(members.k.model, acc.append)
-                self._charge_block(k, *members.key, to_b, width, alpha, gamma,
-                                   rdtype)
-                ids.extend(members.ids)
-                times.extend([sum(acc)] * len(members.ids))
-            cached = self._apply_time_cache[key] = (tuple(ids), tuple(times))
-        return cached
-
-    def _apply_pipelined(self, X, cols, width, to_b, alpha, gamma, out,
-                         dedup, fused, rdtype):
-        """Chunked nonblocking execution of an apply (DESIGN.md §5d).
+    # -- stage 3, chunked: the pipelined schedule ----------------------------------------
+    def _reduce_chunked(self, rows, width, to_b, alpha, gamma, rdtype) -> None:
+        """Chunked nonblocking charges + reductions of an apply (DESIGN.md §5d).
 
         The width-wide block is split into the config's
         ``pipeline_chunks`` column chunks.  Each
@@ -650,93 +607,32 @@ class DistributedHemm:
         cost over time without inflating it, so the pipelined makespan
         differs from blocking only by the overlap the model grants.
 
-        The numerics run at **full width** before the model loop, with
-        the active tier's exact arithmetic (chunk-width GEMMs would tile
-        differently in BLAS and perturb last-ulp bits); the chunked
-        reductions then sum real column-slice views with the blocking
-        accumulation order, so every element sees the identical
-        operation sequence and results are bit-identical to blocking
-        mode.  Chunk payloads sum exactly to the blocking byte count;
-        only the collective/message *counts* grow by the chunk factor.
+        The numerics ran at **full width** in stage 2 (chunk-width GEMMs
+        would tile differently in BLAS and perturb last-ulp bits); the
+        chunked reductions sum real column-slice views of ``rows`` with
+        the blocking accumulation order, so every element sees the
+        identical operation sequence and results are bit-identical to
+        the blocking schedule.  Chunk payloads sum exactly to the
+        blocking byte count; only the collective/message *counts* grow
+        by the chunk factor.
         """
-        grid, H = self.grid, self.H
-        p, q = grid.p, grid.q
-        out_map = H.colmap if to_b else H.rowmap
-        out_layout = "B" if to_b else "C"
-        phantom = X.is_phantom or is_phantom(H.local(0, 0))
-        out = self._usable_out(out, out_layout, out_map, width, rdtype)
-        offs = self._stack_offsets()
-        if not phantom:
-            # charged when the numerics below first touch the narrow
-            # blocks; a phantom replay has no numerics and has never
-            # charged the casts (pinned by tests/test_model_fingerprint.py)
-            self._cast_work(rdtype)
-
-        # ---- full-width numerics (uncharged; the model loop below charges) ----
-        base = None
-        blocks = None
-        if phantom:
-            blocks = DistributedMultiVector.zeros(
-                grid, out_map, out_layout, width, rdtype, True).blocks
-            groups = [(comm, [blocks[key] for key in keys], False, True)
-                      for comm, keys in X.comm_groups()]
-            aliased = False
-        elif fused and to_b:
-            panels, base = self._fused_cb_panels(
-                X, cols, width, alpha, gamma, out, rdtype
-            )
-            groups = [
-                (grid.col_comm(j),
-                 [panels[i][offs[j]:offs[j + 1]] for i in range(p)],
-                 True, True)
-                for j in range(q)
-            ]
-            aliased = True
-        elif fused:
-            tgts = self._fused_bc_targets(
-                X, cols, width, alpha, gamma, out, rdtype
-            )
-            groups = [
-                (grid.row_comm(i), [tgts[i]] * q, False, False)
-                for i in range(p)
-            ]
-            blocks = {(i, j): tgts[i] for i in range(p) for j in range(q)}
-            base = out.stacked_base if out is not None else None
-            aliased = True
-        else:
-            partials = self._block_partials(
-                X, cols, width, to_b, alpha, gamma,
-                out if dedup else None, rdtype, persistent=not dedup,
-            )
-            groups = [(comm, [partials[key] for key in keys], dedup, True)
-                      for comm, keys in X.comm_groups()]
-            if dedup:
-                blocks = {
-                    (i, j): partials[(0, j) if to_b else (i, 0)]
-                    for i in range(p) for j in range(q)
-                }
-                base = out.stacked_base if out is not None else None
-            else:
-                blocks = dict(partials)
-            aliased = dedup
-
-        # ---- chunked model loop: charge k, wait k-1, issue k ----
-        edges = _chunk_edges(width, grid.cluster.config.pipeline_chunks)
+        cluster = self.grid.cluster
+        edges = _chunk_edges(width, cluster.config.pipeline_chunks)
         ids, times = self._apply_times(to_b, width, alpha, gamma, rdtype)
-        group_cost = []
-        for comm, bufs, _s, _c in groups:
+        row_cost = []
+        for comm, bufs, _s, _c in rows:
             nb_full = float(nbytes_of(bufs[0]))
             # routed through the communicator's selected collective
             # algorithm/topology so chunked charges match blocking ones
             d_full = comm.collective_time("allreduce", nb_full)
             st_full = (comm.machine.pcie.time(nb_full)
                        if comm.backend.stages_through_host else 0.0)
-            group_cost.append((d_full, st_full))
+            row_cost.append((d_full, st_full))
         in_flight: list = []
         for c in range(len(edges) - 1):
             sl = slice(edges[c], edges[c + 1])
             frac = (sl.stop - sl.start) / width
-            grid.cluster.charge(
+            cluster.charge(
                 ids, CostCategory.COMPUTE, [t * frac for t in times])
             for req in in_flight:
                 req.wait()
@@ -748,18 +644,7 @@ class DistributedHemm:
                     stage_seconds=(st_full * frac) if st_full > 0.0 else None,
                 )
                 for (comm, bufs, shared, compute), (d_full, st_full)
-                in zip(groups, group_cost)
+                in zip(rows, row_cost)
             ]
         for req in in_flight:
             req.wait()
-
-        if blocks is None:  # fused C -> B: assemble after the reduction
-            roots = {j: panels[0][offs[j]:offs[j + 1]] for j in range(q)}
-            blocks = self._fused_cb_blocks(roots, base, out)
-
-        result = DistributedMultiVector(
-            grid, out_map, out_layout, width, blocks, rdtype, aliased=aliased
-        )
-        if aliased:
-            result.stacked_base = base
-        return result

@@ -28,7 +28,10 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The five execution choices of a solve; defaults are the seed path.
+    """The five execution choices of a solve.  The defaults are the seed
+    path except for ``numeric_dedup``, which aliases replicas instead of
+    recomputing them (bit-identical results; ``numeric_dedup=False`` is
+    the seed execution the identity tests compare against).
 
     numeric_dedup:
         Build numeric multivectors with one shared ndarray per

@@ -150,3 +150,47 @@ def test_emit_records_into_active_campaign_db(tmp_path, capsys):
     assert db.artifacts("handrun") == {
         "campaign_emit_probe": "the shared results store"
     }
+
+
+def test_bench_wallclock_writer_keeps_foreign_sections(tmp_path, monkeypatch,
+                                                       capsys):
+    """``bench_wallclock.py`` shares ``BENCH_wallclock.json`` with the
+    campaign report and the service bench: a full run replaces its own
+    keys and keeps their sections byte for byte; a smoke run (the CI
+    step) writes no file at all.  The writer alone — the timed gates
+    stay in the perf-smoke job."""
+    import benchmarks._common
+    from benchmarks import bench_wallclock
+
+    committed = json.loads(BENCH_JSON.read_text())
+    foreign = ("campaign_wallclock", "campaign_mixed_precision", "service")
+    assert set(foreign) <= set(committed)
+    json_path = tmp_path / "BENCH_wallclock.json"
+    json_path.write_text(BENCH_JSON.read_text())
+    results = tmp_path / "results"
+    monkeypatch.setattr(bench_wallclock, "JSON_PATH", json_path)
+    monkeypatch.setattr(bench_wallclock, "RESULTS_DIR", results)
+    monkeypatch.setattr(benchmarks._common, "RESULTS_DIR", results)
+
+    def tree():
+        return {p.relative_to(tmp_path): p.read_bytes()
+                for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = tree()
+    bench_wallclock.write_report(
+        {"benchmark": "wallclock", "smoke": True, "points": []}, "smoke run")
+    assert "smoke run" in capsys.readouterr().out
+    assert tree() == before
+
+    report = {"benchmark": "wallclock", "smoke": False, "points": [],
+              "note": "rewritten"}
+    bench_wallclock.write_report(report, "full run")
+    capsys.readouterr()
+    merged = json.loads(json_path.read_text())
+    for key in foreign:
+        assert json.dumps(merged[key]) == json.dumps(committed[key]), key
+    assert {k: merged[k] for k in report} == report
+    assert set(merged) == set(committed)
+    # the results copy holds this bench's own report only
+    assert json.loads((results / "BENCH_wallclock.json").read_text()) == report
+    assert (results / "bench_wallclock.txt").read_text() == "full run\n"

@@ -1,14 +1,21 @@
 """Tests for the custom distributed HEMM (layout-alternating H-apply)."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.distributed.hemm
+from repro.core.precision import narrow_dtype
 from repro.distributed import (
     DistributedHemm,
     DistributedHermitian,
     DistributedMultiVector,
 )
+from repro.runtime import CommBackend, ExecutionConfig
 from tests.conftest import make_grid
 
 
@@ -119,3 +126,121 @@ class TestHemmCorrectness:
         out = hemm.apply(mid, gamma=gamma)
         S = H - gamma * np.eye(n)
         np.testing.assert_allclose(out.gather(0), S @ (S @ V), atol=1e-9)
+
+
+# ------------------------------------------------------------ column slices
+@pytest.mark.parametrize("cols,expect", [
+    (slice(-3, None), (3, 6)),      # negative start: the last three
+    (slice(4, 9), (4, 6)),          # stop clipped to ne
+    (slice(None, 3), (0, 3)),       # open start
+    (slice(0, 6, 2), None),         # non-unit step
+    (slice(3, 3), None),            # empty
+], ids=["negative", "clipped", "open", "stepped", "empty"])
+@pytest.mark.parametrize("phantom", [False, True], ids=["numeric", "phantom"])
+def test_column_slice_is_normalised_once(rng, phantom, cols, expect):
+    """``cols`` means what it means to NumPy — in the result's width, in
+    the columns computed and in ``matvecs`` — or the apply is refused
+    with an error naming the slice and ``ne``, and not counted."""
+    n, ne = 60, 6
+    g = make_grid(4, phantom=phantom)
+    if phantom:
+        Hd = DistributedHermitian.phantom(g, n, np.float64)
+        C = DistributedMultiVector.zeros(g, Hd.rowmap, "C", ne, np.float64, True)
+    else:
+        A = rng.standard_normal((n, n))
+        H = (A + A.T) / 2
+        V = rng.standard_normal((n, ne))
+        Hd = DistributedHermitian.from_dense(g, H)
+        C = DistributedMultiVector.from_global(g, V, Hd.rowmap, "C")
+    hemm = DistributedHemm(Hd)
+    if expect is None:
+        with pytest.raises(ValueError) as err:
+            hemm.apply(C, cols)
+        assert repr(cols) in str(err.value) and f"ne={ne}" in str(err.value)
+        assert hemm.matvecs == 0 and g.cluster.makespan() == 0.0
+        return
+    start, stop = expect
+    out = hemm.apply(C, cols)
+    assert out.ne == stop - start == hemm.matvecs
+    assert {blk.shape[1] for blk in out.blocks.values()} == {stop - start}
+    if not phantom:
+        np.testing.assert_allclose(
+            out.gather(0), H @ V[:, start:stop], atol=1e-12)
+
+
+# ------------------------------------------- phantom == numeric, per apply
+_EXECUTIONS = {
+    "default": {},
+    "plain": {"numeric_dedup": False},
+    "fused": {"hemm_fusion": True},
+}
+
+
+def _two_applies(phantom, dtype, execution, chunks, backend, layout, alpha,
+                 gamma, narrow, precast=False):
+    """Apply ``alpha (H - gamma I)`` there and back on a 2x3 grid with
+    uneven blocks; returns every modeled output of the cluster."""
+    n, ne = 101, 5
+    g = make_grid(6, backend, p=2, q=3, phantom=phantom, config=ExecutionConfig(
+        pipeline_chunks=chunks, **_EXECUTIONS[execution]))
+    xdtype = narrow_dtype(dtype) if narrow else dtype
+    if phantom:
+        Hd = DistributedHermitian.phantom(g, n, dtype)
+    else:
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((n, n)).astype(dtype)
+        Hd = DistributedHermitian.from_dense(g, (A + A.conj().T) / 2)
+    index_map = Hd.rowmap if layout == "C" else Hd.colmap
+    if phantom:
+        X = DistributedMultiVector.zeros(g, index_map, layout, ne, xdtype, True)
+    else:
+        X = DistributedMultiVector.from_global(
+            g, rng.standard_normal((n, ne)).astype(xdtype), index_map, layout)
+    hemm = DistributedHemm(Hd)
+    if precast:
+        for members in hemm.classes():
+            members.k.cast(Hd.local(*members.key), xdtype)
+    Y = hemm.apply(X, alpha=alpha, gamma=gamma, pipeline=True)
+    hemm.apply(Y, alpha=alpha, gamma=gamma, pipeline=True)
+    return (list(g.cluster.clocks), g.comm_stats(), g.comm_stats_levels())
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
+@pytest.mark.parametrize("chunks", [0, 3], ids=["blocking", "chunked"])
+@pytest.mark.parametrize("execution", list(_EXECUTIONS))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                         ids=["real", "complex"])
+def test_phantom_apply_is_charged_exactly_as_the_numeric_one(
+        dtype, execution, chunks, narrow):
+    """The phantom replay and the numeric solve are one model: per
+    apply, every rank clock and both CommStats views are equal bit for
+    bit, whatever the numerics do — except that a chunked narrow phantom
+    apply omits the one ``LocalKernels.cast`` of its H block per rank
+    (the wart pinned in ``DistributedHemm.apply``)."""
+    wart = bool(chunks) and narrow
+    for backend, layout, (alpha, gamma) in itertools.product(
+            (CommBackend.NCCL, CommBackend.MPI_STAGED), "CB",
+            ((1.0, 0.0), (0.7, 0.3))):
+        cell = (dtype, execution, chunks, backend, layout, alpha, gamma, narrow)
+        numeric = _two_applies(False, *cell)
+        phantom = _two_applies(True, *cell)
+        assert phantom[1:] == numeric[1:], cell
+        assert (phantom[0] != numeric[0]) == wart, cell
+        if wart:
+            assert all(0.0 < a - b < 2e-5
+                       for a, b in zip(numeric[0], phantom[0])), cell
+            assert _two_applies(True, *cell, precast=True) == numeric, cell
+
+
+# ------------------------------------------------------- structural guard
+def test_hemm_has_one_driver():
+    """Each reduction call and each numeric kernel has one call site in
+    ``hemm.py``: a second apply path cannot grow back beside the first."""
+    tree = ast.parse(Path(repro.distributed.hemm.__file__).read_text())
+    called = [
+        getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+    for name in ("allreduce", "iallreduce", "block_numeric",
+                 "panel_cb_numeric", "panel_bc_numeric"):
+        assert called.count(name) == 1, (name, called.count(name))

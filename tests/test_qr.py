@@ -8,9 +8,11 @@ from repro.baselines import hhqr_1d
 from repro.core.qr import (
     CHOLQR1_THRESHOLD,
     SHIFTED_THRESHOLD,
+    MIXED_VARIANT,
     QRReport,
     caqr_1d,
     cholesky_qr,
+    run_qr_variant,
     shifted_cholesky_qr2,
 )
 from repro.distributed import BlockMap1D, DistributedMultiVector
@@ -160,6 +162,33 @@ class TestSelectionHeuristic:
         C = make_mv(g, V)
         caqr_1d(g, C, est_cond=cond * 2)  # estimate = honest upper bound
         assert orthogonality_error(C.gather(0)) < 1e-9
+
+
+class TestRunVariant:
+    """The one 'run the named variant, escalate on breakdown' function
+    behind ``caqr_1d``, the forced ``qr_mode`` values and the replay."""
+
+    NAMES = ["HHQR", "CholeskyQR1", "CholeskyQR2", MIXED_VARIANT,
+             "sCholeskyQR2"]
+
+    @pytest.mark.parametrize("variant", NAMES)
+    def test_named_variant_runs_as_named(self, rng, variant):
+        g = make_grid(4)
+        C = make_mv(g, conditioned_matrix(rng, 40, 5, 3))
+        rep = run_qr_variant(g, C, variant, work=np.float32)
+        assert rep.variant == variant and rep.breakdowns == 0
+        assert rep.shifted == (variant == "sCholeskyQR2")
+        assert (rep.first_pass_dtype == "fp32") == (variant == MIXED_VARIANT)
+        assert orthogonality_error(C.gather(0)) < 1e-12
+
+    @pytest.mark.parametrize("variant", NAMES[1:4])
+    def test_breakdown_escalates_to_shifted(self, rng, variant):
+        g = make_grid(4)
+        C = make_mv(g, conditioned_matrix(rng, 60, 8, cond=1e13))
+        rep = run_qr_variant(g, C, variant, work=np.float32)
+        assert rep.variant == "sCholeskyQR2" and rep.shifted
+        assert rep.breakdowns >= 1
+        assert orthogonality_error(C.gather(0)) < 1e-10
 
 
 class TestHHQR:
