@@ -31,8 +31,7 @@ A full run replaces this bench's keys of ``BENCH_wallclock.json`` and
 keeps the sections other tools merged in; ``--smoke`` writes nothing.
 
 ``--smoke`` (CI) additionally **gates**: it exits nonzero if the fused
-full-solve is slower than the seed path (speedup < 1.0), if the
-pipelined filter fails to reduce the modeled filter phase, or if the
+full-solve is slower than the seed path (speedup < 1.0) or if the
 autotuned configuration (``repro tune``'s winner on the default grid
 shape, DESIGN.md §5e) models slower than the untuned default.
 """
@@ -77,11 +76,6 @@ MODES = {
 #: ISSUE acceptance targets (fused tier over the PR-1 dedup tier)
 TARGET_SOLVE_SPEEDUP = 1.8
 TARGET_HEMM_SPEEDUP = 2.5
-
-#: pipelined-filter acceptance (DESIGN.md §5d): any overlap fraction
-#: > 0 must strictly reduce the *modeled* filter-phase time — this is a
-#: model-level win, charged-identical in volume, not a host-wall win
-TARGET_PIPELINE_FILTER_SPEEDUP = 1.0
 
 
 def _hermitian(rng, N, dtype):
@@ -173,91 +167,6 @@ def solve_point(N, nev, nex, p, q, dtype, repeats):
 
 
 # ---------------------------------------------------------------------------
-# pipelined (chunked nonblocking) filter — modeled-time effect
-# ---------------------------------------------------------------------------
-
-
-def pipeline_point(N, nev, nex, p, q, dtype, repeats, chunks=4):
-    """Blocking vs chunked-nonblocking filter on one solve, per backend.
-
-    Unlike the tier points above, the pipelined filter is a *model*
-    optimization: it leaves host wall-clock roughly unchanged (same
-    full-width numerics, plus a cheap per-chunk accounting loop) and
-    instead reduces the **modeled** filter-phase time by hiding the
-    row/column allreduces behind the next chunk's HEMM, up to the
-    backend's overlap efficiency.  Both the modeled speedups and the
-    honest host wall overhead are reported.
-    """
-    H = _hermitian(np.random.default_rng(1234), N, dtype)
-
-    def run(pipeline, backend, overlap=None):
-        cluster = VirtualCluster(
-            p * q, backend=backend,
-            config=ExecutionConfig(pipeline_chunks=chunks if pipeline else 0),
-        )
-        grid = Grid2D(cluster, p, q)
-        if overlap is not None:
-            grid.set_overlap_efficiency(overlap)
-        Hd = DistributedHermitian.from_dense(grid, H)
-        res = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex)).solve(
-            rng=np.random.default_rng(7)
-        )
-        return res, res.timings["Filter"], sum(
-            s[2] for s in grid.comm_stats()
-        )
-
-    point = {
-        "kind": "pipeline",
-        "N": N,
-        "nev": nev,
-        "nex": nex,
-        "grid": f"{p}x{q}",
-        "dtype": np.dtype(dtype).name,
-        "chunks": chunks,
-    }
-    for name, backend in (
-        ("nccl", CommBackend.NCCL),
-        ("std", CommBackend.MPI_STAGED),
-    ):
-        wall_b, (rb, fb, bytes_b) = _timed(
-            lambda b=backend: run(False, b), repeats
-        )
-        wall_p, (rp, fp, bytes_p) = _timed(
-            lambda b=backend: run(True, b), repeats
-        )
-        _r0, f0, _b0 = run(True, backend, overlap=0.0)
-        point.update({
-            f"modeled_makespan_blocking_{name}": round(rb.makespan, 6),
-            f"modeled_makespan_pipelined_{name}": round(rp.makespan, 6),
-            f"modeled_filter_blocking_{name}": round(fb.total, 6),
-            f"modeled_filter_pipelined_{name}": round(fp.total, 6),
-            f"modeled_filter_hidden_{name}": round(fp.comm_hidden, 6),
-            f"speedup_modeled_filter_{name}": round(fb.total / fp.total, 3),
-            f"speedup_modeled_makespan_{name}": round(
-                rb.makespan / rp.makespan, 3
-            ),
-            f"wall_s_blocking_{name}": round(wall_b, 4),
-            f"wall_s_pipelined_{name}": round(wall_p, 4),
-            f"wall_overhead_{name}": round(wall_p / wall_b, 3),
-            f"eigenvalues_identical_{name}": bool(
-                np.array_equal(rb.eigenvalues, rp.eigenvalues)
-            ),
-            f"comm_bytes_identical_{name}": bool(bytes_b == bytes_p),
-            f"zero_overlap_matches_blocking_{name}": bool(
-                abs(f0.total - fb.total) <= 1e-9 * max(fb.total, 1e-30)
-            ),
-            f"target_met_{name}": bool(
-                fb.total / fp.total > TARGET_PIPELINE_FILTER_SPEEDUP
-            ),
-        })
-        assert point[f"eigenvalues_identical_{name}"], \
-            "pipelining changed the numerics!"
-        assert point[f"comm_bytes_identical_{name}"], \
-            "pipelining changed the communicated byte volume!"
-    return point
-
-
-# ---------------------------------------------------------------------------
 # autotuned configuration (DESIGN.md §5e) — modeled-time effect
 # ---------------------------------------------------------------------------
 
@@ -268,7 +177,7 @@ def tuned_point(N, nev, nex, n_ranks, dtype, repeats):
     ``repro tune`` scores the full configuration space with model-only
     dry runs; this point applies the winner *restricted to the default
     (squarest) grid shape* — so the comparison isolates the collective
-    algorithm / filter pipelining / fusion choice on the ISSUE's 2x4
+    algorithm / fusion choice on the ISSUE's 2x4
     NCCL grid — and verifies on a real numeric solve that the tuned
     configuration models no slower than the default and leaves the
     eigenpairs unchanged.  The full-space winner is reported alongside.
@@ -575,7 +484,6 @@ def _run(args) -> None:
             ("qr", 300, 48, 2, 2, np.float64),
             ("rr", 300, 48, 2, 2, np.float64),
         ]
-        pipelines = [(300, 32, 16, 2, 4, np.float64)]
         tuned = [(300, 32, 16, 8, np.float64)]
     else:
         repeats = 2
@@ -595,10 +503,6 @@ def _run(args) -> None:
             ("qr", 1200, 160, 2, 2, np.float64),
             ("qr", 800, 128, 2, 4, np.float64),
             ("rr", 1200, 160, 2, 2, np.float64),
-        ]
-        pipelines = [
-            (800, 96, 32, 2, 4, np.float64),     # ISSUE acceptance grid
-            (600, 64, 24, 2, 4, np.complex128),
         ]
         tuned = [(800, 96, 32, 8, np.float64)]   # ISSUE acceptance grid
 
@@ -628,17 +532,6 @@ def _run(args) -> None:
             f"{np.dtype(dt).name:10s}  seed {pt['wall_s_seed']:7.3f}s  "
             f"dedup {pt['wall_s_dedup']:7.3f}s  x{pt['speedup']:.2f}"
         )
-    for N, nev, nex, p, q, dt in pipelines:
-        pt = pipeline_point(N, nev, nex, p, q, dt, repeats)
-        points.append(pt)
-        print(
-            f"pipe   N={N:5d} ne={nev + nex:4d} grid={p}x{q} "
-            f"{np.dtype(dt).name:10s}  modeled filter "
-            f"nccl x{pt['speedup_modeled_filter_nccl']:.2f} "
-            f"std x{pt['speedup_modeled_filter_std']:.2f}  "
-            f"wall overhead x{pt['wall_overhead_nccl']:.2f}"
-        )
-
     for N, nev, nex, n_ranks, dt in tuned:
         pt = tuned_point(N, nev, nex, n_ranks, dt, repeats)
         points.append(pt)
@@ -651,14 +544,12 @@ def _run(args) -> None:
 
     solve_pts = [pt for pt in points if pt["kind"] == "solve"]
     hemm_pts = [pt for pt in points if pt.get("phase") == "hemm_roundtrip"]
-    pipe_pts = [pt for pt in points if pt["kind"] == "pipeline"]
     headline = max(
         (pt for pt in solve_pts if pt["grid"] == "2x2"),
         key=lambda pt: pt["N"],
     )
     hemm_target_pts = [pt for pt in hemm_pts if pt["grid"] == "2x4"] or hemm_pts
     best_hemm = max(hemm_target_pts, key=lambda pt: pt["speedup_fused_vs_dedup"])
-    headline_pipe = max(pipe_pts, key=lambda pt: pt["N"])
     tuned_pts = [pt for pt in points if pt["kind"] == "tuned"]
     headline_tuned = max(tuned_pts, key=lambda pt: pt["N"])
     report = {
@@ -683,10 +574,6 @@ def _run(args) -> None:
         "target_met_hemm_phase": bool(
             best_hemm["speedup_fused_vs_dedup"] >= TARGET_HEMM_SPEEDUP
         ),
-        "target_pipeline_modeled_filter_speedup": TARGET_PIPELINE_FILTER_SPEEDUP,
-        "headline_pipeline": headline_pipe,
-        "target_met_pipeline_nccl": bool(headline_pipe["target_met_nccl"]),
-        "target_met_pipeline_std": bool(headline_pipe["target_met_std"]),
         "headline_tuned": headline_tuned,
         "target_met_tuned": bool(headline_tuned["target_met_tuned"]),
         "note": (
@@ -718,17 +605,6 @@ def _run(args) -> None:
         print(
             f"SMOKE GATE FAILED: fused full-solve speedup "
             f"{headline['speedup_fused']:.3f} < 1.0 over the seed path",
-            file=sys.stderr,
-        )
-        sys.exit(1)
-    if args.smoke and not (
-        headline_pipe["target_met_nccl"] and headline_pipe["target_met_std"]
-    ):
-        print(
-            "SMOKE GATE FAILED: pipelined filter did not reduce the "
-            f"modeled filter phase (nccl x"
-            f"{headline_pipe['speedup_modeled_filter_nccl']:.3f}, std x"
-            f"{headline_pipe['speedup_modeled_filter_std']:.3f})",
             file=sys.stderr,
         )
         sys.exit(1)

@@ -87,13 +87,11 @@ class ProbeFailure(RuntimeError):
 
 
 #: execution tier -> its configuration — the PR-by-PR optimization
-#: ladder of the repo (a run's ``pipeline_chunks`` knob replaces the
-#: pipelined tier's chunk count)
+#: ladder of the repo
 TIERS: dict[str, ExecutionConfig] = {
     "seed": ExecutionConfig(numeric_dedup=False),
     "dedup": ExecutionConfig(),
     "fused": ExecutionConfig(hemm_fusion=True),
-    "pipeline": ExecutionConfig(pipeline_chunks=4),
 }
 
 # ---------------------------------------------------------------------------
@@ -214,15 +212,13 @@ def _execution(cfg: Mapping[str, Any], base: ExecutionConfig
                ) -> ExecutionConfig:
     """The run's :class:`ExecutionConfig`, from its spec row alone.
 
-    ``base`` comes from the row's tier (or ``pipeline`` flag); a knob
+    ``base`` comes from the row's tier; a knob
     the row leaves unset keeps ``base``'s value — never the process's
     or the environment's, so equal config hashes mean equal executions.
     """
     knobs = {
         k: cfg[k] for k in ("filter_dtype", "qr_dtype") if cfg.get(k)
     }
-    if base.pipeline_chunks:
-        knobs["pipeline_chunks"] = cfg["pipeline_chunks"]
     return dataclasses.replace(base, **knobs)
 
 
@@ -271,8 +267,7 @@ def _execute_phantom(cfg: Mapping[str, Any]) -> dict[str, Any]:
     cluster = VirtualCluster(
         cfg["nodes"] * rpn, backend=cfg["backend"], ranks_per_node=rpn,
         gpus_per_rank=gpr, phantom=True,
-        config=_execution(cfg, TIERS["pipeline" if cfg["pipeline"]
-                                     else "dedup"]),
+        config=_execution(cfg, TIERS["dedup"]),
     )
     grid = Grid2D(cluster)
     H = DistributedHermitian.phantom(grid, cfg["n"])

@@ -26,7 +26,7 @@ Spec schema::
         axes:                      # cross product over axis values
           tier: [seed, dedup]      #   scalar value -> knob = axis name
           config:                  #   mapping value -> several knobs
-            - {filter_dtype: fp32, pipeline: true}
+            - {filter_dtype: fp32, qr_dtype: fp32}
         gates:                     # per-run acceptance gates
           converged: {metric: converged, op: eq, value: true}
     include:                       # explicit extra runs (full knob dicts)
@@ -70,7 +70,7 @@ __all__ = [
 
 #: bumped whenever resolution semantics change in a way that invalidates
 #: stored results; participates in every config hash
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: keys that never participate in the content hash (purely cosmetic /
 #: bookkeeping — changing them must not invalidate stored results).
@@ -161,8 +161,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "matrix": "uniform",
         "ranks": 4,
         "backend": "nccl",        # comm model or execution transport
-        "tier": "dedup",          # seed|dedup|fused|pipeline
-        "pipeline_chunks": 4,
+        "tier": "dedup",          # seed|dedup|fused
         "filter_dtype": None,     # fp64|fp32
         "qr_dtype": None,
         "fault_seed": None,
@@ -183,8 +182,6 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "iters": 1,
         "qr_variant": "CholeskyQR2",
         "filter_dtype": None,
-        "pipeline": False,
-        "pipeline_chunks": 4,
     },
     # a model-driven autotune dry run (DESIGN.md §5e)
     "tune": {
@@ -206,7 +203,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
     },
 }
 
-_TIERS = ("seed", "dedup", "fused", "pipeline")
+_TIERS = ("seed", "dedup", "fused")
 _MODEL_BACKENDS = tuple(COMM_MODELS)
 
 

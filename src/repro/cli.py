@@ -17,8 +17,8 @@ Eight subcommands mirror the library's main entry points::
         --spec campaigns/mixed_precision.yml               # declarative
                                                            # campaign (§5k)
 
-``tune`` ranks grid shape x collective algorithm x filter pipelining x
-HEMM fusion by modeled makespan (model-only dry runs, no numerics);
+``tune`` ranks grid shape x collective algorithm x HEMM fusion x
+precision by modeled makespan (model-only dry runs, no numerics);
 ``solve --distributed --tuned`` runs the tuner first and solves under
 the winning configuration.
 
@@ -92,8 +92,6 @@ def _env_defaults(environ=None) -> dict:
 
     return {
         "hemm_fusion": flag("REPRO_HEMM_FUSION"),
-        "pipeline_filter": flag("REPRO_FILTER_PIPELINE"),
-        "pipeline_chunks": integer("REPRO_FILTER_CHUNKS", 2, 4),
         "filter_dtype": choice("REPRO_FILTER_DTYPE", PRECISION_MODES, "fp64"),
         "qr_dtype": choice("REPRO_QR_DTYPE", PRECISION_MODES, "fp64"),
         "coll_algo": choice("REPRO_COLL_ALGO", _COLL_ALGOS, None),
@@ -112,11 +110,8 @@ def _flag_or_env(args, env: dict, name: str):
 
 def _execution_config(args, env: dict) -> ExecutionConfig:
     """``repro solve``'s :class:`ExecutionConfig`: flags over ``env``."""
-    pipelined = args.pipeline_filter or env["pipeline_filter"]
     return ExecutionConfig(
         hemm_fusion=env["hemm_fusion"],
-        pipeline_chunks=(
-            _flag_or_env(args, env, "pipeline_chunks") if pipelined else 0),
         filter_dtype=_flag_or_env(args, env, "filter_dtype"),
         qr_dtype=_flag_or_env(args, env, "qr_dtype"),
     )
@@ -191,8 +186,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         transport = transport or env["transport"]
 
         def solve_on(grid):
-            if args.overlap is not None:
-                grid.set_overlap_efficiency(args.overlap)
             Hd = DistributedHermitian.from_dense(grid, H)
             solver = ChaseSolver(grid, Hd, cfg, **solver_kw)
             return solver, _solve_or_fail(solver, rng)
@@ -229,9 +222,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 solver, res = solve_on(grid)
         if res is None:
             return 3
-        chunks = grid.cluster.config.pipeline_chunks
-        mode = f", pipelined filter ({chunks} chunks)" if chunks else ""
-        print(f"simulated {grid.p}x{grid.q} grid, backend={args.backend}{mode}")
+        print(f"simulated {grid.p}x{grid.q} grid, backend={args.backend}")
         if fault_plan is not None or checkpoint:
             final = solver.grid
             shrunk = (f", grid shrunk to {final.p}x{final.q}"
@@ -717,15 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "REPRO_BACKEND env var picks the transport when "
                         "a model name is given here")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--pipeline-filter", action="store_true",
-                   help="chunked nonblocking Chebyshev filter (DESIGN.md "
-                        "§5d; default: REPRO_FILTER_PIPELINE env var)")
-    s.add_argument("--pipeline-chunks", type=int, default=None,
-                   help="column chunks per pipelined apply (default: "
-                        "REPRO_FILTER_CHUNKS env var, else 4)")
-    s.add_argument("--overlap", type=float, default=None,
-                   help="nonblocking overlap efficiency in [0,1] "
-                        "(default: backend model's value)")
     s.add_argument("--coll-algo", choices=_COLL_ALGOS, default=None,
                    help="collective algorithm (default: REPRO_COLL_ALGO "
                         "env var, else ring — the seed behavior)")
@@ -779,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "tune",
         help="rank simulated configurations by modeled makespan "
-             "(grid shape x collective algo x pipelining x fusion)",
+             "(grid shape x collective algo x fusion x precision)",
     )
     s.add_argument("--ranks", type=int, default=8)
     s.add_argument("--n", type=int, default=800, help="matrix size")

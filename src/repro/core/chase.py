@@ -35,7 +35,7 @@ from repro.core.config import ChaseConfig
 from repro.core.degrees import optimize_degrees, sort_by_degree
 from repro.core.filter import FilterWorkspace, chebyshev_filter
 from repro.core.lanczos import SpectralBounds, lanczos_bounds, lanczos_ritz
-from repro.core.locking import plan_locking
+from repro.core.locking import plan_locking, wanted_locked
 from repro.core.precision import (
     PrecisionPolicy,
     narrow_dtype,
@@ -411,8 +411,7 @@ class ChaseSolver:
         Death is re-checked here so it is detected even on grids whose
         collectives all degenerate to size 1; kernel crashes and bit
         corruption are keyed to the iteration index, which is identical
-        across every execution tier (including the pipelined filter,
-        whose model times legitimately differ).
+        across every execution tier.
         """
         injector.poll(self.grid.cluster.makespan())
         dead = injector.dead_among(self.grid.ranks)
@@ -883,7 +882,10 @@ class ChaseSolver:
             )
         pending: FaultError | None = None
 
-        while (locked < nev and it < cfg.max_iter) or pending is not None:
+        def running() -> bool:
+            return it < cfg.max_iter and not wanted_locked(ritzv, locked, nev)
+
+        while running() or pending is not None:
           try:
             if pending is not None:
                 from_zero = getattr(pending, "restart", False)
@@ -903,7 +905,7 @@ class ChaseSolver:
                 H = self.H
                 injector.note("recovered", it, locked,
                               self.grid.p, self.grid.q)
-                if not (locked < nev and it < cfg.max_iter):
+                if not running():
                     break
             it += 1
             if injector is not None:
@@ -1000,7 +1002,7 @@ class ChaseSolver:
             if injector is not None:
                 self._verify_locked(C, C2, B, B2, ritzv, locked,
                                     tol_abs, tracer)
-                if locked >= nev:
+                if wanted_locked(ritzv, locked, nev):
                     self._verify_spectrum(ritzv, nev, b_sup, tol_abs, tracer)
             if ckpt_every and it % ckpt_every == 0:
                 self._take_checkpoint(
@@ -1050,7 +1052,7 @@ class ChaseSolver:
             eigenvalues=ritzv[:nev].copy(),
             eigenvectors=vectors,
             residual_norms=resd[:nev].copy() if resd is not None else None,
-            converged=locked >= nev,
+            converged=wanted_locked(ritzv, locked, nev),
             locked=locked,
             iterations=it,
             matvecs=mv_base + self.hemm.matvecs - mv_start,

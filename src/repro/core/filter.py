@@ -208,17 +208,14 @@ def chebyshev_filter(
         # demote the active block once; the whole recurrence runs narrow
         X_prev = _cast_mv(X_prev, run_dtype)
     X_cur = hemm.apply(
-        X_prev, alpha=sigma1 / e, gamma=c, out=out_for("B", n_active),
-        pipeline=True,
+        X_prev, alpha=sigma1 / e, gamma=c, out=out_for("B", n_active)
     )  # X_1, layout "B"
 
     for t in range(2, max_deg + 1):
         sigma_new = 1.0 / (2.0 / sigma1 - sigma)
         W = hemm.apply(
             X_cur, alpha=2.0 * sigma_new / e, gamma=c,
-            out=out_for(X_prev.layout, X_cur.ne),
-            pipeline=True,
-        )
+            out=out_for(X_prev.layout, X_cur.ne))
         X_next = mv_axpby(1.0, W, -sigma * sigma_new, X_prev,
                           out=W if ws is not None else None)
         sigma = sigma_new

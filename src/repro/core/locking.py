@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LockingResult", "plan_locking"]
+__all__ = ["LockingResult", "plan_locking", "wanted_locked"]
 
 
 @dataclass(frozen=True)
@@ -58,3 +58,22 @@ def plan_locking(
     return LockingResult(
         perm=perm, new_converged=int(conv.shape[0]), locked=locked + int(conv.shape[0])
     )
+
+
+def wanted_locked(ritzv: np.ndarray, locked: int, nev: int) -> bool:
+    """Whether the ``nev`` lowest Ritz values are all locked — the stop
+    test of the outer loop.
+
+    :func:`plan_locking` locks every converged column, contiguous in
+    Ritz order or not, so ``locked >= nev`` alone can hold while a
+    wanted pair is still active (it missed the tolerance by a hair and a
+    converged extra took its place).  The solve is done only when the
+    ``nev``-th smallest locked Ritz value does not exceed the smallest
+    active one, or nothing is active.
+    """
+    if locked < nev:
+        return False
+    if locked == len(ritzv):
+        return True
+    nth = np.partition(ritzv[:locked], nev - 1)[nev - 1]
+    return bool(nth <= np.min(ritzv[locked:]))

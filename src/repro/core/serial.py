@@ -24,7 +24,7 @@ import scipy.linalg
 from repro.core.condest import estimate_condition
 from repro.core.config import ChaseConfig
 from repro.core.degrees import optimize_degrees, sort_by_degree
-from repro.core.locking import plan_locking
+from repro.core.locking import plan_locking, wanted_locked
 from repro.runtime import blas
 
 __all__ = ["SerialResult", "chase_serial"]
@@ -210,7 +210,7 @@ def chase_serial(
     variants: list[str] = []
     it = 0
 
-    while locked < nev and it < cfg.max_iter:
+    while it < cfg.max_iter and not wanted_locked(ritzv, locked, nev):
         it += 1
         if it > 1:
             mu1_f, mu_ne_f = float(np.min(ritzv)), float(np.max(ritzv))
@@ -282,7 +282,7 @@ def chase_serial(
         eigenvalues=ritzv[:nev].copy(),
         eigenvectors=V[:, :nev].copy(),
         residual_norms=resd[:nev].copy(),
-        converged=locked >= nev,
+        converged=wanted_locked(ritzv, locked, nev),
         iterations=it,
         matvecs=matvecs,
         cond_estimates=conds,

@@ -16,10 +16,10 @@ applied exactly once per global row via the row/column segment overlap.
 Every apply is one driver (:meth:`DistributedHemm.apply`) running three
 stages, each stated once: the modeled **charges** on shape proxies
 (cast, GEMM, overlap AXPYs, scale — per charge class, in every rank's
-order), the uncharged **numerics** at full width, and the **reductions**
-— blocking allreduces, or the chunked nonblocking schedule of the
-pipelined filter (DESIGN.md §5d).  Only the numerics depend on what the
-apply is handed, and know four input kinds (``_numerics``; tabulated in
+order), the uncharged **numerics**, and the **reductions** — one
+blocking allreduce per communicator of the distributed axis, the only
+schedule there is.  Only the numerics depend on what the apply is
+handed, and know four input kinds (``_numerics``; tabulated in
 DESIGN.md §5c): phantom (shape proxies, no arithmetic), aliased + fused
 C -> B (``panel_cb_numeric``), aliased + fused B -> C
 (``panel_bc_numeric``, charge-only reductions) and per block
@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrays import PhantomArray, is_phantom, nbytes_of
+from repro.arrays import PhantomArray, is_phantom
 from repro.distributed.block import overlap_table
 from repro.distributed.hermitian import DistributedHermitian
 from repro.distributed.multivector import DistributedMultiVector
 from repro.perfmodel.kernels import bytes_per_scalar
-from repro.runtime.clock import CostCategory
 from repro.runtime.device import UNCHARGED, LocalKernels, axpy_into_numeric
 
 __all__ = ["DistributedHemm"]
@@ -87,19 +86,6 @@ def _work_dtype(h_dtype, x_dtype) -> np.dtype:
     if bytes_per_scalar(x_dtype) < bytes_per_scalar(rt):
         return _NARROW.get(rt, rt)
     return rt
-
-
-def _chunk_edges(width: int, n_chunks: int) -> list[int]:
-    """Split ``width`` columns into ``n_chunks`` near-equal chunks."""
-    n_chunks = max(1, min(n_chunks, width))
-    return [c * width // n_chunks for c in range(n_chunks + 1)]
-
-
-def _chunk_view(buf, sl: slice):
-    """Column-chunk view of a partial buffer (phantoms shape-sliced)."""
-    if is_phantom(buf):
-        return buf.cols(sl.start, sl.stop)
-    return buf[:, sl]
 
 
 # -- the numeric kernels of stage 2 (uncharged; stage 1 charged the model) ----------
@@ -162,8 +148,6 @@ class DistributedHemm:
         #: per-key reusable workspace of the numerics (non-root partial
         #: products and the stacked-B operand; never escapes an apply)
         self._scratch: dict[tuple, np.ndarray] = {}
-        #: full-width per-rank apply times of the chunked schedule
-        self._apply_time_cache: dict[tuple, tuple] = {}
         self._cache_version = H.version
 
     # -- caches -----------------------------------------------------------------
@@ -181,7 +165,6 @@ class DistributedHemm:
             self._hwork.clear()
             self._panels.clear()
             self._panels_conj.clear()
-            self._apply_time_cache.clear()
             self._cache_version = self.H.version
 
     def classes(self):
@@ -296,7 +279,6 @@ class DistributedHemm:
         alpha: float = 1.0,
         gamma: float = 0.0,
         out: DistributedMultiVector | None = None,
-        pipeline: bool = False,
     ) -> DistributedMultiVector:
         """``alpha (H - gamma I) X[:, cols]`` in the *opposite* layout.
 
@@ -312,14 +294,9 @@ class DistributedHemm:
         (narrow H casts, then one :meth:`_charge_block` per charge
         class), the **numerics** (:meth:`_numerics`: the partial
         products and the reductions they need) and the **reductions**
-        (blocking allreduces).  ``pipeline=True`` marks the call as
-        pipeline-eligible (the Chebyshev filter hot path); when the
-        cluster's config also sets ``pipeline_chunks``, the compute
-        charges and the reductions are issued chunk-wise and nonblocking
-        instead (:meth:`_reduce_chunked`, DESIGN.md §5d).
+        (one blocking allreduce per communicator).
         """
         grid, H = self.grid, self.H
-        cfg = grid.cluster.config
         self._sync_caches()
         start, stop, step = (cols if cols is not None else slice(None)).indices(X.ne)
         if step != 1 or stop <= start:
@@ -335,33 +312,22 @@ class DistributedHemm:
         rdtype = _work_dtype(H.dtype, X.dtype)
         phantom = X.is_phantom or is_phantom(H.local(0, 0))
         dedup = X.aliased and not phantom
-        chunked = pipeline and cfg.pipeline_chunks and width >= 2
         out = self._usable_out(out, out_layout, out_map, width, rdtype) \
             if dedup else None
 
         # ---- (1) charges, in every rank's order: cast, GEMM, AXPYs, scale ----
-        # a chunked *phantom* apply has never charged the narrow H casts
-        # (pinned by tests/test_model_fingerprint.py and the wart cells of
-        # tests/test_hemm.py); charging them is a deliberate model change
-        if not (phantom and chunked):
-            self._cast_work(rdtype)
-        if not chunked:
-            # per kernel, never the summed _apply_times value: the clock
-            # accumulates ``+= a; += b``, which rounds unlike ``+= (a + b)``
-            for members in self.classes():
-                self._charge_block(members.k, *members.key, to_b, width,
-                                   alpha, gamma, rdtype)
+        self._cast_work(rdtype)
+        for members in self.classes():
+            self._charge_block(members.k, *members.key, to_b, width,
+                               alpha, gamma, rdtype)
 
-        # ---- (2) numerics: uncharged, at full width ----
+        # ---- (2) numerics: uncharged ----
         rows, blocks, base = self._numerics(
             X, cols, width, to_b, alpha, gamma, out, rdtype, phantom, dedup)
 
         # ---- (3) reductions: sum the partials across the distributed axis ----
-        if chunked:
-            self._reduce_chunked(rows, width, to_b, alpha, gamma, rdtype)
-        else:
-            for comm, bufs, shared, compute in rows:
-                comm.allreduce(bufs, shared=shared, compute=compute)
+        for comm, bufs, shared, compute in rows:
+            comm.allreduce(bufs, shared=shared, compute=compute)
         if blocks is None:  # fused C -> B: assembled from the summed slices
             blocks = self._fused_cb_blocks(
                 [bufs[0] for _comm, bufs, _s, _c in rows], base, out)
@@ -394,8 +360,7 @@ class DistributedHemm:
         phantom shape proxies (charges depend on shapes and dtypes
         only).  The H proxy carries the *working* dtype, so a narrow
         apply is charged on its cached narrow cast.  ``k`` is a charge
-        class's kernel set (:meth:`apply`: every member rank is charged)
-        or a capturing one (:meth:`_apply_times`).
+        class's kernel set: every member rank is charged.
         """
         hshape = tuple(self.H.local(i, j).shape)
         Xcols = PhantomArray((hshape[0 if to_b else 1], width), rdtype)
@@ -409,39 +374,6 @@ class DistributedHemm:
                     k.axpy_into(W, rsl, Xcols, csl, -gamma)
         if alpha != 1.0:
             k.scale(W, alpha)
-
-    def _apply_times(self, to_b, width, alpha, gamma, rdtype) -> tuple:
-        """Full-width COMPUTE time of one apply on every rank, in model
-        seconds: ``(rank ids, seconds)``, two aligned tuples.
-
-        Replays each charge class's charge sequence
-        (:meth:`_charge_block`) into a capturing kernel set instead of
-        the rank clocks.  A chunked apply then charges each chunk the
-        exact fraction ``chunk_width / width`` of this total: a
-        chunk-width GEMM would otherwise pay the launch overhead again
-        and run lower on the efficiency ramp, i.e. chunking itself would
-        inflate COMPUTE (the model assumes the chunked kernels are
-        stream-captured and amortize their launches).
-
-        Times are pre-slowdown (``VirtualCluster.charge`` applies the
-        straggler multiplier at charge time, as the blocking schedule
-        does) and cached per (direction, width, shift/scale presence).
-        """
-        key = (to_b, width, gamma != 0.0, alpha != 1.0, np.dtype(rdtype).str,
-               self.H.version)
-        cached = self._apply_time_cache.get(key)
-        if cached is None:
-            ids: list[int] = []
-            times: list[float] = []
-            for members in self.classes():
-                acc: list[float] = []
-                k = LocalKernels(members.k.model, acc.append)
-                self._charge_block(k, *members.key, to_b, width, alpha, gamma,
-                                   rdtype)
-                ids.extend(members.ids)
-                times.extend([sum(acc)] * len(members.ids))
-            cached = self._apply_time_cache[key] = (tuple(ids), tuple(times))
-        return cached
 
     # -- stage 2: numerics ---------------------------------------------------------------
     def _numerics(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
@@ -589,62 +521,3 @@ class DistributedHemm:
                     Hop, to_b, X.local(i, j), cols, pairs, gamma, alpha,
                     to_b, out=tgt)
         return partials
-
-    # -- stage 3, chunked: the pipelined schedule ----------------------------------------
-    def _reduce_chunked(self, rows, width, to_b, alpha, gamma, rdtype) -> None:
-        """Chunked nonblocking charges + reductions of an apply (DESIGN.md §5d).
-
-        The width-wide block is split into the config's
-        ``pipeline_chunks`` column chunks.  Each
-        iteration charges chunk *k*'s HEMM compute, waits chunk *k-1*'s
-        allreduce — whose duration therefore hides behind chunk *k*'s
-        compute up to the communicator's overlap efficiency — and then
-        issues chunk *k*'s nonblocking allreduce (software pipeline of
-        depth one).  Every chunk charge (compute, collective duration,
-        host staging) is the exact fraction ``chunk_width / width`` of
-        the corresponding *blocking* full-width charge
-        (:meth:`_apply_times`): chunking redistributes the blocking
-        cost over time without inflating it, so the pipelined makespan
-        differs from blocking only by the overlap the model grants.
-
-        The numerics ran at **full width** in stage 2 (chunk-width GEMMs
-        would tile differently in BLAS and perturb last-ulp bits); the
-        chunked reductions sum real column-slice views of ``rows`` with
-        the blocking accumulation order, so every element sees the
-        identical operation sequence and results are bit-identical to
-        the blocking schedule.  Chunk payloads sum exactly to the
-        blocking byte count; only the collective/message *counts* grow
-        by the chunk factor.
-        """
-        cluster = self.grid.cluster
-        edges = _chunk_edges(width, cluster.config.pipeline_chunks)
-        ids, times = self._apply_times(to_b, width, alpha, gamma, rdtype)
-        row_cost = []
-        for comm, bufs, _s, _c in rows:
-            nb_full = float(nbytes_of(bufs[0]))
-            # routed through the communicator's selected collective
-            # algorithm/topology so chunked charges match blocking ones
-            d_full = comm.collective_time("allreduce", nb_full)
-            st_full = (comm.machine.pcie.time(nb_full)
-                       if comm.backend.stages_through_host else 0.0)
-            row_cost.append((d_full, st_full))
-        in_flight: list = []
-        for c in range(len(edges) - 1):
-            sl = slice(edges[c], edges[c + 1])
-            frac = (sl.stop - sl.start) / width
-            cluster.charge(
-                ids, CostCategory.COMPUTE, [t * frac for t in times])
-            for req in in_flight:
-                req.wait()
-            in_flight = [
-                comm.iallreduce(
-                    [_chunk_view(b, sl) for b in bufs],
-                    shared=shared, compute=compute,
-                    duration=d_full * frac,
-                    stage_seconds=(st_full * frac) if st_full > 0.0 else None,
-                )
-                for (comm, bufs, shared, compute), (d_full, st_full)
-                in zip(rows, row_cost)
-            ]
-        for req in in_flight:
-            req.wait()

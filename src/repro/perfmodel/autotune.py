@@ -1,16 +1,16 @@
 """Model-driven configuration autotuner (``repro tune``).
 
-After PRs 1-3 a distributed solve has a five-dimensional configuration
-space: the grid shape (``p x q`` factorization of the rank count), the
-collective algorithm (:class:`~repro.perfmodel.collectives.CollectiveAlgo`),
-the pipelined filter's chunk count, the HEMM fusion tier, and the
-nonblocking overlap efficiency.  Hutter & Solomonik (PAPERS.md) make the
-case that the winning configuration depends on topology and problem
-shape, so it must be *selected*, not hard-coded — this module does the
-selection with the performance model alone:
+A distributed solve has a four-dimensional configuration space: the
+grid shape (``p x q`` factorization of the rank count), the collective
+algorithm (:class:`~repro.perfmodel.collectives.CollectiveAlgo`), the
+HEMM fusion tier, and the filter / QR working precision.  Hutter &
+Solomonik (PAPERS.md) make the case that the winning configuration
+depends on topology and problem shape, so it must be *selected*, not
+hard-coded — this module does the selection with the performance model
+alone:
 
 1. :func:`enumerate_candidates` spans the config space (every ``p x q``
-   factorization x algorithm x chunk count x fusion x overlap);
+   factorization x algorithm x fusion x precision);
 2. :func:`autotune` scores each candidate with a cheap **model-only dry
    run** — a phantom replay of a fixed convergence trace, no numerics —
    and returns the candidates ranked by modeled solve makespan;
@@ -18,8 +18,8 @@ selection with the performance model alone:
    (used by ``repro solve --tuned``, the service and the benchmarks).
 
 The untuned default (:func:`default_config`: squarest grid, ``ring``
-collectives, blocking filter, fusion off) is always in the candidate
-set, so the winner's modeled makespan is never worse than the default's.
+collectives, fusion off, fp64) is always in the candidate set, so the
+winner's modeled makespan is never worse than the default's.
 
 HEMM fusion is *modeled-time neutral* (DESIGN.md §5c: the fused tier is
 charge-identical); it is enumerated so the ranked table shows that
@@ -53,8 +53,6 @@ __all__ = [
     "applied",
 ]
 
-#: chunk counts tried for the pipelined filter (0 = blocking)
-DEFAULT_CHUNKS = (0, 4)
 #: collective algorithms tried
 DEFAULT_ALGOS = ("ring", "tree", "hierarchical", "auto")
 #: ``(filter_dtype, qr_dtype)`` pairs (DESIGN.md §5g).  :func:`autotune`
@@ -78,16 +76,12 @@ class TuneConfig:
     p: int
     q: int
     algo: str = "ring"           # CollectiveAlgo value
-    overlap: float | None = None # None = backend model's default
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def label(self) -> str:
         ex = self.execution
         bits = [f"{self.p}x{self.q}", self.algo,
-                f"chunks={ex.pipeline_chunks or 'off'}",
                 f"fusion={'on' if ex.hemm_fusion else 'off'}"]
-        if self.overlap is not None:
-            bits.append(f"overlap={self.overlap:g}")
         if ex.filter_dtype != "fp64":
             bits.append(f"filter={ex.filter_dtype}")
         if ex.qr_dtype != "fp64":
@@ -149,7 +143,7 @@ def grid_factorizations(n_ranks: int) -> list[tuple[int, int]]:
 
 def default_config(n_ranks: int) -> TuneConfig:
     """The untuned seed configuration: squarest grid, flat ring
-    collectives, blocking filter, fusion off, model-default overlap."""
+    collectives, fusion off, fp64."""
     from repro.runtime.grid import squarest_grid
 
     p, q = squarest_grid(n_ranks)
@@ -159,9 +153,7 @@ def default_config(n_ranks: int) -> TuneConfig:
 def enumerate_candidates(
     n_ranks: int,
     algos: tuple[str, ...] = DEFAULT_ALGOS,
-    chunk_options: tuple[int, ...] = DEFAULT_CHUNKS,
     fusion_options: tuple[bool, ...] = (False, True),
-    overlaps: tuple[float | None, ...] = (None,),
     precision_options: tuple[tuple[str, str], ...] = (("fp64", "fp64"),),
 ) -> list[TuneConfig]:
     """The candidate grid; always contains :func:`default_config`.
@@ -175,18 +167,15 @@ def enumerate_candidates(
     for p, q in grid_factorizations(n_ranks):
         for algo in algos:
             CollectiveAlgo.parse(algo)  # validate early
-            for chunks in chunk_options:
-                for fusion in fusion_options:
-                    for overlap in overlaps:
-                        for fdt, qdt in precision_options:
-                            cands.append(TuneConfig(
-                                p=p, q=q, algo=algo, overlap=overlap,
-                                execution=ExecutionConfig(
-                                    pipeline_chunks=chunks,
-                                    hemm_fusion=fusion, filter_dtype=fdt,
-                                    qr_dtype=qdt,
-                                ),
-                            ))
+            for fusion in fusion_options:
+                for fdt, qdt in precision_options:
+                    cands.append(TuneConfig(
+                        p=p, q=q, algo=algo,
+                        execution=ExecutionConfig(
+                            hemm_fusion=fusion, filter_dtype=fdt,
+                            qr_dtype=qdt,
+                        ),
+                    ))
     default = default_config(n_ranks)
     if default not in cands:
         cands.insert(0, default)
@@ -228,10 +217,7 @@ def applied(cfg: TuneConfig, *, n_ranks: int, backend,
         transport=transport, config=cfg.execution,
     )
     with cluster:
-        grid = Grid2D(cluster, cfg.p, cfg.q)
-        if cfg.overlap is not None:
-            grid.set_overlap_efficiency(cfg.overlap)
-        yield grid
+        yield Grid2D(cluster, cfg.p, cfg.q)
 
 
 def _dry_run(cfg: TuneConfig, *, n_ranks, N, nev, nex, backend, machine,
@@ -291,8 +277,8 @@ def autotune(
     """Score every candidate with a model-only dry run; rank by makespan.
 
     Ties are broken toward fusion-on (host-wall faster at equal modeled
-    time), then fewer pipeline chunks, then the default algorithm —
-    so the ranking is deterministic and never prefers an exotic
+    time), then the wider precision, then the default algorithm — so
+    the ranking is deterministic and never prefers an exotic
     configuration without a modeled reason.
     """
     from repro.runtime import CommBackend
@@ -337,7 +323,6 @@ def autotune(
         # at equal modeled time prefer the wider precision
         r.config.execution.filter_dtype != "fp64",
         r.config.execution.qr_dtype != "fp64",
-        r.config.execution.pipeline_chunks,
         algo_order.get(r.config.algo, len(algo_order)),
         abs(r.config.p - r.config.q),
         r.config.p,

@@ -15,10 +15,11 @@ the fraction of an in-flight collective that progresses behind compute.
 It is a property of the *communication stack*, not of local kernel
 rates: device-side NCCL collectives progress at full rate (default
 1.0), host-progressed staged MPI competes with the proxy thread
-(default 0.35).  To calibrate it against a real machine, time a
-compute-overlapped ``Iallreduce`` against a back-to-back one and set
-the measured fraction via ``Grid2D.set_overlap_efficiency`` (or the
-CLI ``--overlap`` flag); ``0.0`` recovers fully blocking behaviour.
+(default 0.35).  No solve issues a nonblocking collective, so the knob
+moves no solve's model; a caller of ``Communicator.iallreduce`` who
+wants it calibrated times a compute-overlapped ``Iallreduce`` against a
+back-to-back one and sets the measured fraction per communicator
+(``Communicator.set_overlap_efficiency``); ``0.0`` is fully blocking.
 
 The same applies to the **topology derates** of the hierarchical
 collectives (``CollectiveModel.hop_latency`` and ``oversub_penalty``,

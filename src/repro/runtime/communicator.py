@@ -15,8 +15,9 @@ Backend behaviour (paper Sec. 3.3):
 * ``NCCL`` — no staging; NCCL ring model charged as COMM;
 * ``MPI_HOST`` — no staging (buffers already on the host).
 
-Nonblocking collectives (DESIGN.md §5d): :meth:`Communicator.iallreduce`
-returns a :class:`CollectiveRequest`
+Nonblocking collectives (DESIGN.md §5d — a public, unit-tested API that
+no solve in the library calls since the pipelined filter was deleted):
+:meth:`Communicator.iallreduce` returns a :class:`CollectiveRequest`
 whose ``wait()`` settles the clock accounting.  The operation cannot
 start before every participant has issued it (entry time = max of the
 issue-time clocks, exactly the blocking barrier semantics) and runs for
@@ -328,17 +329,6 @@ class Communicator:
             )
         return charge
 
-    def collective_time(self, op: str, nbytes: float) -> float:
-        """Modeled seconds of one ``op`` under the selected algorithm.
-
-        Pure query — charges nothing and records nothing.  Used by the
-        pipelined filter to size its full-payload chunk charges and by
-        the autotuner's dry runs.
-        """
-        if self.size <= 1:
-            return 0.0
-        return self._charge_for(op, nbytes).time
-
     def rank_index(self, rank: RankContext) -> int:
         """Position of ``rank`` within this communicator (its root id)."""
         return self.ranks.index(rank)
@@ -412,9 +402,9 @@ class Communicator:
                seconds: float | None = None) -> None:
         """Host staging for the STD backend (skipped when payload is 0).
 
-        ``seconds`` overrides the per-rank PCIe time — the pipelined
-        filter charges chunk stagings as exact fractions of the
-        full-payload copy so that chunking never inflates DATAMOVE.
+        ``seconds`` overrides the per-rank PCIe time (a nonblocking
+        caller's ``stage_seconds``, e.g. an exact fraction of a
+        full-payload copy).
         """
         if not self.backend.stages_through_host or nbytes <= 0:
             return
@@ -468,7 +458,7 @@ class Communicator:
         One implementation for both the blocking call and
         :meth:`CollectiveRequest.wait` — every transport reduces the
         rank-ordered contributions with the same accumulation order, so
-        pipelined and multiprocess execution are bit-identical to
+        nonblocking and multiprocess execution are bit-identical to
         blocking orchestrated.
         """
         return self.transport_group.allreduce_move(
@@ -540,12 +530,10 @@ class Communicator:
         reduction with the blocking path's exact accumulation order.
 
         ``duration`` overrides the modeled blocking duration ``d`` and
-        ``stage_seconds`` the per-rank host-staging time each way.  The
-        chunked filter tier (DESIGN.md §5d) uses these to charge each
-        chunk an exact *fraction* of the full-payload collective: the
-        alpha-beta model's per-call constants would otherwise be paid
-        once per chunk, making chunking itself inflate the model and
-        drowning the overlap effect it exists to expose.
+        ``stage_seconds`` the per-rank host-staging time each way, so a
+        caller that splits one payload into pieces can charge each piece
+        an exact *fraction* of the full-payload collective instead of
+        paying the alpha-beta model's per-call constants once per piece.
         """
         if op != "sum":
             raise NotImplementedError("only SUM allreduce is used by ChASE")

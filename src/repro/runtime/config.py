@@ -22,13 +22,9 @@ __all__ = ["ExecutionConfig", "PRECISION_MODES"]
 PRECISION_MODES = ("fp64", "fp32")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The five execution choices of a solve.  The defaults are the seed
+    """The four execution choices of a solve.  The defaults are the seed
     path except for ``numeric_dedup``, which aliases replicas instead of
     recomputing them (bit-identical results; ``numeric_dedup=False`` is
     the seed execution the identity tests compare against).
@@ -41,10 +37,6 @@ class ExecutionConfig:
         Run aliased HEMM applies on the fused-panel tier (one GEMM per
         grid row).  Charge-identical; matches the per-block arithmetic
         to rounding, not bit for bit — hence off by default.
-    pipeline_chunks:
-        Column chunks of the pipelined (nonblocking) Chebyshev filter;
-        ``0`` is the blocking filter, otherwise at least 2.  Chunking
-        keeps bytes and numerics but multiplies the collective count.
     filter_dtype:
         Precision the filter's :class:`~repro.core.precision.
         PrecisionPolicy` may run at; ``fp32`` is admitted per iteration
@@ -57,7 +49,6 @@ class ExecutionConfig:
 
     numeric_dedup: bool = True
     hemm_fusion: bool = False
-    pipeline_chunks: int = 0
     filter_dtype: str = "fp64"
     qr_dtype: str = "fp64"
 
@@ -66,11 +57,6 @@ class ExecutionConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ValueError(f"{name} must be True or False, got {value!r}")
-        chunks = self.pipeline_chunks
-        if not _is_int(chunks) or chunks < 0 or chunks == 1:
-            raise ValueError(
-                "pipeline_chunks must be 0 (blocking) or an integer >= 2, "
-                f"got {chunks!r}")
         for name in ("filter_dtype", "qr_dtype"):
             value = getattr(self, name)
             if value not in PRECISION_MODES:

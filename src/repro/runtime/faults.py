@@ -28,8 +28,7 @@ Event kinds and their trigger domains:
 
 * **solver-level** (triggered by *iteration index*, polled at the top
   of each outer iteration — iteration boundaries are the only points
-  that are bit-identical across every execution configuration,
-  including the pipelined filter whose model times legitimately differ):
+  that are bit-identical across every execution configuration):
 
   - ``BIT_CORRUPTION`` — flips an exponent bit of one element of the
     target rank's local C panel (all replicas, so every execution

@@ -190,17 +190,6 @@ class Grid2D:
         """Communicator of grid column ``j`` (hosts C/C2 and the 1D QR)."""
         return self._col_comms[j]
 
-    def set_overlap_efficiency(self, f: float) -> None:
-        """Set the nonblocking-overlap efficiency on every communicator.
-
-        ``f`` is the fraction of a nonblocking collective's duration that
-        can hide behind compute issued before ``wait()`` (DESIGN.md §5d).
-        Applies to all row and column communicators; blocking collectives
-        are unaffected.
-        """
-        for c in (*self._row_comms, *self._col_comms):
-            c.set_overlap_efficiency(f)
-
     def set_collective_algo(self, algo) -> None:
         """Select the collective algorithm on every communicator.
 

@@ -296,8 +296,8 @@ class TransportGroup:
 
         One accumulation order for every backend — ``total = b0; total
         += b1; ...`` over the rank-ordered unique contributions — so
-        pipelined, dedup'd and multiprocess executions are all bit-identical
-        to the seed path.
+        dedup'd and multiprocess executions are bit-identical to the seed
+        path.
         """
         size = len(self.member_ids)
         if not compute:

@@ -83,7 +83,7 @@ class EigenService:
         Enable the sequence warm-start cache and its byte budget.
     tune:
         ``"off"`` — untuned default grid; ``"fast"`` (default) — a
-        three-candidate model shoot-out (default vs pipelined/fused
+        two-candidate model shoot-out (default vs fused
         auto-collectives); ``"full"`` — the whole candidate space.
         Decisions are memoized per (shard size, problem shape).
     reuse_bounds / reuse_degrees:
@@ -175,9 +175,6 @@ class EigenService:
             if self.tune == "fast":
                 candidates = [
                     base,
-                    dataclasses.replace(
-                        base, algo="auto", execution=ExecutionConfig(
-                            pipeline_chunks=4, hemm_fusion=True)),
                     dataclasses.replace(
                         base, algo="auto", execution=ExecutionConfig(
                             hemm_fusion=True)),

@@ -255,8 +255,20 @@ def test_spec_errors_are_typed():
                               "tier": "executor"}}]}
     with pytest.raises(SpecError, match=(
             r"unknown tier 'executor' \(expected one of "
-            r"\('seed', 'dedup', 'fused', 'pipeline'\)\)")):
+            r"\('seed', 'dedup', 'fused'\)\)")):
         spec_from_dict(retired).expand()
+    # one reduction schedule: the pipelined tier names the accepted
+    # tiers, its phantom flag and chunk count are unknown knobs
+    for kind_knobs, err in (
+            ({"kind": "solve", "n": 64, "nev": 4, "tier": "pipeline"},
+             r"unknown tier 'pipeline' .*\('seed', 'dedup', 'fused'\)"),
+            ({"kind": "phantom", "n": 64, "nev": 4, "nex": 2,
+              "pipeline": True}, r"unknown knob\(s\) \['pipeline'\]"),
+            ({"kind": "solve", "n": 64, "nev": 4, "pipeline_chunks": 4},
+             r"unknown knob\(s\) \['pipeline_chunks'\]")):
+        gone = {"campaign": "x", "matrix": [{"name": "t", "set": kind_knobs}]}
+        with pytest.raises(SpecError, match=err):
+            spec_from_dict(gone).expand()
     # two precisions: a sub-fp32 token names the accepted values on every
     # kind that has the knob, and the compression knob is unknown
     for kind_knobs in ({"kind": "solve", "n": 64, "nev": 4},

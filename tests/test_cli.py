@@ -45,6 +45,16 @@ class TestParser:
             # argparse names the accepted values
             assert "'fp64', 'fp32'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--pipeline-filter"], ["--pipeline-chunks", "4"],
+        ["--overlap", "0.5"],
+    ])
+    def test_pipelined_filter_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["solve", *argv])
+        assert exc.value.code == 2
+
+
 
 class TestCommands:
     def test_solve_serial(self, capsys):
@@ -86,7 +96,7 @@ class TestCommands:
         rc = main(
             ["solve", "--n", "200", "--nev", "8", "--distributed",
              "--ranks", "8", "--backend", "nccl", "--seed", "1",
-             "--filter-dtype", "fp32", "--pipeline-filter"]
+             "--filter-dtype", "fp32"]
         )
         out = capsys.readouterr().out
         assert rc == 0

@@ -173,7 +173,7 @@ class TestTimingSemantics:
         assert hops == fresh() and hops.time != tree.time
         comm.set_overlap_efficiency(0.5)
         assert comm._charge_for("allreduce", 4096.0) is not hops
-        assert comm.collective_time("allreduce", 4096.0) == fresh().time
+        assert comm._charge_for("allreduce", 4096.0) == fresh()
         comm.set_topology(None)
         comm.set_collective_algo("ring")
         assert comm._charge_for("allreduce", 4096.0) == ring
@@ -207,3 +207,74 @@ class TestCommStats:
         comm, _ = make_comm(1)
         comm.allreduce([np.zeros(10)])
         assert comm.stats.collectives == 0
+
+
+class TestCollectiveRequest:
+    def _comm(self, n=4, backend=CommBackend.NCCL):
+        cl = VirtualCluster(n, backend=backend, ranks_per_node=4)
+        return Communicator(cl.ranks), cl
+
+    def test_iallreduce_moves_same_values_as_blocking(self):
+        comm, _ = self._comm(3)
+        blocking = [np.full((2, 3), float(i)) for i in range(3)]
+        comm.allreduce(blocking)
+        comm2, _ = self._comm(3)
+        nb = [np.full((2, 3), float(i)) for i in range(3)]
+        req = comm2.iallreduce(nb)
+        req.wait()
+        for a, b in zip(blocking, nb):
+            np.testing.assert_array_equal(a, b)
+
+    def test_immediate_wait_charges_exactly_like_blocking(self):
+        comm, cl = self._comm()
+        comm.allreduce([np.ones((8, 8)) for _ in range(4)])
+        t_blocking = [r.clock.now for r in cl.ranks]
+        comm2, cl2 = self._comm()
+        comm2.iallreduce([np.ones((8, 8)) for _ in range(4)]).wait()
+        t_nonblocking = [r.clock.now for r in cl2.ranks]
+        assert t_blocking == t_nonblocking
+
+    def test_wait_is_idempotent(self):
+        comm, cl = self._comm()
+        req = comm.iallreduce([np.ones(4) for _ in range(4)])
+        req.wait()
+        clocks = [r.clock.now for r in cl.ranks]
+        req.wait()  # must not double-charge or re-reduce
+        assert [r.clock.now for r in cl.ranks] == clocks
+        assert req.complete
+
+    def test_test_is_advisory_and_flips_after_enough_compute(self):
+        comm, cl = self._comm()
+        req = comm.iallreduce([np.ones((64, 64)) for _ in range(4)])
+        assert not req.test()
+        clocks = [r.clock.now for r in cl.ranks]
+        assert [r.clock.now for r in cl.ranks] == clocks  # no charges
+        for r in cl.ranks:
+            r.charge_compute(req.duration + 1e-9)
+        assert req.test()
+
+    def test_size_one_request_is_born_complete(self):
+        cl = VirtualCluster(1)
+        comm = Communicator(cl.ranks)
+        buf = np.full(3, 2.0)
+        req = comm.iallreduce([buf])
+        assert req.complete and req.test()
+        req.wait()
+        np.testing.assert_array_equal(buf, 2.0)
+        assert cl.ranks[0].clock.now == 0.0
+
+    def test_overlap_efficiency_validation(self):
+        comm, _ = self._comm()
+        with pytest.raises(ValueError):
+            comm.set_overlap_efficiency(1.5)
+        with pytest.raises(ValueError):
+            comm.set_overlap_efficiency(-0.1)
+        old = comm.set_overlap_efficiency(0.5)
+        assert comm.overlap_efficiency == 0.5
+        comm.set_overlap_efficiency(old)
+
+    def test_backend_default_overlap(self):
+        nccl, _ = self._comm(backend=CommBackend.NCCL)
+        std, _ = self._comm(backend=CommBackend.MPI_STAGED)
+        assert nccl.overlap_efficiency == 1.0
+        assert std.overlap_efficiency < nccl.overlap_efficiency

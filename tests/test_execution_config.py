@@ -17,6 +17,7 @@ Three contracts:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ import pytest
 
 from repro import ChaseConfig, ChaseSolver
 from repro.cli import _env_defaults
-from repro.distributed import DistributedHermitian
+from repro.distributed import DistributedHemm, DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.perfmodel.autotune import default_config
 from repro.runtime import (
@@ -41,12 +42,10 @@ from repro.runtime import (
 from repro.runtime.config import PRECISION_MODES
 from repro.service import EigenService, JobState, SolveJob
 
-TUNED = ExecutionConfig(hemm_fusion=True, pipeline_chunks=4,
-                        filter_dtype="fp32")
+TUNED = ExecutionConfig(hemm_fusion=True, filter_dtype="fp32")
 
 #: the ambient state the parent commit let leak into library calls
 POLLUTED = {
-    "REPRO_FILTER_PIPELINE": "1",
     "REPRO_COLL_ALGO": "tree",
     "REPRO_FILTER_DTYPE": "fp32",
     "REPRO_HEMM_FUSION": "1",
@@ -56,11 +55,10 @@ POLLUTED = {
 # ---------------------------------------------------------------- validated
 def test_defaults_are_the_seed_path():
     assert ExecutionConfig() == ExecutionConfig(
-        numeric_dedup=True, hemm_fusion=False, pipeline_chunks=0,
+        numeric_dedup=True, hemm_fusion=False,
         filter_dtype="fp64", qr_dtype="fp64")
     assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
-        "numeric_dedup", "hemm_fusion", "pipeline_chunks", "filter_dtype",
-        "qr_dtype"]
+        "numeric_dedup", "hemm_fusion", "filter_dtype", "qr_dtype"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ExecutionConfig().hemm_fusion = True
 
@@ -74,7 +72,7 @@ def test_kernel_workers_is_gone_not_aliased():
     assert not hasattr(VirtualCluster(2), "run_kernels")
     env = _env_defaults({"REPRO_KERNEL_WORKERS": "abc"})
     assert env == _env_defaults({})
-    assert "kernel_workers" not in env and len(env) == 9
+    assert "kernel_workers" not in env and len(env) == 7
 
 
 def test_sub_fp32_words_are_gone_not_aliased():
@@ -93,12 +91,24 @@ def test_sub_fp32_words_are_gone_not_aliased():
     assert _env_defaults({"REPRO_COMM_COMPRESS": "zstd"}) == _env_defaults({})
 
 
+def test_pipelined_filter_is_gone_not_aliased():
+    """One reduction schedule: the chunk count is not a field (a plain
+    ``TypeError``, no shim), the HEMM apply takes no ``pipeline``
+    argument, and the two environment variables are neither read — a
+    malformed value is not even looked at — nor returned."""
+    with pytest.raises(TypeError, match="pipeline_chunks"):
+        ExecutionConfig(pipeline_chunks=4)
+    assert "pipeline" not in inspect.signature(
+        DistributedHemm.apply).parameters
+    env = _env_defaults({"REPRO_FILTER_PIPELINE": "1",
+                         "REPRO_FILTER_CHUNKS": "bogus"})
+    assert env == _env_defaults({})
+    assert not {"pipeline_filter", "pipeline_chunks"} & set(env)
+
+
 @pytest.mark.parametrize("field, bad, env_var, env_bad", [
     ("numeric_dedup", "yes", None, None),
     ("hemm_fusion", 1, "REPRO_HEMM_FUSION", "maybe"),
-    ("pipeline_chunks", 1, "REPRO_FILTER_CHUNKS", "bogus"),
-    ("pipeline_chunks", -4, "REPRO_FILTER_CHUNKS", "1"),
-    ("pipeline_chunks", None, "REPRO_FILTER_PIPELINE", "2"),
     ("filter_dtype", "fp23", "REPRO_FILTER_DTYPE", "fp23"),
     ("qr_dtype", "FP32", "REPRO_QR_DTYPE", "double"),
     (None, None, "REPRO_COLL_ALGO", "nope"),
@@ -119,20 +129,17 @@ def test_malformed_knobs_are_loud(field, bad, env_var, env_bad):
 
 def test_env_defaults_parse_every_knob():
     assert _env_defaults({}) == {
-        "hemm_fusion": False, "pipeline_filter": False,
-        "pipeline_chunks": 4, "filter_dtype": "fp64", "qr_dtype": "fp64",
+        "hemm_fusion": False, "filter_dtype": "fp64", "qr_dtype": "fp64",
         "coll_algo": None,
         "transport": None, "faults": None, "checkpoint": None,
     }
     assert _env_defaults({
-        "REPRO_HEMM_FUSION": "on", "REPRO_FILTER_PIPELINE": "TRUE",
-        "REPRO_FILTER_CHUNKS": "6", "REPRO_FILTER_DTYPE": " FP32 ",
+        "REPRO_HEMM_FUSION": "on", "REPRO_FILTER_DTYPE": " FP32 ",
         "REPRO_QR_DTYPE": "fp32", "REPRO_COLL_ALGO": "tree",
         "REPRO_BACKEND": "mp", "REPRO_FAULT_SEED": "11",
         "REPRO_CHECKPOINT_EVERY": "2",
     }) == {
-        "hemm_fusion": True, "pipeline_filter": True,
-        "pipeline_chunks": 6, "filter_dtype": "fp32", "qr_dtype": "fp32",
+        "hemm_fusion": True, "filter_dtype": "fp32", "qr_dtype": "fp32",
         "coll_algo": "tree",
         "transport": "mp", "faults": 11, "checkpoint": 2,
     }
@@ -167,7 +174,7 @@ spec = spec_from_dict({
             "tier": "dedup", "seed": 5}},
         {"name": "replay", "set": {
             "kind": "phantom", "n": 20000, "nev": 200, "nex": 60,
-            "nodes": 2, "pipeline": False}},
+            "nodes": 2}},
     ],
 })
 with tempfile.TemporaryDirectory() as tmp:
@@ -198,7 +205,7 @@ def test_import_and_default_cluster_ignore_the_environment():
         "assert c.config == ExecutionConfig(), c.config\n"
         "print(c.collective_algo.value, c.transport.name)\n",
         {**POLLUTED, "REPRO_BACKEND": "mp",
-         "REPRO_FILTER_CHUNKS": "bogus"},
+         "REPRO_QR_DTYPE": "bogus"},
     )
     assert out.split() == ["ring", "orchestrated"]
 
@@ -240,11 +247,10 @@ def test_shrunk_cluster_keeps_its_config():
     assert cluster.shrink([3]).n_ranks == 3
 
 
-def test_fault_shrunk_solve_keeps_fused_pipelined_shape():
+def test_fault_shrunk_solve_keeps_fused_shape():
     """A rank death mid-solve re-lays the grid out as 1x3; the survivor
-    cluster must keep running fused + pipelined: every post-shrink
-    filter reduction is still chunked (4 collectives where the blocking
-    filter issues 1), moving the same bytes."""
+    cluster must keep running its own config: the fused solve still
+    charges exactly what the per-block one does after the shrink."""
     def shrunk(config):
         base = _run(_solver(config))[0]
         plan = FaultPlan(events=(FaultEvent(
@@ -258,15 +264,11 @@ def test_fault_shrunk_solve_keeps_fused_pipelined_shape():
         # post-shrink traffic
         return solver.grid.row_comm(0).stats, res
 
-    fused = ExecutionConfig(hemm_fusion=True)
-    piped = ExecutionConfig(hemm_fusion=True, pipeline_chunks=4)
-    s_block, r_block = shrunk(fused)
-    s_pipe, r_pipe = shrunk(piped)
-    assert r_pipe.iterations == r_block.iterations
-    assert s_pipe.bytes_moved == pytest.approx(s_block.bytes_moved)
-    assert s_pipe.collectives > s_block.collectives
-    assert r_pipe.timings["Filter"].comm_hidden > 0.0
-    assert r_block.timings["Filter"].comm_hidden == 0.0
+    s_block, r_block = shrunk(ExecutionConfig())
+    s_fused, r_fused = shrunk(ExecutionConfig(hemm_fusion=True))
+    assert r_fused.iterations == r_block.iterations
+    assert s_fused.as_tuple() == s_block.as_tuple()
+    assert r_fused.makespan == r_block.makespan
 
 
 def test_solvers_built_up_front_do_not_share_configuration():

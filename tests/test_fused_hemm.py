@@ -43,22 +43,15 @@ def _vectors(rng, n, ne, dtype):
 
 
 def _roundtrip(Hd, V, *, dedup, fused, p=2, q=2, gamma=0.0, alpha=1.0,
-               cols=None, block_size=None, pipeline=False, chunks=4):
-    """One C->B and one B->C apply; returns gathers + modeled charges.
-
-    The applies are always marked pipeline-eligible (as the filter hot
-    path does); the chunked tier only engages when ``pipeline=True``
-    gives the cluster's config a chunk count, so blocking rows are
-    byte-for-byte the seed behaviour.
-    """
+               cols=None, block_size=None):
+    """One C->B and one B->C apply; returns gathers + modeled charges."""
     g = make_grid(p * q, p=p, q=q, config=ExecutionConfig(
-        numeric_dedup=dedup, hemm_fusion=fused,
-        pipeline_chunks=chunks if pipeline else 0))
+        numeric_dedup=dedup, hemm_fusion=fused))
     H = DistributedHermitian.from_dense(g, Hd, block_size=block_size)
     hemm = DistributedHemm(H)
     C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-    B = hemm.apply(C, cols, gamma=gamma, alpha=alpha, pipeline=True)
-    C2 = hemm.apply(B, gamma=gamma, alpha=alpha, pipeline=True)
+    B = hemm.apply(C, cols, gamma=gamma, alpha=alpha)
+    C2 = hemm.apply(B, gamma=gamma, alpha=alpha)
     makespan = max(r.clock.now for r in g.ranks)
     return B.gather(), C2.gather(), makespan, g.comm_stats()
 
@@ -256,59 +249,6 @@ class TestFilterWorkspace:
         chebyshev_filter(hemm, C, 2, degrees2, c, e, mu1, workspace=ws)
         for k, pair in ws._buffers.items():
             assert [b.stacked_base for b in pair] == bases[k]
-
-class TestPipelinedCrossTier:
-    """The chunked nonblocking tier composed with every other tier.
-
-    Pipelining is a *schedule* transform: within any execution tier
-    (seed, dedup, fused) it must reproduce that
-    tier's numerics bit for bit and its collective byte volume exactly,
-    while never increasing the modeled makespan (NCCL's overlap
-    efficiency is 1.0, so chunked communication hides behind compute).
-    """
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        dedup=st.booleans(),
-        fused=st.booleans(),
-        chunks=st.integers(min_value=2, max_value=5),
-        dtype=st.sampled_from([np.float64, np.complex128]),
-        grid=st.sampled_from([(2, 2), (2, 3), (1, 4)]),
-    )
-    def test_pipeline_bit_identical_within_each_tier(
-        self, dedup, fused, chunks, dtype, grid
-    ):
-        p, q = grid
-        rng = np.random.default_rng(p * 100 + q * 10 + chunks)
-        Hd = _dense(rng, 40, dtype)
-        V = _vectors(rng, 40, 6, dtype)
-        kw = dict(dedup=dedup, fused=fused, p=p, q=q, gamma=0.21, alpha=1.1)
-        blk = _roundtrip(Hd, V, **kw)
-        pipe = _roundtrip(Hd, V, pipeline=True, chunks=chunks, **kw)
-        assert np.array_equal(blk[0], pipe[0])
-        assert np.array_equal(blk[1], pipe[1])
-        # identical byte volume (counts grow by the chunk factor)
-        assert sum(s[2] for s in blk[3]) == sum(s[2] for s in pipe[3])
-        assert pipe[2] <= blk[2] + 1e-12
-
-    def test_pipeline_strictly_faster_on_seed_tier(self, rng):
-        Hd = _dense(rng, 48, np.float64)
-        V = _vectors(rng, 48, 8, np.float64)
-        blk = _roundtrip(Hd, V, dedup=False, fused=False)
-        pipe = _roundtrip(Hd, V, dedup=False, fused=False, pipeline=True)
-        assert pipe[2] < blk[2]
-
-    def test_width_one_apply_falls_back_to_blocking(self, rng):
-        """A single column cannot be chunked: identical charges."""
-        Hd = _dense(rng, 32, np.float64)
-        V = _vectors(rng, 32, 4, np.float64)
-        kw = dict(dedup=True, fused=False, cols=slice(2, 3))
-        blk = _roundtrip(Hd, V, **kw)
-        pipe = _roundtrip(Hd, V, pipeline=True, **kw)
-        assert np.array_equal(blk[0], pipe[0])
-        assert blk[2] == pipe[2]
-        assert blk[3] == pipe[3]
-
 
 class TestMvAxpby:
     def test_mv_axpby_out_bitwise(self, rng):

@@ -176,13 +176,13 @@ _EXECUTIONS = {
 }
 
 
-def _two_applies(phantom, dtype, execution, chunks, backend, layout, alpha,
-                 gamma, narrow, precast=False):
+def _two_applies(phantom, dtype, execution, backend, layout, alpha, gamma,
+                 narrow):
     """Apply ``alpha (H - gamma I)`` there and back on a 2x3 grid with
     uneven blocks; returns every modeled output of the cluster."""
     n, ne = 101, 5
-    g = make_grid(6, backend, p=2, q=3, phantom=phantom, config=ExecutionConfig(
-        pipeline_chunks=chunks, **_EXECUTIONS[execution]))
+    g = make_grid(6, backend, p=2, q=3, phantom=phantom,
+                  config=ExecutionConfig(**_EXECUTIONS[execution]))
     xdtype = narrow_dtype(dtype) if narrow else dtype
     if phantom:
         Hd = DistributedHermitian.phantom(g, n, dtype)
@@ -197,50 +197,39 @@ def _two_applies(phantom, dtype, execution, chunks, backend, layout, alpha,
         X = DistributedMultiVector.from_global(
             g, rng.standard_normal((n, ne)).astype(xdtype), index_map, layout)
     hemm = DistributedHemm(Hd)
-    if precast:
-        for members in hemm.classes():
-            members.k.cast(Hd.local(*members.key), xdtype)
-    Y = hemm.apply(X, alpha=alpha, gamma=gamma, pipeline=True)
-    hemm.apply(Y, alpha=alpha, gamma=gamma, pipeline=True)
+    Y = hemm.apply(X, alpha=alpha, gamma=gamma)
+    hemm.apply(Y, alpha=alpha, gamma=gamma)
     return (list(g.cluster.clocks), g.comm_stats(), g.comm_stats_levels())
 
 
 @pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
-@pytest.mark.parametrize("chunks", [0, 3], ids=["blocking", "chunked"])
-@pytest.mark.parametrize("execution", list(_EXECUTIONS))
+@pytest.mark.parametrize("execution", list(_EXECUTIONS),
+                         ids=[f"{name}-blocking" for name in _EXECUTIONS])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
                          ids=["real", "complex"])
 def test_phantom_apply_is_charged_exactly_as_the_numeric_one(
-        dtype, execution, chunks, narrow):
+        dtype, execution, narrow):
     """The phantom replay and the numeric solve are one model: per
     apply, every rank clock and both CommStats views are equal bit for
-    bit, whatever the numerics do — except that a chunked narrow phantom
-    apply omits the one ``LocalKernels.cast`` of its H block per rank
-    (the wart pinned in ``DistributedHemm.apply``)."""
-    wart = bool(chunks) and narrow
+    bit, whatever the numerics do — in every cell of the lattice."""
     for backend, layout, (alpha, gamma) in itertools.product(
             (CommBackend.NCCL, CommBackend.MPI_STAGED), "CB",
             ((1.0, 0.0), (0.7, 0.3))):
-        cell = (dtype, execution, chunks, backend, layout, alpha, gamma, narrow)
-        numeric = _two_applies(False, *cell)
-        phantom = _two_applies(True, *cell)
-        assert phantom[1:] == numeric[1:], cell
-        assert (phantom[0] != numeric[0]) == wart, cell
-        if wart:
-            assert all(0.0 < a - b < 2e-5
-                       for a, b in zip(numeric[0], phantom[0])), cell
-            assert _two_applies(True, *cell, precast=True) == numeric, cell
+        cell = (dtype, execution, backend, layout, alpha, gamma, narrow)
+        assert _two_applies(True, *cell) == _two_applies(False, *cell), cell
 
 
 # ------------------------------------------------------- structural guard
 def test_hemm_has_one_driver():
-    """Each reduction call and each numeric kernel has one call site in
-    ``hemm.py``: a second apply path cannot grow back beside the first."""
+    """The one blocking reduction and each numeric kernel have one call
+    site in ``hemm.py`` and the nonblocking API none: a second apply
+    path cannot grow back beside the first."""
     tree = ast.parse(Path(repro.distributed.hemm.__file__).read_text())
     called = [
         getattr(node.func, "attr", None) or getattr(node.func, "id", None)
         for node in ast.walk(tree) if isinstance(node, ast.Call)
     ]
-    for name in ("allreduce", "iallreduce", "block_numeric",
+    for name in ("allreduce", "block_numeric",
                  "panel_cb_numeric", "panel_bc_numeric"):
         assert called.count(name) == 1, (name, called.count(name))
+    assert called.count("iallreduce") == 0

@@ -9,9 +9,8 @@ The guarantees pinned here:
   tolerance-independent accuracy floor, so tightening ``tol`` can only
   append fp64 iterations, never convert one back to fp32;
 * **narrow applies conserve bytes honestly**: wire bytes scale exactly
-  with the buffer width, the per-level (intra/inter) split always sums
-  to the byte total, and the chunked pipelined filter moves exactly the
-  blocking volume;
+  with the buffer width and the per-level (intra/inter) split always
+  sums to the byte total;
 * **chaos interplay**: fault plans with fp32 filtering armed never
   return silently wrong eigenpairs — a solve either matches the dense
   oracle at fp64 tolerance or raises;
@@ -107,20 +106,17 @@ def run_scenario(backend=CommBackend.NCCL, dtype=np.float64, tol=1e-10,
 
 
 # ------------------------------------------------------- fp64 bit-identity
-#: (dedup, fused, pipelined) — one representative per tier
+#: (dedup, fused) — one representative per tier
 TIERS = [
-    (False, False, False),
-    (True, False, False),
-    (True, True, False),
-    (True, False, True),
+    (False, False),
+    (True, False),
+    (True, True),
 ]
-TIER_IDS = ["seed", "dedup", "fused", "pipelined"]
+TIER_IDS = ["seed", "dedup", "fused"]
 
 
-def _run_tier(dedup, fused, pipelined, **kw):
-    return run_scenario(
-        numeric_dedup=dedup, hemm_fusion=fused,
-        pipeline_chunks=3 if pipelined else 0, **kw)
+def _run_tier(dedup, fused, **kw):
+    return run_scenario(numeric_dedup=dedup, hemm_fusion=fused, **kw)
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -236,12 +232,10 @@ def test_policy_rejects_sub_fp32_modes(token):
 
 
 # -------------------------------------------------- narrow byte accounting
-def _pipeline_bytes(x_dtype, chunks=0):
-    """Total allreduce bytes of one pipeline-eligible HEMM apply."""
+def _apply_bytes(x_dtype):
+    """Total allreduce bytes of one HEMM apply."""
     H = scenario_matrix()
-    cluster = VirtualCluster(
-        8, backend=CommBackend.NCCL,
-        config=ExecutionConfig(pipeline_chunks=chunks))
+    cluster = VirtualCluster(8, backend=CommBackend.NCCL)
     grid = Grid2D(cluster, 2, 4)
     Hd = DistributedHermitian.from_dense(grid, H)
     hemm = DistributedHemm(Hd)
@@ -249,7 +243,7 @@ def _pipeline_bytes(x_dtype, chunks=0):
     X = DistributedMultiVector.from_global(
         grid, rng.standard_normal((N, 12)).astype(x_dtype), Hd.rowmap, "C"
     )
-    hemm.apply(X, pipeline=True)
+    hemm.apply(X)
     total = 0.0
     levels_ok = True
     for comm in [grid.col_comm(j) for j in range(grid.q)] + \
@@ -261,14 +255,9 @@ def _pipeline_bytes(x_dtype, chunks=0):
     return total
 
 
-def test_narrow_apply_halves_wire_bytes_and_chunks_conserve_them():
-    """Narrow buffers halve the wire, and chunked nonblocking reductions
-    move exactly the blocking volume."""
-    b64 = _pipeline_bytes(np.float64)
-    b32 = _pipeline_bytes(np.float32)
-    assert b32 == 0.5 * b64
-    assert _pipeline_bytes(np.float32, chunks=3) == \
-        pytest.approx(b32, rel=0, abs=1e-6)
+def test_narrow_apply_halves_wire_bytes():
+    """Narrow buffers halve the wire."""
+    assert _apply_bytes(np.float32) == 0.5 * _apply_bytes(np.float64)
 
 
 def test_fp32_solve_byte_reduction():

@@ -111,23 +111,6 @@ CASES = {
         N=1003, nev=60, nex=20,
         trace=_trace(80, qr=(MIXED_VARIANT,) * 3 + ("CholeskyQR1",) * 4,
                      cond=100.0)),
-    "pipelined_3x3_staged": lambda: _replay(
-        VirtualCluster(9, backend=CommBackend.MPI_STAGED, phantom=True,
-                       config=ExecutionConfig(pipeline_chunks=4)),
-        N=1000, nev=60, nex=20),
-    "pipelined_2x3_nccl": lambda: _replay(
-        VirtualCluster(6, phantom=True,
-                       config=ExecutionConfig(pipeline_chunks=4)),
-        N=1000, nev=60, nex=20, p=2, q=3, dtype=np.float64,
-        slow={4: 1.7}),
-    # phantom pipelined applies never charge the H-block cast (numeric
-    # ones do, when their numerics first touch the block): pinned as is
-    "pipelined_fp32_2x2": lambda: _replay(
-        VirtualCluster(4, phantom=True,
-                       config=ExecutionConfig(pipeline_chunks=2,
-                                              filter_dtype="fp32")),
-        N=1001, nev=60, nex=20, dtype=np.float64,
-        trace=_trace(80, cond=100.0)),
     "hierarchical_fattree_4x4": lambda: _replay(
         VirtualCluster(16, ranks_per_node=2, phantom=True,
                        topology=FatTree(8, nodes_per_leaf=2),

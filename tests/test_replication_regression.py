@@ -111,67 +111,31 @@ def test_model_bit_identical_complex(scheme):
     assert s1 == s0
 
 
-def _bytes_only(comm_stats):
-    """Drop the collective/message counts — those legitimately grow by
-    the chunk factor under pipelining; the byte volume must not."""
-    return [(kind, idx, b) for kind, idx, _c, _m, b in comm_stats]
-
-
-@pytest.mark.parametrize("backend", [CommBackend.NCCL, CommBackend.MPI_STAGED])
-@pytest.mark.parametrize("dedup", [True, False])
-@pytest.mark.parametrize("fused", [True, False])
-def test_pipelined_filter_regression(dedup, fused, backend):
-    """The chunked nonblocking filter across the tier matrix.
-
-    Within every {dedup} x {fusion} tier and backend, pipelining must
-    keep convergence, eigenvalues and per-communicator byte volumes
-    bit-identical while never increasing the makespan (and strictly
-    decreasing it whenever the backend grants any overlap)."""
-    r0, s0, t0, c0 = run_scenario(dedup, "new", backend, np.float64,
-                                  hemm_fusion=fused)
-    r1, s1, t1, c1 = run_scenario(dedup, "new", backend, np.float64,
-                                  hemm_fusion=fused, pipeline_chunks=3)
-
-    assert r1.converged and r0.converged
-    assert r1.iterations == r0.iterations
-    np.testing.assert_array_equal(r1.eigenvalues, r0.eigenvalues)
-    np.testing.assert_array_equal(r1.eigenvectors, r0.eigenvectors)
-    assert _bytes_only(s1) == _bytes_only(s0)
-    # both backends model a nonzero overlap efficiency: strictly faster
-    assert r1.makespan < r0.makespan
-    # the non-filter phases are untouched by the pipeline toggle
-    for phase in t0:
-        if phase != "Filter":
-            assert t1[phase] == t0[phase], f"phase {phase!r} drifted"
-
-
 # ------------------------------------------------------------------ faults
 # The fault subsystem (DESIGN.md §5f) must be invisible when disabled and
 # tier-invariant when enabled: the same fault plan must produce the same
 # deterministic recovery trajectory on every tier whose modeled charges
-# are bit-identical, and the same *solver-level* trajectory on tiers that
-# only reshape the modeled time.
+# are bit-identical, and the same *solver-level* trajectory on the fused
+# tier, whose numerics match only to rounding.
 
-#: (dedup, fused, pipelined) — one representative per tier
+#: (dedup, fused) — one representative per tier
 FAULT_TIERS = [
-    (False, False, False),
-    (True, False, False),
-    (True, True, False),
-    (True, False, True),
+    (False, False),
+    (True, False),
+    (True, True),
 ]
 
 
-def _run_tier(dedup, fused, pipelined, solver_kw=None):
+def _run_tier(dedup, fused, solver_kw=None):
     return run_scenario(
         dedup, "new", CommBackend.NCCL, np.float64, solver_kw=solver_kw,
-        hemm_fusion=fused, pipeline_chunks=3 if pipelined else 0)
+        hemm_fusion=fused)
 
 
-@pytest.mark.parametrize("tier", FAULT_TIERS,
-                         ids=["seed", "dedup", "fused", "pipelined"])
+@pytest.mark.parametrize("tier", FAULT_TIERS, ids=["seed", "dedup", "fused"])
 def test_faults_disabled_bit_identical_on_every_tier(tier):
     """Constructing the solver with the fault machinery explicitly off
-    must be bit-identical to the plain constructor on all four tiers:
+    must be bit-identical to the plain constructor on all three tiers:
     the hooks short-circuit without touching numerics or charges."""
     r0, s0, t0, c0 = _run_tier(*tier)
     r1, s1, t1, c1 = _run_tier(
@@ -221,16 +185,12 @@ def test_fault_trajectory_bit_identical_with_and_without_dedup():
     assert t1["Recovery"] == t0["Recovery"]
 
 
-@pytest.mark.parametrize("tier, exact", [
-    (FAULT_TIERS[2], False),   # fused: panel fusion reorders accumulation
-    (FAULT_TIERS[3], True),    # pipelined: chunking is numerics-neutral
-], ids=["fused", "pipelined"])
-def test_iteration_keyed_faults_tier_invariant(tier, exact):
-    """Tiers that reshape modeled time (fusion, pipelining)
-    still replay an iteration-keyed plan identically: the solver-level
-    trajectory and per-communicator byte volumes match the dedup tier.
-    Eigenvalues are bit-identical on numerics-neutral tiers and agree to
-    roundoff where panel fusion reorders the accumulation."""
+@pytest.mark.parametrize("tier", [FAULT_TIERS[2]], ids=["fused"])
+def test_iteration_keyed_faults_tier_invariant(tier):
+    """A tier whose numerics differ from dedup's replays an
+    iteration-keyed plan exactly as the dedup tier does: same
+    solver-level trajectory and CommStats; eigenvalues agree to roundoff
+    (panel fusion reorders the accumulation)."""
     plan = FaultPlan(events=(
         FaultEvent(FaultKind.BIT_CORRUPTION, rank=1, iteration=1, seed=77),
         FaultEvent(FaultKind.KERNEL_CRASH, rank=3, iteration=2),
@@ -242,9 +202,6 @@ def test_iteration_keyed_faults_tier_invariant(tier, exact):
     assert r1.recoveries == r0.recoveries >= 1
     assert r1.checkpoints == r0.checkpoints
     assert r1.iterations == r0.iterations
-    if exact:
-        np.testing.assert_array_equal(r1.eigenvalues, r0.eigenvalues)
-        assert _bytes_only(s1) == _bytes_only(s0)
-    else:
-        np.testing.assert_allclose(
-            r1.eigenvalues, r0.eigenvalues, rtol=0, atol=1e-10)
+    assert s1 == s0
+    np.testing.assert_allclose(
+        r1.eigenvalues, r0.eigenvalues, rtol=0, atol=1e-10)

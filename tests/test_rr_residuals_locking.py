@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.locking import plan_locking
+from repro import ChaseConfig, ChaseSolver, chase_serial
+from repro.core.locking import plan_locking, wanted_locked
 from repro.core.qr import QRReport, cholesky_qr
 from repro.core.rayleigh_ritz import rayleigh_ritz
 from repro.core.residuals import residuals
@@ -13,6 +14,8 @@ from repro.distributed import (
     DistributedHermitian,
     DistributedMultiVector,
 )
+from repro.matrices import (
+    bse_spectrum, dft_spectrum, matrix_with_spectrum, uniform_spectrum)
 from tests.conftest import make_grid
 
 
@@ -161,3 +164,46 @@ class TestLocking:
         newly = r.perm[locked : locked + r.new_converged]
         assert np.all(resd[newly] < 0.5)
         assert r.locked == locked + r.new_converged
+
+
+class TestWantedLocked:
+    """The stop test: ``nev`` locked is not enough, the ``nev`` *lowest*
+    Ritz values must be the locked ones."""
+
+    @pytest.mark.parametrize("ritzv, locked, done", [
+        ([0.1, 0.2, 0.3, 0.4, 0.5], 2, False),   # fewer than nev locked
+        ([0.3, 0.1, 0.2, 0.5, 0.4], 5, True),    # all ne locked
+        ([0.1, 0.2, 0.4, 0.3, 0.5], 3, False),   # wanted 0.3 still active
+        ([0.1, 0.3, 0.2, 0.6, 0.5], 4, True),    # only an extra is active
+    ])
+    def test_stop_only_on_the_nev_lowest(self, ritzv, locked, done):
+        assert wanted_locked(np.array(ritzv), locked, nev=3) is done
+
+
+# every case returned a converged *extra* in place of a wanted pair that
+# missed tol by a hair, while the loop stopped at ``locked >= nev``
+_WRONG_AT_PR20 = [
+    (uniform_spectrum, 400, 59), (uniform_spectrum, 400, 66),
+    (uniform_spectrum, 400, 71), (dft_spectrum, 300, 18),
+    (bse_spectrum, 300, 16),
+]
+
+
+@pytest.mark.parametrize("distributed", [False, True],
+                         ids=["chase_serial", "ChaseSolver_2x2"])
+@pytest.mark.parametrize(
+    "spectrum, n, seed", _WRONG_AT_PR20,
+    ids=[f"{f.__name__}-{n}-{s}" for f, n, s in _WRONG_AT_PR20])
+def test_solve_returns_the_nev_lowest_eigenpairs(spectrum, n, seed, distributed):
+    H = matrix_with_spectrum(spectrum(n), rng=np.random.default_rng(seed))
+    cfg = ChaseConfig(nev=n // 10, nex=n // 20)
+    rng = np.random.default_rng(seed + 1)
+    if distributed:
+        g = make_grid(4, p=2, q=2)
+        res = ChaseSolver(
+            g, DistributedHermitian.from_dense(g, H), cfg).solve(rng=rng)
+    else:
+        res = chase_serial(H, cfg, rng=rng)
+    assert res.converged
+    np.testing.assert_allclose(
+        res.eigenvalues, np.linalg.eigvalsh(H)[:cfg.nev], rtol=0, atol=1e-8)

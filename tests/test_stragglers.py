@@ -14,14 +14,12 @@ from repro import ChaseConfig, ChaseSolver, ConvergenceTrace
 from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.runtime import (
-    CommBackend, Communicator, CostCategory, ExecutionConfig, VirtualCluster)
+    CommBackend, Communicator, CostCategory, VirtualCluster)
 from tests.conftest import make_grid
 
 
-def _phantom_run(slowdowns: dict[int, float] | None = None, *,
-                 pipeline: bool = False):
-    g = make_grid(4, phantom=True, config=ExecutionConfig(
-        pipeline_chunks=4 if pipeline else 0))
+def _phantom_run(slowdowns: dict[int, float] | None = None):
+    g = make_grid(4, phantom=True)
     for rid, f in (slowdowns or {}).items():
         g.cluster.ranks[rid].slowdown = f
     Hd = DistributedHermitian.phantom(g, 20_000, np.float64)
@@ -83,7 +81,8 @@ class TestStragglers:
 
 
 class TestStragglerPipeline:
-    """Stragglers composed with the nonblocking pipelined filter.
+    """Stragglers composed with a nonblocking collective (the kept
+    ``Communicator.iallreduce`` API, DESIGN.md §5d).
 
     A slow rank adds *compute*; with full overlap efficiency the extra
     compute hides more of the in-flight collective — the delay is
@@ -121,25 +120,3 @@ class TestStragglerPipeline:
             mk, *_ = self._delayed_allreduce(slack + beyond)
             # past the slack the makespan grows 1:1 with the delay
             assert mk == pytest.approx(d + beyond)
-
-    def test_pipeline_still_helps_with_straggler(self):
-        blk, _ = _phantom_run({2: 1.5})
-        pipe, _ = _phantom_run({2: 1.5}, pipeline=True)
-        assert pipe.makespan < blk.makespan
-
-    def test_straggler_numerics_unchanged_by_pipeline(self, rng):
-        H = uniform_matrix(120, rng=rng)
-        cfg = ChaseConfig(nev=6, nex=4)
-        V0 = np.random.default_rng(8).standard_normal((120, 10))
-        g1 = make_grid(4)
-        g1.cluster.ranks[3].slowdown = 2.0
-        r1 = ChaseSolver(
-            g1, DistributedHermitian.from_dense(g1, H), cfg
-        ).solve(V0=V0, rng=np.random.default_rng(1))
-        g2 = make_grid(4, config=ExecutionConfig(pipeline_chunks=3))
-        g2.cluster.ranks[3].slowdown = 2.0
-        r2 = ChaseSolver(
-            g2, DistributedHermitian.from_dense(g2, H), cfg
-        ).solve(V0=V0, rng=np.random.default_rng(1))
-        np.testing.assert_array_equal(r1.eigenvalues, r2.eigenvalues)
-        assert r2.makespan < r1.makespan
