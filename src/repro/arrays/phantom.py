@@ -41,17 +41,9 @@ class PhantomArray:
             raise ValueError(f"negative dimension in shape {shape}")
 
     @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
     def size(self) -> int:
         return math.prod(self.shape)
 
     @property
     def itemsize(self) -> int:
         return self.dtype.itemsize
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.itemsize

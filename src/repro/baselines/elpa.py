@@ -95,10 +95,3 @@ class ElpaModel:
         B = panel_share * flops / (m.gpus_per_node * panel_rate)
         C = (N / ELPA_NB) * panel_sync
         return A / nodes + B / math.sqrt(nodes) + C
-
-    def speedup(self, N: int, nev: int, nodes_from: int, nodes_to: int) -> float:
-        """Modeled strong-scaling speedup between two node counts."""
-        return self.time_to_solution(N, nev, nodes_from) / self.time_to_solution(
-            N, nev, nodes_to
-        )
-

@@ -282,15 +282,6 @@ class CampaignDB:
                 n += 1
         return n
 
-    def reset_failed(self, campaign: str | None = None) -> int:
-        """FAILED -> PENDING so the next run retries the crashes."""
-        n = 0
-        for row in self.rows(campaign):
-            if row.state is RunState.FAILED:
-                self.transition(row.hash, RunState.PENDING)
-                n += 1
-        return n
-
     # ----------------------------------------------------------------- meta
     def set_meta(self, campaign: str, key: str, value: Any) -> None:
         self._conn.execute(

@@ -8,9 +8,9 @@ order, recording every outcome in the
 * a run that raises is recorded FAILED with its typed error — the
   campaign keeps going;
 * on resume, DONE rows whose config hash still matches are skipped —
-  and the harness proves that skip is equivalent to re-running
-  (:meth:`CampaignRunner.force_execute` re-executes a stored config
-  without touching the DB, so tests can compare bit-exactly);
+  and the tests prove that skip is equivalent to re-running
+  (:func:`execute_run` on a stored config touches no DB, so its result
+  compares bit-exactly with the stored one);
 * an interrupt (``interrupt_after``) raises
   :class:`CampaignInterrupted`, so a kill mid-campaign looks exactly
   like a dead process — rows stuck RUNNING, everything after them
@@ -399,12 +399,3 @@ class CampaignRunner:
             resumed_skips=resumed_skips,
             recovered=recovered,
         )
-
-    # -------------------------------------------------------- force re-run
-    def force_execute(self, run_hash: str) -> dict[str, Any]:
-        """Re-execute a stored config WITHOUT touching the DB.
-
-        The skip-equals-run proof: for a DONE row, the canonical JSON
-        of this result must equal the stored one bit-exactly.
-        """
-        return execute_run(self.db.config(run_hash))

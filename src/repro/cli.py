@@ -49,6 +49,21 @@ from repro.runtime.transport import BACKEND_TOKENS, split_backend
 _COLL_ALGOS = tuple(a.value for a in CollectiveAlgo)
 
 
+def _bounded(kind, ok, need: str):
+    """An argparse type: ``kind(text)``, refused with a usage error
+    (exit 2) unless ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {need}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_RANKS = _bounded(int, lambda v: v >= 1, "need at least one rank")
+
+
 def _precision_line(res) -> str:
     """What a requested fp32 filter actually did (DESIGN.md §5g)."""
     from repro.core.precision import DEFAULT_COND_LIMIT
@@ -550,14 +565,15 @@ def _cmd_campaign(args) -> int:
         Path(args.spec).with_suffix(".sqlite")
 
     if args.action == "run":
-        runner = CampaignRunner(
-            spec, CampaignDB(db_path), interrupt_after=args.interrupt_after)
-        try:
-            stats = runner.run(only=args.only)
-        except CampaignInterrupted as exc:
-            print(f"campaign {spec.name!r}: {exc} — resume with the "
-                  f"same command (db: {db_path})")
-            return 3
+        with CampaignDB(db_path) as db:
+            runner = CampaignRunner(
+                spec, db, interrupt_after=args.interrupt_after)
+            try:
+                stats = runner.run(only=args.only)
+            except CampaignInterrupted as exc:
+                print(f"campaign {spec.name!r}: {exc} — resume with the "
+                      f"same command (db: {db_path})")
+                return 3
         print(
             f"campaign {spec.name!r}: {stats.executed} executed, "
             f"{stats.resumed_skips} skipped as DONE, "
@@ -611,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use a (scaled) Table 1 problem instead of Uniform")
     s.add_argument("--distributed", action="store_true",
                    help="run on the simulated cluster")
-    s.add_argument("--ranks", type=int, default=4)
+    s.add_argument("--ranks", type=_RANKS, default=4)
     s.add_argument("--backend", choices=BACKEND_TOKENS, default="nccl",
                    help="communication model (nccl/mpi/mpi-host) or "
                         "execution transport (orchestrated/mp; models "
@@ -642,9 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--faults", type=int, default=None, metavar="SEED",
                    help="arm a seeded random fault plan on the simulated "
                         "cluster (requires --distributed; DESIGN.md §5f)")
-    s.add_argument("--fault-events", type=int, default=4,
+    s.add_argument("--fault-events", default=4,
+                   type=_bounded(int, lambda v: v >= 0, "must be >= 0"),
                    help="events in the random fault plan (default 4)")
-    s.add_argument("--fault-horizon", type=float, default=0.01,
+    s.add_argument("--fault-horizon", default=0.01,
+                   type=_bounded(float, lambda v: v > 0, "must be > 0"),
                    help="model-time horizon in seconds over which "
                         "comm-level fault events are scheduled")
     s.add_argument("--checkpoint", type=int, default=None, metavar="K",
@@ -670,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank simulated configurations by modeled makespan "
              "(grid shape x collective algo x fusion)",
     )
-    s.add_argument("--ranks", type=int, default=8)
+    s.add_argument("--ranks", type=_RANKS, default=8)
     s.add_argument("--n", type=int, default=800, help="matrix size")
     s.add_argument("--nev", type=int, default=96)
     s.add_argument("--nex", type=int, default=32)
@@ -693,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", default=None, metavar="FILE",
                    help="jobs file (JSON; YAML when PyYAML is available) "
                         "— see docs/usage.md for the schema")
-    s.add_argument("--ranks", type=int, default=8,
+    s.add_argument("--ranks", type=_RANKS, default=8,
                    help="total simulated ranks across all shards")
     s.add_argument("--shards", type=int, default=2,
                    help="disjoint cluster partitions (one job each)")

@@ -128,10 +128,6 @@ class PrecisionPolicy:
         self.promotions: list[tuple[str, str, str]] = []
         self._prev_min_resd: float | None = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.mode == "fp32"
-
     def _promote(self, reason: str) -> None:
         self.promoted = True
         self.promote_reason = reason

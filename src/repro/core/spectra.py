@@ -19,20 +19,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "interval_params",
     "map_to_reference",
     "growth_factor",
-    "cheb_t",
     "required_degree",
 ]
-
-
-def interval_params(b_sup: float, mu_ne: float) -> tuple[float, float]:
-    """Filter interval center/half-width: ``c = (b+a)/2``, ``e = (b-a)/2``
-    for the damped interval ``[a, b] = [mu_ne, b_sup]``."""
-    if not b_sup > mu_ne:
-        raise ValueError(f"need b_sup > mu_ne, got {b_sup} <= {mu_ne}")
-    return (b_sup + mu_ne) / 2.0, (b_sup - mu_ne) / 2.0
 
 
 def map_to_reference(lam, c: float, e: float):
@@ -53,27 +43,6 @@ def growth_factor(t) -> np.ndarray:
     a = np.abs(t)
     out = np.where(a <= 1.0, 1.0, a + np.sqrt(np.maximum(a * a - 1.0, 0.0)))
     return out if out.ndim else float(out)
-
-def cheb_t(m: int, t) -> np.ndarray:
-    """``T_m(t)`` evaluated stably for any real ``t``.
-
-    Uses ``cos(m arccos t)`` inside the reference interval and
-    ``cosh(m arccosh |t|)`` (with sign) outside.
-    """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    inside = np.abs(t) <= 1.0
-    out[inside] = np.cos(m * np.arccos(t[inside]))
-    tout = t[~inside]
-    sign = np.where((tout < -1.0) & (m % 2 == 1), -1.0, 1.0)
-    # clamp the exponent to avoid overflow; amplification beyond 1e300
-    # is indistinguishable for our purposes
-    x = m * np.arccosh(np.abs(tout))
-    out[~inside] = sign * np.cosh(np.minimum(x, 690.0))
-    return out if out.ndim else float(out)
-
 
 def required_degree(
     res: float, tol: float, rho: float, *, min_deg: int = 2, max_deg: int = 36

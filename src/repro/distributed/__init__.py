@@ -2,8 +2,8 @@
 
 Implements the paper's data decomposition (Sec. 2.2 / 3.1):
 
-* ``H`` lives on the 2D grid in block (or block-cyclic) fashion,
-  local block ``n_r x n_c`` per rank;
+* ``H`` lives on the 2D grid in block fashion, local block
+  ``n_r x n_c`` per rank;
 * ``C``/``C2`` (``n_r x ne``) are row-distributed **within each column
   communicator** and replicated across columns;
 * ``B``/``B2`` (``n_c x ne``) are row-distributed **within each row
@@ -12,7 +12,7 @@ Implements the paper's data decomposition (Sec. 2.2 / 3.1):
   the two layouts without any re-distribution of the vectors.
 """
 
-from repro.distributed.block import BlockMap1D, BlockCyclicMap1D, overlap_pairs
+from repro.distributed.block import BlockMap1D
 from repro.distributed.hermitian import DistributedHermitian
 from repro.distributed.multivector import DistributedMultiVector, Operand
 from repro.distributed.hemm import DistributedHemm
@@ -20,8 +20,6 @@ from repro.distributed.redistribute import redistribute_c_to_b, redistribute_b_t
 
 __all__ = [
     "BlockMap1D",
-    "BlockCyclicMap1D",
-    "overlap_pairs",
     "DistributedHermitian",
     "DistributedMultiVector",
     "Operand",

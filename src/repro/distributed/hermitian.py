@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.block import BlockCyclicMap1D, BlockMap1D
+from repro.distributed.block import BlockMap1D
 from repro.runtime.grid import Grid2D
 
 __all__ = ["DistributedHermitian", "global_indices"]
@@ -16,12 +16,7 @@ __all__ = ["DistributedHermitian", "global_indices"]
 
 def global_indices(index_map, part: int) -> np.ndarray:
     """The global indices owned by ``part``, in local order."""
-    idx = np.empty(index_map.local_size(part), dtype=np.int64)
-    for seg in index_map.segments(part):
-        idx[seg.local_start : seg.local_start + seg.length] = np.arange(
-            seg.global_start, seg.global_stop
-        )
-    return idx
+    return np.arange(*index_map.range_of(part), dtype=np.int64)
 
 
 _PANEL_ELEMS = 1 << 20  # elements of ``H`` the Hermitian check reads at once
@@ -41,8 +36,8 @@ class DistributedHermitian:
     """``H`` distributed over a ``p x q`` grid.
 
     Rank ``(i, j)`` owns the local block with rows ``rowmap`` part ``i``
-    and columns ``colmap`` part ``j`` (size ``n_r x n_c``).  Both block
-    and block-cyclic maps are supported (paper Sec. 2.2).
+    and columns ``colmap`` part ``j``: the block distribution of paper
+    Sec. 2.2.
     """
 
     def __init__(self, grid: Grid2D, N: int, rowmap, colmap, blocks, dtype):
@@ -55,34 +50,21 @@ class DistributedHermitian:
 
     # -- constructors -----------------------------------------------------------
     @classmethod
-    def from_dense(
-        cls,
-        grid: Grid2D,
-        H: np.ndarray,
-        block_size: int | None = None,
-    ) -> "DistributedHermitian":
-        """Distribute a dense Hermitian matrix (numeric mode).
-
-        ``block_size=None`` selects the block distribution; otherwise a
-        block-cyclic distribution with blocks of ``block_size``.
-        """
+    def from_dense(cls, grid: Grid2D, H: np.ndarray) -> "DistributedHermitian":
+        """Distribute a dense Hermitian matrix (numeric mode)."""
         H = np.asarray(H)
         N = H.shape[0]
         if H.shape != (N, N):
             raise ValueError("H must be square")
         _check_hermitian(H)
-        if block_size is None:
-            rowmap = BlockMap1D(N, grid.p)
-            colmap = BlockMap1D(N, grid.q)
-        else:
-            rowmap = BlockCyclicMap1D(N, grid.p, block_size)
-            colmap = BlockCyclicMap1D(N, grid.q, block_size)
+        rowmap = BlockMap1D(N, grid.p)
+        colmap = BlockMap1D(N, grid.q)
         blocks = {}
         for i in range(grid.p):
-            ri = global_indices(rowmap, i)
+            rows = slice(*rowmap.range_of(i))
             for j in range(grid.q):
-                cj = global_indices(colmap, j)
-                blocks[(i, j)] = np.ascontiguousarray(H[np.ix_(ri, cj)])
+                cols = slice(*colmap.range_of(j))
+                blocks[(i, j)] = np.ascontiguousarray(H[rows, cols])
         return cls(grid, N, rowmap, colmap, blocks, H.dtype)
 
     @classmethod
@@ -99,18 +81,11 @@ class DistributedHermitian:
     def local(self, i: int, j: int):
         return self.blocks[(i, j)]
 
-    def n_r(self, i: int) -> int:
-        return self.rowmap.local_size(i)
-
-    def n_c(self, j: int) -> int:
-        return self.colmap.local_size(j)
-
     def to_dense(self) -> np.ndarray:
         """Reassemble the global matrix (numeric mode; validation only)."""
         H = np.zeros((self.N, self.N), dtype=self.dtype)
         for i in range(self.grid.p):
-            ri = global_indices(self.rowmap, i)
+            rows = slice(*self.rowmap.range_of(i))
             for j in range(self.grid.q):
-                cj = global_indices(self.colmap, j)
-                H[np.ix_(ri, cj)] = self.blocks[(i, j)]
+                H[rows, slice(*self.colmap.range_of(j))] = self.blocks[(i, j)]
         return H

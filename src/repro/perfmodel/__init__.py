@@ -21,7 +21,6 @@ from repro.perfmodel.machine import (
     DeviceSpec,
     LinkSpec,
     juwels_booster,
-    laptop_cpu,
 )
 from repro.perfmodel.kernels import (
     gemm_flops,
@@ -61,7 +60,6 @@ __all__ = [
     "DeviceSpec",
     "LinkSpec",
     "juwels_booster",
-    "laptop_cpu",
     "gemm_flops",
     "syrk_flops",
     "potrf_flops",

@@ -26,8 +26,6 @@ __all__ = [
     "trsm_flops",
     "geqrf_flops",
     "heevd_flops",
-    "axpy_flops",
-    "norm_flops",
     "KernelTimeModel",
 ]
 
@@ -115,14 +113,6 @@ def geqrf_flops(m: int, n: int, dtype=np.float64) -> float:
 def heevd_flops(n: int, dtype=np.float64) -> float:
     """Full Hermitian eigendecomposition (values + vectors), D&C estimate."""
     return (4.0 * n**3 / 3.0 + 8.0 * n**3 / 3.0) * complex_factor(dtype)
-
-
-def axpy_flops(n: int, dtype=np.float64) -> float:
-    return 2.0 * n * complex_factor(dtype)
-
-
-def norm_flops(n: int, dtype=np.float64) -> float:
-    return 2.0 * n * complex_factor(dtype)
 
 
 # kernel kind -> which DeviceSpec rate bounds it

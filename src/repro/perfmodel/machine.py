@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["DeviceSpec", "LinkSpec", "MachineSpec", "juwels_booster", "laptop_cpu"]
+__all__ = ["DeviceSpec", "LinkSpec", "MachineSpec", "juwels_booster"]
 
 
 @dataclass(frozen=True)
@@ -140,36 +140,4 @@ def juwels_booster() -> MachineSpec:
         shm_mpi=LinkSpec("SHM-MPI", latency=2e-6, bandwidth=18e9),
         ib_mpi=LinkSpec("HDR200-MPI", latency=6e-6, bandwidth=9e9),
         ib_nccl=LinkSpec("HDR200-NCCL", latency=8e-6, bandwidth=12e9),
-    )
-
-
-def laptop_cpu() -> MachineSpec:
-    """A small CPU-only machine model, useful in tests: 1 'GPU' per node
-    that is really a CPU share, cheap links.  Keeps the runtime code path
-    identical while making modeled times easy to reason about."""
-    dev = DeviceSpec(
-        name="cpu-core",
-        gemm_rate=50e9,
-        level3_rate=30e9,
-        factor_rate=15e9,
-        geqrf_rate=10e9,
-        blas1_bandwidth=10e9,
-        launch_overhead=1e-7,
-        eff_half_flops=1e6,
-        memory_bytes=8 * 1024**3,
-    )
-    link = LinkSpec("shm", latency=1e-6, bandwidth=10e9)
-    return MachineSpec(
-        name="laptop",
-        gpus_per_node=1,
-        gpu=dev,
-        cpu=dev,
-        pcie=LinkSpec("copy", latency=1e-7, bandwidth=20e9),
-        nvlink=link,
-        shm_mpi=link,
-        ib_mpi=link,
-        ib_nccl=link,
-        max_nodes=1024,
-        mpi_call_overhead=2e-6,
-        nccl_call_overhead=1e-6,
     )

@@ -452,11 +452,6 @@ class VirtualCluster:
         """Current parallel time: the furthest-ahead rank clock."""
         return float(self.clocks[self._live].max())
 
-    def reset_clocks(self) -> None:
-        """Zero every rank clock and clear the tracer (fresh experiment)."""
-        self.clocks[self._live] = 0.0
-        self.tracer.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"VirtualCluster({self.n_ranks} ranks on {self.n_nodes} nodes, "

@@ -216,6 +216,13 @@ class FaultPlan:
         """
         if n_ranks < 1:
             raise ValueError("need at least one rank")
+        if n_events < 0:
+            raise ValueError(f"n_events must be >= 0, got {n_events}")
+        if not horizon > 0:
+            raise ValueError(f"horizon must be > 0, got {horizon}")
+        if max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be >= 1, got {max_iterations}")
         rng = np.random.default_rng(seed)
         kinds = [
             FaultKind.COLLECTIVE_TRANSIENT,
@@ -376,17 +383,8 @@ class FaultInjector:
             return ev
         return None
 
-    # -- reporting -------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Events not yet fired."""
-        return (
-            len(self._deaths) + len(self._transients) + len(self._slowdowns)
-            + len(self._corruptions) + len(self._crashes)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FaultInjector({len(self.plan)} events, {self.pending} pending, "
+            f"FaultInjector({len(self.plan)} events, "
             f"dead={sorted(self.dead)}, recoveries={self.recoveries})"
         )

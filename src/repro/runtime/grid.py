@@ -117,11 +117,6 @@ class Grid2D:
                      for j in range(self.q))
 
     @property
-    def is_square(self) -> bool:
-        """True for p == q — ChASE's optimal configuration (Sec. 3.1)."""
-        return self.p == self.q
-
-    @property
     def ranks(self) -> list[RankContext]:
         return self.cluster.ranks
 
@@ -254,13 +249,6 @@ class Grid2D:
         solver's recovery path does that from its last checkpoint.
         """
         return Grid2D(self.cluster.shrink(dead_ranks))
-
-    def dead_ranks(self) -> tuple[int, ...]:
-        """Rank ids whose scheduled death has fired (empty when no injector)."""
-        inj = self.cluster.faults
-        if inj is None:
-            return ()
-        return tuple(sorted(inj.dead))
 
     def comm_stats(self) -> tuple:
         """CommStats tuples of every row then column communicator.

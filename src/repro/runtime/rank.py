@@ -127,9 +127,6 @@ class RankGroup:
     def stage_d2h(self, nbytes: float) -> None:
         self.stage(nbytes, "d2h")
 
-    def stage_h2d(self, nbytes: float) -> None:
-        self.stage(nbytes, "h2d")
-
 
 class RankContext(RankGroup):
     """One simulated MPI rank: a single-id view of its cluster's state.

@@ -33,9 +33,7 @@ class PhaseBreakdown:
     clock); ``comm_hidden`` is communication a nonblocking collective
     progressed behind compute (DESIGN.md §5d).  ``total`` remains the
     wall-clock contribution — compute + exposed comm + datamove — so
-    hidden communication never inflates the critical path; ``comm_total``
-    is the full communication volume, equal to the blocking-mode ``comm``
-    of the same collective sequence.
+    hidden communication never inflates the critical path.
     """
 
     phase: str
@@ -49,23 +47,6 @@ class PhaseBreakdown:
     def total(self) -> float:
         return self.compute + self.comm + self.datamove + self.recovery
 
-    @property
-    def comm_total(self) -> float:
-        """Exposed + hidden communication of the critical rank."""
-        return self.comm + self.comm_hidden
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "phase": self.phase,
-            "compute": self.compute,
-            "comm": self.comm,
-            "datamove": self.datamove,
-            "comm_hidden": self.comm_hidden,
-            "recovery": self.recovery,
-            "total": self.total,
-        }
-
-
 #: the clock-advancing categories, in the one order their sum is taken
 _ADVANCING = tuple(
     c for c in CostCategory if c is not CostCategory.COMM_HIDDEN)
@@ -77,12 +58,10 @@ class Tracer:
     One row — a float64 vector of seconds indexed by rank id — per
     (phase, category), created at the phase's first charge.  A cluster
     builds ``Tracer(n_ranks)`` and the cluster's charge methods add to
-    :meth:`row` for rank groups or the whole grid; a standalone
-    ``Tracer()`` takes arbitrary rank ids through :meth:`add`, its rows
-    growing on demand.
+    :meth:`row` for rank groups or the whole grid.
     """
 
-    def __init__(self, n_ranks: int = 0) -> None:
+    def __init__(self, n_ranks: int) -> None:
         self._n_ranks = int(n_ranks)
         # phase -> (categories x ranks) array: one row per category, by
         # CostCategory.slot
@@ -117,24 +96,13 @@ class Tracer:
                 np.zeros((len(CostCategory), self._n_ranks)))
         return self._current[category.slot]
 
-    def add(self, rank_id: int, category: CostCategory, dt: float) -> None:
-        if dt < 0:
-            raise ValueError("negative cost charge")
-        row = self.row(category)
-        if rank_id >= len(row):
-            grown = np.zeros((len(CostCategory), rank_id + 1))
-            grown[:, :len(row)] = self._current
-            self._current = self._rows[self.current_phase] = grown
-            row = grown[category.slot]
-        row[rank_id] += dt
-
     # -- reporting ---------------------------------------------------------------
     def phases(self) -> list[str]:
         return list(self._rows)
 
     def rank_total(self, rank_id: int, phase: str, category: CostCategory) -> float:
         rows = self._rows.get(phase)
-        if rows is None or rank_id >= rows.shape[1]:
+        if rows is None:
             return 0.0
         return float(rows[category.slot, rank_id])
 
@@ -167,7 +135,3 @@ class Tracer:
         if phase is not None:
             return self.breakdown(phase).total
         return sum(self.breakdown(ph).total for ph in self.phases())
-
-    def reset(self) -> None:
-        self._rows.clear()
-        self._current = None

@@ -176,14 +176,6 @@ class Scheduler:
         self._by_id[job.job_id] = rec
         return rec
 
-    def cancel(self, job_id: str) -> JobRecord:
-        """Cancel a not-yet-running job (no-op error if already running
-        or terminal — the virtual timeline has no preemption)."""
-        rec = self._by_id[job_id]
-        rec.transition(JobState.CANCELLED)  # raises unless PENDING/SCHEDULED
-        rec.error = "cancelled by caller"
-        return rec
-
     # ---------------------------------------------------------- the loop
     def _dep_record(self, rec: JobRecord) -> JobRecord | None:
         """The record of the previous sequence step, if it was admitted."""

@@ -43,7 +43,7 @@ from repro.runtime.backend import CommBackend
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.faults import FaultError, FaultPlan, RecoveryExhaustedError
 from repro.runtime.transport import COMM_MODELS
-from repro.service.jobs import JobRecord, JobState, ServiceResult, SolveJob
+from repro.service.jobs import JobRecord, ServiceResult, SolveJob
 from repro.service.scheduler import (
     RunOutcome,
     Scheduler,
@@ -142,9 +142,6 @@ class EigenService:
             job, t = item if isinstance(item, tuple) else (item, 0.0)
             recs.append(self.submit(job, t))
         return recs
-
-    def cancel(self, job_id: str) -> JobRecord:
-        return self.scheduler.cancel(job_id)
 
     # ------------------------------------------------------------ execution
     def run(self) -> list[ServiceResult]:

@@ -186,15 +186,15 @@ class WarmStartCache:
             self.misses += 1
             return None, WarmStartMiss.ABSENT
         if entry.basis.shape != (N, ne):
-            self._drop(sequence_id)
+            self._entries.pop(sequence_id, None)
             self.misses += 1
             return None, WarmStartMiss.DIMENSION
         if entry.basis.dtype != np.dtype(dtype):
-            self._drop(sequence_id)
+            self._entries.pop(sequence_id, None)
             self.misses += 1
             return None, WarmStartMiss.DTYPE
         if not entry.intact:
-            self._drop(sequence_id)
+            self._entries.pop(sequence_id, None)
             self.misses += 1
             return None, WarmStartMiss.CORRUPT
         self._entries.move_to_end(sequence_id)
@@ -235,18 +235,6 @@ class WarmStartCache:
         self._entries[sequence_id] = entry
         self._evict_to_budget()
         return True
-
-    def _drop(self, sequence_id: str) -> None:
-        self._entries.pop(sequence_id, None)
-
-    def invalidate(self, sequence_id: str) -> bool:
-        """Drop one sequence's entry (True when something was dropped)."""
-        present = sequence_id in self._entries
-        self._drop(sequence_id)
-        return present
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def stats(self) -> dict:
         """Counters snapshot: entries, bytes held, hits/misses/evictions."""

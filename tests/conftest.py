@@ -42,13 +42,6 @@ def small_sym(rng) -> np.ndarray:
     return (A + A.T) / 2
 
 
-@pytest.fixture
-def small_herm(rng) -> np.ndarray:
-    """A 40x40 complex Hermitian matrix."""
-    A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    return (A + A.conj().T) / 2
-
-
 def make_grid(
     n_ranks: int = 4,
     backend: CommBackend = CommBackend.NCCL,

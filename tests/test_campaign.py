@@ -38,6 +38,7 @@ from repro.campaign import (
     campaign_section,
     campaign_table,
     canonical_json,
+    execute_run,
     smoke_spec,
     spec_from_dict,
 )
@@ -111,7 +112,7 @@ def test_resume_is_idempotent(tmp_path_factory, values, fail_bits,
 
     # DONE rows provably skipped: the resumed pass executed exactly the
     # runs the interrupted pass did not finish (FAILED rows stay FAILED
-    # — retrying is an explicit reset_failed(), never implicit)
+    # — a resume never retries them)
     assert resumed.executed == n - k
     assert resumed.resumed_skips == k - sum(fail_mask[:k])
     assert resumed.recovered == (1 if mid_run else 0)
@@ -147,19 +148,19 @@ def test_second_resume_is_a_noop(tmp_path_factory, values):
 @settings(max_examples=20)
 @given(values=values_st, seed=st.integers(min_value=0, max_value=2**20))
 def test_skip_equals_run(tmp_path_factory, values, seed):
-    """A DONE row's stored result == a forced re-execution, bit-exactly."""
+    """A DONE row's stored result == a re-execution of its stored config,
+    bit-exactly."""
     tmp = tmp_path_factory.mktemp("skip")
     spec = spec_from_dict(
         probe_spec_dict(values, [0] * len(values), seed=seed)
     )
     db = CampaignDB(tmp / "db.sqlite")
-    runner = CampaignRunner(spec, db)
-    runner.run()
+    CampaignRunner(spec, db).run()
     for row in db.rows("proptest"):
         assert row.state is RunState.DONE
-        replayed = runner.force_execute(row.hash)
+        replayed = execute_run(db.config(row.hash))
         assert canonical_json(replayed) == canonical_json(row.result)
-        # force_execute never touches the DB
+        # re-executing never touches the DB
         assert db.state(row.hash) is RunState.DONE
 
 
@@ -420,7 +421,7 @@ def test_illegal_transitions_are_typed(tmp_path):
         db.transition("0" * 64, RunState.RUNNING)
 
 
-def test_recover_stale_and_reset_failed(tmp_path):
+def test_recover_stale(tmp_path):
     spec = spec_from_dict(probe_spec_dict([1, 2, 3], [0, 1, 0]))
     db = CampaignDB(tmp_path / "db.sqlite")
     runs = spec.expand()
@@ -431,9 +432,7 @@ def test_recover_stale_and_reset_failed(tmp_path):
     assert db.state(runs[0].hash) is RunState.PENDING
     stats = CampaignRunner(spec, db).run()
     assert stats.failed == 1
-    assert db.reset_failed() == 1
-    assert db.counts()["failed"] == 0
-    assert db.counts()["pending"] == 1
+    assert db.counts()["pending"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +482,10 @@ def test_smoke_campaign_interrupt_resume_end_to_end(tmp_path):
     assert gate_keys and all(section[k] for k in gate_keys)
 
     # skip-equals-run on a real numeric solve
-    runner = CampaignRunner(spec, interrupted)
     solve_rows = [
         r for r in interrupted.rows(spec.name) if r.kind == "solve"
     ]
     assert solve_rows
     row = solve_rows[0]
-    assert canonical_json(runner.force_execute(row.hash)) == \
+    assert canonical_json(execute_run(interrupted.config(row.hash))) == \
         canonical_json(row.result)

@@ -23,7 +23,6 @@ from repro import ChaseConfig, ChaseSolver
 from repro.arrays import PhantomArray
 from repro.core.lanczos import SpectralBounds
 from repro.distributed import (
-    BlockCyclicMap1D,
     BlockMap1D,
     DistributedHermitian,
     DistributedMultiVector,
@@ -223,18 +222,10 @@ def test_replayed_program_matches_its_recording(monkeypatch, backend, faulty):
 
 
 # ------------------------------------------------ redistribution: numeric == phantom
-_MAPS = {
-    "block": lambda N, parts: BlockMap1D(N, parts),
-    "cyclic": lambda N, parts: BlockCyclicMap1D(N, parts, 4),
-}
-
-
 @pytest.mark.parametrize("backend", _BACKENDS, ids=["nccl", "staged"])
-@pytest.mark.parametrize("maps", sorted(_MAPS))
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3)])
 @pytest.mark.parametrize("direction", ["c_to_b", "b_to_c"])
-def test_redistribution_charges_numeric_as_phantom(direction, p, q, maps,
-                                                   backend):
+def test_redistribution_charges_numeric_as_phantom(direction, p, q, backend):
     """A numeric and a phantom redistribution between the same maps
     charge ``==`` clocks, tracer rows and CommStats with levels; the
     numeric one moves the data."""
@@ -247,9 +238,8 @@ def test_redistribution_charges_numeric_as_phantom(direction, p, q, maps,
     def run(phantom):
         grid = Grid2D(VirtualCluster(p * q, backend=backend,
                                      phantom=phantom), p, q)
-        mk = _MAPS[maps]
-        smap = mk(N, p if src == "C" else q)
-        dmap = mk(N, p if dst == "C" else q)
+        smap = BlockMap1D(N, p if src == "C" else q)
+        dmap = BlockMap1D(N, p if dst == "C" else q)
         if phantom:
             X = Operand(src, ne, np.dtype(np.float64), smap)
             Y = Operand(dst, ne, np.dtype(np.float64), dmap)

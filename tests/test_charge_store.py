@@ -47,7 +47,8 @@ def _replay(cluster, *, N=1001, nev=60, nex=20, p=None, q=None) -> dict:
                        include_lanczos=True)
     return {
         "makespan": res.makespan,
-        "phases": {ph: pb.as_dict() for ph, pb in res.timings.items()},
+        "phases": {ph: dataclasses.astuple(pb) + (pb.total,)
+                   for ph, pb in res.timings.items()},
         "tracer": {ph: rows.tobytes()
                    for ph, rows in cluster.tracer._rows.items()},
         "clocks": cluster.clocks.tobytes(),

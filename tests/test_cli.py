@@ -45,6 +45,25 @@ class TestParser:
             # argparse names the accepted values
             assert "'fp64', 'fp32'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["solve", "--ranks", "0"], "--ranks"),
+        (["solve", "--ranks", "-3"], "--ranks"),
+        (["solve", "--distributed", "--faults", "3", "--fault-events", "-1"],
+         "--fault-events"),
+        (["solve", "--distributed", "--faults", "3", "--fault-horizon", "-1"],
+         "--fault-horizon"),
+        (["tune", "--ranks", "0"], "--ranks"),
+        (["serve", "--ranks", "0"], "--ranks"),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, argv, flag, capsys):
+        """Exit 2 with argparse's usage message, not a traceback or a
+        fault injector armed with no events."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and f"argument {flag}" in err
+
     @pytest.mark.parametrize("argv", [
         ["--pipeline-filter"], ["--pipeline-chunks", "4"],
         ["--overlap", "0.5"],

@@ -11,15 +11,12 @@ class TestDistributedHermitian:
         Hd = DistributedHermitian.from_dense(grid23, small_sym)
         np.testing.assert_allclose(Hd.to_dense(), small_sym)
 
-    def test_roundtrip_block_cyclic(self, grid23, small_herm):
-        Hd = DistributedHermitian.from_dense(grid23, small_herm, block_size=3)
-        np.testing.assert_allclose(Hd.to_dense(), small_herm)
-
     def test_local_block_shapes(self, grid23, small_sym):
         Hd = DistributedHermitian.from_dense(grid23, small_sym)
         for i in range(2):
             for j in range(3):
-                assert Hd.local(i, j).shape == (Hd.n_r(i), Hd.n_c(j))
+                assert Hd.local(i, j).shape == (Hd.rowmap.local_size(i),
+                                                Hd.colmap.local_size(j))
 
     def test_non_square_rejected(self, grid22):
         with pytest.raises(ValueError):
@@ -41,10 +38,8 @@ class TestDistributedHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             DistributedHermitian.from_dense(grid22, A)
 
-    @pytest.mark.parametrize("block_size", [None, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_hermitian_inputs_pass_panel_by_panel(self, grid23, rng,
-                                                  block_size, dtype,
+    def test_hermitian_inputs_pass_panel_by_panel(self, grid23, rng, dtype,
                                                   monkeypatch):
         from repro.distributed import hermitian
 
@@ -52,7 +47,7 @@ class TestDistributedHermitian:
         if np.dtype(dtype).kind == "c":
             A = A + 1j * rng.standard_normal((30, 30))
         H = 1e3 * (A + A.conj().T)
-        Hd = DistributedHermitian.from_dense(grid23, H, block_size=block_size)
+        Hd = DistributedHermitian.from_dense(grid23, H)
         np.testing.assert_array_equal(Hd.to_dense(), H)
         monkeypatch.setattr(hermitian, "_PANEL_ELEMS", 70)  # two-row panels
         hermitian._check_hermitian(H)
@@ -66,7 +61,8 @@ class TestDistributedHermitian:
         """A phantom H is its block layout without blocks."""
         Hd = DistributedHermitian.phantom(grid22, 100, np.complex128)
         assert Hd.blocks == {}
-        assert (Hd.n_r(0), Hd.n_c(1), Hd.dtype) == (50, 50, np.complex128)
+        assert (Hd.rowmap.local_size(0), Hd.colmap.local_size(1),
+                Hd.dtype) == (50, 50, np.complex128)
 
 
 class TestDistributedMultiVector:

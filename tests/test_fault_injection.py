@@ -95,6 +95,21 @@ def test_random_plan_deterministic_and_death_capped():
     assert c != a
 
 
+@pytest.mark.parametrize("kw,name", [
+    (dict(n_events=-2), "n_events"),
+    (dict(horizon=0.0), "horizon"),
+    (dict(horizon=-1.0), "horizon"),
+    (dict(horizon=float("nan")), "horizon"),
+    (dict(max_iterations=0), "max_iterations"),
+])
+def test_random_plan_rejects_bad_arguments(kw, name):
+    """A negative event count used to return an empty plan and a negative
+    horizon to fail inside NumPy; both name the argument now."""
+    with pytest.raises(ValueError, match=name):
+        FaultPlan.random(3, 4, **kw)
+    assert len(FaultPlan.random(3, 4, n_events=0)) == 0
+
+
 def test_injector_queues_consume_in_time_order():
     plan = FaultPlan(events=(
         FaultEvent(kind=FaultKind.COLLECTIVE_TRANSIENT, rank=1, time=0.02,

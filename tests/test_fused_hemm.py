@@ -40,10 +40,10 @@ def _vectors(rng, n, ne, dtype):
 
 
 def _roundtrip(Hd, V, *, fused, p=2, q=2, gamma=0.0, alpha=1.0,
-               cols=None, block_size=None):
+               cols=None):
     """One C->B and one B->C apply; returns gathers + modeled charges."""
     g = make_grid(p * q, p=p, q=q, config=ExecutionConfig(hemm_fusion=fused))
-    H = DistributedHermitian.from_dense(g, Hd, block_size=block_size)
+    H = DistributedHermitian.from_dense(g, Hd)
     hemm = DistributedHemm(H)
     C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
     B = hemm.apply(C, cols, gamma=gamma, alpha=alpha)
@@ -59,10 +59,9 @@ class TestFusedCrossCheck:
         grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 1)]),
         shift=st.sampled_from([(0.0, 1.0), (0.37, 1.0), (0.0, -1.9), (1.3, 0.4)]),
         n=st.integers(min_value=24, max_value=60),
-        cyclic=st.booleans(),
         data=st.data(),
     )
-    def test_fused_matches_per_block(self, dtype, grid, shift, n, cyclic, data):
+    def test_fused_matches_per_block(self, dtype, grid, shift, n, data):
         p, q = grid
         gamma, alpha = shift
         ne = data.draw(st.integers(min_value=2, max_value=9), label="ne")
@@ -72,9 +71,8 @@ class TestFusedCrossCheck:
         rng = np.random.default_rng(n * 1000 + p * 10 + q)
         Hd = _dense(rng, n, dtype)
         V = _vectors(rng, n, ne, dtype)
-        bs = 7 if cyclic else None
 
-        kw = dict(p=p, q=q, gamma=gamma, alpha=alpha, cols=cols, block_size=bs)
+        kw = dict(p=p, q=q, gamma=gamma, alpha=alpha, cols=cols)
         ded = _roundtrip(Hd, V, fused=False, **kw)
         fus = _roundtrip(Hd, V, fused=True, **kw)
 

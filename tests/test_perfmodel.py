@@ -16,7 +16,6 @@ from repro.perfmodel import (
     geqrf_flops,
     heevd_flops,
     juwels_booster,
-    laptop_cpu,
     potrf_flops,
     syrk_flops,
     trsm_flops,
@@ -175,10 +174,6 @@ class TestMachineSpecs:
         assert m.gpus_per_node == 4
         assert m.gpu.memory_bytes == 40 * 1024**3
         assert m.nvlink.bandwidth > m.ib_nccl.bandwidth > m.ib_mpi.bandwidth
-
-    def test_laptop_runs(self):
-        m = laptop_cpu()
-        assert m.gpus_per_node == 1
 
     def test_link_time(self):
         m = juwels_booster()

@@ -1,5 +1,5 @@
 """Tests for the paper's templating axes: real/complex x single/double
-precision, and block vs block-cyclic distributions of H."""
+precision."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from repro.matrices import uniform_matrix
 from tests.conftest import make_grid
 
 
-def _solve_dist(H, cfg, block_size=None, seed=2, **kw):
+def _solve_dist(H, cfg, seed=2, **kw):
     g = make_grid(4, **kw)
-    Hd = DistributedHermitian.from_dense(g, H, block_size=block_size)
+    Hd = DistributedHermitian.from_dense(g, H)
     solver = ChaseSolver(g, Hd, cfg)
     return solver.solve(rng=np.random.default_rng(seed), return_vectors=True)
 
@@ -84,52 +84,3 @@ class TestPrecisionSupport:
         rep32 = caqr_1d(g32, C32, est_cond=2e5)
         assert rep64.variant == "CholeskyQR2"
         assert rep32.variant == "sCholeskyQR2"
-
-
-class TestBlockCyclicSolver:
-    """H 'is distributed either following a block distribution or a
-    block-cyclic distribution' (paper Sec. 2.2) — end-to-end."""
-
-    @pytest.mark.parametrize("block_size", [8, 16, 13])
-    def test_block_cyclic_matches_dense(self, rng, block_size):
-        H = uniform_matrix(150, rng=rng)
-        res = _solve_dist(H, ChaseConfig(nev=10, nex=6), block_size=block_size)
-        assert res.converged
-        w_true = np.linalg.eigvalsh(H)[:10]
-        assert np.abs(res.eigenvalues - w_true).max() < 1e-8
-
-    def test_block_cyclic_same_trajectory_as_block(self, rng):
-        """The distribution must not change the algorithm: identical
-        iterations and eigenvalues from the same starting basis."""
-        H = uniform_matrix(140, rng=rng)
-        cfg = ChaseConfig(nev=8, nex=6)
-        V0 = np.random.default_rng(33).standard_normal((140, 14))
-        g1 = make_grid(4)
-        r_blk = ChaseSolver(
-            g1, DistributedHermitian.from_dense(g1, H), cfg
-        ).solve(V0=V0, rng=np.random.default_rng(4))
-        g2 = make_grid(4)
-        r_cyc = ChaseSolver(
-            g2, DistributedHermitian.from_dense(g2, H, block_size=10), cfg
-        ).solve(V0=V0, rng=np.random.default_rng(4))
-        assert r_blk.iterations == r_cyc.iterations
-        np.testing.assert_allclose(
-            r_blk.eigenvalues, r_cyc.eigenvalues, atol=1e-10
-        )
-
-    def test_block_cyclic_nonsquare_grid(self, rng):
-        H = uniform_matrix(120, rng=rng)
-        g = make_grid(6, p=2, q=3)
-        Hd = DistributedHermitian.from_dense(g, H, block_size=7)
-        res = ChaseSolver(g, Hd, ChaseConfig(nev=8, nex=4)).solve(
-            rng=np.random.default_rng(5), return_vectors=True
-        )
-        assert res.converged
-        w_true = np.linalg.eigvalsh(H)[:8]
-        assert np.abs(res.eigenvalues - w_true).max() < 1e-8
-
-    def test_block_cyclic_complex(self, rng):
-        A = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
-        H = (A + A.conj().T) / 2
-        res = _solve_dist(H, ChaseConfig(nev=6, nex=4), block_size=9)
-        assert res.converged

@@ -12,65 +12,45 @@ from repro.runtime import (
 )
 
 
+def _add(tracer, rank_id, category, dt):
+    """One charge the way the cluster's charge methods make it."""
+    tracer.row(category)[rank_id] += dt
+
+
 class TestTracer:
     def test_phase_scoping(self):
-        t = Tracer()
+        t = Tracer(1)
         with t.phase("Filter"):
-            t.add(0, CostCategory.COMPUTE, 1.0)
+            _add(t, 0, CostCategory.COMPUTE, 1.0)
             with t.phase("inner"):
-                t.add(0, CostCategory.COMM, 0.5)
-            t.add(0, CostCategory.COMPUTE, 1.0)
+                _add(t, 0, CostCategory.COMM, 0.5)
+            _add(t, 0, CostCategory.COMPUTE, 1.0)
         assert t.breakdown("Filter").compute == 2.0
         assert t.breakdown("inner").comm == 0.5
 
     def test_critical_rank_breakdown(self):
         """The reported split is the slowest rank's, not the sum."""
-        t = Tracer()
+        t = Tracer(2)
         with t.phase("QR"):
-            t.add(0, CostCategory.COMPUTE, 1.0)
-            t.add(1, CostCategory.COMPUTE, 3.0)
-            t.add(1, CostCategory.COMM, 0.5)
+            _add(t, 0, CostCategory.COMPUTE, 1.0)
+            _add(t, 1, CostCategory.COMPUTE, 3.0)
+            _add(t, 1, CostCategory.COMM, 0.5)
         b = t.breakdown("QR")
         assert b.compute == 3.0
         assert b.comm == 0.5
         assert b.total == 3.5
 
     def test_unphased_charges_recorded(self):
-        t = Tracer()
-        t.add(0, CostCategory.DATAMOVE, 2.0)
+        t = Tracer(1)
+        _add(t, 0, CostCategory.DATAMOVE, 2.0)
         assert t.total() == 2.0
-
-    def test_negative_charge_rejected(self):
-        t = Tracer()
-        with pytest.raises(ValueError):
-            t.add(0, CostCategory.COMPUTE, -1.0)
-
-    def test_reset(self):
-        t = Tracer()
-        t.add(0, CostCategory.COMPUTE, 1.0)
-        t.reset()
-        assert t.total() == 0.0
-        assert t.phases() == []
-
-    def test_standalone_takes_arbitrary_rank_ids(self):
-        """Without a rank count the rows grow on demand, in any order."""
-        t = Tracer()
-        with t.phase("QR"):
-            t.add(7, CostCategory.COMPUTE, 2.0)
-            t.add(2, CostCategory.COMM, 0.5)
-            t.add(7, CostCategory.COMPUTE, 1.0)
-        assert t.rank_total(7, "QR", CostCategory.COMPUTE) == 3.0
-        assert t.rank_total(2, "QR", CostCategory.COMM) == 0.5
-        assert t.rank_total(99, "QR", CostCategory.COMM) == 0.0
-        assert t.rank_total(7, "RR", CostCategory.COMPUTE) == 0.0
-        assert t.breakdown("QR").compute == 3.0
 
     def test_phases_in_order_of_first_charge(self):
         t = Tracer(2)
         with t.phase("outer"):
             with t.phase("inner"):
-                t.add(0, CostCategory.COMM, 1.0)
-            t.add(0, CostCategory.COMM, 1.0)
+                _add(t, 0, CostCategory.COMM, 1.0)
+            _add(t, 0, CostCategory.COMM, 1.0)
         with t.phase("never charged"):
             pass
         assert t.phases() == ["inner", "outer"]
@@ -78,11 +58,11 @@ class TestTracer:
     def test_equal_critical_totals_resolve_to_lowest_rank(self):
         t = Tracer(3)
         # charged last, and in another category order, rank 0 still wins
-        t.add(2, CostCategory.COMPUTE, 1.0)
-        t.add(2, CostCategory.COMM, 2.0)
-        t.add(1, CostCategory.COMPUTE, 2.0)
-        t.add(1, CostCategory.COMM, 1.0)
-        t.add(0, CostCategory.DATAMOVE, 3.0)
+        _add(t, 2, CostCategory.COMPUTE, 1.0)
+        _add(t, 2, CostCategory.COMM, 2.0)
+        _add(t, 1, CostCategory.COMPUTE, 2.0)
+        _add(t, 1, CostCategory.COMM, 1.0)
+        _add(t, 0, CostCategory.DATAMOVE, 3.0)
         b = t.breakdown("<unphased>")
         assert (b.compute, b.comm, b.datamove) == (0.0, 0.0, 3.0)
 
@@ -91,19 +71,19 @@ class TestTracer:
         categories were first charged in: 1e16 + 1 + 1 rounds to 1e16,
         1 + 1 + 1e16 would not."""
         t = Tracer(2)
-        t.add(0, CostCategory.DATAMOVE, 1.0)
-        t.add(0, CostCategory.COMM, 1.0)
-        t.add(0, CostCategory.COMPUTE, 1e16)
-        t.add(1, CostCategory.COMPUTE, 1e16 + 2.0)
+        _add(t, 0, CostCategory.DATAMOVE, 1.0)
+        _add(t, 0, CostCategory.COMM, 1.0)
+        _add(t, 0, CostCategory.COMPUTE, 1e16)
+        _add(t, 1, CostCategory.COMPUTE, 1e16 + 2.0)
         assert t.breakdown("<unphased>").compute == 1e16 + 2.0
 
     def test_hidden_only_rank_is_reported_when_no_rank_advanced(self):
         t = Tracer(4)
-        t.add(2, CostCategory.COMM_HIDDEN, 0.5)
+        _add(t, 2, CostCategory.COMM_HIDDEN, 0.5)
         b = t.breakdown("<unphased>")
         assert b.comm_hidden == 0.5 and b.total == 0.0
         # ...and does not beat a rank that advanced
-        t.add(3, CostCategory.COMM, 0.25)
+        _add(t, 3, CostCategory.COMM, 0.25)
         b = t.breakdown("<unphased>")
         assert (b.comm, b.comm_hidden) == (0.25, 0.0)
 
@@ -122,12 +102,11 @@ class TestCluster:
         assert r.gpu_spec.gemm_rate == 4 * cl.machine.gpu.gemm_rate
         assert r.gpu_spec.factor_rate == cl.machine.gpu.factor_rate
 
-    def test_makespan_and_reset(self):
+    def test_makespan(self):
         cl = VirtualCluster(2)
+        assert cl.makespan() == 0.0
         cl.ranks[1].charge_compute(2.0)
         assert cl.makespan() == 2.0
-        cl.reset_clocks()
-        assert cl.makespan() == 0.0
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -259,7 +238,6 @@ class TestGrid:
     def test_auto_square(self):
         g = Grid2D(VirtualCluster(9))
         assert (g.p, g.q) == (3, 3)
-        assert g.is_square
 
     def test_spans_nodes(self):
         g = Grid2D(VirtualCluster(4, ranks_per_node=4), 2, 2)

@@ -268,13 +268,6 @@ class TestAdmissionAndLifecycle:
         assert "boom" in recs[0].error
         assert recs[1].state is JobState.DONE
 
-    def test_cancel_before_start(self):
-        sched = Scheduler(partition_ranks(4, 1), runner=_stub_runner({}))
-        rec = sched.submit(_stub_job())
-        sched.cancel(rec.job.job_id)
-        assert rec.state is JobState.CANCELLED
-        assert sched.run()[0] is rec
-
     def test_partition_is_disjoint_and_total(self):
         shards = partition_ranks(10, 3)
         ranks = [r for s in shards for r in s.ranks]

@@ -5,25 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.spectra import (
-    cheb_t,
     growth_factor,
-    interval_params,
     map_to_reference,
     required_degree,
 )
 
 
 class TestIntervalParams:
-    def test_center_halfwidth(self):
-        c, e = interval_params(10.0, 4.0)
-        assert (c, e) == (7.0, 3.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            interval_params(1.0, 1.0)
+    """The filter interval ``[mu_ne, b_sup]`` as center ``c`` and
+    half-width ``e``, mapped onto ``[-1, 1]``."""
 
     def test_map(self):
-        c, e = interval_params(3.0, 1.0)
+        c, e = 2.0, 1.0  # [1, 3]
         assert map_to_reference(1.0, c, e) == -1.0
         assert map_to_reference(3.0, c, e) == 1.0
         np.testing.assert_allclose(map_to_reference([1.0, 2.0, 3.0], c, e), [-1, 0, 1])
@@ -53,40 +46,8 @@ class TestGrowthFactor:
         """T_m(t) ~ rho^m / 2 for large m, away from the interval edge."""
         rho = growth_factor(t)
         m = 12
-        ratio = cheb_t(m, t) / (rho**m / 2)
+        ratio = np.polynomial.Chebyshev.basis(m)(t) / (rho**m / 2)
         assert 0.9 < ratio < 1.2
-
-
-class TestChebT:
-    def test_low_degrees(self):
-        t = np.linspace(-2, 2, 41)
-        np.testing.assert_allclose(cheb_t(0, t), 1.0)
-        np.testing.assert_allclose(cheb_t(1, t), t, atol=1e-12)
-        np.testing.assert_allclose(cheb_t(2, t), 2 * t**2 - 1, atol=1e-10)
-
-    def test_recurrence_property(self):
-        t = np.linspace(-3, 3, 25)
-        for m in range(2, 8):
-            np.testing.assert_allclose(
-                cheb_t(m + 1, t), 2 * t * cheb_t(m, t) - cheb_t(m - 1, t),
-                rtol=1e-8, atol=1e-8,
-            )
-
-    def test_bounded_inside(self):
-        t = np.linspace(-1, 1, 101)
-        for m in (3, 10, 21):
-            assert np.all(np.abs(cheb_t(m, t)) <= 1 + 1e-12)
-
-    def test_sign_below_minus_one(self):
-        assert cheb_t(3, -2.0) < 0
-        assert cheb_t(4, -2.0) > 0
-
-    def test_no_overflow(self):
-        assert np.isfinite(cheb_t(10_000, 5.0))
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            cheb_t(-1, 0.5)
 
 
 class TestRequiredDegree:

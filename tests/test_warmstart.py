@@ -93,15 +93,6 @@ class TestCacheMechanics:
         assert cache.get("bad", 32, 8, np.float64)[1] is WarmStartMiss.CORRUPT
         assert "bad" not in cache
 
-    def test_invalidate_and_clear(self):
-        cache = WarmStartCache()
-        cache.put("a", step=0, basis=_basis(16, 4), bounds=_BOUNDS)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        cache.put("b", step=0, basis=_basis(16, 4), bounds=_BOUNDS)
-        cache.clear()
-        assert len(cache) == 0 and cache.nbytes == 0
-
     @_settings
     @given(degs=st.lists(st.integers(2, 60), min_size=1, max_size=20),
            deg=st.integers(1, 18).map(lambda k: 2 * k),
