@@ -40,6 +40,20 @@ class TestBlockMap:
         assert sum(sizes) == N
         assert max(sizes) - min(sizes) <= 1
 
+    @given(N=st.integers(0, 200), parts=st.integers(1, 16))
+    def test_global_indices_are_the_range(self, N, parts):
+        """Each part's local indices are one run of consecutive global
+        indices, and consecutive parts abut."""
+        m = BlockMap1D(N, parts)
+        stop = 0
+        for k in range(parts):
+            lo, hi = m.range_of(k)
+            assert lo == stop and hi - lo == m.local_size(k)
+            np.testing.assert_array_equal(global_indices(m, k),
+                                          np.arange(lo, hi))
+            stop = hi
+        assert stop == N
+
 
 class TestOverlapPairs:
     def test_square_block_maps_diagonal_only(self):
@@ -66,6 +80,27 @@ class TestOverlapPairs:
         rsl, csl = pairs[0]
         assert (rsl.start, rsl.stop) == (0, 2)
         assert (csl.start, csl.stop) == (1, 3)
+
+    @given(
+        N=st.integers(0, 60),
+        p=st.integers(1, 5),
+        q=st.integers(1, 5),
+    )
+    def test_table_is_the_range_intersection(self, N, p, q):
+        """An entry is empty exactly when the two ranges are disjoint,
+        and otherwise selects their intersection from both parts."""
+        rm, cm = BlockMap1D(N, p), BlockMap1D(N, q)
+        table = overlap_table(rm, cm)
+        for i in range(p):
+            gi = set(global_indices(rm, i).tolist())
+            for j in range(q):
+                common = sorted(gi & set(global_indices(cm, j).tolist()))
+                if not common:
+                    assert table[i][j] == ()
+                    continue
+                ((rsl, csl),) = table[i][j]
+                assert global_indices(rm, i)[rsl].tolist() == common
+                assert global_indices(cm, j)[csl].tolist() == common
 
     @given(
         N=st.integers(1, 60),

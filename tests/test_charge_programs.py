@@ -223,13 +223,16 @@ def test_replayed_program_matches_its_recording(monkeypatch, backend, faulty):
 
 # ------------------------------------------------ redistribution: numeric == phantom
 @pytest.mark.parametrize("backend", _BACKENDS, ids=["nccl", "staged"])
+@pytest.mark.parametrize("N", [45, 2], ids=["ragged", "empty_part"])
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3)])
 @pytest.mark.parametrize("direction", ["c_to_b", "b_to_c"])
-def test_redistribution_charges_numeric_as_phantom(direction, p, q, backend):
+def test_redistribution_charges_numeric_as_phantom(direction, p, q, N,
+                                                   backend):
     """A numeric and a phantom redistribution between the same maps
     charge ``==`` clocks, tracer rows and CommStats with levels; the
-    numeric one moves the data."""
-    N, ne = 45, 6
+    numeric one moves the data.  ``N = 45`` splits unevenly over two
+    parts; ``N = 2`` leaves the third of three parts empty."""
+    ne = 6
     V = np.random.default_rng(3).standard_normal((N, ne))
     src, dst = ("C", "B") if direction == "c_to_b" else ("B", "C")
     redistribute = redistribute_c_to_b if direction == "c_to_b" \

@@ -11,6 +11,30 @@ class TestDistributedHermitian:
         Hd = DistributedHermitian.from_dense(grid23, small_sym)
         np.testing.assert_allclose(Hd.to_dense(), small_sym)
 
+    def test_roundtrip_complex(self, grid23, rng):
+        A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        H = (A + A.conj().T) / 2
+        Hd = DistributedHermitian.from_dense(grid23, H)
+        np.testing.assert_array_equal(Hd.to_dense(), H)
+
+    def test_ragged_local_block_shapes(self, grid23, rng):
+        """31 rows over 2 parts and 31 columns over 3: the leading parts
+        own one more index."""
+        A = rng.standard_normal((31, 31))
+        H = A + A.T
+        Hd = DistributedHermitian.from_dense(grid23, H)
+        shapes = {ij: block.shape for ij, block in Hd.blocks.items()}
+        assert shapes == {(i, j): ((16, 15)[i], (11, 10, 10)[j])
+                          for i in range(2) for j in range(3)}
+        np.testing.assert_array_equal(Hd.to_dense(), H)
+
+    def test_roundtrip_with_empty_part(self, grid23):
+        """Two columns over three parts: the third part owns none."""
+        H = np.array([[2.0, 1.0], [1.0, 3.0]])
+        Hd = DistributedHermitian.from_dense(grid23, H)
+        assert Hd.local(0, 2).shape == (1, 0)
+        np.testing.assert_array_equal(Hd.to_dense(), H)
+
     def test_local_block_shapes(self, grid23, small_sym):
         Hd = DistributedHermitian.from_dense(grid23, small_sym)
         for i in range(2):
@@ -73,6 +97,19 @@ class TestDistributedMultiVector:
         for layout, imap in [("C", rowmap), ("B", DistributedHermitian.from_dense(g, np.eye(40)).colmap)]:
             mv = DistributedMultiVector.from_global(g, V, imap, layout)
             np.testing.assert_allclose(mv.gather(0), V)
+            assert mv.replicas_share_memory()
+
+    @pytest.mark.parametrize("N", [41, 2], ids=["ragged", "empty_part"])
+    def test_uneven_maps_roundtrip(self, grid23, rng, N):
+        """Gather undoes ``from_global`` when parts own unequal counts,
+        none included, in both layouts."""
+        from repro.distributed import BlockMap1D
+
+        V = rng.standard_normal((N, 3))
+        for layout, parts in (("C", 2), ("B", 3)):
+            m = BlockMap1D(N, parts)
+            mv = DistributedMultiVector.from_global(grid23, V, m, layout)
+            np.testing.assert_array_equal(mv.gather(0), V)
             assert mv.replicas_share_memory()
 
     def test_zeros_shapes(self, grid23):

@@ -85,6 +85,10 @@ CASES = {
     "nonsquare_2x4": lambda: _replay(
         VirtualCluster(8, phantom=True), N=1001, nev=60, nex=20, p=2, q=4,
         dtype=np.float64),
+    # 1000 over 3 parts is ragged (334, 333, 333) on both grid axes
+    "block_3x3_staged": lambda: _replay(
+        VirtualCluster(9, backend=CommBackend.MPI_STAGED, phantom=True),
+        N=1000, nev=60, nex=20),
     "lms_3x3": lambda: _replay(
         VirtualCluster(9, backend=CommBackend.MPI_STAGED, ranks_per_node=1,
                        gpus_per_rank=4, phantom=True),

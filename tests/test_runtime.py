@@ -45,6 +45,18 @@ class TestTracer:
         _add(t, 0, CostCategory.DATAMOVE, 2.0)
         assert t.total() == 2.0
 
+    def test_rank_total_reads_one_rank_phase_and_category(self):
+        t = Tracer(8)
+        with t.phase("QR"):
+            _add(t, 7, CostCategory.COMPUTE, 2.0)
+            _add(t, 2, CostCategory.COMM, 0.5)
+            _add(t, 7, CostCategory.COMPUTE, 1.0)
+        assert t.rank_total(7, "QR", CostCategory.COMPUTE) == 3.0
+        assert t.rank_total(2, "QR", CostCategory.COMM) == 0.5
+        assert t.rank_total(2, "QR", CostCategory.COMPUTE) == 0.0
+        assert t.rank_total(7, "RR", CostCategory.COMPUTE) == 0.0
+        assert t.breakdown("QR").compute == 3.0
+
     def test_phases_in_order_of_first_charge(self):
         t = Tracer(2)
         with t.phase("outer"):
