@@ -44,7 +44,7 @@ def _fresh(V):
 
 
 def _ortho(C):
-    Q = C.gather(0)
+    Q = C.gather()
     return float(np.abs(Q.T @ Q - np.eye(NE)).max())
 
 

@@ -19,7 +19,7 @@ Cost model (charged explicitly; see below for why):
 * **communication** — per column-panel (width 32): one binomial
   broadcast of the panel and one allreduce of the triangular factor.
 
-The *numerics* are computed directly from the assembled local blocks
+The *numerics* are computed directly on the multivector's one array
 (all blocks live in one process), which is bit-identical across the
 ranks of a column communicator — exactly the redundancy the real
 library exhibits — while the cost follows the model above.
@@ -31,7 +31,6 @@ import math
 
 import numpy as np
 
-from repro.distributed.hermitian import global_indices
 from repro.distributed.multivector import DistributedMultiVector, Operand
 from repro.perfmodel.kernels import geqrf_flops
 from repro.runtime.backend import CommBackend
@@ -92,8 +91,4 @@ def hhqr_1d(grid: Grid2D, C: DistributedMultiVector | Operand,
     # -- numerics: identical redundant result on all replicas ----------------
     if type(C) is Operand:
         return
-    Q, _ = np.linalg.qr(C.gather(0))
-    for i in range(grid.p):
-        rows = global_indices(C.index_map, i)
-        # replicas share one ndarray: a single write reaches all
-        C.blocks[(i, 0)][...] = Q[rows, :]
+    C.data[...] = np.linalg.qr(C.data)[0]

@@ -246,7 +246,7 @@ class ChaseSolver:
             # not filtered), computed by SVD as in the paper's Fig. 1.
             # The assembled matrix is kept: the LMS QR phase gathers
             # the same (unmodified) C and can reuse it.
-            gathered_c = C.gather(0)
+            gathered_c = C.gather()
             cond_true = float(np.linalg.cond(gathered_c[:, locked:]))
 
         if self.scheme == "lms":
@@ -519,11 +519,11 @@ class ChaseSolver:
         vectors = None
         subspace = None
         if return_subspace:
-            subspace = C.gather(0).copy()
+            subspace = C.gather()
             if return_vectors:
                 vectors = subspace[:, :nev].copy()
         elif return_vectors:
-            vectors = C.gather(0)[:, :nev]
+            vectors = C.gather()[:, :nev]
 
         timings = {ph: tracer.breakdown(ph) for ph in tracer.phases()}
         return ChaseResult(

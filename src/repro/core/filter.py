@@ -73,33 +73,26 @@ def _step(hemm: DistributedHemm, X, alpha: float, gamma: float, out,
 
 
 # -- the numerics: uncharged --------------------------------------------------------
-def _computed(X: DistributedMultiVector, dtype, kernel) -> DistributedMultiVector:
-    """``kernel(key, block)`` on every block of ``X`` as a multivector
-    of ``dtype``, run uncharged once per replication group."""
-    return DistributedMultiVector._of_parts(
-        X.grid, X.index_map, X.layout, X.ne, dtype,
-        [kernel(key, blk) for key, blk in zip(X.unique_keys(), X.roots())])
-
-
 def _axpby(alpha, X, beta, Y, out=None) -> DistributedMultiVector:
-    """``alpha X + beta Y`` blockwise, uncharged (:func:`_step` charges
-    it).  ``out``, a multivector of ``X``'s layout and width, receives
-    the result in place — its blocks may alias ``X``'s (the recurrence
-    passes ``out=X``) but not ``Y``'s; the bits are unchanged."""
-    return _computed(X, X.dtype, lambda key, blk: axpby_numeric(
-        alpha, blk, beta, Y.blocks[key],
-        None if out is None else out.blocks[key]))
+    """``alpha X + beta Y`` on the whole array, uncharged (:func:`_step`
+    charges it).  ``out``, a multivector of ``X``'s layout and width,
+    receives the result in place and is returned — it may be ``X`` (the
+    recurrence passes ``out=X``) but not ``Y``; the bits are unchanged."""
+    if out is not None:
+        axpby_numeric(alpha, X.data, beta, Y.data, out.data)
+        return out
+    return X.with_data(axpby_numeric(alpha, X.data, beta, Y.data))
 
 
 def _cast(X: DistributedMultiVector, dtype) -> DistributedMultiVector:
     """:func:`_cast_mv` without its charges."""
-    return _computed(X, dtype, lambda _key, blk: cast_numeric(blk, dtype))
+    return X.with_data(cast_numeric(X.data, dtype))
 
 
 def _cast_mv(grid, X, dtype):
-    """Cast ``X`` to ``dtype`` blockwise, charged per shape class, then,
+    """Cast ``X`` to ``dtype``, charged blockwise per shape class, then,
     but for an :class:`Operand` (which yields the cast's), computed
-    uncharged (once per replication group)."""
+    uncharged on the whole array."""
     dtype = np.dtype(dtype)
     _charge_blockwise(grid, Operand.of(X), "cast", dtype)
     if type(X) is Operand:
@@ -111,9 +104,8 @@ class FilterWorkspace:
     """Ping-pong output buffers for the filter's three-term recurrence.
 
     Without a workspace every HEMM and AXPBY of the recurrence allocates
-    a fresh multivector.  The workspace holds two stacked
-    buffers per layout (``DistributedMultiVector.zeros_stacked``) and
-    hands them out alternately: the flip target is never one of the two
+    a fresh multivector.  The workspace holds two buffers per layout
+    and hands them out alternately: the flip target is never one of the two
     live iterates (``X_prev`` lives two steps back, ``X_cur`` one).
     Buffers are created at the first (widest) requested width and
     narrowed by column views afterwards.
@@ -135,7 +127,7 @@ class FilterWorkspace:
         if (pair is None or pair[0].ne < width
                 or pair[0].index_map is not index_map
                 or pair[0].grid is not H.grid):
-            pair = self._buffers[key] = [DistributedMultiVector.zeros_stacked(
+            pair = self._buffers[key] = [DistributedMultiVector.zeros(
                 H.grid, index_map, layout, width, dtype) for _ in range(2)]
             self._flip[key] = 0
         idx = self._flip[key]

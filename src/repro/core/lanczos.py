@@ -60,8 +60,8 @@ class SpectralBounds:
 
 # The recurrence's batched vector kernels on C-layout multivectors:
 # charged per shape class from the block shapes (recorded steps), then
-# computed once per replication group; dots are allreduced over the
-# column communicators.
+# computed on the whole array, but the dots once per part, allreduced
+# over the column communicators.
 
 def _dot_columns(X, Y) -> np.ndarray:
     Operand.of(X).charge(X.grid, lambda k, rows: k.dot_columns(
@@ -69,25 +69,20 @@ def _dot_columns(X, Y) -> np.ndarray:
         PhantomArray((rows, X.ne), Y.dtype)), ("dot", Y.dtype),
         reduce=X.ne * np.result_type(X.dtype, Y.dtype).itemsize)
     return X.allreduce([dot_columns_numeric(x, y)
-                        for x, y in zip(X.roots(), Y.roots())])
+                        for x, y in zip(X.parts, Y.parts)])
 
 
 def _sub_scaled_columns(X, Y, s) -> DistributedMultiVector:
     Operand.of(X).charge(X.grid, lambda k, rows: k.sub_scaled_columns(
         PhantomArray((rows, X.ne), X.dtype),
         PhantomArray((rows, X.ne), Y.dtype)), ("sub", Y.dtype))
-    return DistributedMultiVector._of_parts(
-        X.grid, X.index_map, X.layout, X.ne, X.dtype,
-        [sub_scaled_columns_numeric(x, y, s)
-         for x, y in zip(X.roots(), Y.roots())])
+    return X.with_data(sub_scaled_columns_numeric(X.data, Y.data, s))
 
 
 def _scale_columns(X, s) -> DistributedMultiVector:
     Operand.of(X).charge(X.grid, lambda k, rows: k.scale_columns(
         PhantomArray((rows, X.ne), X.dtype)), "scale")
-    return DistributedMultiVector._of_parts(
-        X.grid, X.index_map, X.layout, X.ne, X.dtype,
-        [scale_columns_numeric(x, s) for x in X.roots()])
+    return X.with_data(scale_columns_numeric(X.data, s))
 
 
 def block_sweep(

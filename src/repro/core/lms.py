@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arrays import PhantomArray
-from repro.distributed.hermitian import global_indices
 from repro.distributed.multivector import DistributedMultiVector, Operand
 from repro.perfmodel.kernels import gemm_flops, geqrf_flops, heevd_flops
 
@@ -42,7 +41,7 @@ def gather_c(solver, C, cols: slice,
     """v1.2 collection of the distributed C into a redundant buffer
     (one bcast per rank of each column communicator), then the
     (numeric) global matrix assembled directly (``None`` for an
-    :class:`Operand`); a caller that already holds ``C.gather(0)`` can
+    :class:`Operand`); a caller that already holds ``C.gather()`` can
     pass it as ``pregathered`` to skip the re-assembly."""
     _gather_by_bcasts(solver.grid.col_comms, C, cols.stop - (cols.start or 0),
                       lambda rank: rank.coords[0])
@@ -50,7 +49,7 @@ def gather_c(solver, C, cols: slice,
         return None
     if pregathered is not None:
         return pregathered[:, cols]
-    return C.gather(0)[:, cols]
+    return C.gather()[:, cols]
 
 
 def gather_b(solver, Bmv):
@@ -58,14 +57,7 @@ def gather_b(solver, Bmv):
     numeric global matrix (``None`` for an :class:`Operand`)."""
     _gather_by_bcasts(solver.grid.row_comms, Bmv, Bmv.ne,
                       lambda rank: rank.coords[1])
-    return None if type(Bmv) is Operand else Bmv.gather(0)
-
-
-def scatter_c(solver, C: DistributedMultiVector, V, cols: slice) -> None:
-    for i in range(solver.grid.p):
-        rows = global_indices(C.index_map, i)
-        # the replicas share one ndarray: a single write reaches all
-        C.blocks[(i, 0)][:, cols] = V[rows, :]
+    return None if type(Bmv) is Operand else Bmv.gather()
 
 
 def stage_full(solver, nbytes: float) -> None:
@@ -100,8 +92,8 @@ def iterate(solver, C, C2, locked: int, phantom: bool, tracer,
         charge_all_ranks(solver, "geqrf", qr_flops)
         if not phantom:
             Q, _ = np.linalg.qr(V)
-            Q[:, :locked] = C2.gather(0)[:, :locked]
-            scatter_c(solver, C, Q, slice(0, ne))
+            Q[:, :locked] = C2.data[:, :locked]
+            C.data[...] = Q
             C2.copy_cols_from(C, locked, ne)
         stage_full(solver, fullbytes)
 
@@ -114,12 +106,12 @@ def iterate(solver, C, C2, locked: int, phantom: bool, tracer,
         ritzv = None
         Y = None
         if not phantom:
-            Qa = Q[:, active]  # == C.gather(0)[:, active] after the scatter
+            Qa = Q[:, active]  # == C.gather()[:, active] after the scatter
             A = Qa.conj().T @ Wfull
             A = 0.5 * (A + A.conj().T)
             ritzv, Y = np.linalg.eigh(A)
             Vnew = Qa @ Y
-            scatter_c(solver, C, Vnew, active)
+            C.data[:, active] = Vnew
             C2.copy_cols_from(C, locked, ne)
         stage_full(solver, fullbytes)
 
@@ -137,6 +129,6 @@ def iterate(solver, C, C2, locked: int, phantom: bool, tracer,
             PhantomArray((N if phantom else 0, k), dtype))
         resd = None
         if not phantom:
-            R = W2full - Vnew * ritzv[None, :]  # Vnew == C.gather(0)[:, active]
+            R = W2full - Vnew * ritzv[None, :]  # Vnew == C.gather()[:, active]
             resd = np.linalg.norm(R, axis=0)
     return ritzv, resd

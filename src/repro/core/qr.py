@@ -110,7 +110,7 @@ def _stage_c(grid: Grid2D, C, direction: str) -> None:
 def _gram_allreduced(grid: Grid2D, C):
     """SYRK per class and the Gram matrix's allreduce over the column
     communicators, charged as one program; the summed Gram matrix of a
-    numeric ``C``, its SYRK run once per grid row and summed once, on
+    numeric ``C``, its SYRK run once per part and summed once, on
     column communicator 0."""
     X = Operand.of(C)
     X.charge(grid, lambda k, rows: k.syrk(PhantomArray((rows, X.ne), X.dtype)),
@@ -118,7 +118,7 @@ def _gram_allreduced(grid: Grid2D, C):
              reduce=X.ne * X.ne * X.dtype.itemsize)
     if type(C) is Operand:
         return None
-    return C.allreduce([syrk_numeric(blk) for blk in C.roots()])
+    return C.allreduce([syrk_numeric(blk) for blk in C.parts])
 
 
 def _square(C) -> PhantomArray:
@@ -135,13 +135,15 @@ def _potrf_all(grid: Grid2D, C, gram) -> tuple:
 
 
 def _trsm_all(grid: Grid2D, C, factor) -> None:
-    """``C <- C R^{-1}`` blockwise: recorded per-class TRSMs."""
+    """``C <- C R^{-1}`` blockwise: recorded per-class TRSMs, each
+    part's result written into its view."""
     X = Operand.of(C)
     X.charge(grid, lambda k, rows: k.trsm(
         PhantomArray((rows, X.ne), X.dtype),
         PhantomArray((X.ne, X.ne), X.dtype)), "trsm", kernels="qr_kernels")
     if type(C) is not Operand:
-        C.assign([trsm_numeric(blk, factor) for blk in C.roots()])
+        for blk in C.parts:
+            blk[...] = trsm_numeric(blk, factor)
 
 
 def cholesky_qr(
@@ -187,7 +189,7 @@ def shifted_cholesky_qr2(
         reduce=8.0)
     s = None if gram is None else 11.0 * (N * ne + ne * (ne + 1)) \
         * unit_roundoff(C.dtype) * C.allreduce(
-            [frob_norm_sq_numeric(blk) for blk in C.roots()])
+            [frob_norm_sq_numeric(blk) for blk in C.parts])
 
     grid.everyone.qr_kernels.add_diag(_square(C))
     factor, info = _potrf_all(
@@ -261,7 +263,7 @@ def mixed_cholesky_qr2(
     # narrow pass's O(u_32 * kappa) orthogonality error
     back = _cast_mv(grid, W, wide)
     if type(C) is not Operand:
-        C.assign(back.roots())
+        back.write_into(C, 0)
     factor, info = _potrf_all(grid, C, _gram_allreduced(grid, C))
     if info:
         report.breakdowns += 1

@@ -61,8 +61,8 @@ def rayleigh_ritz(
 
     # (3) A = B2[:, l:]^H B[:, l:] + allreduce over row communicators (16-17)
     # B/B2 replicate over grid rows, so the local product is unique per
-    # grid *column* and the reduced quotient is globally identical:
-    # compute the GEMMs on row 0 and sum them once via row communicator 0.
+    # part and the reduced quotient is globally identical: compute the
+    # GEMMs once per part and sum them once via row communicator 0.
     Bn = Operand.of(B, n)
     adt = np.result_type(B2.dtype, B.dtype)
     Bn.charge(grid, lambda k, rows: k.gemm(
@@ -70,7 +70,7 @@ def rayleigh_ritz(
         op_a="C"), ("rr quotient", B2.dtype),
         reduce=n * n * adt.itemsize)
     A = B.allreduce([gemm_numeric(b2[:, active], b[:, active], op_a="C")
-                     for b2, b in zip(B2.roots(), B.roots())]) \
+                     for b2, b in zip(B2.parts, B.parts)]) \
         if numeric else None
 
     # (4) redundant HEEVD on every rank (line 18)
@@ -78,15 +78,15 @@ def rayleigh_ritz(
     ritzv, Y = eigh_numeric(A) if numeric else (None, None)
 
     # (5) back-transform C[:, l:] = C2[:, l:] Y, then C2 <- C (lines 19-20)
-    # C/C2 replicate over grid columns: the GEMM is unique per grid row
-    # and written once through the shared block.
+    # C/C2 replicate over grid columns: the GEMM is unique per part and
+    # written into both parts' views.
     Operand.of(C2, n).charge(grid, lambda k, rows: k.gemm(
         PhantomArray((rows, n), C2.dtype), PhantomArray((n, n), adt)),
         ("rr back", adt))
     if not numeric:
         return None
-    for key, c2 in zip(C.unique_keys(), C2.roots()):
+    for c, c2 in zip(C.parts, C2.parts):
         new = gemm_numeric(c2[:, active], Y)
-        C.blocks[key][:, active] = new
-        C2.blocks[key][:, active] = new
+        c[:, active] = new
+        c2[:, active] = new
     return np.asarray(ritzv, dtype=np.float64)

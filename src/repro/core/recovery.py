@@ -112,7 +112,7 @@ def take_checkpoint(solver, it: int, locked: int, ritzv, resd, degs_full,
         "iteration": int(it),
         "locked": int(locked),
         "trace_len": len(trace.records),
-        "V": C.gather(0),
+        "V": C.gather(),
         "ritzv": np.asarray(ritzv).copy(),
         "resd": None if resd is None else np.asarray(resd).copy(),
         "degrees": np.asarray(degs_full).copy(),
@@ -138,7 +138,7 @@ def shrink_to_survivors(solver, dead_ranks) -> None:
     counting MatVecs where the replaced one stopped, so totals stay
     honest."""
     old_mv = solver.hemm.matvecs
-    dense = solver.H.to_dense()
+    dense = solver.H.data
     solver.grid = solver.grid.shrink(dead_ranks)
     solver.H = H = DistributedHermitian.from_dense(solver.grid, dense)
     solver.hemm = DistributedHemm(H)
@@ -189,7 +189,7 @@ def restore(solver, trace: ConvergenceTrace, restart: bool,
     # repopulates every device)
     fs_sync(solver)
     charge_fs_transfer(solver, (
-        (members, C.blocks[members.key].nbytes)
+        (members, C.local(*members.key).nbytes)
         for members in Operand.of(C).classes(grid)))
     C2 = DistributedMultiVector.from_global(grid, V, H.rowmap, "C")
     B = DistributedMultiVector.zeros(grid, H.colmap, "B", ne, dtype)
@@ -237,10 +237,10 @@ def apply_corruption(solver, mv: DistributedMultiVector, ev) -> None:
     """Flip one exponent bit of one element of C-layout row block
     ``ev.rank % p`` (a row picked by the event, not necessarily the
     event rank's own grid row ``ev.rank // q``) — written once through
-    the group's shared block, so every replica sees it."""
+    the part's view, so every replica sees it."""
     grid = solver.grid
     i = ev.rank % grid.p
-    ref = mv.blocks[(i, 0)]
+    ref = mv.local(i, 0)
     if ref.size == 0:
         return
     rng = np.random.default_rng(ev.seed)
@@ -259,7 +259,7 @@ def apply_corruption(solver, mv: DistributedMultiVector, ev) -> None:
     else:
         u = real.view(np.uint32)
         u[w] ^= np.uint32(1) << np.uint32(23 + int(rng.integers(7)))
-    mv.blocks[(i, 0)][r, c] = val[0]
+    ref[r, c] = val[0]
 
 
 def verify_locked(solver, C, C2, B, B2, ritzv, locked: int,
@@ -344,8 +344,7 @@ def verify_spectrum(solver, ritzv, nev: int, b_sup: float,
     H, grid = solver.H, solver.grid
     sigma = float(accepted[-1]) + slack
     with tracer.phase("Verify"):
-        dense = H.to_dense()
-        shifted = dense - sigma * np.eye(H.N, dtype=dense.dtype)
+        shifted = H.data - sigma * np.eye(H.N, dtype=H.dtype)
         _lu, D, _perm = scipy.linalg.ldl(shifted)
         count = _ldl_negative_inertia(D)
         n_ranks = max(len(grid.ranks), 1)

@@ -53,8 +53,8 @@ def residuals(
         HC.write_into(B, locked)
 
     # B/B2 replicate over grid rows: the batched subtraction + column
-    # norms are unique per grid column and the allreduce sums them once,
-    # on row communicator 0.
+    # norms are unique per part and the allreduce sums them once, on
+    # row communicator 0.
     Bn = Operand.of(B, n)
     if grid.cluster.backend is CommBackend.MPI_STAGED:
         # the BLAS-1 residual kernels stay on the CPU in the STD
@@ -76,5 +76,5 @@ def residuals(
     lam = ritzv[active]
     norms = B.allreduce([colnorms_sq_numeric(sub_scaled_columns_numeric(
         b[:, active], b2[:, active], lam))
-        for b, b2 in zip(B.roots(), B2.roots())])
+        for b, b2 in zip(B.parts, B2.parts)])
     return np.sqrt(np.maximum(np.asarray(norms, dtype=np.float64), 0.0))

@@ -28,12 +28,13 @@ nothing to move) and per block (``block_numeric``).
 The fused-panel kernels match the per-block arithmetic to rounding
 (``<= 1e-13 * ||H||``, asserted by ``tests/test_fused_hemm.py``): BLAS
 tiles the wider fused m-dimension with different SIMD tail kernels, and
-B->C folds the q-term reduction sum into the GEMM's k-loop.  The input's
-replicas are one object, so the reduction runs once per communicator
-into one ndarray that every replica slot of the output holds (DESIGN.md
-§5b).  ``H`` is immutable, so every derived cache (complex conjugates,
-narrow casts, fused panels) is built once and kept for the HEMM's
-lifetime.
+B->C folds the q-term reduction sum into the GEMM's k-loop.  The
+result is one array whose parts are views (DESIGN.md §5b): the
+reduction sums into them in place, once per communicator.  ``H`` is
+immutable, so its complex conjugate and its narrow cast are each one
+whole-array op, made once and kept for the HEMM's lifetime; a fused row
+panel ``[H_i0 | ... | H_i,q-1]`` is the contiguous view ``H[rows_i, :]``
+and a block ``H_ij`` a strided one.
 """
 
 from __future__ import annotations
@@ -123,19 +124,19 @@ class DistributedHemm:
         self.H = H
         self.grid = H.grid
         self.matvecs = 0  # cumulative single-vector H-applications
-        self._hconj: dict[tuple, np.ndarray] = {}
-        #: narrow casts of H's blocks by dtype (:meth:`_cast_work`)
-        self._hwork: dict[str, dict] = {}
-        self._panels: dict[tuple, np.ndarray] = {}
-        self._panels_conj: dict[tuple, np.ndarray] = {}
+        #: the forms of H the numerics work on, by (narrow, conjugated)
+        #: (:meth:`_form`)
+        self._forms: dict[tuple[bool, bool], tuple] = {}
+        self._cast_charged = False
         #: per-key reusable workspace of the numerics (non-root partial
-        #: products and the stacked-B operand; never escapes an apply)
+        #: products; never escapes an apply)
         self._scratch: dict[tuple, np.ndarray] = {}
         #: part heights of the row and column maps: the reduction payloads
         self._heights = tuple(
             tuple(m.local_size(k) for k in range(m.parts))
             for m in (H.rowmap, H.colmap))
-        #: row offsets of the stacked panels: part ``j`` is [offs[j], offs[j+1])
+        #: row offsets of the column map's parts: part ``j`` is
+        #: [offs[j], offs[j+1]) of a row panel
         self._offsets = [0, *itertools.accumulate(self._heights[1])]
         self._classes = None
 
@@ -156,64 +157,44 @@ class DistributedHemm:
                 (H.rowmap, H.colmap), signatures)
         return self._classes
 
-    def _cast_work(self, rdtype) -> None:
-        """Build the narrow casts a mixed-precision apply works on (a
-        no-op for a full-width apply and once built), charging every rank
-        one :meth:`LocalKernels.cast` of its block's shape ahead of its
-        first narrow GEMM; the model keeps the copy resident
-        (``chase_new_scheme_bytes``)."""
-        if bytes_per_scalar(rdtype) >= bytes_per_scalar(self.H.dtype):
+    def _narrow(self, rdtype) -> bool:
+        """Whether an apply of result dtype ``rdtype`` works on H's
+        narrow cast (the mixed-precision filter's, DESIGN.md §5g)."""
+        return bytes_per_scalar(rdtype) < bytes_per_scalar(self.H.dtype)
+
+    def _cast_work(self) -> None:
+        """Charge every rank one :meth:`LocalKernels.cast` of its block's
+        shape ahead of its first narrow GEMM, once per HEMM; the model
+        keeps the copy resident (``chase_new_scheme_bytes``)."""
+        if self._cast_charged:
             return
+        self._cast_charged = True
         wdt = _NARROW[np.dtype(self.H.dtype)]
-        if wdt.str in self._hwork:
-            return
         for members in self.classes():
             members.k.cast(PhantomArray(self._block_shape(*members.key),
                                         self.H.dtype), wdt)
-        self._hwork[wdt.str] = {key: cast_numeric(blk, wdt)
-                                for key, blk in self.H.blocks.items()}
 
-    def _local_work(self, i: int, j: int, rdtype):
-        """``H.local(i, j)`` in the apply's working dtype: the block
-        itself, or its cached narrow cast (:meth:`_cast_work`)."""
-        if bytes_per_scalar(rdtype) >= bytes_per_scalar(self.H.dtype):
-            return self.H.local(i, j)
-        return self._hwork[_NARROW[np.dtype(self.H.dtype)].str][(i, j)]
-
-    def _h_conj(self, i: int, j: int, Hij):
-        """Conjugate of ``Hij``, grid block ``(i, j)`` in the apply's
-        working dtype: the C->B operand.  A complex one is a full copy,
-        cached per dtype for the HEMM's lifetime."""
-        if Hij.dtype.kind != "c":
-            return Hij
-        key = (i, j, Hij.dtype.str)
-        cached = self._hconj.get(key)
-        if cached is None:
-            cached = self._hconj[key] = Hij.conj()
-        return cached
-
-    def _row_panel(self, i: int, rdtype) -> np.ndarray:
-        """``[H_i0 | ... | H_i,q-1]`` in the working dtype, cached."""
-        narrow = bytes_per_scalar(rdtype) < bytes_per_scalar(self.H.dtype)
-        pdt = _NARROW[np.dtype(self.H.dtype)] if narrow else np.dtype(self.H.dtype)
-        key = (i, pdt.str)
-        P = self._panels.get(key)
-        if P is None:
-            P = self._panels[key] = np.hstack([
-                np.asarray(self._local_work(i, j, rdtype))
-                for j in range(self.grid.q)])
-        return P
-
-    def _row_panel_conj(self, i: int, rdtype) -> np.ndarray:
-        """Elementwise conjugate of the fused row panel (complex C->B)."""
-        P0 = self._row_panel(i, rdtype)
-        if np.dtype(self.H.dtype).kind != "c":
-            return P0
-        key = (i, P0.dtype.str)
-        P = self._panels_conj.get(key)
-        if P is None:
-            P = self._panels_conj[key] = P0.conj()
-        return P
+    def _form(self, narrow: bool, conj: bool) -> tuple:
+        """H as an apply works on it — cast narrow when ``narrow``,
+        conjugated when ``conj`` (C -> B) and complex — as ``(A, row
+        panels A[rows_i, :], grid blocks A[rows_i, cols_j])``, the panels
+        and blocks views of the one array ``A``.  Each form is one
+        whole-array op on the one before it, made once and kept for the
+        HEMM's lifetime."""
+        conj = conj and self.H.dtype.kind == "c"
+        form = self._forms.get((narrow, conj))
+        if form is None:
+            H = self.H
+            if conj:
+                A = self._form(narrow, False)[0].conj()
+            elif narrow:
+                A = cast_numeric(H.data, _NARROW[np.dtype(H.dtype)])
+            else:
+                A = H.data
+            form = self._forms[(narrow, conj)] = (
+                A, [A[slice(*H.rowmap.range_of(i))] for i in range(self.grid.p)],
+                H.blocks if A is H.data else H.tiles(A))
+        return form
 
     def _scratch_arr(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
         arr = self._scratch.get(key)
@@ -236,9 +217,10 @@ class DistributedHemm:
 
         ``cols`` is a non-empty unit-step slice of ``X``'s columns
         (``None``: all).  ``out``, a numeric multivector of the result's
-        layout and width, receives the result when compatible.  The
-        apply is its :meth:`_charge`, then, but for an :class:`Operand`
-        (which yields the product's), its uncharged :meth:`_compute`.
+        layout and width, receives the result and is returned when
+        compatible.  The apply is its :meth:`_charge`, then, but for an
+        :class:`Operand` (which yields the product's), its uncharged
+        :meth:`_compute`.
         """
         cols, width = self._columns(X, cols)
         rdtype = _work_dtype(self.H.dtype, X.dtype)
@@ -259,8 +241,8 @@ class DistributedHemm:
         axis, sized from the output map.  Counts the MatVecs."""
         grid = self.grid
         self.matvecs += width
-        if rdtype != self.H.dtype:
-            self._cast_work(rdtype)
+        if self._narrow(rdtype):
+            self._cast_work()
         axis, heights = (grid.col_comms, self._heights[1]) if to_b \
             else (grid.row_comms, self._heights[0])
         row_bytes = width * rdtype.itemsize
@@ -270,25 +252,21 @@ class DistributedHemm:
             (axis, lambda: [float(h * row_bytes) for h in heights]))
 
     def _compute(self, X, cols, width, rdtype, alpha, gamma, out):
-        """:meth:`apply` without its charges: the numerics, then the
-        reduction's data movement."""
+        """:meth:`apply` without its charges: the numerics into the
+        result's one array, then the reduction's data movement."""
         grid, H = self.grid, self.H
         to_b = X.layout == "C"
         out_map = H.colmap if to_b else H.rowmap
         out_layout = "B" if to_b else "C"
         out = self._usable_out(out, out_layout, out_map, width, rdtype)
-
-        bufs, blocks, base = self._numerics(
-            X, cols, width, to_b, alpha, gamma, out, rdtype)
+        if out is None:
+            out = DistributedMultiVector(grid, out_map, out_layout, np.empty(
+                (out_map.N, width), rdtype))
+        bufs = self._numerics(X, cols, width, to_b, alpha, gamma, out,
+                              self._narrow(rdtype))
         axis = grid.col_comms if to_b else grid.row_comms
         axis.allreduce_move(bufs)
-        if blocks is None:  # fused C -> B: assembled from the summed slices
-            blocks = self._fused_cb_blocks([b[0] for b in bufs], base, out)
-
-        result = DistributedMultiVector(
-            grid, out_map, out_layout, width, blocks, rdtype)
-        result.stacked_base = base
-        return result
+        return out
 
     @staticmethod
     def _columns(X, cols) -> tuple[slice, int]:
@@ -338,123 +316,49 @@ class DistributedHemm:
             k.scale(W)
 
     # -- the numerics -----------------------------------------------------------
-    def _numerics(self, X, cols, width, to_b, alpha, gamma, out, rdtype):
-        """The partial products of one numeric apply, by input kind:
-        ``(reduction, blocks, base)`` — the buffer lists the shared
-        reduction sums on the distributed axis, the result blocks
-        once reduced (``None`` for fused C -> B, assembled by
-        :meth:`_fused_cb_blocks`) and the array they tile, if any."""
+    def _numerics(self, X, cols, width, to_b, alpha, gamma, out, narrow):
+        """The partial products of one numeric apply, by input kind, the
+        reducing ones landing in ``out``'s parts: returns the buffer
+        lists the reduction sums on the distributed axis."""
         grid = self.grid
-        p, q = grid.p, grid.q
-        base = out.stacked_base if out is not None else None
-        fused = grid.cluster.config.hemm_fusion
-        if fused and to_b:
-            offs = self._offsets
-            panels, base = self._fused_cb_panels(
-                X, cols, width, alpha, gamma, out, rdtype)
-            reduction = [[P[offs[j]:offs[j + 1]] for P in panels]
-                         for j in range(q)]
-            blocks = None
-        elif fused:
-            # the sum over j already happened in the GEMM's k-dimension:
-            # the row communicators move nothing
-            tgts = self._fused_bc_targets(
-                X, cols, width, alpha, gamma, out, rdtype)
-            reduction = []
-            blocks = {(i, j): tgts[i] for i in range(p) for j in range(q)}
-        else:
-            partials = self._block_partials(
-                X, cols, width, to_b, alpha, gamma, out, rdtype)
-            _axis, keys = X.axis()
-            reduction = [[partials[key] for key in ks] for ks in keys]
-            # the reduction sums into the root partial, which every
-            # replica slot of the result then aliases
-            blocks = {(i, j): partials[(0, j) if to_b else (i, 0)]
-                      for i in range(p) for j in range(q)}
-        return reduction, blocks, base
-
-    def _fused_cb_panels(self, X, cols, width, alpha, gamma, out, rdtype):
-        """C -> B partial panels: per row ``i`` one ``(sum n_c) x width``
-        panel of all ``q`` partial products; the column allreduces then
-        sum the panel row-slices exactly as the per-block kind sums W_ij."""
-        p = self.grid.p
-        offs = self._offsets
+        _A, panels, blocks = self._form(narrow, to_b)
         overlaps = overlap_table(self.H.rowmap, self.H.colmap)
-        base = None
-        if out is not None and out.stacked_base is not None \
-                and out.stacked_base.shape == (offs[-1], width) \
-                and out.stacked_base.dtype == rdtype:
-            base = out.stacked_base
-        panels = []
-        for i in range(p):
-            P = self._row_panel_conj(i, rdtype)
-            if i == 0:
-                tgt = base if base is not None \
-                    else np.empty((offs[-1], width), rdtype)
-            else:
-                tgt = self._scratch_arr(("cb", i), (offs[-1], width), rdtype)
-            pairs_i = list(enumerate(overlaps[i])) if gamma != 0.0 else None
-            panels.append(panel_cb_numeric(
-                P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs, out=tgt))
-        return panels, base
-
-    def _fused_cb_blocks(self, roots, base, out):
-        """Assemble the C -> B result blocks from the summed row-slices
-        ``roots`` (one per grid column)."""
-        p, q = self.grid.p, self.grid.q
-        if out is not None and base is None:
-            # out exists but is not slice-contiguous: land the
-            # summed slices in its storage
-            for j in range(q):
-                out.blocks[(0, j)][...] = roots[j]
-                roots[j] = out.blocks[(0, j)]
-        return {(i, j): roots[j] for i in range(p) for j in range(q)}
-
-    def _fused_bc_targets(self, X, cols, width, alpha, gamma, out, rdtype):
-        """B -> C fused numerics: stack the q unique input blocks once,
-        contract them with the cached row panel in one GEMM per row —
-        the reduction sum lives in the GEMM's k-dimension."""
-        p, q = self.grid.p, self.grid.q
         offs = self._offsets
-        overlaps = overlap_table(self.H.rowmap, self.H.colmap)
-        Bstack = self._scratch_arr(("bstack",), (offs[-1], width), rdtype)
-        for j in range(q):
-            Bstack[offs[j]:offs[j + 1], :] = X.local(0, j)[:, cols]
-        tgts = []
-        for i in range(p):
-            P = self._row_panel(i, rdtype)
-            if out is not None:
-                tgt = out.blocks[(i, 0)]
-            else:
-                tgt = np.empty((P.shape[0], width), rdtype)
-            pairs_i = list(enumerate(overlaps[i])) if gamma != 0.0 else None
-            tgts.append(panel_bc_numeric(
-                P, Bstack, pairs_i, gamma, alpha, offs, out=tgt))
-        return tgts
-
-    def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype):
-        """Per-block partial products, one per grid block in row-major
-        order, root targets landing in ``out``'s storage and the others
-        in recycled scratch."""
-        H = self.H
-        overlaps = overlap_table(H.rowmap, H.colmap)
+        if grid.cluster.config.hemm_fusion and to_b:
+            # per grid row one (sum n_c) x width panel of all q partial
+            # products; the column allreduces sum the panels' row slices
+            # exactly as the per-block kind sums W_ij
+            sums = []
+            for i, P in enumerate(panels):
+                tgt = out.data if i == 0 else self._scratch_arr(
+                    ("cb", i), out.data.shape, out.dtype)
+                pairs_i = list(enumerate(overlaps[i])) if gamma != 0.0 else None
+                sums.append(panel_cb_numeric(
+                    P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs,
+                    out=tgt))
+            return [[S[offs[j]:offs[j + 1]] for S in sums]
+                    for j in range(grid.q)]
+        if grid.cluster.config.hemm_fusion:
+            # B -> C: the stacked input is X's array, and the sum over j
+            # happens in the GEMM's k-dimension: the row communicators
+            # move nothing
+            Bstack = X.data[:, cols]
+            for i, P in enumerate(panels):
+                pairs_i = list(enumerate(overlaps[i])) if gamma != 0.0 else None
+                panel_bc_numeric(P, Bstack, pairs_i, gamma, alpha, offs,
+                                 out=out.parts[i])
+            return []
+        # per block: the partial product of each grid block, the root's
+        # in ``out``'s part and the others in recycled scratch
         partials = {}
-        for i in range(self.grid.p):
-            for j in range(self.grid.q):
-                Hij = self._local_work(i, j, rdtype)
-                # C -> B contracts with the conjugate's transpose (the
-                # .T is taken inside the kernel, free)
-                Hop = self._h_conj(i, j, Hij) if to_b else Hij
-                shape = (Hij.shape[1 if to_b else 0], width)
-                root = (0, j) if to_b else (i, 0)
-                if (i, j) == root and out is not None:
-                    tgt = out.blocks[root]
-                elif (i, j) == root:
-                    tgt = np.empty(shape, rdtype)
-                else:
-                    tgt = self._scratch_arr(("pb", i, j), shape, rdtype)
-                pairs = overlaps[i][j] if gamma != 0.0 else None
-                partials[(i, j)] = block_numeric(
-                    Hop, to_b, X.local(i, j), cols, pairs, gamma, alpha,
-                    to_b, out=tgt)
-        return partials
+        for (i, j), Hop in blocks.items():
+            root = (0, j) if to_b else (i, 0)
+            # C -> B contracts with the conjugate's transpose (the .T is
+            # taken inside the kernel, free)
+            tgt = out.local(i, j) if (i, j) == root else self._scratch_arr(
+                ("pb", i, j), (Hop.shape[1 if to_b else 0], width), out.dtype)
+            partials[(i, j)] = block_numeric(
+                Hop, to_b, X.local(i, j), cols,
+                overlaps[i][j] if gamma != 0.0 else None, gamma, alpha, to_b,
+                out=tgt)
+        return [[partials[key] for key in ks] for ks in X.axis()[1]]

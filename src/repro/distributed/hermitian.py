@@ -1,7 +1,8 @@
 """The distributed Hermitian matrix ``H`` on the 2D grid.
 
-``H`` is immutable after construction: consumers (``DistributedHemm``)
-cache arrays derived from its blocks for the object's lifetime.
+``H`` is one ``N x N`` ndarray whose blocks are views of it, and it is
+immutable after construction: consumers (``DistributedHemm``) cache
+arrays derived from it for the object's lifetime.
 """
 
 from __future__ import annotations
@@ -11,13 +12,7 @@ import numpy as np
 from repro.distributed.block import BlockMap1D
 from repro.runtime.grid import Grid2D
 
-__all__ = ["DistributedHermitian", "global_indices"]
-
-
-def global_indices(index_map, part: int) -> np.ndarray:
-    """The global indices owned by ``part``, in local order."""
-    return np.arange(*index_map.range_of(part), dtype=np.int64)
-
+__all__ = ["DistributedHermitian"]
 
 _PANEL_ELEMS = 1 << 20  # elements of ``H`` the Hermitian check reads at once
 
@@ -37,35 +32,39 @@ class DistributedHermitian:
 
     Rank ``(i, j)`` owns the local block with rows ``rowmap`` part ``i``
     and columns ``colmap`` part ``j``: the block distribution of paper
-    Sec. 2.2.
+    Sec. 2.2.  The blocks tile the global matrix, ``data``, and are
+    views of it (:meth:`tiles`).
     """
 
-    def __init__(self, grid: Grid2D, N: int, rowmap, colmap, blocks, dtype):
+    def __init__(self, grid: Grid2D, N: int, rowmap, colmap,
+                 data: np.ndarray | None, dtype):
         self.grid = grid
         self.N = int(N)
         self.rowmap = rowmap
         self.colmap = colmap
-        self.blocks = blocks  # dict[(i, j)] -> ndarray; empty: a layout only
+        self.data = data  # the N x N matrix; None: a layout only
         self.dtype = np.dtype(dtype)
+        self.blocks = {} if data is None else self.tiles(data)
+
+    def tiles(self, A: np.ndarray) -> dict:
+        """``{(i, j): A[rows_i, cols_j]}``: the grid blocks of an
+        ``N x N`` array, as views."""
+        rows = [slice(*self.rowmap.range_of(i)) for i in range(self.grid.p)]
+        cols = [slice(*self.colmap.range_of(j)) for j in range(self.grid.q)]
+        return {(i, j): A[r, c] for i, r in enumerate(rows)
+                for j, c in enumerate(cols)}
 
     # -- constructors -----------------------------------------------------------
     @classmethod
     def from_dense(cls, grid: Grid2D, H: np.ndarray) -> "DistributedHermitian":
-        """Distribute a dense Hermitian matrix (numeric mode)."""
+        """Distribute a dense Hermitian matrix (numeric mode): one copy."""
         H = np.asarray(H)
         N = H.shape[0]
         if H.shape != (N, N):
             raise ValueError("H must be square")
         _check_hermitian(H)
-        rowmap = BlockMap1D(N, grid.p)
-        colmap = BlockMap1D(N, grid.q)
-        blocks = {}
-        for i in range(grid.p):
-            rows = slice(*rowmap.range_of(i))
-            for j in range(grid.q):
-                cols = slice(*colmap.range_of(j))
-                blocks[(i, j)] = np.ascontiguousarray(H[rows, cols])
-        return cls(grid, N, rowmap, colmap, blocks, H.dtype)
+        return cls(grid, N, BlockMap1D(N, grid.p), BlockMap1D(N, grid.q),
+                   np.array(H, order="C"), H.dtype)
 
     @classmethod
     def phantom(
@@ -74,18 +73,5 @@ class DistributedHermitian:
         """The block distribution of an ``N x N`` matrix without its
         blocks: all a phantom replay's charges read (paper-scale
         performance runs)."""
-        return cls(grid, N, BlockMap1D(N, grid.p), BlockMap1D(N, grid.q), {},
-                   dtype)
-
-    # -- access ---------------------------------------------------------------------
-    def local(self, i: int, j: int):
-        return self.blocks[(i, j)]
-
-    def to_dense(self) -> np.ndarray:
-        """Reassemble the global matrix (numeric mode; validation only)."""
-        H = np.zeros((self.N, self.N), dtype=self.dtype)
-        for i in range(self.grid.p):
-            rows = slice(*self.rowmap.range_of(i))
-            for j in range(self.grid.q):
-                H[rows, slice(*self.colmap.range_of(j))] = self.blocks[(i, j)]
-        return H
+        return cls(grid, N, BlockMap1D(N, grid.p), BlockMap1D(N, grid.q),
+                   None, dtype)

@@ -9,13 +9,15 @@ Two layouts (paper Sec. 3.1):
   replicated across grid rows ``i``: one row communicator jointly holds
   the full matrix.
 
-Replicas are one object: the blocks of one replication group (fixed
-``i``, all ``j`` in layout "C"; fixed ``j``, all ``i`` in layout "B")
-hold identical data by construction, so a numeric multivector stores
-**one ndarray per group** and aliases it into every replica slot.  Every
-mutating operation (``write_into``, ``permute_columns``,
-``copy_cols_from``) writes through the group's root, and ``view_cols``
-returns one shared view per group (DESIGN.md §5b).
+One array per layout: the parts of a layout (grid row ``i`` of the row
+map in "C", grid column ``j`` of the column map in "B") are contiguous
+row ranges that, stacked in part order, give exactly the global
+``N x ne`` matrix.  A numeric multivector holds that matrix as **one
+ndarray**, :attr:`~DistributedMultiVector.data`; the block of rank
+``(i, j)`` is its part's row-range view, built once per array, and
+every replica of a part is that one view object (DESIGN.md §5b).
+Elementwise work runs once on the whole array; contracting and reducing
+kernels run once per part.
 
 An :class:`Operand` is a multivector without data: what every charge
 reads of one.  A phase's charges are functions of operands (DESIGN.md
@@ -29,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.distributed.hermitian import global_indices
 from repro.runtime.grid import Grid2D
 
 __all__ = ["DistributedMultiVector", "Operand"]
@@ -94,29 +95,32 @@ class Operand(NamedTuple):
 
 
 class DistributedMultiVector:
-    """An ``N x ne`` matrix of vectors in layout ``"C"`` or ``"B"``."""
+    """An ``N x ne`` matrix of vectors in layout ``"C"`` or ``"B"``:
+    ``data``, one ndarray, and :attr:`parts`, its part row-range views."""
 
-    def __init__(
-        self,
-        grid: Grid2D,
-        index_map,
-        layout: str,
-        ne: int,
-        blocks,
-        dtype,
-    ):
+    def __init__(self, grid: Grid2D, index_map, layout: str,
+                 data: np.ndarray):
         if layout not in ("C", "B"):
             raise ValueError(f"layout must be 'C' or 'B', got {layout!r}")
+        if data.ndim != 2 or data.shape[0] != index_map.N:
+            raise ValueError(f"a {data.shape} array does not hold the "
+                             f"{index_map.N} rows of its index map")
         self.grid = grid
         self.index_map = index_map
         self.layout = layout
-        self.ne = int(ne)
-        self.blocks = blocks  # dict[(i, j)] -> ndarray
-        self.dtype = np.dtype(dtype)
-        #: set by :meth:`zeros_stacked`: one contiguous array holding
-        #: every unique block as a consecutive row slice (fused HEMM
-        #: writes all partial products with a single GEMM into it)
-        self.stacked_base: np.ndarray | None = None
+        self.data = data
+        self.ne = data.shape[1]
+        self.dtype = data.dtype
+        #: one row-range view per part, in part order: the block every
+        #: rank of the part's replication group holds
+        self.parts = [data[slice(*index_map.range_of(k))]
+                      for k in range(grid.p if layout == "C" else grid.q)]
+
+    def with_data(self, data: np.ndarray) -> "DistributedMultiVector":
+        """A multivector of this one's grid, map and layout holding
+        ``data``."""
+        return DistributedMultiVector(self.grid, self.index_map, self.layout,
+                                      data)
 
     def axis(self):
         """This layout's distributed axis: ``(communicators, keys)`` — the
@@ -129,181 +133,77 @@ class DistributedMultiVector:
         return grid.row_comms, grid.row_keys
 
     def allreduce(self, parts: list):
-        """SUM ``parts`` — one value per replication group, in
-        :meth:`unique_keys` order — over this layout's distributed axis,
-        uncharged (the step's charge half charged the collective).
+        """SUM ``parts`` — one value per part, in part order — over this
+        layout's distributed axis, uncharged (the step's charge half
+        charged the collective).
 
         The communicators of the axis replicate each other, and the
-        groups are the first communicator's members: the sum runs once,
+        parts are the first communicator's members: the sum runs once,
         on it, into ``parts[0]`` for arrays; returns the total every rank
         holds.
         """
         return self.axis()[0].allreduce_move([parts])[0]
-
-    # -- replication groups --------------------------------------------------------
-    def rep_root(self, i: int, j: int) -> tuple[int, int]:
-        """Canonical key of the replication group ``(i, j)`` belongs to."""
-        return (i, 0) if self.layout == "C" else (0, j)
-
-    def rep_group(self, i: int, j: int) -> list[tuple[int, int]]:
-        """All keys holding replicas of block ``(i, j)``."""
-        if self.layout == "C":
-            return [(i, jj) for jj in range(self.grid.q)]
-        return [(ii, j) for ii in range(self.grid.p)]
-
-    def unique_keys(self) -> list[tuple[int, int]]:
-        """The canonical (root) key of every replication group."""
-        if self.layout == "C":
-            return [(i, 0) for i in range(self.grid.p)]
-        return [(0, j) for j in range(self.grid.q)]
-
-    def roots(self) -> list:
-        """The block of every replication group, in :meth:`unique_keys`
-        order: what an uncharged compute runs on, once per group."""
-        return [self.blocks[key] for key in self.unique_keys()]
-
-    def assign(self, parts: list) -> None:
-        """Hold ``parts[k]`` in every replica slot of replication group
-        ``k`` (the blocks no longer tile :attr:`stacked_base`)."""
-        self.stacked_base = None
-        for root, part in zip(self.unique_keys(), parts):
-            for key in self.rep_group(*root):
-                self.blocks[key] = part
-
-    def replicas_share_memory(self) -> bool:
-        """True when every replica slot holds its group's root ndarray."""
-        return all(
-            self.blocks[key] is self.blocks[self.rep_root(*key)]
-            for key in self.blocks
-        )
 
     # -- constructors ------------------------------------------------------------
     @classmethod
     def zeros(
         cls, grid: Grid2D, index_map, layout: str, ne: int, dtype
     ) -> "DistributedMultiVector":
-        return cls._of_parts(grid, index_map, layout, ne, dtype, [
-            np.zeros((index_map.local_size(k), ne), dtype=dtype)
-            for k in range(grid.p if layout == "C" else grid.q)])
-
-    @classmethod
-    def _of_parts(cls, grid: Grid2D, index_map, layout: str, ne: int, dtype,
-                  parts: list) -> "DistributedMultiVector":
-        """The numeric multivector whose replication group ``k`` (grid
-        row ``k`` in layout "C", column ``k`` in "B") holds ``parts[k]``
-        in every replica slot."""
-        return cls(grid, index_map, layout, ne, {
-            (i, j): parts[i if layout == "C" else j]
-            for i in range(grid.p) for j in range(grid.q)}, dtype)
-
-    @classmethod
-    def zeros_stacked(
-        cls, grid: Grid2D, index_map, layout: str, ne: int, dtype
-    ) -> "DistributedMultiVector":
-        """Numeric zeros whose unique blocks share one contiguous base.
-
-        The unique blocks are consecutive row slices of a single
-        ``(sum_of_local_sizes) x ne`` ndarray, stacked in part order
-        (the same order ``DistributedHemm`` stacks its fused row
-        panels), exposed as :attr:`stacked_base`.
-        """
-        parts = grid.p if layout == "C" else grid.q
-        offs = np.cumsum([0] + [index_map.local_size(k) for k in range(parts)])
-        base = np.zeros((offs[-1], ne), dtype=dtype)
-        mv = cls._of_parts(grid, index_map, layout, ne, dtype, [
-            base[offs[k]:offs[k + 1]] for k in range(parts)])
-        mv.stacked_base = base
-        return mv
+        return cls(grid, index_map, layout,
+                   np.zeros((index_map.N, ne), dtype=dtype))
 
     @classmethod
     def from_global(
         cls, grid: Grid2D, V: np.ndarray, index_map, layout: str
     ) -> "DistributedMultiVector":
-        """Distribute a global ``N x ne`` matrix (numeric mode)."""
-        V = np.asarray(V)
-        return cls._of_parts(grid, index_map, layout, V.shape[1], V.dtype, [
-            np.ascontiguousarray(V[global_indices(index_map, k), :])
-            for k in range(grid.p if layout == "C" else grid.q)])
+        """Distribute a global ``N x ne`` matrix (numeric mode): one copy."""
+        return cls(grid, index_map, layout, np.array(V, order="C"))
 
     # -- access --------------------------------------------------------------------
     def local(self, i: int, j: int):
-        return self.blocks[(i, j)]
+        """The block of grid rank ``(i, j)``: its part's view."""
+        return self.parts[i if self.layout == "C" else j]
 
     def segments(self, keyed_rows, start: int, stop: int) -> list:
         """Rows ``[a, b)`` and columns ``[start, stop)`` of the block at
         ``key``, per ``(key, (a, b))`` of ``keyed_rows``: the NumPy views
         a redistribution moves."""
-        return [self.blocks[key][a:b, start:stop] for key, (a, b) in keyed_rows]
+        return [self.local(*key)[a:b, start:stop] for key, (a, b) in keyed_rows]
 
-    # -- whole-matrix views (validation / serial handoff) -----------------------------
-    def gather(self, fixed: int = 0) -> np.ndarray:
-        """Reassemble the global matrix from one replica group.
-
-        For layout ``"C"`` use column ``fixed``; for ``"B"`` use row
-        ``fixed``.
-        """
-        N = self.index_map.N
-        out = np.zeros((N, self.ne), dtype=self.dtype)
-        parts = self.grid.p if self.layout == "C" else self.grid.q
-        for part in range(parts):
-            key = (part, fixed) if self.layout == "C" else (fixed, part)
-            rows = global_indices(self.index_map, part)
-            out[rows, :] = self.blocks[key]
-        return out
+    def gather(self) -> np.ndarray:
+        """The global matrix, a copy (validation / serial handoff)."""
+        return self.data.copy()
 
     # -- column views ------------------------------------------------------------------
     def view_cols(self, start: int, stop: int) -> "DistributedMultiVector":
-        """A column-sliced view (``[:, start:stop]``).
-
-        The blocks are NumPy *views* — writes through the view update
-        this multivector.  The replicas of a group share one view object
-        in the result.
-        """
+        """A column-sliced view (``[:, start:stop]``): writes through the
+        view update this multivector."""
         if not 0 <= start <= stop <= self.ne:
             raise ValueError(f"bad column range [{start}, {stop}) for ne={self.ne}")
-        view = self._of_parts(
-            self.grid, self.index_map, self.layout, stop - start,
-            self.dtype, [blk[:, start:stop] for blk in self.roots()])
-        if self.stacked_base is not None:
-            view.stacked_base = self.stacked_base[:, start:stop]
-        return view
+        return self.with_data(self.data[:, start:stop])
 
     def write_into(self, target: "DistributedMultiVector", start: int) -> None:
-        """``target[:, start:start+self.ne] = self`` blockwise (no comm).
-
-        Each replication group is written once through its shared
-        ndarray.
-        """
+        """``target[:, start:start+self.ne] = self`` (no comm)."""
         if self.layout != target.layout:
             raise ValueError("layout mismatch")
         if start + self.ne > target.ne:
             raise ValueError("target column range overflow")
-        for key in target.unique_keys():
-            target.blocks[key][:, start : start + self.ne] = self.blocks[key]
+        target.data[:, start:start + self.ne] = self.data
 
     # -- column bookkeeping (locking) ------------------------------------------------
     def permute_columns(self, perm: np.ndarray) -> None:
-        """Apply one global column permutation to every local block.
+        """Apply one global column permutation, in place.
 
         Column operations are rank-local in both layouts (rows are what
-        is distributed), so locking's swaps need no communication.  The
-        permutation is materialized once per replication group and the
-        fresh array placed in every replica slot.
+        is distributed), so locking's swaps need no communication.
         """
         perm = np.asarray(perm)
         if perm.shape != (self.ne,):
             raise ValueError("permutation length must equal ne")
-        # block storage is re-materialized below; the blocks no longer
-        # tile one contiguous base afterwards
-        self.stacked_base = None
-        for root in self.unique_keys():
-            new = np.ascontiguousarray(self.blocks[root][:, perm])
-            for key in self.rep_group(*root):
-                self.blocks[key] = new
+        self.data[...] = self.data[:, perm]
 
     def copy_cols_from(self, other: "DistributedMultiVector", start: int, stop: int) -> None:
-        """``self[:, start:stop] = other[:, start:stop]`` blockwise."""
+        """``self[:, start:stop] = other[:, start:stop]``."""
         if self.layout != other.layout or self.ne != other.ne:
             raise ValueError("incompatible multivectors")
-        for key in self.unique_keys():
-            self.blocks[key][:, start:stop] = other.blocks[key][:, start:stop]
+        self.data[:, start:stop] = other.data[:, start:stop]

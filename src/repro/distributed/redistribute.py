@@ -73,7 +73,7 @@ def _redistribute(grid: Grid2D, src, dst, cols: slice | None) -> int:
     width and the dtype (:meth:`CommGroup.charge_bcast`) — and then, but
     between operands, moves the data uncharged.  The target replicates
     along the axis: the root's segment view is broadcast and written
-    once through the shared target block.
+    once through the target part's view.
     """
     cols = cols if cols is not None else slice(0, src.ne)
     start = cols.start or 0
@@ -101,7 +101,7 @@ def _redistribute(grid: Grid2D, src, dst, cols: slice | None) -> int:
             members, roots, src_rows)), start, stop)
         received = group.bcast_move([[v] * comms.size for v in views], roots)
         for k, (a, b), res in zip(members, dst_rows, received):
-            dst.blocks[key(k, 0)][a:b, start:stop] = res[0]
+            dst.local(*key(k, 0))[a:b, start:stop] = res[0]
     return n_bcasts
 
 

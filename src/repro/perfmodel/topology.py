@@ -6,8 +6,9 @@ messages through a switch hierarchy — JUWELS-Booster uses a DragonFly+
 topology, many systems use k-ary fat trees — and a communicator's cost
 depends on how deep into the tree its traffic must climb.
 
-This module builds a two-level fat tree as a :mod:`networkx` graph and
-answers the questions a placement study needs:
+This module models a two-level fat tree (also as a :mod:`networkx`
+graph, imported only by :meth:`FatTree.graph`, so the package does not
+need it) and answers the questions a placement study needs:
 
 * how many switch hops separate two nodes;
 * a communicator's average/maximum hop count;
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 __all__ = ["FatTree"]
 
@@ -55,8 +54,11 @@ class FatTree:
             raise IndexError(f"node {node} out of range")
         return node // self.nodes_per_leaf
 
-    def graph(self) -> nx.Graph:
-        """The topology as an explicit graph (for analysis/plotting)."""
+    def graph(self):
+        """The topology as an explicit :class:`networkx.Graph` (for
+        analysis/plotting)."""
+        import networkx as nx
+
         g = nx.Graph()
         core = "core"
         g.add_node(core, kind="core")
@@ -79,6 +81,8 @@ class FatTree:
     def hops_via_graph(self, a: int, b: int) -> int:
         """Same as :meth:`hops` but computed on the explicit graph
         (cross-checks the closed form; used by tests)."""
+        import networkx as nx
+
         if a == b:
             return 0
         return nx.shortest_path_length(self.graph(), a, b)

@@ -25,8 +25,8 @@ PRECISION_MODES = ("fp64", "fp32")
 @dataclass(frozen=True)
 class ExecutionConfig:
     """The three execution choices of a solve.  None changes what is
-    stored: a numeric multivector always holds one ndarray per
-    replication group (DESIGN.md §5b).
+    stored: a multivector and ``H`` each hold one ndarray whose blocks
+    are views of it (DESIGN.md §5b).
 
     hemm_fusion:
         Run numeric HEMM applies on the fused-panel tier (one GEMM per

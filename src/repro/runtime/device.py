@@ -15,7 +15,8 @@ module:
 
 The charge is issued once per *shape class* — a kernel set whose sink
 reaches every rank holding equally shaped blocks — and the arithmetic
-once per unique block, so the cost model sees the identical per-rank
+once per part of a layout, or once on its whole array for an
+elementwise kernel, so the cost model sees the identical per-rank
 charge sequence whatever the numerics share.
 
 The mapping to the paper's GPU port (Sec. 3.3): GEMM/HEMM -> cuBLAS,

@@ -5,7 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.distributed import BlockMap1D
 from repro.distributed.block import overlap_table
-from repro.distributed.hermitian import global_indices
+
+
+def indices(m, part: int) -> np.ndarray:
+    """The global indices ``part`` owns, in local order."""
+    return np.arange(*m.range_of(part))
 
 
 class TestBlockMap:
@@ -26,7 +30,7 @@ class TestBlockMap:
         m = BlockMap1D(2, 4)
         assert m.range_of(3) == (2, 2)
         assert m.local_size(3) == 0
-        assert global_indices(m, 3).size == 0
+        assert indices(m, 3).size == 0
 
     def test_equality_hash(self):
         assert BlockMap1D(10, 2) == BlockMap1D(10, 2)
@@ -41,7 +45,7 @@ class TestBlockMap:
         assert max(sizes) - min(sizes) <= 1
 
     @given(N=st.integers(0, 200), parts=st.integers(1, 16))
-    def test_global_indices_are_the_range(self, N, parts):
+    def test_parts_are_abutting_ranges(self, N, parts):
         """Each part's local indices are one run of consecutive global
         indices, and consecutive parts abut."""
         m = BlockMap1D(N, parts)
@@ -49,8 +53,6 @@ class TestBlockMap:
         for k in range(parts):
             lo, hi = m.range_of(k)
             assert lo == stop and hi - lo == m.local_size(k)
-            np.testing.assert_array_equal(global_indices(m, k),
-                                          np.arange(lo, hi))
             stop = hi
         assert stop == N
 
@@ -92,15 +94,15 @@ class TestOverlapPairs:
         rm, cm = BlockMap1D(N, p), BlockMap1D(N, q)
         table = overlap_table(rm, cm)
         for i in range(p):
-            gi = set(global_indices(rm, i).tolist())
+            gi = set(indices(rm, i).tolist())
             for j in range(q):
-                common = sorted(gi & set(global_indices(cm, j).tolist()))
+                common = sorted(gi & set(indices(cm, j).tolist()))
                 if not common:
                     assert table[i][j] == ()
                     continue
                 ((rsl, csl),) = table[i][j]
-                assert global_indices(rm, i)[rsl].tolist() == common
-                assert global_indices(cm, j)[csl].tolist() == common
+                assert indices(rm, i)[rsl].tolist() == common
+                assert indices(cm, j)[csl].tolist() == common
 
     @given(
         N=st.integers(1, 60),
@@ -115,9 +117,9 @@ class TestOverlapPairs:
         table = overlap_table(rm, cm)
         hits = np.zeros(N, dtype=int)
         for i in range(p):
-            gi = global_indices(rm, i)
+            gi = indices(rm, i)
             for j in range(q):
-                gj = global_indices(cm, j)
+                gj = indices(cm, j)
                 for rsl, csl in table[i][j]:
                     assert rsl.stop - rsl.start == csl.stop - csl.start
                     np.testing.assert_array_equal(gi[rsl], gj[csl])

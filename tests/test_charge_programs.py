@@ -252,7 +252,7 @@ def test_redistribution_charges_numeric_as_phantom(direction, p, q, N,
         redistribute(grid, X, Y, slice(1, 5))
         cluster = grid.cluster
         if not phantom:
-            np.testing.assert_array_equal(Y.gather(0)[:, 1:5], V[:, 1:5])
+            np.testing.assert_array_equal(Y.gather()[:, 1:5], V[:, 1:5])
         return (cluster.clocks.tobytes(),
                 {ph: r.tobytes() for ph, r in cluster.tracer._rows.items()},
                 grid.comm_stats(), grid.comm_stats_levels())

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from repro.distributed import DistributedHermitian, DistributedMultiVector
+from tests.conftest import assert_one_array
 
 
 class TestDistributedHermitian:
     def test_roundtrip_block(self, grid23, small_sym):
         Hd = DistributedHermitian.from_dense(grid23, small_sym)
-        np.testing.assert_allclose(Hd.to_dense(), small_sym)
+        np.testing.assert_allclose(Hd.data, small_sym)
 
     def test_roundtrip_complex(self, grid23, rng):
         A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         H = (A + A.conj().T) / 2
         Hd = DistributedHermitian.from_dense(grid23, H)
-        np.testing.assert_array_equal(Hd.to_dense(), H)
+        np.testing.assert_array_equal(Hd.data, H)
 
     def test_ragged_local_block_shapes(self, grid23, rng):
         """31 rows over 2 parts and 31 columns over 3: the leading parts
@@ -26,20 +27,20 @@ class TestDistributedHermitian:
         shapes = {ij: block.shape for ij, block in Hd.blocks.items()}
         assert shapes == {(i, j): ((16, 15)[i], (11, 10, 10)[j])
                           for i in range(2) for j in range(3)}
-        np.testing.assert_array_equal(Hd.to_dense(), H)
+        np.testing.assert_array_equal(Hd.data, H)
 
     def test_roundtrip_with_empty_part(self, grid23):
         """Two columns over three parts: the third part owns none."""
         H = np.array([[2.0, 1.0], [1.0, 3.0]])
         Hd = DistributedHermitian.from_dense(grid23, H)
-        assert Hd.local(0, 2).shape == (1, 0)
-        np.testing.assert_array_equal(Hd.to_dense(), H)
+        assert Hd.blocks[(0, 2)].shape == (1, 0)
+        np.testing.assert_array_equal(Hd.data, H)
 
     def test_local_block_shapes(self, grid23, small_sym):
         Hd = DistributedHermitian.from_dense(grid23, small_sym)
         for i in range(2):
             for j in range(3):
-                assert Hd.local(i, j).shape == (Hd.rowmap.local_size(i),
+                assert Hd.blocks[(i, j)].shape == (Hd.rowmap.local_size(i),
                                                 Hd.colmap.local_size(j))
 
     def test_non_square_rejected(self, grid22):
@@ -72,7 +73,7 @@ class TestDistributedHermitian:
             A = A + 1j * rng.standard_normal((30, 30))
         H = 1e3 * (A + A.conj().T)
         Hd = DistributedHermitian.from_dense(grid23, H)
-        np.testing.assert_array_equal(Hd.to_dense(), H)
+        np.testing.assert_array_equal(Hd.data, H)
         monkeypatch.setattr(hermitian, "_PANEL_ELEMS", 70)  # two-row panels
         hermitian._check_hermitian(H)
         H[29, 0] += 1e-8  # within 1e-10 max|H|, about 5e-7 here
@@ -96,8 +97,8 @@ class TestDistributedMultiVector:
         rowmap = DistributedHermitian.from_dense(g, np.eye(40)).rowmap
         for layout, imap in [("C", rowmap), ("B", DistributedHermitian.from_dense(g, np.eye(40)).colmap)]:
             mv = DistributedMultiVector.from_global(g, V, imap, layout)
-            np.testing.assert_allclose(mv.gather(0), V)
-            assert mv.replicas_share_memory()
+            np.testing.assert_allclose(mv.gather(), V)
+            assert_one_array(mv)
 
     @pytest.mark.parametrize("N", [41, 2], ids=["ragged", "empty_part"])
     def test_uneven_maps_roundtrip(self, grid23, rng, N):
@@ -109,8 +110,8 @@ class TestDistributedMultiVector:
         for layout, parts in (("C", 2), ("B", 3)):
             m = BlockMap1D(N, parts)
             mv = DistributedMultiVector.from_global(grid23, V, m, layout)
-            np.testing.assert_array_equal(mv.gather(0), V)
-            assert mv.replicas_share_memory()
+            np.testing.assert_array_equal(mv.gather(), V)
+            assert_one_array(mv)
 
     def test_zeros_shapes(self, grid23):
         from repro.distributed import BlockMap1D
@@ -124,9 +125,9 @@ class TestDistributedMultiVector:
 
         mv = DistributedMultiVector.zeros(grid22, BlockMap1D(10, 2), "C", 6, np.float64)
         v = mv.view_cols(2, 4)
-        v.blocks[(0, 0)][...] = 7.0
-        assert np.all(mv.blocks[(0, 0)][:, 2:4] == 7.0)
-        assert np.all(mv.blocks[(0, 0)][:, :2] == 0.0)
+        v.local(0, 0)[...] = 7.0
+        assert np.all(mv.local(0, 0)[:, 2:4] == 7.0)
+        assert np.all(mv.local(0, 0)[:, :2] == 0.0)
 
     def test_view_cols_bad_range(self, grid22):
         from repro.distributed import BlockMap1D
@@ -143,7 +144,7 @@ class TestDistributedMultiVector:
         V = rng.standard_normal((10, 2))
         small = DistributedMultiVector.from_global(grid22, V, m, "C")
         small.write_into(big, 3)
-        np.testing.assert_allclose(big.gather(0)[:, 3:5], V)
+        np.testing.assert_allclose(big.gather()[:, 3:5], V)
 
     def test_permute_columns(self, grid22, rng):
         from repro.distributed import BlockMap1D
@@ -153,7 +154,7 @@ class TestDistributedMultiVector:
         mv = DistributedMultiVector.from_global(grid22, V, m, "C")
         perm = np.array([2, 0, 3, 1])
         mv.permute_columns(perm)
-        np.testing.assert_allclose(mv.gather(0), V[:, perm])
+        np.testing.assert_allclose(mv.gather(), V[:, perm])
 
     def test_permute_wrong_length(self, grid22):
         from repro.distributed import BlockMap1D
@@ -168,10 +169,10 @@ class TestDistributedMultiVector:
         m = BlockMap1D(10, 2)
         a = DistributedMultiVector.from_global(grid22, rng.standard_normal((10, 4)), m, "C")
         b = DistributedMultiVector.from_global(grid22, rng.standard_normal((10, 4)), m, "C")
-        ref = a.gather(0).copy()
-        ref[:, 1:3] = b.gather(0)[:, 1:3]
+        ref = a.gather().copy()
+        ref[:, 1:3] = b.gather()[:, 1:3]
         a.copy_cols_from(b, 1, 3)
-        np.testing.assert_allclose(a.gather(0), ref)
+        np.testing.assert_allclose(a.gather(), ref)
 
     def test_phantom_noops(self, grid22):
         """A phantom replay's buffers are operands: a multivector's

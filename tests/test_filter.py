@@ -11,7 +11,7 @@ from repro.distributed import (
     DistributedMultiVector,
     Operand,
 )
-from tests.conftest import make_grid
+from tests.conftest import assert_one_array, make_grid
 
 
 def dist_setup(H, V, p=2, q=2):
@@ -42,7 +42,7 @@ class TestFilterEquivalence:
         ref, ref_mv = _filter_serial(H, V.copy(), degs, c, e, mu1)
         g, Hd, hemm, C = dist_setup(H, V, p, q)
         mv = chebyshev_filter(hemm, C, 0, degs, c, e, mu1)
-        np.testing.assert_allclose(C.gather(0), ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(C.gather(), ref, rtol=1e-9, atol=1e-9)
         assert mv == ref_mv == 6 * 8
 
     def test_matches_serial_mixed_degrees(self, problem):
@@ -51,16 +51,16 @@ class TestFilterEquivalence:
         ref, _ = _filter_serial(H, V.copy(), degs, c, e, mu1)
         g, Hd, hemm, C = dist_setup(H, V)
         mv = chebyshev_filter(hemm, C, 0, degs, c, e, mu1)
-        np.testing.assert_allclose(C.gather(0), ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(C.gather(), ref, rtol=1e-9, atol=1e-9)
         assert mv == int(degs.sum())
 
     def test_locked_columns_untouched(self, problem):
         H, V, c, e, mu1 = problem
         g, Hd, hemm, C = dist_setup(H, V)
-        before = C.gather(0)[:, :2].copy()
+        before = C.gather()[:, :2].copy()
         degs = np.full(4, 6, dtype=np.int64)
         chebyshev_filter(hemm, C, 2, degs, c, e, mu1)
-        np.testing.assert_allclose(C.gather(0)[:, :2], before)
+        np.testing.assert_allclose(C.gather()[:, :2], before)
 
     def test_filter_is_matrix_polynomial(self, problem):
         """The filtered block equals p(H) V for a degree-m Chebyshev-type
@@ -71,7 +71,7 @@ class TestFilterEquivalence:
         m = 8
         degs = np.full(6, m, dtype=np.int64)
         chebyshev_filter(hemm, C, 0, degs, c, e, mu1)
-        F = C.gather(0)
+        F = C.gather()
         lam, Q = np.linalg.eigh(H)
         # coefficient-wise ratio (Q^T F) / (Q^T V) must be a function of
         # the eigenvalue only
@@ -86,7 +86,7 @@ class TestFilterEquivalence:
         g, Hd, hemm, C = dist_setup(H, V)
         degs = np.full(6, 12, dtype=np.int64)
         chebyshev_filter(hemm, C, 0, degs, c, e, mu1)
-        F = C.gather(0)
+        F = C.gather()
         lam, Q = np.linalg.eigh(H)
         comp_in = np.linalg.norm(Q[:, :6].T @ F)   # wanted subspace
         comp_out = np.linalg.norm(Q[:, 6:].T @ F)  # damped subspace
@@ -136,8 +136,8 @@ class TestAxpby:
         X = DistributedMultiVector.from_global(g, rng.standard_normal((20, 3)), m, "C")
         Y = DistributedMultiVector.from_global(g, rng.standard_normal((20, 3)), m, "C")
         Z = _axpby(2.0, X, -0.5, Y)
-        np.testing.assert_allclose(Z.gather(0), 2 * X.gather(0) - 0.5 * Y.gather(0))
-        assert Z.replicas_share_memory()
+        np.testing.assert_allclose(Z.gather(), 2 * X.gather() - 0.5 * Y.gather())
+        assert_one_array(Z)
 
 
 # ------------------------------------------- charge from the signature, then compute

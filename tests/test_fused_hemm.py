@@ -22,7 +22,7 @@ from repro.distributed import (
     DistributedMultiVector,
 )
 from repro.runtime import ExecutionConfig
-from tests.conftest import make_grid
+from tests.conftest import assert_one_array, make_grid
 
 
 def _dense(rng, n, dtype):
@@ -88,7 +88,7 @@ class TestFusedCrossCheck:
 
 
 class TestOutBuffers:
-    def test_stacked_out_receives_result(self, rng):
+    def test_out_receives_result(self, rng):
         Hd = _dense(rng, 40, np.float64)
         V = _vectors(rng, 40, 6, np.float64)
         g = make_grid(4, p=2, q=2,
@@ -97,13 +97,11 @@ class TestOutBuffers:
         hemm = DistributedHemm(H)
         C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
         ref = hemm.apply(C).gather()
-        out = DistributedMultiVector.zeros_stacked(
-            g, H.colmap, "B", 6, np.float64
-        )
+        out = DistributedMultiVector.zeros(g, H.colmap, "B", 6, np.float64)
+        data = out.data
         got = hemm.apply(C, out=out)
-        assert np.array_equal(got.gather(), ref)
         # the result landed in the preallocated storage
-        assert got.blocks[(0, 0)].base is out.stacked_base
+        assert got is out and got.data is data
         assert np.array_equal(out.gather(), ref)
 
     def test_out_used_without_fusion(self, rng):
@@ -116,14 +114,13 @@ class TestOutBuffers:
         H = DistributedHermitian.from_dense(g, Hd)
         hemm = DistributedHemm(H)
         C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
-        out = DistributedMultiVector.zeros_stacked(
-            g, H.colmap, "B", 5, np.complex128
-        )
+        out = DistributedMultiVector.zeros(g, H.colmap, "B", 5, np.complex128)
         B = hemm.apply(C, out=out)
         C2 = hemm.apply(B)
+        assert B is out
         assert np.array_equal(B.gather(), seed[0])
         assert np.array_equal(C2.gather(), seed[1])
-        assert B.blocks[(1, 1)] is B.blocks[(0, 1)]  # one block per group
+        assert_one_array(B)
 
     def test_incompatible_out_is_ignored(self, rng):
         Hd = _dense(rng, 30, np.float64)
@@ -135,12 +132,8 @@ class TestOutBuffers:
         C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
         ref = hemm.apply(C).gather()
         # wrong width and wrong layout: both silently ignored
-        bad_w = DistributedMultiVector.zeros_stacked(
-            g, H.colmap, "B", 9, np.float64
-        )
-        bad_l = DistributedMultiVector.zeros_stacked(
-            g, H.rowmap, "C", 4, np.float64
-        )
+        bad_w = DistributedMultiVector.zeros(g, H.colmap, "B", 9, np.float64)
+        bad_l = DistributedMultiVector.zeros(g, H.rowmap, "C", 4, np.float64)
         assert np.array_equal(hemm.apply(C, out=bad_w).gather(), ref)
         assert np.array_equal(hemm.apply(C, out=bad_l).gather(), ref)
 
@@ -190,12 +183,12 @@ class TestFilterWorkspace:
         C = DistributedMultiVector.from_global(g, V, H.rowmap, "C")
         degrees = np.full(ne, 4, dtype=np.int64)
         chebyshev_filter(hemm, C, 0, degrees, c, e, mu1, workspace=ws)
-        bases = {k: [b.stacked_base for b in pair]
-                 for k, pair in ws._buffers.items()}
+        arrays = {k: [b.data for b in pair]
+                  for k, pair in ws._buffers.items()}
         degrees2 = np.full(ne - 2, 4, dtype=np.int64)
         chebyshev_filter(hemm, C, 2, degrees2, c, e, mu1, workspace=ws)
         for k, pair in ws._buffers.items():
-            assert [b.stacked_base for b in pair] == bases[k]
+            assert all(b.data is a for b, a in zip(pair, arrays[k]))
 
 class TestAxpby:
     def test_axpby_out_bitwise(self, rng):
@@ -211,9 +204,7 @@ class TestAxpby:
             g, _vectors(rng, n, ne, np.float64), H.rowmap, "C"
         )
         ref = _axpby(1.7, X, -0.3, Y).gather()
-        out = DistributedMultiVector.zeros_stacked(
-            g, H.rowmap, "C", ne, np.float64
-        )
+        out = DistributedMultiVector.zeros(g, H.rowmap, "C", ne, np.float64)
         got = _axpby(1.7, X, -0.3, Y, out=out)
-        assert np.array_equal(got.gather(), ref)
+        assert got is out
         assert np.array_equal(out.gather(), ref)

@@ -17,7 +17,7 @@ from repro.distributed import (
     Operand,
 )
 from repro.runtime import CommBackend, ExecutionConfig
-from tests.conftest import make_grid
+from tests.conftest import assert_one_array, make_grid
 
 
 def setup(H, p=2, q=2, **kw):
@@ -36,8 +36,8 @@ class TestHemmCorrectness:
         C = DistributedMultiVector.from_global(g, V, Hd.rowmap, "C")
         out = hemm.apply(C)
         assert out.layout == "B"
-        np.testing.assert_allclose(out.gather(0), H @ V, atol=1e-12)
-        assert out.replicas_share_memory()
+        np.testing.assert_allclose(out.gather(), H @ V, atol=1e-12)
+        assert_one_array(out)
 
     @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
     def test_b_to_c_matches_dense(self, rng, p, q):
@@ -48,7 +48,7 @@ class TestHemmCorrectness:
         B = DistributedMultiVector.from_global(g, V, Hd.colmap, "B")
         out = hemm.apply(B)
         assert out.layout == "C"
-        np.testing.assert_allclose(out.gather(0), H @ V, atol=1e-12)
+        np.testing.assert_allclose(out.gather(), H @ V, atol=1e-12)
 
     def test_complex_hermitian(self, rng):
         A = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
@@ -56,7 +56,7 @@ class TestHemmCorrectness:
         V = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
         g, Hd, hemm = setup(H)
         C = DistributedMultiVector.from_global(g, V, Hd.rowmap, "C")
-        np.testing.assert_allclose(hemm.apply(C).gather(0), H @ V, atol=1e-12)
+        np.testing.assert_allclose(hemm.apply(C).gather(), H @ V, atol=1e-12)
 
     def test_shift_and_scale(self, rng):
         A = rng.standard_normal((20, 20))
@@ -66,7 +66,7 @@ class TestHemmCorrectness:
         C = DistributedMultiVector.from_global(g, V, Hd.rowmap, "C")
         out = hemm.apply(C, alpha=-1.5, gamma=0.7)
         ref = -1.5 * (H - 0.7 * np.eye(20)) @ V
-        np.testing.assert_allclose(out.gather(0), ref, atol=1e-12)
+        np.testing.assert_allclose(out.gather(), ref, atol=1e-12)
 
     def test_column_slice(self, rng):
         A = rng.standard_normal((20, 20))
@@ -76,7 +76,7 @@ class TestHemmCorrectness:
         C = DistributedMultiVector.from_global(g, V, Hd.rowmap, "C")
         out = hemm.apply(C, slice(2, 5))
         assert out.ne == 3
-        np.testing.assert_allclose(out.gather(0), H @ V[:, 2:5], atol=1e-12)
+        np.testing.assert_allclose(out.gather(), H @ V[:, 2:5], atol=1e-12)
 
     def test_matvec_counter(self, rng):
         A = rng.standard_normal((20, 20))
@@ -126,7 +126,7 @@ class TestHemmCorrectness:
         mid = hemm.apply(C, gamma=gamma)
         out = hemm.apply(mid, gamma=gamma)
         S = H - gamma * np.eye(n)
-        np.testing.assert_allclose(out.gather(0), S @ (S @ V), atol=1e-9)
+        np.testing.assert_allclose(out.gather(), S @ (S @ V), atol=1e-9)
 
 
 # ------------------------------------------------------------ column slices
@@ -164,9 +164,9 @@ def test_column_slice_is_normalised_once(rng, phantom, cols, expect):
     out = hemm.apply(C, cols)
     assert out.ne == stop - start == hemm.matvecs
     if not phantom:
-        assert {blk.shape[1] for blk in out.blocks.values()} == {stop - start}
+        assert {blk.shape[1] for blk in out.parts} == {stop - start}
         np.testing.assert_allclose(
-            out.gather(0), H @ V[:, start:stop], atol=1e-12)
+            out.gather(), H @ V[:, start:stop], atol=1e-12)
 
 
 # ------------------------------------------- phantom == numeric, per apply

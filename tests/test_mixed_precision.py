@@ -339,7 +339,7 @@ class TestMixedCholeskyQR2:
         rep = QRReport()
         work = qr_work_precision(np.float64, "fp32", 5.0)
         assert mixed_cholesky_qr2(g, C, rep, work) == 0
-        Q = C.gather(0)
+        Q = C.gather()
         assert orthogonality_error(Q) < 1e-13
         assert rep.first_pass_dtype == "fp32"
         assert rep.chol_iterations == 2
@@ -355,7 +355,7 @@ class TestMixedCholeskyQR2:
         C = make_mv(g, V)
         work = qr_work_precision(np.complex128, "fp32", 3.0)
         assert mixed_cholesky_qr2(g, C, QRReport(), work) == 0
-        assert orthogonality_error(C.gather(0)) < 1e-13
+        assert orthogonality_error(C.gather()) < 1e-13
 
     def test_caqr_dispatches_mixed_variant(self, rng):
         """Algorithm 4 + §5g: inside the CholeskyQR2 regime an admitted
@@ -365,7 +365,7 @@ class TestMixedCholeskyQR2:
         work = qr_work_precision(np.float64, "fp32", 100.0)
         rep = caqr_1d(g, C, est_cond=100.0, work=work)
         assert rep.variant == "mCholeskyQR2[fp32]"
-        assert orthogonality_error(C.gather(0)) < 1e-13
+        assert orthogonality_error(C.gather()) < 1e-13
 
     def test_caqr_shifted_regime_ignores_work(self, rng):
         g = make_grid(4)

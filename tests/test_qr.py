@@ -16,7 +16,7 @@ from repro.core.qr import (
     shifted_cholesky_qr2,
 )
 from repro.distributed import BlockMap1D, DistributedMultiVector
-from tests.conftest import make_grid
+from tests.conftest import assert_one_array, make_grid
 
 
 def make_mv(grid, V):
@@ -44,9 +44,9 @@ class TestCholeskyQR:
         C = make_mv(g, V)
         rep = QRReport()
         assert cholesky_qr(g, C, 1, rep) == 0
-        Q = C.gather(0)
+        Q = C.gather()
         assert orthogonality_error(Q) < 1e-12
-        assert C.replicas_share_memory()
+        assert_one_array(C)
         # same column space
         np.testing.assert_allclose(Q @ (Q.T @ V), V, atol=1e-8)
 
@@ -56,7 +56,7 @@ class TestCholeskyQR:
         C = make_mv(g, V)
         rep = QRReport()
         assert cholesky_qr(g, C, 2, rep) == 0
-        assert orthogonality_error(C.gather(0)) < 1e-13
+        assert orthogonality_error(C.gather()) < 1e-13
         assert rep.chol_iterations == 2
 
     def test_cholqr1_loses_orthogonality_when_ill_conditioned(self, rng):
@@ -65,7 +65,7 @@ class TestCholeskyQR:
         V = conditioned_matrix(rng, 60, 8, cond=1e7)
         C = make_mv(g, V)
         cholesky_qr(g, C, 1, QRReport())
-        assert orthogonality_error(C.gather(0)) > 1e-10
+        assert orthogonality_error(C.gather()) > 1e-10
 
     def test_breakdown_on_extreme_condition(self, rng):
         """POTRF fails once kappa^2 overflows the Gram matrix precision."""
@@ -82,7 +82,7 @@ class TestCholeskyQR:
         V += 1j * conditioned_matrix(rng, 40, 5, 10)
         C = make_mv(g, V)
         assert cholesky_qr(g, C, 2, QRReport()) == 0
-        assert orthogonality_error(C.gather(0)) < 1e-12
+        assert orthogonality_error(C.gather()) < 1e-12
 
     def test_bad_degree(self, rng):
         g = make_grid(4)
@@ -100,7 +100,7 @@ class TestShiftedCholeskyQR2:
         shifted_cholesky_qr2(g, C, rep)
         assert rep.shifted
         assert not rep.fallback_hhqr
-        assert orthogonality_error(C.gather(0)) < 1e-12
+        assert orthogonality_error(C.gather()) < 1e-12
 
     def test_hhqr_rescue_on_rank_deficiency(self, rng):
         """A numerically rank-deficient block defeats even the shifted
@@ -113,7 +113,7 @@ class TestShiftedCholeskyQR2:
         shifted_cholesky_qr2(g, C, rep)
         # either the shifted pass coped, or HHQR rescued it; in both cases
         # the result must be orthonormal
-        assert orthogonality_error(C.gather(0)) < 1e-10
+        assert orthogonality_error(C.gather()) < 1e-10
 
 
 class TestSelectionHeuristic:
@@ -146,7 +146,7 @@ class TestSelectionHeuristic:
         rep = caqr_1d(g, C, est_cond=5.0)
         assert rep.variant == "sCholeskyQR2"
         assert rep.breakdowns >= 1
-        assert orthogonality_error(C.gather(0)) < 1e-10
+        assert orthogonality_error(C.gather()) < 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -161,7 +161,7 @@ class TestSelectionHeuristic:
         V = conditioned_matrix(rng, 12 * n, n, cond)
         C = make_mv(g, V)
         caqr_1d(g, C, est_cond=cond * 2)  # estimate = honest upper bound
-        assert orthogonality_error(C.gather(0)) < 1e-9
+        assert orthogonality_error(C.gather()) < 1e-9
 
 
 class TestRunVariant:
@@ -179,7 +179,7 @@ class TestRunVariant:
         assert rep.variant == variant and rep.breakdowns == 0
         assert rep.shifted == (variant == "sCholeskyQR2")
         assert (rep.first_pass_dtype == "fp32") == (variant == MIXED_VARIANT)
-        assert orthogonality_error(C.gather(0)) < 1e-12
+        assert orthogonality_error(C.gather()) < 1e-12
 
     @pytest.mark.parametrize("variant", NAMES[1:4])
     def test_breakdown_escalates_to_shifted(self, rng, variant):
@@ -188,7 +188,7 @@ class TestRunVariant:
         rep = run_qr_variant(g, C, variant, work=np.float32)
         assert rep.variant == "sCholeskyQR2" and rep.shifted
         assert rep.breakdowns >= 1
-        assert orthogonality_error(C.gather(0)) < 1e-10
+        assert orthogonality_error(C.gather()) < 1e-10
 
 
 class TestHHQR:
@@ -197,8 +197,8 @@ class TestHHQR:
         V = conditioned_matrix(rng, 33, 6, 1e8)
         C = make_mv(g, V)
         hhqr_1d(g, C)
-        assert orthogonality_error(C.gather(0)) < 1e-13
-        assert C.replicas_share_memory()
+        assert orthogonality_error(C.gather()) < 1e-13
+        assert_one_array(C)
 
     def test_charges_compute_and_comm(self, rng):
         g = make_grid(4)

@@ -10,7 +10,7 @@ from repro.distributed import (
     redistribute_b_to_c,
     redistribute_c_to_b,
 )
-from tests.conftest import make_grid
+from tests.conftest import assert_one_array, make_grid
 
 
 def build(grid, V, layout):
@@ -28,8 +28,8 @@ class TestCtoB:
         C = build(g, V, "C")
         B = DistributedMultiVector.zeros(g, BlockMap1D(30, q), "B", 5, np.float64)
         redistribute_c_to_b(g, C, B)
-        np.testing.assert_allclose(B.gather(0), V)
-        assert B.replicas_share_memory()
+        np.testing.assert_allclose(B.gather(), V)
+        assert_one_array(B)
 
     def test_square_grid_single_bcast_per_column(self, rng):
         """Paper Sec. 3.1: on a square grid one broadcast per column
@@ -53,7 +53,7 @@ class TestCtoB:
         C = build(g, V, "C")
         B = DistributedMultiVector.zeros(g, BlockMap1D(20, 2), "B", 6, np.float64)
         redistribute_c_to_b(g, C, B, cols=slice(2, 5))
-        out = B.gather(0)
+        out = B.gather()
         np.testing.assert_allclose(out[:, 2:5], V[:, 2:5])
         np.testing.assert_allclose(out[:, :2], 0.0)
 
@@ -88,8 +88,8 @@ class TestBtoC:
         B = build(g, V, "B")
         C = DistributedMultiVector.zeros(g, BlockMap1D(30, p), "C", 5, np.float64)
         redistribute_b_to_c(g, B, C)
-        np.testing.assert_allclose(C.gather(0), V)
-        assert C.replicas_share_memory()
+        np.testing.assert_allclose(C.gather(), V)
+        assert_one_array(C)
 
     def test_roundtrip(self, rng):
         g = make_grid(6, p=2, q=3)
@@ -99,4 +99,4 @@ class TestBtoC:
         C2 = DistributedMultiVector.zeros(g, BlockMap1D(25, 2), "C", 3, np.float64)
         redistribute_c_to_b(g, C, B)
         redistribute_b_to_c(g, B, C2)
-        np.testing.assert_allclose(C2.gather(0), V)
+        np.testing.assert_allclose(C2.gather(), V)

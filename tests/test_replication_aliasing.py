@@ -1,17 +1,20 @@
-"""Replication-group storage: replicas are one object (DESIGN.md §5b).
+"""One array per layout: every block is a view of it (DESIGN.md §5b).
 
-A numeric multivector stores one shared ndarray per replication group
-(layout "C": fixed grid row i, all columns j; layout "B": fixed j, all
-i) and every numeric kernel computes each unique block once, placing
-the result in every replica slot.  These tests pin down:
+A numeric multivector holds the global ``N x ne`` matrix as one ndarray
+(its parts stacked in index-map order), and ``H`` the global ``N x N``
+one; every block is a row-range (for ``H``, row- and column-range) view
+of that array, built once, and every replica of a part is that one view
+object.  These tests pin down:
 
-* constructors build one block per group; phantom buffers hold none;
-* HEMM / filter / QR outputs keep replicas memory-shared;
-* writes (``write_into`` / ``permute_columns`` / ``copy_cols_from``)
-  reach every replica but never leak into other replication groups;
-* every numeric multivector a solve builds — both schemes, real and
-  complex, with and without HEMM fusion, through HHQR, a rank-death
-  shrink and a checkpoint restore — shares its replicas' memory.
+* constructors copy their input once and tile it; phantom ``H`` holds
+  no array;
+* HEMM outputs (both directions, per block and fused, full and narrow)
+  are one array, and the HEMM's forms of ``H`` are whole-array views;
+* in-place operations (``permute_columns``, CholeskyQR, HHQR,
+  ``write_into``, ``copy_cols_from``) keep the array and its views;
+* every multivector and ``H`` that whole solves build — both schemes,
+  real and complex, per block and fused, through HHQR, a rank-death
+  shrink and a checkpoint restore — is one array with its views.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import hhqr_1d
 from repro.core.chase import ChaseSolver
 from repro.core.config import ChaseConfig
 from repro.core.filter import _axpby, chebyshev_filter
-from repro.core.qr import QRReport, cholesky_qr, shifted_cholesky_qr2
+from repro.core.qr import (
+    QRReport, cholesky_qr, mixed_cholesky_qr2, shifted_cholesky_qr2)
 from repro.distributed import (
     BlockMap1D,
     DistributedHemm,
@@ -32,12 +37,13 @@ from repro.distributed import (
 from repro.runtime import (
     CommBackend, ExecutionConfig, FaultEvent, FaultKind, FaultPlan, Grid2D,
     VirtualCluster)
+from tests.conftest import assert_one_array, assert_tiles
 
 
-def make_grid(n: int = 4, backend: CommBackend = CommBackend.NCCL, p=None,
-              q=None, fused: bool = False):
+def make_grid(n: int = 4, p=None, q=None, fused: bool = False):
     config = ExecutionConfig(hemm_fusion=fused)
-    return Grid2D(VirtualCluster(n, backend=backend, config=config), p, q)
+    return Grid2D(VirtualCluster(n, backend=CommBackend.NCCL, config=config),
+                  p, q)
 
 
 def hermitian(rng, N, dtype=np.float64):
@@ -47,14 +53,9 @@ def hermitian(rng, N, dtype=np.float64):
     return ((A + A.conj().T) / 2).astype(dtype)
 
 
-def row_map(grid, N: int = 40) -> BlockMap1D:
-    """A layout-"C" index map (rows split over grid rows)."""
-    return BlockMap1D(N, grid.p)
-
-
-def col_map(grid, N: int = 40) -> BlockMap1D:
-    """A layout-"B" index map (rows split over grid columns)."""
-    return BlockMap1D(N, grid.q)
+def assert_h_tiles(Hd) -> None:
+    assert Hd.data.shape == (Hd.N, Hd.N) and Hd.data.flags.c_contiguous
+    assert_tiles(Hd.data, Hd.blocks, Hd.rowmap, Hd.colmap)
 
 
 # ---------------------------------------------------------------------------
@@ -63,198 +64,194 @@ def col_map(grid, N: int = 40) -> BlockMap1D:
 
 
 @pytest.mark.parametrize("layout", ["C", "B"])
-def test_zeros_share_one_block_per_group(layout):
-    grid = make_grid(6, p=2, q=3)
-    imap = row_map(grid) if layout == "C" else col_map(grid)
-    V = DistributedMultiVector.zeros(grid, imap, layout, 5, np.float64)
-    assert V.replicas_share_memory()
-    for key in V.blocks:
-        assert V.blocks[key] is V.blocks[V.rep_root(*key)]
-    # distinct groups hold distinct blocks
-    roots = [V.blocks[key] for key in V.unique_keys()]
-    assert len({id(blk) for blk in roots}) == len(roots)
-
-
-@pytest.mark.parametrize("layout", ["C", "B"])
-def test_from_global_aliased_and_consistent(layout):
+@pytest.mark.parametrize("N", [40, 41, 2], ids=["even", "ragged", "empty"])
+def test_constructors_hold_one_array(layout, N):
     rng = np.random.default_rng(0)
-    grid = make_grid(6, p=3, q=2)
-    imap = row_map(grid) if layout == "C" else col_map(grid)
-    V = rng.standard_normal((imap.N, 4))
+    grid = make_grid(6, p=2, q=3)
+    imap = BlockMap1D(N, grid.p if layout == "C" else grid.q)
+    Z = DistributedMultiVector.zeros(grid, imap, layout, 5, np.float64)
+    assert_one_array(Z)
+    V = rng.standard_normal((N, 4))
     mv = DistributedMultiVector.from_global(grid, V, imap, layout)
-    assert mv.replicas_share_memory()
-    np.testing.assert_array_equal(mv.gather(0), V)
-    mv.blocks[(0, 0)][...] = -1.0  # the blocks are copies of V's rows
+    assert_one_array(mv)
+    assert mv.data.flags.c_contiguous
+    np.testing.assert_array_equal(mv.gather(), V)
+    mv.data[...] = -1.0  # one copy of V
     assert not np.any(V == -1.0)
 
 
-# ---------------------------------------------------------------------------
-# kernel outputs keep one block per group
-# ---------------------------------------------------------------------------
+def test_rows_must_match_the_map():
+    grid = make_grid(4)
+    with pytest.raises(ValueError, match="rows"):
+        DistributedMultiVector(grid, BlockMap1D(10, 2), "C", np.zeros((9, 2)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_hemm_output_aliased_and_correct(dtype):
+def test_from_dense_tiles_one_copy(dtype):
     rng = np.random.default_rng(1)
-    N, ne = 48, 6
+    H = hermitian(rng, 31, dtype)
+    Hd = DistributedHermitian.from_dense(make_grid(6, p=2, q=3), H)
+    assert_h_tiles(Hd)
+    np.testing.assert_array_equal(Hd.data, H)
+    assert not np.shares_memory(Hd.data, H)
+    phantom = DistributedHermitian.phantom(make_grid(4), 100)
+    assert phantom.data is None and phantom.blocks == {}
+
+
+# ---------------------------------------------------------------------------
+# kernel outputs and the HEMM's forms of H
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["per-block", "fused"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hemm_outputs_and_forms_are_whole_arrays(dtype, fused):
+    rng = np.random.default_rng(2)
+    N, ne = 45, 6
     H = hermitian(rng, N, dtype)
     V = rng.standard_normal((N, ne)).astype(dtype)
-
-    grid = make_grid(4)
+    grid = make_grid(6, p=2, q=3, fused=fused)
     Hd = DistributedHermitian.from_dense(grid, H)
+    hemm = DistributedHemm(Hd)
     C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
-    B = DistributedHemm(Hd).apply(C, slice(0, ne))
-    assert B.replicas_share_memory()
-    np.testing.assert_allclose(B.gather(0), H @ V, rtol=0, atol=1e-12 * N)
+    B = hemm.apply(C, gamma=0.3, alpha=1.5)
+    C2 = hemm.apply(B, slice(1, 5), gamma=0.3)
+    narrow = hemm.apply(DistributedMultiVector.from_global(
+        grid, V.astype(np.complex64 if np.dtype(dtype).kind == "c"
+                       else np.float32), Hd.rowmap, "C"))
+    for out in (B, C2, narrow):
+        assert_one_array(out)
+    np.testing.assert_allclose(B.gather(), 1.5 * (H @ V - 0.3 * V),
+                               atol=1e-12 * N)
+    np.testing.assert_allclose(C2.gather(), H @ B.data[:, 1:5]
+                               - 0.3 * B.data[:, 1:5], atol=1e-11 * N)
+    # H's forms (itself, conjugate, narrow cast): whole N x N arrays,
+    # each panel and block a view of one; the plain form is H's own
+    assert hemm._forms[(False, False)][0] is Hd.data
+    assert len(hemm._forms) == (4 if np.dtype(dtype).kind == "c" else 2)
+    for A, panels, blocks in hemm._forms.values():
+        assert A.shape == (N, N) and A.flags.c_contiguous
+        assert_tiles(A, blocks, Hd.rowmap, Hd.colmap)
+        assert_tiles(A, {(i, 0): P for i, P in enumerate(panels)},
+                     Hd.rowmap, BlockMap1D(N, 1))
 
 
-def test_axpby_and_filter_keep_aliasing():
-    rng = np.random.default_rng(2)
+def test_axpby_and_filter_keep_the_one_array():
+    rng = np.random.default_rng(3)
     N, ne = 40, 6
     H = hermitian(rng, N)
     lam = np.linalg.eigvalsh(H)
     mu1, mu_ne, b_sup = lam[0], lam[ne - 1], lam[-1] + 0.1
     c, e = (b_sup + mu_ne) / 2, (b_sup - mu_ne) / 2
-    V = rng.standard_normal((N, ne))
-    degrees = np.full(ne, 4, dtype=np.int64)
-
     grid = make_grid(4)
     Hd = DistributedHermitian.from_dense(grid, H)
-    hemm = DistributedHemm(Hd)
-    C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
-    assert _axpby(2.0, C, -0.5, C).replicas_share_memory()
-    chebyshev_filter(hemm, C, 0, degrees, c, e, mu1)
-    assert C.replicas_share_memory()
+    C = DistributedMultiVector.from_global(
+        grid, rng.standard_normal((N, ne)), Hd.rowmap, "C")
+    assert_one_array(_axpby(2.0, C, -0.5, C))
+    data, parts = C.data, list(C.parts)
+    chebyshev_filter(DistributedHemm(Hd), C, 0, np.full(ne, 4), c, e, mu1)
+    assert C.data is data and all(a is b for a, b in zip(C.parts, parts))
+    assert_one_array(C)
 
 
-@pytest.mark.parametrize("variant", ["cholqr", "shifted"])
-def test_qr_keeps_aliasing(variant):
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("variant", ["cholqr", "shifted", "mixed", "hhqr"])
+def test_permute_and_qr_keep_the_one_array(variant):
+    """Locking's permutation and every QR write into the array in
+    place: its parts stay the views they were."""
+    rng = np.random.default_rng(4)
     N, ne = 48, 6
     V = np.linalg.qr(rng.standard_normal((N, ne)))[0] @ np.diag(
-        np.logspace(0, 3, ne)
-    )
-    grid = make_grid(4)
-    Hd = DistributedHermitian.from_dense(grid, hermitian(rng, N))
-    C = DistributedMultiVector.from_global(grid, V, Hd.rowmap, "C")
+        np.logspace(0, 3, ne))
+    grid = make_grid(6, p=3, q=2)
+    C = DistributedMultiVector.from_global(grid, V, BlockMap1D(N, 3), "C")
+    data, parts = C.data, list(C.parts)
+
+    def unchanged():
+        assert C.data is data and all(a is b for a, b in zip(C.parts, parts))
+        assert_one_array(C)
+
+    C.permute_columns(np.array([4, 2, 0, 1, 3, 5]))
+    unchanged()
+    np.testing.assert_array_equal(C.gather(), V[:, [4, 2, 0, 1, 3, 5]])
     report = QRReport()
     if variant == "cholqr":
         assert cholesky_qr(grid, C, 2, report) == 0
-    else:
+    elif variant == "shifted":
         shifted_cholesky_qr2(grid, C, report)
-    assert C.replicas_share_memory()
-    Q = C.gather(0)
+    elif variant == "mixed":
+        assert mixed_cholesky_qr2(grid, C, report, np.float32) == 0
+    else:
+        hhqr_1d(grid, C)
+    unchanged()
+    Q = C.gather()
     np.testing.assert_allclose(Q.T @ Q, np.eye(ne), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# write isolation: replicas see writes, other groups never do
+# writes
 # ---------------------------------------------------------------------------
 
 
-def test_write_into_reaches_replicas_not_other_groups():
-    rng = np.random.default_rng(4)
-    grid = make_grid(4)
-    imap = row_map(grid)
-    N = imap.N
-    src = DistributedMultiVector.from_global(
-        grid, rng.standard_normal((N, 3)), imap, "C"
-    )
-    dst = DistributedMultiVector.zeros(grid, imap, "C", 8, np.float64)
-    before_other = {k: dst.blocks[k].copy() for k in dst.blocks}
-    src.write_into(dst, 2)
-    assert dst.replicas_share_memory()
-    for i in range(grid.p):
-        root = dst.blocks[(i, 0)]
-        np.testing.assert_array_equal(root[:, 2:5], src.blocks[(i, 0)])
-        # untouched columns keep their zeros
-        np.testing.assert_array_equal(root[:, :2], before_other[(i, 0)][:, :2])
-        np.testing.assert_array_equal(root[:, 5:], before_other[(i, 0)][:, 5:])
-    # writing into group i=0 must not have touched group i=1
-    assert dst.blocks[(0, 0)] is dst.blocks[(0, 1)]
-    assert dst.blocks[(0, 0)] is not dst.blocks[(1, 0)]
-
-
-def test_direct_block_write_isolated_to_group():
-    grid = make_grid(4)
-    imap = row_map(grid)
-    mv = DistributedMultiVector.zeros(grid, imap, "C", 4, np.float64)
-    mv.blocks[(0, 0)][...] = 7.0
-    # the replica (same group) sees the write ...
-    np.testing.assert_array_equal(mv.blocks[(0, 1)], mv.blocks[(0, 0)])
-    # ... the other replication group does not
-    assert float(np.abs(mv.blocks[(1, 0)]).max()) == 0.0
-    assert float(np.abs(mv.blocks[(1, 1)]).max()) == 0.0
-
-
-def test_permute_columns_realiases():
+def test_writes_reach_the_array_and_no_other_rows():
     rng = np.random.default_rng(5)
     grid = make_grid(4)
-    imap = row_map(grid)
-    V = rng.standard_normal((imap.N, 5))
-    mv = DistributedMultiVector.from_global(grid, V, imap, "C")
-    perm = np.array([4, 2, 0, 1, 3])
-    mv.permute_columns(perm)
-    assert mv.replicas_share_memory()
-    np.testing.assert_array_equal(mv.gather(0), V[:, perm])
-
-
-def test_copy_cols_from_preserves_aliasing():
-    rng = np.random.default_rng(6)
-    grid = make_grid(4)
-    imap = row_map(grid)
-    A = DistributedMultiVector.from_global(
-        grid, rng.standard_normal((imap.N, 6)), imap, "C"
-    )
-    B = DistributedMultiVector.zeros(grid, imap, "C", 6, np.float64)
-    B.copy_cols_from(A, 1, 4)
-    assert B.replicas_share_memory()
-    np.testing.assert_array_equal(B.gather(0)[:, 1:4], A.gather(0)[:, 1:4])
-    assert float(np.abs(B.gather(0)[:, :1]).max()) == 0.0
-    assert float(np.abs(B.gather(0)[:, 4:]).max()) == 0.0
-
-
-def test_view_cols_shares_one_view_per_group():
-    rng = np.random.default_rng(7)
-    grid = make_grid(4)
-    imap = row_map(grid)
-    mv = DistributedMultiVector.from_global(
-        grid, rng.standard_normal((imap.N, 6)), imap, "C"
-    )
-    V = mv.view_cols(1, 4)
-    assert V.replicas_share_memory()
-    assert V.blocks[(0, 0)] is V.blocks[(0, 1)]
-    # writes through the view reach the parent's whole replication group
-    V.blocks[(0, 0)][...] = 3.0
-    np.testing.assert_array_equal(mv.blocks[(0, 1)][:, 1:4], 3.0 * np.ones_like(V.blocks[(0, 0)]))
-    # ... but not the other group
-    assert not np.any(mv.blocks[(1, 0)][:, 1:4] == 3.0)
+    imap = BlockMap1D(40, 2)
+    src = DistributedMultiVector.from_global(
+        grid, rng.standard_normal((40, 3)), imap, "C")
+    dst = DistributedMultiVector.zeros(grid, imap, "C", 8, np.float64)
+    src.write_into(dst, 2)
+    np.testing.assert_array_equal(dst.data[:, 2:5], src.data)
+    assert not np.any(dst.data[:, :2]) and not np.any(dst.data[:, 5:])
+    other = DistributedMultiVector.zeros(grid, imap, "C", 8, np.float64)
+    other.copy_cols_from(dst, 3, 4)
+    np.testing.assert_array_equal(other.data[:, 3], dst.data[:, 3])
+    assert not np.any(np.delete(other.data, 3, axis=1))
+    # a column view writes through to the parent's rows of that part only
+    view = dst.view_cols(1, 4)
+    assert_one_array(view)
+    view.local(0, 1)[...] = 3.0
+    rows = slice(*imap.range_of(0))
+    np.testing.assert_array_equal(dst.data[rows, 1:4], 3.0)
+    assert not np.any(dst.data[slice(*imap.range_of(1)), 1:2])
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: every numeric multivector a solve builds shares its replicas
+# end to end: everything a solve builds is one array with its views
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Records every numeric multivector constructed while the test runs,
-    with whether its replicas shared memory when it was built."""
+    """Records every numeric multivector and H built while the test
+    runs, each checked when it is built."""
     seen = []
-    init = DistributedMultiVector.__init__
+    mv_init = DistributedMultiVector.__init__
+    h_init = DistributedHermitian.__init__
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        seen.append((self, self.replicas_share_memory()))
+    def recording_mv(self, *args, **kwargs):
+        mv_init(self, *args, **kwargs)
+        assert_one_array(self)
+        seen.append(self)
 
-    monkeypatch.setattr(DistributedMultiVector, "__init__", recording)
+    def recording_h(self, *args, **kwargs):
+        h_init(self, *args, **kwargs)
+        assert_h_tiles(self)
+        seen.append(self)
+
+    monkeypatch.setattr(DistributedMultiVector, "__init__", recording_mv)
+    monkeypatch.setattr(DistributedHermitian, "__init__", recording_h)
     return seen
 
 
-def _assert_replicas_shared(built):
-    assert built, "the solve built no numeric multivector"
-    assert all(at_init for _mv, at_init in built)
-    assert all(mv.replicas_share_memory() for mv, _at_init in built)
+def _assert_one_array_each(built):
+    """Still one array each once the solves are done."""
+    assert any(isinstance(x, DistributedHermitian) for x in built)
+    assert any(isinstance(x, DistributedMultiVector) for x in built)
+    for x in built:
+        if isinstance(x, DistributedHermitian):
+            assert_h_tiles(x)
+        else:
+            assert_one_array(x)
 
 
 def _solve(H, grid, nev, nex, **solver_kw):
@@ -268,25 +265,26 @@ def _solve(H, grid, nev, nex, **solver_kw):
     return solver, res
 
 
-@pytest.mark.parametrize("fused", [False, True], ids=["default", "fused"])
+@pytest.mark.parametrize("fused", [False, True], ids=["per-block", "fused"])
 @pytest.mark.parametrize("dtype, p, q", [(np.float64, 2, 2),
                                          (np.complex128, 2, 3)],
                          ids=["real-2x2", "complex-2x3"])
 @pytest.mark.parametrize("scheme", ["new", "lms"])
-def test_solve_builds_only_shared_replicas(built, scheme, dtype, p, q, fused):
+def test_solve_builds_one_array_per_layout(built, scheme, dtype, p, q,
+                                           fused):
     H = hermitian(np.random.default_rng(8), 120, dtype)
     _solve(H, make_grid(p * q, p=p, q=q, fused=fused), 15, 10, scheme=scheme)
-    _assert_replicas_shared(built)
+    _assert_one_array_each(built)
 
 
-def test_hhqr_solve_builds_only_shared_replicas(built):
+def test_hhqr_solve_builds_one_array_per_layout(built):
     H = hermitian(np.random.default_rng(9), 96)
     _solver, res = _solve(H, make_grid(4), 10, 6, qr_mode="hhqr")
     assert set(res.qr_variants) == {"HHQR"}
-    _assert_replicas_shared(built)
+    _assert_one_array_each(built)
 
 
-def test_recoveries_build_only_shared_replicas(built):
+def test_recoveries_build_one_array_per_layout(built):
     """A rank death shrinks the grid and restores onto the survivors; a
     kernel crash restores the last checkpoint after a bit flip."""
     H = hermitian(np.random.default_rng(10), 96)
@@ -300,4 +298,4 @@ def test_recoveries_build_only_shared_replicas(built):
     _solver, res = _solve(H, make_grid(4), 10, 6, faults=crash,
                           checkpoint_every=1)
     assert res.recoveries >= 1 and res.checkpoints >= 1
-    _assert_replicas_shared(built)
+    _assert_one_array_each(built)

@@ -39,7 +39,7 @@ class TestRayleighRitz:
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2)])
     def test_matches_dense_projection(self, rng, p, q):
         H, g, hemm, C, C2, B, B2 = rr_setup(rng, p=p, q=q)
-        Q0 = C.gather(0).copy()
+        Q0 = C.gather().copy()
         ritz = rayleigh_ritz(hemm, C, C2, B, B2, locked=0)
         A = Q0.T @ H @ Q0
         ref = np.linalg.eigvalsh(0.5 * (A + A.T))
@@ -48,7 +48,7 @@ class TestRayleighRitz:
     def test_vectors_are_ritz_vectors(self, rng):
         H, g, hemm, C, C2, B, B2 = rr_setup(rng)
         ritz = rayleigh_ritz(hemm, C, C2, B, B2, locked=0)
-        V = C.gather(0)
+        V = C.gather()
         # V^H H V must be diagonal with the Ritz values
         P = V.T @ H @ V
         np.testing.assert_allclose(np.diag(P), ritz, atol=1e-9)
@@ -57,13 +57,13 @@ class TestRayleighRitz:
     def test_c2_synchronized(self, rng):
         H, g, hemm, C, C2, B, B2 = rr_setup(rng)
         rayleigh_ritz(hemm, C, C2, B, B2, locked=0)
-        np.testing.assert_allclose(C.gather(0), C2.gather(0))
+        np.testing.assert_allclose(C.gather(), C2.gather())
 
     def test_locked_columns_preserved(self, rng):
         H, g, hemm, C, C2, B, B2 = rr_setup(rng)
-        frozen = C.gather(0)[:, :3].copy()
+        frozen = C.gather()[:, :3].copy()
         rayleigh_ritz(hemm, C, C2, B, B2, locked=3)
-        np.testing.assert_allclose(C.gather(0)[:, :3], frozen)
+        np.testing.assert_allclose(C.gather()[:, :3], frozen)
 
     def test_invariant_subspace_exact(self, rng):
         """If C spans an exact invariant subspace, RR returns exact
@@ -89,7 +89,7 @@ class TestResiduals:
         H, g, hemm, C, C2, B, B2 = rr_setup(rng)
         ritz = rayleigh_ritz(hemm, C, C2, B, B2, 0)
         resd = residuals(hemm, C, C2, B, B2, ritz, 0)
-        V = C.gather(0)
+        V = C.gather()
         ref = np.linalg.norm(H @ V - V * ritz[None, :], axis=0)
         np.testing.assert_allclose(resd, ref, atol=1e-10)
 

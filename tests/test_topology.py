@@ -1,9 +1,28 @@
 """Tests for the fat-tree topology model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.perfmodel.topology import FatTree
+
+
+def test_import_repro_does_not_need_networkx():
+    """networkx is the graph oracle's only: importing the package (the
+    CLI and the topology model included) with networkx blocked succeeds
+    and imports none of it."""
+    code = ("import sys; sys.modules['networkx'] = None; "
+            "import repro, repro.cli, repro.perfmodel.topology; "
+            "assert sys.modules['networkx'] is None; "
+            "assert not any(m.startswith('networkx.') for m in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 class TestFatTree:
